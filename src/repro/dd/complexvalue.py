@@ -25,9 +25,6 @@ DEFAULT_TOLERANCE = 1e-10
 #: constant so both key spaces stay identical by construction.
 HASH_DECIMALS = 10
 
-# Backwards-compatible private alias.
-_HASH_DECIMALS = HASH_DECIMALS
-
 
 def ckey(value: complex) -> tuple[float, float]:
     """Hashable key identifying ``value`` up to the hashing tolerance.

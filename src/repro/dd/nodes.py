@@ -25,6 +25,15 @@ the unique-table signature they were interned under (recorded once by
 :meth:`~repro.dd.unique_table.UniqueTable.get_or_create` at creation, when
 the key tuple is at hand anyway); node *identity* remains the equality
 contract.
+
+Matrix nodes also carry an ``identity`` flag, computed once at creation: it
+is true iff the off-diagonal successors are the zero edge and both diagonal
+successors point to the same child with weight exactly ``1``, that child
+being the terminal or itself an identity node.  A flagged node (with root
+weight 1) is therefore exactly the identity on its levels, which lets the
+multiplication kernels return the other operand without recursing.  The
+test demands exact weights, so rounding can only make it miss a flag, never
+set a wrong one.
 """
 
 from __future__ import annotations
@@ -49,7 +58,7 @@ class VNode:
 class MNode:
     """Matrix-DD node for one qubit level."""
 
-    __slots__ = ("index", "edges", "hash")
+    __slots__ = ("index", "edges", "hash", "identity")
 
     def __init__(
         self,
@@ -60,6 +69,18 @@ class MNode:
         self.index = index
         self.edges = edges
         self.hash = hash
+        e0, e1, e2, e3 = edges
+        child = e0.node
+        self.identity = (
+            e1.node is None
+            and e1.weight == 0
+            and e2.node is None
+            and e2.weight == 0
+            and e3.node is child
+            and e0.weight == 1
+            and e3.weight == 1
+            and (child is None or child.identity)
+        )
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"MNode(q{self.index})"

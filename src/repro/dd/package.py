@@ -42,6 +42,12 @@ follow a small set of strict conventions:
   only (both root weights factor out of the product), addition keys carry the
   right/left weight *ratio* — so numerically scaled instances of the same
   structural computation always hit the same entry.
+* Identity short-cut: a matrix node whose ``identity`` flag is set (see
+  :mod:`repro.dd.nodes`) is exactly the identity on its levels, so both
+  multiplication kernels return the other operand, scaled by the product of
+  the root weights, right after the zero and level checks — before the
+  compute-table probe and the dense branch.  Gate DDs are the identity on
+  most levels, so this cuts most of the recursion of a gate application.
 
 Hybrid dense-subtree cutoff
 ---------------------------
@@ -76,7 +82,6 @@ __all__ = ["DDPackage"]
 
 _P0 = np.array([[1, 0], [0, 0]], dtype=complex)
 _P1 = np.array([[0, 0], [0, 1]], dtype=complex)
-_ID2 = np.eye(2, dtype=complex)
 _X2 = np.array([[0, 1], [1, 0]], dtype=complex)
 
 
@@ -148,6 +153,10 @@ class DDPackage:
         self._chain_cache_times: dict = {}
         self._chain_cache_evictions = 0
         self._chain_cache_expirations = 0
+        # ``_identity_levels[q]`` is the identity over levels ``0 .. q-1``;
+        # extended on demand by :meth:`controlled_gate`.  Its nodes live in
+        # the unique table, which is never cleared, so the list stays valid.
+        self._identity_levels: list[MEdge] = [M_ONE]
 
     def __reduce__(self):
         raise TypeError(
@@ -371,9 +380,10 @@ class DDPackage:
         """Tensor product of single-qubit operators (identity where omitted).
 
         ``operators`` maps qubit index to a ``2x2`` matrix.  Chains are
-        memoized per package (DD edges are immutable, so sharing is safe):
-        every controlled gate rebuilds an identity and projector chains, which
-        makes this the hottest construction path of gate building.
+        memoized per package (DD edges are immutable, so sharing is safe);
+        they serve uncontrolled single-qubit gates, the identity and the
+        projectors of measurement collapse.  Controlled gates are built
+        directly by :meth:`controlled_gate`.
         """
         key = None
         if self.gate_cache_enabled:
@@ -436,6 +446,15 @@ class DDPackage:
         ``controls`` maps control qubits to their activation value (1 for a
         regular control, 0 for a negative control).  Without controls this is
         simply the single-qubit operator embedded into the full register.
+
+        Controlled gates are built bottom-up in one pass.  Below the target,
+        four blocks (one per entry of ``matrix``) are grown level by level: a
+        free level wraps each block as ``[b, 0, 0, b]``; a control level puts
+        the block where the control is satisfied and, where it is not, the
+        identity for the diagonal blocks and zero for the off-diagonal ones.
+        The target level joins the four blocks.  Above the target, a free
+        level makes ``[e, 0, 0, e]`` and a control level ``[I, 0, 0, e]``
+        (mirrored for negative controls).
         """
         if matrix.shape != (2, 2):
             raise DDError(f"controlled_gate expects a 2x2 matrix, got {matrix.shape}")
@@ -452,12 +471,45 @@ class DDPackage:
         if not controls:
             return self.operator_chain({target: matrix})
 
-        projectors = {qubit: (_P1 if value else _P0) for qubit, value in controls.items()}
-        active = self.operator_chain({**projectors, target: matrix})
-        blocked = self.operator_chain({**projectors, target: _ID2})
-        identity = self.identity()
-        inactive = self.add_matrices(identity, self.scale_matrix(blocked, -1.0))
-        return self.add_matrices(active, inactive)
+        make = self._make_matrix_node
+        identities = self._identity_levels
+        while len(identities) < self.num_qubits:
+            below = identities[-1]
+            identities.append(make(len(identities) - 1, below, M_ZERO, M_ZERO, below))
+        blocks = [
+            MEdge(None, value) if value != 0 else M_ZERO
+            for value in map(complex, matrix.reshape(-1))
+        ]
+        for qubit in range(target):
+            value = controls.get(qubit)
+            if value is None:
+                blocks = [
+                    block if block is M_ZERO else make(qubit, block, M_ZERO, M_ZERO, block)
+                    for block in blocks
+                ]
+                continue
+            identity = identities[qubit]
+            idle = (identity, M_ZERO, M_ZERO, identity)
+            if value:
+                blocks = [
+                    make(qubit, idle[slot], M_ZERO, M_ZERO, block)
+                    for slot, block in enumerate(blocks)
+                ]
+            else:
+                blocks = [
+                    make(qubit, block, M_ZERO, M_ZERO, idle[slot])
+                    for slot, block in enumerate(blocks)
+                ]
+        edge = make(target, *blocks)
+        for qubit in range(target + 1, self.num_qubits):
+            value = controls.get(qubit)
+            if value is None:
+                edge = make(qubit, edge, M_ZERO, M_ZERO, edge)
+            elif value:
+                edge = make(qubit, identities[qubit], M_ZERO, M_ZERO, edge)
+            else:
+                edge = make(qubit, edge, M_ZERO, M_ZERO, identities[qubit])
+        return edge
 
     @staticmethod
     def scale_matrix(edge: MEdge, factor: complex) -> MEdge:
@@ -600,6 +652,8 @@ class DDPackage:
                 f"matrix level {index} does not match vector level "
                 f"{vnode.index}"
             )
+        if mnode.identity:
+            return VEdge(vnode, mweight * vweight)
         key = (id(mnode), id(vnode))
         table = self._mult_mv._table
         cached = table.get(key)
@@ -645,6 +699,10 @@ class DDPackage:
                 f"cannot multiply diagrams rooted at different levels "
                 f"({index} vs {rnode.index})"
             )
+        if lnode.identity:
+            return MEdge(rnode, lweight * rweight)
+        if rnode.identity:
+            return MEdge(lnode, lweight * rweight)
         key = (id(lnode), id(rnode))
         table = self._mult_mm._table
         cached = table.get(key)

@@ -15,6 +15,7 @@ import pytest
 from repro.algorithms import ghz_ladder, ghz_with_bug
 from repro.core import Configuration
 from repro.exceptions import ServiceError
+from repro.resilience import FaultPlan, FaultRule
 from repro.service import (
     AsyncVerificationServer,
     VerificationClient,
@@ -306,7 +307,16 @@ class TestPrunedJobs:
 
 
 class TestConcurrency:
-    def test_concurrent_identical_submissions_coalesce_to_one_job(self, server):
+    def test_concurrent_identical_submissions_coalesce_to_one_job(self):
+        # The leader's first checker sleeps, so the job is still in flight
+        # when the other five identical submissions arrive; without the hold
+        # a fast verdict can finish first and the followers queue fresh jobs.
+        hold = FaultPlan(rules=(FaultRule(site="checker", action="sleep", delay=1.0),))
+        server = AsyncVerificationServer(
+            port=0,
+            configuration=Configuration(seed=SEED, max_workers=2, fault_plan=hold),
+        )
+        server.start_background()
         barrier = threading.Barrier(6)
         results: list[dict] = []
         lock = threading.Lock()
@@ -318,11 +328,14 @@ class TestConcurrency:
             with lock:
                 results.append(submission)
 
-        threads = [threading.Thread(target=submit) for _ in range(6)]
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join(timeout=30.0)
+        try:
+            threads = [threading.Thread(target=submit) for _ in range(6)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=30.0)
+        finally:
+            server.close()
         assert len(results) == 6
         job_ids = {submission["job_id"] for submission in results}
         fresh = [s for s in results if not s["coalesced"]]

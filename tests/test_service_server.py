@@ -9,6 +9,7 @@ from repro.algorithms import ghz_ladder, ghz_with_bug, qft_dynamic, qft_static_b
 from repro.cli import build_parser, main
 from repro.core import Configuration
 from repro.exceptions import ServiceError
+from repro.resilience import FaultPlan, FaultRule
 from repro.service import VerificationClient, VerificationServer, VerificationService
 
 SEED = 5
@@ -92,11 +93,14 @@ class TestServerRoundTrip:
 
 class TestRequestDeduplication:
     def test_concurrent_identical_submissions_coalesce(self):
-        # One worker, kept busy by a slower warmup job, so the two identical
-        # submissions that follow are both still queued — the second MUST
-        # coalesce onto the first instead of queueing a second run.
+        # One worker, kept busy by the warmup job (its first checker sleeps),
+        # so the two identical submissions that follow are both still queued
+        # — the second MUST coalesce onto the first instead of queueing a
+        # second run.
+        hold = FaultPlan(rules=(FaultRule(site="checker", action="sleep", delay=1.0),))
         server = VerificationServer(
-            port=0, configuration=Configuration(seed=SEED, max_workers=1)
+            port=0,
+            configuration=Configuration(seed=SEED, max_workers=1, fault_plan=hold),
         )
         server.start_background()
         client = VerificationClient(server.url, timeout=10.0)
