@@ -6,6 +6,14 @@ states is compared.  A single mismatch proves non-equivalence; agreeing on all
 stimuli yields the verdict ``PROBABLY_EQUIVALENT``.  This mirrors the
 simulation-based checks of QCEC and complements the functional schemes for
 circuits whose ``U * U'^dagger`` diagram would grow too large.
+
+On the DD backend the per-check work runs once: both circuits are stripped to
+their gate instructions and every gate DD is built (through
+:func:`repro.dd.circuits.instruction_to_dd`) before the first stimulus.  Each
+stimulus is then built directly as a vector DD — a basis state, or a product
+state with one node per qubit — and both prebuilt gate lists are folded over
+it with matrix-vector multiplications.  The dense backend simulates the
+stimulus-prepending circuits instead.
 """
 
 from __future__ import annotations
@@ -14,13 +22,13 @@ import math
 import random
 from collections.abc import Callable
 
-import numpy as np
-
 from repro.circuit.circuit import QuantumCircuit
+from repro.circuit.gates import RYGate, RZGate
+from repro.dd import circuits as dd_circuits
+from repro.dd.nodes import V_ONE, VEdge
 from repro.dd.package import DDPackage
 from repro.exceptions import EquivalenceCheckingError
-from repro.simulators.dd_simulator import DDSimulator, DDState
-from repro.simulators.statevector import Statevector, StatevectorSimulator
+from repro.simulators.statevector import StatevectorSimulator
 
 __all__ = ["run_simulative_check"]
 
@@ -29,13 +37,38 @@ def _random_basis_stimulus(num_qubits: int, rng: random.Random) -> str:
     return "".join(rng.choice("01") for _ in range(num_qubits))
 
 
+def _random_product_angles(num_qubits: int, rng: random.Random) -> list[tuple[float, float]]:
+    """Per qubit, the ``(ry, rz)`` angles of a random product-state stimulus."""
+    return [
+        (rng.uniform(0.0, math.pi), rng.uniform(0.0, 2.0 * math.pi))
+        for _ in range(num_qubits)
+    ]
+
+
 def _random_product_circuit(num_qubits: int, rng: random.Random) -> QuantumCircuit:
     """A layer of random single-qubit rotations preparing a product state."""
     preparation = QuantumCircuit(num_qubits, name="stimulus")
-    for qubit in range(num_qubits):
-        preparation.ry(rng.uniform(0.0, math.pi), qubit)
-        preparation.rz(rng.uniform(0.0, 2.0 * math.pi), qubit)
+    for qubit, (theta, phi) in enumerate(_random_product_angles(num_qubits, rng)):
+        preparation.ry(theta, qubit)
+        preparation.rz(phi, qubit)
     return preparation
+
+
+def _product_state_dd(package: DDPackage, angles: list[tuple[float, float]]) -> VEdge:
+    """The product state ``RZ(phi) RY(theta) |0>`` on every qubit, one node per qubit."""
+    edge = V_ONE
+    for qubit, (theta, phi) in enumerate(angles):
+        low, high = map(complex, RZGate(phi).matrix @ RYGate(theta).matrix[:, 0])
+        weight = edge.weight
+        edge = package.make_vector_node(
+            qubit, (VEdge(edge.node, weight * low), VEdge(edge.node, weight * high))
+        )
+    return edge
+
+
+def _gate_instructions(circuit: QuantumCircuit) -> list:
+    """The gate instructions of a non-dynamic circuit (no barriers or read-out)."""
+    return [inst for inst in circuit if not (inst.is_barrier or inst.is_measurement)]
 
 
 def run_simulative_check(
@@ -71,23 +104,29 @@ def run_simulative_check(
         raise EquivalenceCheckingError(
             "the simulative check requires unitary circuits; transform dynamic circuits first"
         )
+    if stimuli_type not in ("basis", "product"):
+        raise EquivalenceCheckingError(f"unknown stimuli type {stimuli_type!r}")
+    if backend not in ("dd", "dense"):
+        raise EquivalenceCheckingError(f"unknown backend {backend!r}")
     rng = random.Random(seed)
     num_qubits = first.num_qubits
     min_fidelity = 1.0
     details: dict = {"num_simulations": num_simulations, "stimuli_type": stimuli_type}
-    # One shared package across all stimuli: the circuits' gate DDs are built
-    # once and then served from the gate cache on every subsequent run.
-    package = (
-        DDPackage(
+    if backend == "dd":
+        package = DDPackage(
             num_qubits,
             gate_cache=gate_cache,
             gate_cache_size=gate_cache_size,
             gate_cache_ttl=gate_cache_ttl,
             dense_cutoff=dense_cutoff,
         )
-        if backend == "dd"
-        else None
-    )
+        build = dd_circuits.instruction_to_dd
+        gates_one = [build(package, inst) for inst in _gate_instructions(first)]
+        gates_two = [build(package, inst) for inst in _gate_instructions(second)]
+        multiply = package.multiply_matrix_vector
+    else:
+        first = first.remove_final_measurements()
+        second = second.remove_final_measurements()
 
     for run in range(num_simulations):
         if interrupt is not None and interrupt():
@@ -96,28 +135,29 @@ def run_simulative_check(
             raise CheckerInterrupted
         if stimuli_type == "basis":
             stimulus = _random_basis_stimulus(num_qubits, rng)
-            circuit_one = first
-            circuit_two = second
-            initial = stimulus
-        elif stimuli_type == "product":
-            preparation = _random_product_circuit(num_qubits, rng)
-            circuit_one = preparation.compose(first.remove_final_measurements())
-            circuit_two = preparation.compose(second.remove_final_measurements())
-            initial = None
-        else:
-            raise EquivalenceCheckingError(f"unknown stimuli type {stimuli_type!r}")
-
         if backend == "dd":
-            state_one = DDSimulator().run(circuit_one, initial, package=package)
-            # Share the package so that fidelities can be computed directly.
-            state_two = DDSimulator().run(circuit_two, _rebuild_in_package(state_one, initial, num_qubits), package=state_one.package)
-            fidelity = state_one.fidelity(state_two)
-        elif backend == "dense":
+            if stimuli_type == "basis":
+                start = package.basis_state(int(stimulus, 2))
+            else:
+                start = _product_state_dd(package, _random_product_angles(num_qubits, rng))
+            state_one = start
+            for gate in gates_one:
+                state_one = multiply(gate, state_one)
+            state_two = start
+            for gate in gates_two:
+                state_two = multiply(gate, state_two)
+            fidelity = package.fidelity(state_one, state_two)
+        else:
+            if stimuli_type == "basis":
+                circuit_one, circuit_two, initial = first, second, stimulus
+            else:
+                preparation = _random_product_circuit(num_qubits, rng)
+                circuit_one = preparation.compose(first)
+                circuit_two = preparation.compose(second)
+                initial = None
             state_one = StatevectorSimulator().run(circuit_one, initial)
             state_two = StatevectorSimulator().run(circuit_two, initial)
             fidelity = state_one.fidelity(state_two)
-        else:
-            raise EquivalenceCheckingError(f"unknown backend {backend!r}")
 
         min_fidelity = min(min_fidelity, fidelity)
         if fidelity < 1.0 - tolerance:
@@ -129,32 +169,3 @@ def run_simulative_check(
 
     details["min_fidelity"] = min_fidelity
     return True, details
-
-
-def _rebuild_in_package(reference: DDState, initial, num_qubits: int):
-    """Build the same initial state inside the package of ``reference``."""
-    if initial is None:
-        return DDState.zero_state(num_qubits, reference.package)
-    if isinstance(initial, str):
-        return DDState.from_bitstring(initial, reference.package)
-    return DDState.basis_state(num_qubits, int(initial), reference.package)
-
-
-def random_stimulus_fidelity(
-    first: QuantumCircuit,
-    second: QuantumCircuit,
-    stimulus: str,
-) -> float:
-    """Fidelity of the two circuits' outputs for one basis-state stimulus.
-
-    Convenience helper used in tests and examples; dense backend.
-    """
-    state_one = StatevectorSimulator().run(first, stimulus)
-    state_two = StatevectorSimulator().run(second, stimulus)
-    return state_one.fidelity(state_two)
-
-
-def statevectors_close(first: np.ndarray, second: np.ndarray, tolerance: float = 1e-9) -> bool:
-    """Whether two dense state vectors coincide up to a global phase."""
-    overlap = abs(np.vdot(first, second))
-    return overlap**2 > 1.0 - tolerance

@@ -4,12 +4,10 @@ Every recursive DD operation (addition, multiplication, inner product, ...)
 keeps its own compute table so that repeated sub-computations — which occur
 constantly because sub-diagrams are shared — are answered in O(1).
 
-The :meth:`ComputeTable.get` / :meth:`ComputeTable.put` pair is the generic,
-statistics-keeping interface.  The package's hot kernels bypass it and work on
-the underlying dict directly (``table._table.get`` aliased to a local): one
-attribute load plus a dict probe per lookup instead of a method call.  The
-``len``-based sizes reported by :meth:`repro.dd.package.DDPackage.statistics`
-stay exact either way.
+The package's kernels work on the underlying dict directly
+(``table._table.get`` aliased to a local): one attribute load plus a dict
+probe per lookup instead of a method call.  The ``len``-based sizes reported
+by :meth:`repro.dd.package.DDPackage.statistics` count its entries.
 """
 
 from __future__ import annotations
@@ -20,41 +18,20 @@ __all__ = ["ComputeTable"]
 
 
 class ComputeTable:
-    """A simple keyed memoization cache with hit statistics."""
+    """A named memoization dict of one DD operation."""
 
-    __slots__ = ("name", "_table", "lookups", "hits")
+    __slots__ = ("name", "_table")
 
     def __init__(self, name: str) -> None:
         self.name = name
         self._table: dict[Any, Any] = {}
-        self.lookups = 0
-        self.hits = 0
-
-    def get(self, key):
-        """Return the cached value for ``key`` or ``None``."""
-        self.lookups += 1
-        value = self._table.get(key)
-        if value is not None:
-            self.hits += 1
-        return value
-
-    def put(self, key, value) -> None:
-        """Store ``value`` under ``key``."""
-        self._table[key] = value
 
     def clear(self) -> None:
         """Drop all cached entries."""
         self._table.clear()
-        self.lookups = 0
-        self.hits = 0
 
     def __len__(self) -> int:
         return len(self._table)
 
-    @property
-    def hit_ratio(self) -> float:
-        """Fraction of lookups answered from the cache."""
-        return self.hits / self.lookups if self.lookups else 0.0
-
     def __repr__(self) -> str:  # pragma: no cover - debug aid
-        return f"ComputeTable({self.name}, size={len(self)}, hit_ratio={self.hit_ratio:.2f})"
+        return f"ComputeTable({self.name}, size={len(self)})"

@@ -452,9 +452,13 @@ class DDPackage:
         free level wraps each block as ``[b, 0, 0, b]``; a control level puts
         the block where the control is satisfied and, where it is not, the
         identity for the diagonal blocks and zero for the off-diagonal ones.
-        The target level joins the four blocks.  Above the target, a free
-        level makes ``[e, 0, 0, e]`` and a control level ``[I, 0, 0, e]``
-        (mirrored for negative controls).
+        Up to the first control every block is a scalar times the identity,
+        so those levels re-weight the interned identity edge instead of
+        normalizing a node (blocks within ``tolerance`` of zero become the
+        zero edge, as the normalizer would make them).  The target level
+        joins the four blocks.  Above the target, a free level makes
+        ``[e, 0, 0, e]`` and a control level ``[I, 0, 0, e]`` (mirrored for
+        negative controls).
         """
         if matrix.shape != (2, 2):
             raise DDError(f"controlled_gate expects a 2x2 matrix, got {matrix.shape}")
@@ -476,11 +480,16 @@ class DDPackage:
         while len(identities) < self.num_qubits:
             below = identities[-1]
             identities.append(make(len(identities) - 1, below, M_ZERO, M_ZERO, below))
+        tol = self.tolerance
+        # Levels below both the target and the first control are free, so
+        # each block stays ``value * identities[first_level]``.
+        first_level = min(target, min(controls))
+        identity_node = identities[first_level].node
         blocks = [
-            MEdge(None, value) if value != 0 else M_ZERO
+            MEdge(identity_node, value) if abs(value) > tol else M_ZERO
             for value in map(complex, matrix.reshape(-1))
         ]
-        for qubit in range(target):
+        for qubit in range(first_level, target):
             value = controls.get(qubit)
             if value is None:
                 blocks = [

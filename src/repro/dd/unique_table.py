@@ -5,20 +5,18 @@ level, same successor nodes, numerically identical successor weights — are
 represented by the *same* Python object.  This canonicity is what makes node
 identity usable as structural equality and what keeps diagrams compact.
 
-The hot construction path (:meth:`UniqueTable.get_or_create`) takes a
-*pre-built* flat signature key: the package's normalizers already iterate over
-the successor edges to normalize their weights, so they assemble the key in
-the same loop instead of re-deriving it here edge by edge.  The hash of that
-key is recorded on the created node (``node.hash``).  :meth:`lookup` remains
-as the generic, signature-deriving entry point for callers outside the
-package kernels.
+:meth:`UniqueTable.get_or_create` takes a *pre-built* flat signature key
+``(index, id0, re0, im0, id1, re1, im1, ...)``: one ``(id, re, im)`` triple
+per successor (``id`` 0 for terminal edges, weights rounded with
+:func:`~repro.dd.complexvalue.ckey` semantics).  The package's normalizers
+already iterate over the successor edges to normalize their weights, so they
+assemble the key in the same loop.  The hash of that key is recorded on the
+created node (``node.hash``).
 """
 
 from __future__ import annotations
 
 from typing import Generic, TypeVar
-
-from repro.dd.complexvalue import ckey
 
 __all__ = ["UniqueTable"]
 
@@ -35,24 +33,6 @@ class UniqueTable(Generic[NodeT]):
         self.lookups = 0
         self.hits = 0
 
-    @staticmethod
-    def _signature(index: int, edges) -> tuple:
-        """Flat signature key of a prospective node.
-
-        Layout: ``(index, id0, re0, im0, id1, re1, im1, ...)`` with one
-        ``(id, re, im)`` triple per successor (``id`` 0 for terminal edges,
-        weights rounded by :func:`~repro.dd.complexvalue.ckey` semantics).
-        Kept flat so the fast path in the package can build the identical key
-        inline without nested tuples.
-        """
-        parts: list = [index]
-        for edge in edges:
-            real, imag = ckey(edge.weight)
-            parts.append(id(edge.node) if edge.node is not None else 0)
-            parts.append(real)
-            parts.append(imag)
-        return tuple(parts)
-
     def get_or_create(self, key: tuple, index: int, edges: tuple, node_cls) -> NodeT:
         """Return the canonical node for a pre-built signature ``key``.
 
@@ -66,27 +46,6 @@ class UniqueTable(Generic[NodeT]):
             self.hits += 1
             return node
         node = node_cls(index, edges, hash(key))
-        self._table[key] = node
-        return node
-
-    def lookup(self, index: int, edges, factory) -> NodeT:
-        """Return the canonical node for ``(index, edges)``.
-
-        ``factory`` is called to create the node if no structurally identical
-        node exists yet.  Generic (signature-deriving) entry point; the
-        package kernels use :meth:`get_or_create` with an inline-built key.
-        """
-        self.lookups += 1
-        key = self._signature(index, edges)
-        node = self._table.get(key)
-        if node is not None:
-            self.hits += 1
-            return node
-        node = factory(index, edges)
-        try:
-            node.hash = hash(key)
-        except AttributeError:  # pragma: no cover - foreign node classes
-            pass
         self._table[key] = node
         return node
 

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from repro.circuit.random_circuits import random_static_circuit
 from repro.dd.circuits import circuit_to_unitary_dd
+from repro.dd.nodes import M_ONE, M_ZERO, MEdge
 from repro.dd.package import DDPackage
 from repro.exceptions import DDError
 
@@ -49,6 +50,44 @@ def _legacy_controlled(package, matrix, target, controls):
     blocked = package.operator_chain({**projectors, target: np.eye(2, dtype=complex)})
     inactive = package.add_matrices(package.identity(), package.scale_matrix(blocked, -1.0))
     return package.add_matrices(active, inactive)
+
+
+def _make_based_controlled(package, matrix, target, controls):
+    """The one-pass builder with every level normalized through the package."""
+    if not controls:
+        return package.operator_chain({target: matrix})
+    make = package.make_matrix_node
+    identities = [M_ONE]
+    for qubit in range(package.num_qubits - 1):
+        identities.append(make(qubit, (identities[-1], M_ZERO, M_ZERO, identities[-1])))
+    blocks = [
+        MEdge(None, value) if value != 0 else M_ZERO
+        for value in map(complex, matrix.reshape(-1))
+    ]
+    for qubit in range(target):
+        value = controls.get(qubit)
+        if value is None:
+            blocks = [
+                block if block is M_ZERO else make(qubit, (block, M_ZERO, M_ZERO, block))
+                for block in blocks
+            ]
+            continue
+        idle = (identities[qubit], M_ZERO, M_ZERO, identities[qubit])
+        if value:
+            quads = [(idle[slot], M_ZERO, M_ZERO, block) for slot, block in enumerate(blocks)]
+        else:
+            quads = [(block, M_ZERO, M_ZERO, idle[slot]) for slot, block in enumerate(blocks)]
+        blocks = [make(qubit, quad) for quad in quads]
+    edge = make(target, blocks)
+    for qubit in range(target + 1, package.num_qubits):
+        value = controls.get(qubit)
+        if value is None:
+            edge = make(qubit, (edge, M_ZERO, M_ZERO, edge))
+        elif value:
+            edge = make(qubit, (identities[qubit], M_ZERO, M_ZERO, edge))
+        else:
+            edge = make(qubit, (edge, M_ZERO, M_ZERO, identities[qubit]))
+    return edge
 
 
 def _node_dense(node) -> np.ndarray:
@@ -109,6 +148,27 @@ class TestControlledGateBuilder:
         assert np.allclose(
             package.matrix_to_numpy(built), package.matrix_to_numpy(legacy), atol=1e-10
         )
+
+    @settings(max_examples=MAX_EXAMPLES, deadline=None)
+    @given(gate=controlled_gates())
+    def test_identity_blocks_intern_the_make_based_node(self, gate):
+        # Below the first control the builder re-weights the interned
+        # identity instead of normalizing; the result must be the very node
+        # and weight that normalizing every level produces.
+        num_qubits, matrix, target, controls = gate
+        package = DDPackage(num_qubits)
+        built = package.controlled_gate(matrix, target, controls)
+        reference = _make_based_controlled(package, matrix, target, controls)
+        assert built.node is reference.node
+        assert built.weight == reference.weight
+
+    def test_negligible_identity_blocks_become_the_zero_edge(self):
+        package = DDPackage(3)
+        tiny = np.array([[1, 1e-14], [0, 1]], dtype=complex)
+        built = package.controlled_gate(tiny, 1, {2: 1})
+        reference = _make_based_controlled(package, tiny, 1, {2: 1})
+        assert built.node is reference.node and built.weight == reference.weight
+        assert built.node.edges[3].node.edges[1] is M_ZERO
 
     @pytest.mark.parametrize("matrix", [X, Z], ids=["cx", "cz"])
     @pytest.mark.parametrize(

@@ -33,23 +33,24 @@ class TestFlyweightEdges:
         edge = package.make_vector_node(0, (VEdge(None, 1e-14), VEdge(None, -1e-13)))
         assert edge is V_ZERO
 
-    def test_legacy_lookup_and_fast_path_share_one_key_space(self):
-        # The kernels build signature keys inline; UniqueTable.lookup derives
-        # them via ckey.  Both must intern identical structures to the SAME
+    def test_inline_keys_match_the_ckey_signature(self):
+        # The kernels build signature keys inline; deriving the same
+        # signature from the node's successors with ckey must find the SAME
         # node, including weights that need rounding and -0.0 collapsing —
         # this is the invariant that lets node identity stand in for
         # structural equality.
-        from repro.dd.nodes import VNode
+        from repro.dd.complexvalue import ckey
 
         package = DDPackage(1)
         for weights in [(0.6, 0.8), (1.0, 1.0 / 3.0), (1.0, -1e-14 + 1.0j)]:
             fast = package.make_vector_node(
                 0, (VEdge(None, weights[0]), VEdge(None, weights[1]))
             )
-            legacy = package._vector_table.lookup(
-                0, fast.node.edges, lambda idx, e: VNode(idx, tuple(e))
-            )
-            assert legacy is fast.node
+            signature = [0]
+            for edge in fast.node.edges:
+                signature.append(id(edge.node) if edge.node is not None else 0)
+                signature.extend(ckey(edge.weight))
+            assert package._vector_table._table[tuple(signature)] is fast.node
 
     def test_nodes_carry_their_signature_hash(self):
         package = DDPackage(1)

@@ -5,8 +5,6 @@ import pytest
 from repro.core.configuration import Configuration
 from repro.core.results import EquivalenceCheckResult, EquivalenceCriterion
 from repro.dd.complexvalue import ckey, is_close, is_one, is_zero
-from repro.dd.compute_table import ComputeTable
-from repro.dd.unique_table import UniqueTable
 from repro.utils.timing import Stopwatch, timed
 
 
@@ -79,31 +77,6 @@ class TestComplexValueHelpers:
         assert not is_zero(1e-3)
         assert is_one(1.0 + 1e-12)
         assert is_close(0.5 + 0.5j, 0.5 + 0.5j + 1e-13)
-
-
-class TestSupportTables:
-    def test_unique_table_hash_consing(self):
-        from repro.dd.nodes import VEdge, VNode
-
-        table: UniqueTable = UniqueTable()
-        edges = (VEdge(None, 1.0), VEdge(None, 0.0))
-        first = table.lookup(0, edges, lambda idx, e: VNode(idx, tuple(e)))
-        second = table.lookup(0, edges, lambda idx, e: VNode(idx, tuple(e)))
-        assert first is second
-        assert len(table) == 1
-        assert table.hit_ratio == pytest.approx(0.5)
-        table.clear()
-        assert len(table) == 0
-
-    def test_compute_table(self):
-        table = ComputeTable("test")
-        assert table.get("key") is None
-        table.put("key", 42)
-        assert table.get("key") == 42
-        assert table.hit_ratio == pytest.approx(0.5)
-        assert "test" in repr(table)
-        table.clear()
-        assert len(table) == 0
 
 
 class TestTimingHelpers:
