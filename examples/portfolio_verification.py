@@ -1,9 +1,9 @@
 """Portfolio verification: early termination, timeouts, batch checking.
 
-The :class:`~repro.core.manager.EquivalenceCheckingManager` runs a portfolio
-of complementary checkers per circuit pair — simulation falsifies fast,
-the alternating scheme proves equivalence — and stops at the first definitive
-verdict.  ``verify_batch`` scales this to many pairs, either on a thread pool
+The :class:`~repro.core.manager.EquivalenceCheckingManager` interleaves a
+portfolio of complementary checkers per circuit pair, step by step in one
+thread — simulation falsifies fast, the alternating scheme proves
+equivalence — and stops at the first definitive verdict.  ``verify_batch`` scales this to many pairs, either on a thread pool
 (``executor="thread"``) or, since the DD checkers are CPU-bound pure Python
 and therefore GIL-bound under threads, on a process pool
 (``executor="process"``) that ships pickled work units to worker processes.
@@ -32,17 +32,19 @@ def describe(result) -> str:
 def main() -> None:
     # ------------------------------------------------------------------
     # 1. One manager, fixed seed for reproducible stimuli.
-    #    Default portfolio: simulation (falsifier) then alternating (prover).
+    #    Default portfolio: simulation (falsifier) leads, interleaved with
+    #    alternating (prover).
     # ------------------------------------------------------------------
     manager = EquivalenceCheckingManager(seed=42)
 
-    # An equivalent pair: simulation only says "probably", the alternating
-    # checker delivers the definitive proof.
+    # An equivalent pair: simulation can only say "probably", so after its
+    # first stimulus the alternating checker catches up and delivers the
+    # definitive proof, preempting the remaining stimuli.
     result = manager.run(teleportation_static(), teleportation_dynamic())
     print("teleportation static vs dynamic:", describe(result))
 
     # A non-equivalent pair: the simulation falsifier finds a counterexample
-    # immediately and the expensive prover is skipped entirely.
+    # in its first stimulus and the expensive prover is skipped entirely.
     result = manager.run(ghz_ladder(4), ghz_with_bug(4))
     print("GHZ vs buggy GHZ:            ", describe(result))
 

@@ -8,7 +8,7 @@ gate applications from both circuits according to
 
 from __future__ import annotations
 
-from collections.abc import Callable
+from collections.abc import Callable, Generator
 from typing import TYPE_CHECKING, ClassVar
 
 import numpy as np
@@ -49,17 +49,27 @@ class AlternatingChecker(Checker):
         *,
         interrupt: Callable[[], bool] | None = None,
     ) -> CheckerOutcome:
-        if configuration.backend == "dd":
-            return self._check_dd(first, second, configuration, interrupt)
-        return self._check_dense(first, second, configuration, interrupt)
+        return self.drain(self.steps(first, second, configuration), interrupt)
 
-    def _check_dd(
+    def steps(
+        self,
+        first: "QuantumCircuit",
+        second: "QuantumCircuit",
+        configuration: "Configuration",
+        *,
+        interrupt: Callable[[], bool] | None = None,
+    ) -> Generator[int, None, CheckerOutcome]:
+        """One step per applied gate (cost 1; 2 for a lookahead choice)."""
+        if configuration.backend == "dd":
+            return self._steps_dd(first, second, configuration)
+        return self._steps_dense(first, second, configuration)
+
+    def _steps_dd(
         self,
         first: "QuantumCircuit",
         second: "QuantumCircuit",
         config: "Configuration",
-        interrupt: Callable[[], bool] | None,
-    ) -> CheckerOutcome:
+    ) -> Generator[int, None, CheckerOutcome]:
         num_qubits = first.num_qubits
         package = DDPackage(
             num_qubits,
@@ -73,6 +83,7 @@ class AlternatingChecker(Checker):
         max_nodes = package.count_nodes(product)
         left_index = 0
         right_index = 0
+        remaining = len(left) + len(right)
 
         def apply_left(current):
             nonlocal left_index
@@ -87,12 +98,13 @@ class AlternatingChecker(Checker):
             return package.multiply_matrices(current, gate_dd)
 
         if config.strategy == "lookahead":
-            while left_index < len(left) or right_index < len(right):
-                self.check_interrupt(interrupt)
+            while remaining:
                 if left_index >= len(left):
                     product = apply_right(product)
+                    cost = 1
                 elif right_index >= len(right):
                     product = apply_left(product)
+                    cost = 1
                 else:
                     saved_left, saved_right = left_index, right_index
                     candidate_left = apply_left(product)
@@ -106,12 +118,18 @@ class AlternatingChecker(Checker):
                     else:
                         product = candidate_right
                         left_index, right_index = saved_left, right_after
+                    cost = 2
                 max_nodes = max(max_nodes, package.count_nodes(product))
+                remaining -= 1
+                if remaining:
+                    yield cost
         else:
             for token in alternating_schedule(len(left), len(right), config.strategy):
-                self.check_interrupt(interrupt)
                 product = apply_left(product) if token == LEFT else apply_right(product)
                 max_nodes = max(max_nodes, package.count_nodes(product))
+                remaining -= 1
+                if remaining:
+                    yield 1
 
         scalar = package.identity_scalar(product, config.tolerance)
         details = {
@@ -123,28 +141,30 @@ class AlternatingChecker(Checker):
         }
         return CheckerOutcome(criterion_from_scalar(scalar, config.tolerance), details)
 
-    def _check_dense(
+    def _steps_dense(
         self,
         first: "QuantumCircuit",
         second: "QuantumCircuit",
         config: "Configuration",
-        interrupt: Callable[[], bool] | None,
-    ) -> CheckerOutcome:
+    ) -> Generator[int, None, CheckerOutcome]:
         num_qubits = first.num_qubits
         dim = 1 << num_qubits
         left, right = gate_lists(first, second)
         product = np.eye(dim, dtype=complex)
+        remaining = len(left) + len(right)
 
         left_matrices = (_dense_gate(inst, num_qubits) for inst in left)
         right_matrices = (
             _dense_gate(inverse_instruction(inst), num_qubits) for inst in right
         )
         for token in alternating_schedule(len(left), len(right), _dense_strategy(config)):
-            self.check_interrupt(interrupt)
             if token == LEFT:
                 product = next(left_matrices) @ product
             else:
                 product = product @ next(right_matrices)
+            remaining -= 1
+            if remaining:
+                yield 1
 
         details = {"num_gates_first": len(left), "num_gates_second": len(right)}
         return CheckerOutcome(criterion_from_matrix(product, config.tolerance), details)

@@ -20,13 +20,15 @@ A checker receives the two circuits plus the active
 :class:`~repro.core.configuration.Configuration` and returns a
 :class:`CheckerOutcome`; wrapping into the public
 :class:`~repro.core.results.EquivalenceCheckResult` (timings, method name,
-backend) is done by the calling layer.
+backend) is done by the calling layer.  :meth:`Checker.steps` exposes the
+same work as a generator of cost-counted steps, which is how the portfolio
+manager interleaves several checkers in one thread.
 """
 
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from collections.abc import Callable
+from collections.abc import Callable, Generator
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, ClassVar
 
@@ -61,11 +63,11 @@ __all__ = [
 
 
 class CheckerInterrupted(Exception):
-    """Raised inside a checker when its cancellation flag was set.
+    """Raised inside a checker when its cancellation probe fires.
 
     Deliberately *not* a :class:`~repro.exceptions.ReproError`: interruption
-    is control flow between the portfolio manager and an abandoned worker
-    thread, never a user-facing library failure.
+    is control flow between a budgeted caller and the checker, never a
+    user-facing library failure.
     """
 
 
@@ -123,8 +125,54 @@ class Checker(ABC):
         ``interrupt`` is an optional cancellation probe: long-running loops
         must call :meth:`check_interrupt` between steps so that a checker
         whose budget expired stops doing work instead of running to
-        completion on an abandoned thread.
+        completion.
         """
+
+    def steps(
+        self,
+        first: "QuantumCircuit",
+        second: "QuantumCircuit",
+        configuration: "Configuration",
+        *,
+        interrupt: Callable[[], bool] | None = None,
+    ) -> Generator[int, None, CheckerOutcome]:
+        """The check as a generator of steps: yields costs, returns the outcome.
+
+        Each ``yield`` reports the cost of a step just finished that leaves
+        work to do; the step that reaches the verdict returns the
+        :class:`CheckerOutcome` instead, so a checker that decides in its
+        first step yields nothing.  Cost is counted in *gate applications*
+        (``G1 + G2`` is the gate count of both circuits), never in time, so
+        a schedule driven by it is deterministic.  The portfolio manager
+        always gives the turn to the checker with the least accumulated
+        cost, so when the winner decides at cost ``C`` every other checker
+        has spent at most ``C`` plus one of its own steps: with ``k``
+        checkers, a run costs at most ``k * C`` plus one step per checker,
+        whatever the lineup order.
+
+        This default runs :meth:`check` as a single step (notionally
+        ``G1 + G2``), forwarding ``interrupt`` so a budget can still stop it
+        mid-step.  Checkers with natural steps override it and make
+        :meth:`check` :meth:`drain` their steps; the caller polls budgets
+        between steps and they ignore ``interrupt``.
+        """
+        return self.check(first, second, configuration, interrupt=interrupt)
+        yield  # pragma: no cover - makes this a generator function
+
+    @staticmethod
+    def drain(
+        steps: Generator[int, None, CheckerOutcome],
+        interrupt: Callable[[], bool] | None = None,
+    ) -> CheckerOutcome:
+        """Run ``steps`` to the end, polling ``interrupt`` before every step."""
+        while True:
+            if interrupt is not None and interrupt():
+                steps.close()
+                raise CheckerInterrupted
+            try:
+                next(steps)
+            except StopIteration as stop:
+                return stop.value
 
     @staticmethod
     def check_interrupt(interrupt: Callable[[], bool] | None) -> None:

@@ -7,12 +7,12 @@ pass only yields ``PROBABLY_EQUIVALENT``.
 
 from __future__ import annotations
 
-from collections.abc import Callable
+from collections.abc import Callable, Generator
 from typing import TYPE_CHECKING, ClassVar
 
 from repro.core.checkers.base import Checker, CheckerOutcome, register
 from repro.core.results import EquivalenceCriterion
-from repro.core.simulative import run_simulative_check
+from repro.core.simulative import simulative_check_steps
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.circuit.circuit import QuantumCircuit
@@ -35,8 +35,19 @@ class SimulationChecker(Checker):
         *,
         interrupt: Callable[[], bool] | None = None,
     ) -> CheckerOutcome:
+        return self.drain(self.steps(first, second, configuration), interrupt)
+
+    def steps(
+        self,
+        first: "QuantumCircuit",
+        second: "QuantumCircuit",
+        configuration: "Configuration",
+        *,
+        interrupt: Callable[[], bool] | None = None,
+    ) -> Generator[int, None, CheckerOutcome]:
+        """One step per stimulus (cost ``G1 + G2``; the first also builds)."""
         config = configuration
-        passed, details = run_simulative_check(
+        passed, details = yield from simulative_check_steps(
             first,
             second,
             backend=config.backend,
@@ -48,7 +59,6 @@ class SimulationChecker(Checker):
             gate_cache_size=config.gate_cache_size,
             gate_cache_ttl=config.gate_cache_ttl,
             dense_cutoff=config.dense_cutoff,
-            interrupt=interrupt,
         )
         criterion = (
             EquivalenceCriterion.PROBABLY_EQUIVALENT

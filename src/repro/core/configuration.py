@@ -96,7 +96,7 @@ class Configuration:
         :class:`~repro.core.manager.EquivalenceCheckingManager`; every name
         is validated eagerly against the checker registry at construction
         time.  ``None`` selects the default portfolio (simulation as a fast
-        falsifier, then the alternating scheme).
+        falsifier, interleaved with the alternating scheme).
     scheduler:
         How the manager turns the portfolio into a per-pair checker lineup:
         ``static`` (configured order, uniform budgets — the historical
@@ -107,8 +107,9 @@ class Configuration:
         Overall wall-clock budget (seconds) of one portfolio run; ``None``
         disables the limit.
     checker_timeout:
-        Wall-clock budget (seconds) of each individual checker within a
-        portfolio run; ``None`` disables the limit.
+        Budget (seconds) of each checker's own active time within a
+        portfolio run, checked between its steps; ``None`` disables the
+        limit.
     max_workers:
         Number of concurrent workers used by
         :meth:`~repro.core.manager.EquivalenceCheckingManager.verify_batch`

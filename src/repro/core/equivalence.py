@@ -28,7 +28,7 @@ classically-controlled operations) are handled exactly as the paper proposes:
 from __future__ import annotations
 
 import time
-from collections.abc import Callable
+from collections.abc import Callable, Generator
 
 from repro.circuit.circuit import QuantumCircuit
 from repro.core import checkers as checker_registry
@@ -82,6 +82,59 @@ class EquivalenceChecker:
         by the checker between expensive steps (see
         :class:`~repro.core.checkers.base.Checker`).
         """
+        checker_cls, first_prepared, second_prepared, time_transformation = (
+            self._prepare(first, second, qubit_permutation)
+        )
+        start = time.perf_counter()
+        outcome = checker_cls().check(
+            first_prepared, second_prepared, self.configuration, interrupt=interrupt
+        )
+        return self._result(
+            checker_cls, outcome, time_transformation, time.perf_counter() - start
+        )
+
+    def steps(
+        self,
+        first: QuantumCircuit,
+        second: QuantumCircuit,
+        *,
+        qubit_permutation: dict[int, int] | None = None,
+        interrupt: Callable[[], bool] | None = None,
+    ) -> Generator[int, None, EquivalenceCheckResult]:
+        """:meth:`run` as a generator of the checker's cost-counted steps.
+
+        Yields what :meth:`~repro.core.checkers.base.Checker.steps` yields
+        and returns the wrapped result; ``time_check`` counts only the time
+        spent inside the steps, not the time the caller held between them.
+        Preparation (Scheme-1 transformation, permutation, validation) runs
+        on the first step.
+        """
+        checker_cls, first_prepared, second_prepared, time_transformation = (
+            self._prepare(first, second, qubit_permutation)
+        )
+        steps = checker_cls().steps(
+            first_prepared, second_prepared, self.configuration, interrupt=interrupt
+        )
+        time_check = 0.0
+        while True:
+            start = time.perf_counter()
+            try:
+                cost = next(steps)
+            except StopIteration as stop:
+                time_check += time.perf_counter() - start
+                return self._result(
+                    checker_cls, stop.value, time_transformation, time_check
+                )
+            time_check += time.perf_counter() - start
+            yield cost
+
+    def _prepare(
+        self,
+        first: QuantumCircuit,
+        second: QuantumCircuit,
+        qubit_permutation: dict[int, int] | None,
+    ) -> tuple[type, QuantumCircuit, QuantumCircuit, float]:
+        """Resolve the checker and bring both circuits into its input form."""
         config = self.configuration
         checker_cls = checker_registry.resolve(config.method)
         time_transformation = 0.0
@@ -114,13 +167,12 @@ class EquivalenceChecker:
                 f"qubits ({first_prepared.num_qubits} vs {second_prepared.num_qubits}); "
                 "they do not have the same primary inputs/outputs"
             )
+        return checker_cls, first_prepared, second_prepared, time_transformation
 
-        start = time.perf_counter()
-        outcome = checker_cls().check(
-            first_prepared, second_prepared, config, interrupt=interrupt
-        )
-        time_check = time.perf_counter() - start
-
+    def _result(
+        self, checker_cls, outcome, time_transformation: float, time_check: float
+    ) -> EquivalenceCheckResult:
+        config = self.configuration
         return EquivalenceCheckResult(
             criterion=outcome.criterion,
             method=config.method,

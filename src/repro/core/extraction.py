@@ -136,8 +136,8 @@ def extract_distribution(
     interrupt:
         Optional cancellation probe polled between instructions (see
         :class:`repro.core.checkers.base.Checker`); when it fires the
-        extraction raises ``CheckerInterrupted`` instead of finishing on an
-        abandoned thread.
+        extraction raises ``CheckerInterrupted`` instead of running past the
+        checker's budget.
 
     Returns
     -------

@@ -17,11 +17,29 @@ pair by a :class:`~repro.core.scheduler.PortfolioScheduler`
 (``Configuration.scheduler``): ``static`` replays the configured portfolio
 verbatim, ``adaptive`` reorders it from circuit features (and routes
 conditioned-reset pairs to the Scheme-2 ``distribution`` checker, which the
-Scheme-1 checkers cannot decide).  :class:`EquivalenceCheckingManager` runs
-the scheduled lineup with per-checker and overall wall-clock budgets,
-terminates early on the first definitive verdict, and records the schedule,
-the feature vector and which checker decided in a
-:class:`~repro.core.results.PortfolioResult`.  For scale,
+Scheme-1 checkers cannot decide).
+
+:class:`EquivalenceCheckingManager` does not run that lineup one checker
+after another.  It *interleaves* the checkers step by step in the calling
+thread (:meth:`~repro.core.checkers.base.Checker.steps`): each turn goes to
+the unfinished checker with the least accumulated cost, counted in gate
+applications, with ties going to lineup position, and lasts until that
+checker's cost passes the next-least one.  Checkers start lazily at their
+first turn.  The first definitive verdict ends the run: a checker that had
+started is recorded as ``preempted``, one that never started as
+``skipped``.  So a falsifier-first lineup still refutes a mutant in the
+falsifier's first stimulus before the prover builds anything, while an
+equivalent pair costs one stimulus plus the proof instead of every stimulus
+plus the proof — whatever the order, no checker runs far ahead of the
+eventual winner.  Because cost is not time, the schedule is deterministic:
+the verdict, ``decided_by`` and every attempt's status repeat across runs
+and executors (absent budgets).  Per-checker budgets bound a checker's own
+active time and the overall ``timeout`` the run's wall time; both are
+checked between steps, and single-step checkers get an ``interrupt`` probe
+bound to their deadline.
+
+The result records the schedule, the feature vector and which checker
+decided in a :class:`~repro.core.results.PortfolioResult`.  For scale,
 :meth:`EquivalenceCheckingManager.verify_batch` verifies many circuit pairs
 concurrently — on a thread pool (``executor="thread"``) or, since the DD
 checkers are pure-Python CPU work and therefore GIL-bound, on a process pool
@@ -48,8 +66,8 @@ import random
 import threading
 import time
 from collections import deque
-from collections.abc import Sequence
-from dataclasses import replace
+from collections.abc import Generator, Sequence
+from dataclasses import dataclass, replace
 
 from repro.circuit.circuit import QuantumCircuit
 from repro.core import checkers as checker_registry
@@ -60,6 +78,7 @@ from repro.core.results import (
     BatchEntry,
     BatchResult,
     CheckerAttempt,
+    EquivalenceCheckResult,
     EquivalenceCriterion,
     PortfolioResult,
 )
@@ -81,7 +100,7 @@ __all__ = [
     "verify_portfolio",
 ]
 
-#: Default checker line-up: falsify fast, then prove.
+#: Default checker line-up: the falsifier leads, interleaved with the prover.
 DEFAULT_PORTFOLIO: tuple[str, ...] = ("simulation", "alternating")
 
 #: Criteria that terminate the portfolio regardless of which checker produced
@@ -103,14 +122,37 @@ _INDICATIVE_RANK = {
 }
 
 
+@dataclass(slots=True)
+class _Runner:
+    """One lineup slot's progress through the interleaved portfolio loop."""
+
+    position: int
+    name: str
+    tier: int  # 0 healthy, 1 deprioritized by its breaker
+    budget: float | None  # seconds of this checker's own active time
+    cost: int = 0  # gate applications reported by its finished steps
+    active: float = 0.0
+    turns: int = 0
+    deadline: float | None = None  # perf_counter bound of the current turn
+    steps: Generator | None = None  # the step generator, once started
+
+    def key(self) -> tuple[int, int, int]:
+        """Turn order: healthy tier first, then least cost, then lineup."""
+        return (self.tier, self.cost, self.position)
+
+    def past_deadline(self) -> bool:
+        return self.deadline is not None and time.perf_counter() >= self.deadline
+
+
 class EquivalenceCheckingManager:
-    """Run a scheduled portfolio of equivalence checkers with early termination.
+    """Interleave a scheduled portfolio of checkers, stopping at the first verdict.
 
     Configuration knobs (see :class:`~repro.core.configuration.Configuration`):
     ``portfolio`` selects the checkers (default :data:`DEFAULT_PORTFOLIO`),
     ``scheduler`` decides their per-pair order and budget splits,
-    ``checker_timeout`` bounds each checker, ``timeout`` bounds the whole
-    run, and ``max_workers`` sizes the worker pool of :meth:`verify_batch`.
+    ``checker_timeout`` bounds each checker's active time, ``timeout``
+    bounds the whole run, and ``max_workers`` sizes the worker pool of
+    :meth:`verify_batch`.
     """
 
     def __init__(
@@ -222,14 +264,16 @@ class EquivalenceCheckingManager:
     ) -> PortfolioResult:
         """Check one circuit pair with the scheduled checker lineup.
 
-        Checkers run in schedule order; the first definitive verdict
-        (``EQUIVALENT``, ``EQUIVALENT_UP_TO_GLOBAL_PHASE`` or
-        ``NOT_EQUIVALENT``) terminates the run and the remaining checkers are
-        skipped.  A checker that raises or exceeds its time budget is recorded
-        and the next checker gets its turn.  When no checker is definitive the
-        final criterion falls back to the best indicative one
+        The scheduled checkers are interleaved step by step (see the module
+        docstring); the first definitive verdict (``EQUIVALENT``,
+        ``EQUIVALENT_UP_TO_GLOBAL_PHASE`` or ``NOT_EQUIVALENT``) terminates
+        the run, preempting the checkers that had started and skipping the
+        rest.  A checker that raises or exceeds its budget is recorded and
+        drops out while the others continue.  When no checker is definitive
+        the final criterion falls back to the best indicative one
         (``PROBABLY_EQUIVALENT`` from a passing behavioural check) or
-        ``NO_INFORMATION``.
+        ``NO_INFORMATION``; among equally ranked verdicts the one earliest in
+        the lineup wins.
 
         ``schedule`` injects a precomputed scheduling decision (the
         process-pool batch path ships pickled schedules so workers and parent
@@ -401,22 +445,19 @@ class EquivalenceCheckingManager:
                 decide_span.set_attr("scheduler", schedule.scheduler)
                 decide_span.set_attr("lineup", ",".join(schedule.checker_names))
                 decide_span.set_attr("rationale", schedule.rationale)
-        if self.breakers is not None:
-            quarantined = self.breakers.quarantined()
-            if quarantined:
-                # Healthy checkers first; quarantined ones stay in the lineup
-                # as a last resort (their breakers may admit a probe, and the
-                # overall deadline should be spent on checkers that work).
-                schedule = deprioritize(schedule, quarantined)
-                trace.add_event("breaker.deprioritize", checkers=list(quarantined))
-                _log.info(
-                    "quarantined checkers deprioritized",
-                    **fields(checkers=list(quarantined)),
-                )
+        quarantined = self.breakers.quarantined() if self.breakers else ()
+        if quarantined:
+            # Healthy checkers first; quarantined ones stay in the lineup as a
+            # second tier that runs only once every healthy checker finished
+            # without a verdict (their breakers may admit a probe by then, and
+            # the overall deadline should be spent on checkers that work).
+            schedule = deprioritize(schedule, quarantined)
+            trace.add_event("breaker.deprioritize", checkers=list(quarantined))
+            _log.info(
+                "quarantined checkers deprioritized",
+                **fields(checkers=list(quarantined)),
+            )
         deadline = None if config.timeout is None else start + config.timeout
-        attempts: list[CheckerAttempt] = []
-        indicative: EquivalenceCriterion | None = None
-        indicative_method: str | None = None
         schedule_names = list(schedule.checker_names)
         features_payload = (
             schedule.features.to_dict() if schedule.features is not None else None
@@ -438,88 +479,118 @@ class EquivalenceCheckingManager:
             except Exception:  # noqa: BLE001 - checkers report it per attempt
                 pass
 
-        for position, slot in enumerate(schedule.checkers):
-            if self.breakers is not None and not self.breakers.allow(slot.name):
-                # Breaker open: refuse the call instead of paying for another
-                # crash/timeout.  The attempt is recorded so batch statistics
-                # and the result's schedule stay honest about what was skipped.
-                trace.add_event("checker.quarantined", checker=slot.name)
-                attempts.append(
-                    self._observe_attempt(
+        runners = [
+            _Runner(
+                position, slot.name, int(slot.name in quarantined), slot.budget(config)
+            )
+            for position, slot in enumerate(schedule.checkers)
+        ]
+        attempts: list[CheckerAttempt | None] = [None] * len(runners)
+        pending = list(runners)
+        decider: _Runner | None = None
+        while pending and decider is None:
+            if deadline is not None and time.perf_counter() >= deadline:
+                break
+            runner = min(pending, key=_Runner.key)
+            if runner.steps is None:
+                if self.breakers is not None and not self.breakers.allow(runner.name):
+                    # Breaker open: refuse the call instead of paying for
+                    # another crash/timeout.  The attempt is recorded so batch
+                    # statistics and the result stay honest about it.
+                    trace.add_event("checker.quarantined", checker=runner.name)
+                    pending.remove(runner)
+                    attempts[runner.position] = self._observe_attempt(
                         CheckerAttempt(
-                            method=slot.name,
+                            method=runner.name,
                             status="quarantined",
                             error="circuit breaker open: checker quarantined",
                         )
                     )
+                    continue
+                if checker_registry.resolve(runner.name).scheme_two:
+                    pair = (original_first, original_second)
+                else:
+                    pair = (unitary_first, unitary_second)
+                bounded = runner.budget is not None or deadline is not None
+                interrupt = runner.past_deadline if bounded else None
+                runner.steps = self._checker_steps(
+                    runner.name, *pair, qubit_permutation, interrupt
                 )
+            rivals = [other for other in pending if other is not runner]
+            attempt = self._run_turn(
+                runner, min(rivals, key=_Runner.key) if rivals else None, deadline
+            )
+            if attempt is None:
                 continue
-            budget = slot.budget(config)
-            if deadline is not None:
-                remaining = deadline - time.perf_counter()
-                if remaining <= 0:
-                    attempts.extend(
-                        CheckerAttempt(method=name, status="skipped")
-                        for name in schedule_names[position:]
-                    )
-                    return PortfolioResult(
-                        criterion=indicative or EquivalenceCriterion.NO_INFORMATION,
-                        decided_by=None,
-                        reason=f"overall timeout of {config.timeout}s exhausted",
-                        attempts=attempts,
-                        total_time=time.perf_counter() - start,
-                        schedule=schedule_names,
-                        scheduler=schedule.scheduler,
-                        features=features_payload,
-                    )
-                budget = remaining if budget is None else min(budget, remaining)
-
-            if checker_registry.resolve(slot.name).scheme_two:
-                pair = (original_first, original_second)
-            else:
-                pair = (unitary_first, unitary_second)
-            attempt = self._run_checker(slot.name, *pair, qubit_permutation, budget)
-            attempts.append(attempt)
+            pending.remove(runner)
+            attempts[runner.position] = attempt
             if self.breakers is not None:
                 # Crashes and blown budgets both count against the breaker;
                 # any completed run (whatever it concluded) heals it.
-                self.breakers.record(slot.name, attempt.status == "completed")
+                self.breakers.record(runner.name, attempt.status == "completed")
+            if attempt.result is not None and attempt.result.criterion in _DEFINITIVE:
+                decider = runner
 
-            if attempt.result is not None:
-                criterion = attempt.result.criterion
-                if criterion in _DEFINITIVE:
-                    attempts.extend(
-                        CheckerAttempt(method=name, status="skipped")
-                        for name in schedule_names[position + 1 :]
-                    )
-                    return PortfolioResult(
-                        criterion=criterion,
-                        decided_by=slot.name,
-                        reason=(
-                            f"{slot.name} returned {criterion.value} "
-                            f"after {attempt.time_taken:.6f}s"
-                        ),
-                        attempts=attempts,
-                        total_time=time.perf_counter() - start,
-                        schedule=schedule_names,
-                        scheduler=schedule.scheduler,
-                        features=features_payload,
-                    )
-                rank = _INDICATIVE_RANK.get(criterion, 0)
-                if indicative is None or rank > _INDICATIVE_RANK.get(indicative, 0):
-                    indicative = criterion
-                    indicative_method = slot.name
+        timed_out = decider is None and bool(pending)
+        for runner in pending:
+            if runner.steps is None:
+                attempts[runner.position] = CheckerAttempt(
+                    method=runner.name, status="skipped"
+                )
+                continue
+            runner.steps.close()
+            if self.breakers is not None:
+                # A blown deadline counts against the breaker like any
+                # timeout; being outrun by the decider says nothing about
+                # this checker's health, so its probe slot is handed back.
+                if timed_out:
+                    self.breakers.record(runner.name, False)
+                else:
+                    self.breakers.release(runner.name)
+            attempts[runner.position] = self._observe_attempt(
+                CheckerAttempt(
+                    method=runner.name,
+                    status="timeout" if timed_out else "preempted",
+                    error=(
+                        f"overall timeout of {config.timeout}s exhausted"
+                        if timed_out
+                        else None
+                    ),
+                    time_taken=runner.active,
+                )
+            )
 
-        if indicative is not None:
+        if decider is not None:
+            decisive = attempts[decider.position]
+            criterion = decisive.result.criterion
             reason = (
-                f"no checker was definitive; best indicative verdict "
-                f"{indicative.value} from {indicative_method}"
+                f"{decider.name} returned {criterion.value} "
+                f"after {decisive.time_taken:.6f}s"
             )
         else:
-            reason = "no checker produced a verdict"
+            # The best indicative verdict; among equals the earliest in line.
+            best = max(
+                (attempt for attempt in attempts if attempt.result is not None),
+                key=lambda attempt: _INDICATIVE_RANK.get(attempt.result.criterion, 0),
+                default=None,
+            )
+            criterion = (
+                best.result.criterion
+                if best is not None
+                else EquivalenceCriterion.NO_INFORMATION
+            )
+            if timed_out:
+                reason = f"overall timeout of {config.timeout}s exhausted"
+            elif best is not None:
+                reason = (
+                    f"no checker was definitive; best indicative verdict "
+                    f"{criterion.value} from {best.method}"
+                )
+            else:
+                reason = "no checker produced a verdict"
         return PortfolioResult(
-            criterion=indicative or EquivalenceCriterion.NO_INFORMATION,
-            decided_by=None,
+            criterion=criterion,
+            decided_by=decider.name if decider is not None else None,
             reason=reason,
             attempts=attempts,
             total_time=time.perf_counter() - start,
@@ -528,105 +599,89 @@ class EquivalenceCheckingManager:
             features=features_payload,
         )
 
-    def _run_checker(
+    def _checker_steps(
         self,
         method: str,
         first: QuantumCircuit,
         second: QuantumCircuit,
         qubit_permutation: dict[int, int] | None,
-        budget: float | None,
-    ) -> CheckerAttempt:
-        """Run one checker attempt inside its trace span."""
-        with trace.span("checker.run", checker=method) as checker_span:
-            if budget is not None:
-                checker_span.set_attr("budget", round(budget, 6))
-            attempt = self._run_checker_attempt(
-                method, first, second, qubit_permutation, budget
-            )
-            checker_span.set_attr("status", attempt.status)
-            if attempt.result is not None:
-                checker_span.set_attr("criterion", attempt.result.criterion.value)
-            if attempt.error is not None:
-                checker_span.set_attr("error", attempt.error)
-            return attempt
+        interrupt,
+    ) -> Generator[int, None, EquivalenceCheckResult]:
+        """One checker attempt as a generator of cost-counted steps.
 
-    def _run_checker_attempt(
-        self,
-        method: str,
-        first: QuantumCircuit,
-        second: QuantumCircuit,
-        qubit_permutation: dict[int, int] | None,
-        budget: float | None,
-    ) -> CheckerAttempt:
-        """Run one checker, bounded by ``budget`` seconds (None = unbounded)."""
+        Nothing is built until the first step: the configuration here, the
+        checker's own preparation and DD package on ``next()``.
+        """
         checker = EquivalenceChecker(self.configuration.updated(method=method))
+        return checker.steps(
+            first, second, qubit_permutation=qubit_permutation, interrupt=interrupt
+        )
+
+    def _run_turn(
+        self, runner: "_Runner", rival: "_Runner | None", deadline: float | None
+    ) -> CheckerAttempt | None:
+        """Step one checker until it passes ``rival``; its attempt once it ends.
+
+        Returns None when the turn ends with the checker still unfinished.
+        Budgets are checked between steps, so a checker overruns its own
+        budget or the run's deadline by at most one step.
+        """
+        limit = None
+        if rival is not None and rival.tier == runner.tier:
+            # Ties go to lineup position: keep the turn while cost < limit.
+            limit = rival.cost + (runner.position < rival.position)
         started = time.perf_counter()
-
-        try:
-            if budget is None:
-                self.fault_injector.fire("checker", method)
-                result = checker.run(first, second, qubit_permutation=qubit_permutation)
-            else:
-                # Python threads cannot be killed; on timeout the worker is
-                # abandoned and the portfolio moves on.  The stop flag makes
-                # the abandoned checker observe its cancellation between steps
-                # and bail out via CheckerInterrupted instead of running to
-                # completion — without it, batch runs with tight budgets
-                # accumulate daemon threads burning CPU on dead work.
-                stop = threading.Event()
-                outcome: dict = {}
-
-                def worker():
-                    try:
-                        # Injected inside the budgeted thread so a "sleep"
-                        # fault models a slow checker that blows its budget.
-                        self.fault_injector.fire("checker", method)
-                        outcome["result"] = checker.run(
-                            first,
-                            second,
-                            qubit_permutation=qubit_permutation,
-                            interrupt=stop.is_set,
-                        )
-                    except CheckerInterrupted:
-                        pass  # cancelled after timeout; exit quietly
-                    except Exception as error:  # noqa: BLE001 - re-raised below
-                        outcome["error"] = error
-
-                thread = threading.Thread(
-                    target=worker, name=f"checker-{method}", daemon=True
+        runner.deadline = deadline
+        if runner.budget is not None:
+            own = started + runner.budget - runner.active
+            runner.deadline = own if deadline is None else min(own, deadline)
+        with trace.span(
+            "checker.run", checker=runner.name, turn=runner.turns
+        ) as checker_span:
+            if runner.turns == 0 and runner.budget is not None:
+                checker_span.set_attr("budget", round(runner.budget, 6))
+            runner.turns += 1
+            status, result, error = "timeout", None, None
+            try:
+                if runner.turns == 1:
+                    self.fault_injector.fire("checker", runner.name)
+                while True:
+                    runner.cost += next(runner.steps)
+                    if runner.past_deadline():
+                        runner.steps.close()
+                        break
+                    if limit is not None and runner.cost >= limit:
+                        runner.active += time.perf_counter() - started
+                        checker_span.set_attr("cost", runner.cost)
+                        return None
+            except StopIteration as stop:
+                status, result = "completed", stop.value
+            except CheckerInterrupted:
+                pass
+            except Exception as error_:  # noqa: BLE001 - isolate checker failures
+                status, error = "error", f"{type(error_).__name__}: {error_}"
+            runner.active += time.perf_counter() - started
+            if status == "timeout":
+                error = (
+                    f"checker exceeded its budget of {runner.budget:.6f}s"
+                    if runner.budget is not None and runner.active >= runner.budget
+                    else f"overall timeout of {self.configuration.timeout}s exhausted"
                 )
-                thread.start()
-                thread.join(timeout=budget)
-                if thread.is_alive():
-                    stop.set()
-                    return self._observe_attempt(
-                        CheckerAttempt(
-                            method=method,
-                            status="timeout",
-                            error=f"checker exceeded its budget of {budget:.6f}s",
-                            time_taken=time.perf_counter() - started,
-                        )
-                    )
-                if "error" in outcome:
-                    raise outcome["error"]
-                result = outcome["result"]
-            return self._observe_attempt(
-                CheckerAttempt(
-                    method=method,
-                    status="completed",
-                    result=result,
-                    time_taken=time.perf_counter() - started,
-                )
+            checker_span.set_attr("cost", runner.cost)
+            checker_span.set_attr("status", status)
+            if result is not None:
+                checker_span.set_attr("criterion", result.criterion.value)
+            if error is not None:
+                checker_span.set_attr("error", error)
+        return self._observe_attempt(
+            CheckerAttempt(
+                method=runner.name,
+                status=status,
+                result=result,
+                error=error,
+                time_taken=runner.active,
             )
-        except Exception as error:  # noqa: BLE001 - isolate checker failures
-            return self._observe_attempt(
-                CheckerAttempt(
-                    method=method,
-                    status="error",
-                    error=f"{type(error).__name__}: {error}",
-                    time_taken=time.perf_counter() - started,
-                )
-            )
+        )
 
     def _count_run(self, outcome: str) -> None:
         if self.metrics is None:

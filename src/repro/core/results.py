@@ -120,14 +120,18 @@ class CheckerAttempt:
         ``alternating``, ``construction``, ``distribution``, or a
         third-party checker).
     status:
-        ``completed``, ``timeout``, ``error`` or ``skipped`` (a later checker
-        that never ran because an earlier one terminated the portfolio).
+        ``completed``, ``timeout`` (its own budget or the run's deadline ran
+        out), ``error``, ``preempted`` (started, but another checker decided
+        first), ``skipped`` (never started because the portfolio was decided
+        or out of time first) or ``quarantined`` (refused by its circuit
+        breaker).
     result:
         The checker's :class:`EquivalenceCheckResult` when it completed.
     error:
-        Error message for ``status == "error"``.
+        Error message for ``error``, ``timeout`` and ``quarantined``.
     time_taken:
-        Wall-clock seconds this attempt consumed (0 for skipped checkers).
+        Seconds of this checker's own active time — the sum of its turns in
+        the interleaved portfolio (0 for skipped checkers).
     """
 
     method: str
@@ -163,7 +167,7 @@ class PortfolioResult:
         Human-readable explanation of how the verdict came about.
     attempts:
         Per-checker bookkeeping in schedule order (each attempt records its
-        own wall-time).
+        own active time).
     total_time:
         Wall-clock seconds of the whole portfolio run.
     schedule:

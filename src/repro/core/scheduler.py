@@ -6,9 +6,11 @@ dynamic primitives force scheme-specific handling.  A
 :class:`PortfolioScheduler` turns that insight into a per-pair decision: it
 inspects the pair (via :mod:`repro.core.features`) and produces a
 :class:`Schedule` — an ordered lineup of registered checkers with optional
-per-checker budget splits — that the
-:class:`~repro.core.manager.EquivalenceCheckingManager` then executes with
-early termination.
+per-checker budget splits — whose checkers the
+:class:`~repro.core.manager.EquivalenceCheckingManager` then interleaves step
+by step until the first definitive verdict.  The lineup order only breaks
+ties between equal accumulated costs (and starts the first checker first),
+so it decides *who moves first*, not who waits for whom to finish.
 
 Two schedulers ship by default, selected by ``Configuration.scheduler``:
 
@@ -23,12 +25,19 @@ Two schedulers ship by default, selected by ``Configuration.scheduler``:
 The adaptive scheduler only *reorders* the configured lineup (and appends a
 Scheme-2 checker only when every Scheme-1 path is provably doomed), so on any
 pair the static scheduler can decide at all, both schedulers reach the same
-criterion — adaptive changes *when*, never *what*.  One caveat: per-checker
-budget splits only exist under an overall ``Configuration.timeout``, and any
-wall-clock budget (static or adaptive) makes outcomes time-dependent — a
-falsifier capped at its budget share may miss a counterexample it would have
-found with the whole deadline.  The verdict-identity guarantee is therefore
-stated (and agreement-tested) for runs without an overall timeout.
+criterion — adaptive changes *when*, never *what*.
+
+Budgets are bounds on a checker's own *active* time — the sum of its turns
+in the interleaved loop, not the wall time since it started — and the
+overall ``Configuration.timeout`` bounds the run's wall time.  Both are
+checked between steps, so a checker overruns either by at most one of its
+steps; single-step checkers are stopped mid-step through their
+``interrupt`` probe instead.  Per-checker budget splits only exist under an
+overall timeout, and any budget (static or adaptive) makes outcomes
+time-dependent — a falsifier capped at its budget share may miss a
+counterexample it would have found with the whole deadline.  The
+verdict-identity guarantee is therefore stated (and agreement-tested) for
+runs without budgets.
 
 Schedules and their feature payloads are plain frozen dataclasses, picklable
 by design: the process-pool batch path computes scheduling decisions once in
@@ -81,15 +90,16 @@ class ScheduledChecker:
     """One slot of a schedule: a registered checker name plus budget hints.
 
     ``budget_fraction`` is the share of ``Configuration.timeout`` this
-    checker may consume (``None`` leaves only ``checker_timeout`` and the
-    overall deadline in force, the static behaviour).
+    checker's active time may consume (``None`` leaves only
+    ``checker_timeout`` and the overall deadline in force, the static
+    behaviour).
     """
 
     name: str
     budget_fraction: float | None = None
 
     def budget(self, configuration: "Configuration") -> float | None:
-        """Per-checker wall-clock budget in seconds (``None`` = unbounded)."""
+        """Per-checker active-time budget in seconds (``None`` = unbounded)."""
         budget = configuration.checker_timeout
         if self.budget_fraction is not None and configuration.timeout is not None:
             share = self.budget_fraction * configuration.timeout
@@ -186,8 +196,8 @@ class AdaptiveScheduler(PortfolioScheduler):
        front-loaded — a basis-translated pair reduces to identity in
        O(gates) 2x2 arithmetic, long before any DD is built.
     3. *Near-identical builds* (structural similarity >= 0.98, matching
-       sizes): provers first — simulation cannot falsify a clone, and early
-       termination skips it once a prover decides.
+       sizes): provers first — simulation cannot falsify a clone, and the
+       prover's verdict preempts it.
     4. *Dissimilar pairs* (similarity < 0.5 or high gate diversity):
        falsifier first with a bounded share of the overall budget.
     5. Otherwise: configured order.

@@ -13,14 +13,16 @@ their gate instructions and every gate DD is built (through
 stimulus is then built directly as a vector DD — a basis state, or a product
 state with one node per qubit — and both prebuilt gate lists are folded over
 it with matrix-vector multiplications.  The dense backend simulates the
-stimulus-prepending circuits instead.
+stimulus-prepending circuits instead.  On both backends one stimulus is one
+step of :func:`simulative_check_steps`, the generator the portfolio manager
+interleaves with the other checkers.
 """
 
 from __future__ import annotations
 
 import math
 import random
-from collections.abc import Callable
+from collections.abc import Callable, Generator
 
 from repro.circuit.circuit import QuantumCircuit
 from repro.circuit.gates import RYGate, RZGate
@@ -30,7 +32,7 @@ from repro.dd.package import DDPackage
 from repro.exceptions import EquivalenceCheckingError
 from repro.simulators.statevector import StatevectorSimulator
 
-__all__ = ["run_simulative_check"]
+__all__ = ["run_simulative_check", "simulative_check_steps"]
 
 
 def _random_basis_stimulus(num_qubits: int, rng: random.Random) -> str:
@@ -71,7 +73,7 @@ def _gate_instructions(circuit: QuantumCircuit) -> list:
     return [inst for inst in circuit if not (inst.is_barrier or inst.is_measurement)]
 
 
-def run_simulative_check(
+def simulative_check_steps(
     first: QuantumCircuit,
     second: QuantumCircuit,
     *,
@@ -84,16 +86,14 @@ def run_simulative_check(
     gate_cache_size: int | None = None,
     gate_cache_ttl: float | None = None,
     dense_cutoff: int = 0,
-    interrupt: "Callable[[], bool] | None" = None,
-) -> tuple[bool, dict]:
-    """Compare two unitary circuits on random stimuli.
+) -> Generator[int, None, tuple[bool, dict]]:
+    """:func:`run_simulative_check` as a generator of one step per stimulus.
 
-    Returns ``(no_counterexample_found, details)``; ``details`` records the
-    minimum fidelity observed and, for a failing run, the offending stimulus.
-    ``interrupt`` is an optional cancellation probe polled before every
-    stimulus — a cancelled check raises
-    :class:`~repro.core.checkers.base.CheckerInterrupted` instead of burning
-    through the remaining stimuli on an abandoned thread.
+    Yields ``G1 + G2`` (the gate counts of both circuits) after every
+    stimulus that leaves stimuli to run; the first step, which also builds
+    the gate DDs, yields twice that.  A mismatch or the last stimulus
+    returns ``(no_counterexample_found, details)``.  Validation errors
+    surface on the first step.
     """
     if first.num_qubits != second.num_qubits:
         raise EquivalenceCheckingError(
@@ -112,6 +112,9 @@ def run_simulative_check(
     num_qubits = first.num_qubits
     min_fidelity = 1.0
     details: dict = {"num_simulations": num_simulations, "stimuli_type": stimuli_type}
+    instructions_one = _gate_instructions(first)
+    instructions_two = _gate_instructions(second)
+    step_cost = len(instructions_one) + len(instructions_two)
     if backend == "dd":
         package = DDPackage(
             num_qubits,
@@ -121,18 +124,16 @@ def run_simulative_check(
             dense_cutoff=dense_cutoff,
         )
         build = dd_circuits.instruction_to_dd
-        gates_one = [build(package, inst) for inst in _gate_instructions(first)]
-        gates_two = [build(package, inst) for inst in _gate_instructions(second)]
+        gates_one = [build(package, inst) for inst in instructions_one]
+        gates_two = [build(package, inst) for inst in instructions_two]
         multiply = package.multiply_matrix_vector
     else:
         first = first.remove_final_measurements()
         second = second.remove_final_measurements()
 
     for run in range(num_simulations):
-        if interrupt is not None and interrupt():
-            from repro.core.checkers.base import CheckerInterrupted
-
-            raise CheckerInterrupted
+        if run:
+            yield step_cost if run > 1 else 2 * step_cost
         if stimuli_type == "basis":
             stimulus = _random_basis_stimulus(num_qubits, rng)
         if backend == "dd":
@@ -169,3 +170,25 @@ def run_simulative_check(
 
     details["min_fidelity"] = min_fidelity
     return True, details
+
+
+def run_simulative_check(
+    first: QuantumCircuit,
+    second: QuantumCircuit,
+    *,
+    interrupt: "Callable[[], bool] | None" = None,
+    **options,
+) -> tuple[bool, dict]:
+    """Compare two unitary circuits on random stimuli.
+
+    Returns ``(no_counterexample_found, details)``; ``details`` records the
+    minimum fidelity observed and, for a failing run, the offending stimulus.
+    ``options`` are the keyword arguments of :func:`simulative_check_steps`.
+    ``interrupt`` is an optional cancellation probe polled before every
+    stimulus — a cancelled check raises
+    :class:`~repro.core.checkers.base.CheckerInterrupted` instead of burning
+    through the remaining stimuli.
+    """
+    from repro.core.checkers.base import Checker
+
+    return Checker.drain(simulative_check_steps(first, second, **options), interrupt)

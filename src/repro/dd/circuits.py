@@ -101,8 +101,8 @@ def circuit_to_unitary_dd(
     Trailing read-out measurements are ignored; dynamic primitives raise.
     ``interrupt`` is an optional cancellation probe polled between gate
     applications (see :class:`repro.core.checkers.base.Checker`); when it
-    fires the build raises ``CheckerInterrupted`` instead of finishing on an
-    abandoned thread.
+    fires the build raises ``CheckerInterrupted`` instead of running past
+    the checker's budget.
     """
     if circuit.num_qubits != package.num_qubits:
         raise DDError(

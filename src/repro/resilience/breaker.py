@@ -154,6 +154,16 @@ class CircuitBreaker:
         if opened is not None:
             self._transition("open", opened)
 
+    def release(self) -> None:
+        """Return an admitted call's probe slot without a success or failure.
+
+        A portfolio checker that was started and then outrun by another
+        checker says nothing about its health; releasing its half-open probe
+        lets the next call probe again instead of leaving the breaker stuck.
+        """
+        with self._lock:
+            self._probe_in_flight = False
+
     def _transition(self, state: str, reason: str) -> None:
         """Log + trace a state transition (called outside the lock)."""
         trace.add_event("breaker.transition", checker=self.name, state=state)
@@ -236,6 +246,9 @@ class BreakerBoard:
             self.breaker(name).record_success()
         else:
             self.breaker(name).record_failure()
+
+    def release(self, name: str) -> None:
+        self.breaker(name).release()
 
     def quarantined(self) -> tuple[str, ...]:
         """Names whose breaker is currently open (cooldown not yet expired)."""

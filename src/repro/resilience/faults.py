@@ -9,7 +9,7 @@ then fails *exactly* where and how the plan says:
 ===========  ========================================================
 site         where it fires
 ===========  ========================================================
-``checker``  inside the manager just before a checker runs
+``checker``  inside the manager just before a checker's first step
              (``target`` = checker name) — ``raise`` simulates a
              checker crash, ``sleep`` a slow checker that blows its
              budget.

@@ -76,8 +76,8 @@ def circuit_unitary(
     functionality being compared); any other non-unitary primitive raises.
     ``interrupt`` is an optional cancellation probe polled between gate
     applications (see :class:`repro.core.checkers.base.Checker`); when it
-    fires the build raises ``CheckerInterrupted`` instead of finishing on an
-    abandoned thread.
+    fires the build raises ``CheckerInterrupted`` instead of running past
+    the checker's budget.
     """
     if circuit.is_dynamic:
         raise SimulationError(

@@ -23,7 +23,7 @@ from repro.core import (
 )
 from repro.core import chunk_pairs
 from repro.core.manager import DEFAULT_PORTFOLIO
-from repro.core.results import CheckerAttempt, EquivalenceCheckResult
+from repro.core.results import EquivalenceCheckResult
 from repro.exceptions import EquivalenceCheckingError
 
 SEED = 1234
@@ -93,9 +93,14 @@ class TestEarlyTermination:
         # must deliver the definitive verdict.
         assert result.decided_by == "alternating"
         assert result.criterion is EquivalenceCriterion.EQUIVALENT
+        # The interleaved portfolio gives simulation its first stimulus, then
+        # the alternating checker catches up and proves before the falsifier
+        # runs out of stimuli: simulation is preempted, without a result.
         simulation = result.attempts[0]
         assert simulation.method == "simulation"
-        assert simulation.result.criterion is EquivalenceCriterion.PROBABLY_EQUIVALENT
+        assert simulation.status == "preempted"
+        assert simulation.result is None
+        assert simulation.time_taken > 0
 
     def test_simulation_only_portfolio_stays_indicative(self):
         manager = EquivalenceCheckingManager(seed=SEED, portfolio=("simulation",))
@@ -124,16 +129,14 @@ class TestEarlyTermination:
 
 class TestIndicativeFallback:
     def _stub_checker(self, manager, criteria_by_method):
-        def run_checker(method, first, second, qubit_permutation, budget):
-            return CheckerAttempt(
-                method=method,
-                status="completed",
-                result=EquivalenceCheckResult(
-                    criterion=criteria_by_method[method], method=method
-                ),
+        # Each attempt is a generator of steps; these stubs finish in one.
+        def checker_steps(method, first, second, qubit_permutation, interrupt):
+            return EquivalenceCheckResult(
+                criterion=criteria_by_method[method], method=method
             )
+            yield
 
-        manager._run_checker = run_checker
+        manager._checker_steps = checker_steps
 
     def test_later_probably_equivalent_beats_earlier_no_information(self):
         # Regression: the manager used to keep only the *first* indicative

@@ -5,7 +5,7 @@ import time
 
 import pytest
 
-from repro.algorithms import ghz_ladder
+from repro.algorithms import ghz_ladder, ghz_with_bug
 from repro.core import Configuration, EquivalenceCheckingManager, EquivalenceCriterion
 from repro.core.scheduler import Schedule, ScheduledChecker, deprioritize
 from repro.resilience import (
@@ -279,8 +279,31 @@ class TestManagerQuarantine:
         assert manager.breakers.quarantined() == ("simulation",)
         time.sleep(0.06)
         # The cooldown expired: the probe runs (fault exhausted), succeeds,
-        # and the breaker closes again.
-        result = manager.run(ghz_ladder(3), ghz_ladder(3))
+        # and the breaker closes again.  The probe pair is one the falsifier
+        # decides itself: on an equivalent pair the interleaved portfolio
+        # lets the prover decide first and preempts the probe, which neither
+        # heals nor trips the breaker.
+        result = manager.run(ghz_ladder(3), ghz_with_bug(3))
         statuses = {a.method: a.status for a in result.attempts}
         assert statuses.get("simulation") == "completed"
+        assert result.decided_by == "simulation"
         assert manager.breakers.breaker("simulation").state == "closed"
+
+    def test_preempted_probe_leaves_breaker_half_open(self):
+        manager = self._manager(
+            breaker_threshold=1,
+            breaker_cooldown=0.05,
+            fault_plan=FaultPlan(
+                rules=(FaultRule(site="checker", target="simulation", times=1),)
+            ),
+        )
+        manager.run(ghz_ladder(3), ghz_ladder(3))
+        time.sleep(0.06)
+        for _ in range(2):
+            # Each run admits a fresh probe: a preempted probe hands its slot
+            # back instead of leaving the breaker stuck on a probe in flight.
+            result = manager.run(ghz_ladder(3), ghz_ladder(3))
+            statuses = {a.method: a.status for a in result.attempts}
+            assert statuses == {"simulation": "preempted", "alternating": "completed"}
+            assert manager.breakers.breaker("simulation").state == "half_open"
+        assert manager.breakers.snapshot()["simulation"]["rejections"] == 0

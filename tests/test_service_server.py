@@ -399,7 +399,13 @@ class TestServiceInProcess:
             server.close()
 
     def test_many_concurrent_submissions_one_execution(self):
-        service = VerificationService(Configuration(seed=SEED, max_workers=2))
+        # The leader's first checker sleeps, so the job is still in flight
+        # when the other three submissions arrive (a fast verdict would let
+        # them race the leader's completion and hit the verdict cache).
+        hold = FaultPlan(rules=(FaultRule(site="checker", action="sleep", delay=0.5),))
+        service = VerificationService(
+            Configuration(seed=SEED, max_workers=2, fault_plan=hold)
+        )
         try:
             first, second = qft_static_benchmark(5), qft_dynamic(5)
             outcomes = []
