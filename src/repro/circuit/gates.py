@@ -80,11 +80,16 @@ def _coerce_parameter(value):
     An expression with at least one free parameter is kept as-is (the gate
     becomes a *template*, instantiated by :meth:`Operation.bind_parameters`);
     everything else — including a fully-bound expression — collapses to
-    ``float`` so concrete gates behave exactly as before.
+    ``float`` so concrete gates behave exactly as before.  A non-finite
+    number (``nan``, ``±inf``) has no gate matrix and raises
+    :class:`CircuitError`.
     """
     if is_symbolic(value):
         return value
-    return float(value)
+    number = float(value)
+    if not math.isfinite(number):
+        raise CircuitError(f"gate parameter must be finite, got {number!r}")
+    return number
 
 
 def _params_equal(a, b) -> bool:

@@ -217,9 +217,14 @@ def _eval_param(text: str):
         env.update({name: Parameter(name) for name in names})
     try:
         value = eval(stripped, {"__builtins__": {}}, env)  # noqa: S307 - sanitized
-        return value if names else float(value)
+        if names:
+            return value
+        value = float(value)
     except Exception as exc:  # pragma: no cover - defensive
         raise QasmError(f"cannot evaluate parameter expression {text!r}") from exc
+    if not math.isfinite(value):
+        raise QasmError(f"parameter expression {text!r} is not finite")
+    return value
 
 
 def circuit_from_qasm(text: str) -> QuantumCircuit:

@@ -34,10 +34,16 @@ follow a small set of strict conventions:
   ``edge.node is None`` / ``weight == 0`` checks.
 * Node construction goes through the specialized ``_make_vector_node`` /
   ``_make_matrix_node`` normalizers, which build the unique-table signature
-  key inline (id + weight rounded to
-  :data:`~repro.dd.complexvalue.HASH_DECIMALS` decimals) in the same loop
-  that normalizes the successor weights; created nodes carry the hash of that
-  key in their ``hash`` slot.
+  key inline in the same loop that normalizes the successor weights: per
+  successor its node id and the integer grid points
+  ``round(w.real * HASH_SCALE)``, ``round(w.imag * HASH_SCALE)`` of its
+  normalized weight (:func:`~repro.dd.complexvalue.ckey`).  Created nodes
+  carry the hash of that key in their ``hash`` slot.
+* Wrap path: a free level ``[e, 0, 0, e]`` normalizes to weight-1 diagonal
+  successors, so ``_wrap_matrix_node`` writes its key directly (the grid
+  point of 1, no abs/divide/round) and stores exact weight-1 successors.
+  It interns the node the generic normalizer would; gate construction
+  (``controlled_gate``, ``_build_operator_chain``) wraps through it.
 * Compute-table keys are weight-canonical: multiplication keys carry node ids
   only (both root weights factor out of the product), addition keys carry the
   right/left weight *ratio* — so numerically scaled instances of the same
@@ -72,7 +78,7 @@ from collections.abc import Mapping, Sequence
 
 import numpy as np
 
-from repro.dd.complexvalue import DEFAULT_TOLERANCE, HASH_DECIMALS
+from repro.dd.complexvalue import DEFAULT_TOLERANCE, HASH_SCALE
 from repro.dd.compute_table import ComputeTable
 from repro.dd.nodes import M_ONE, M_ZERO, MEdge, MNode, V_ONE, V_ZERO, VEdge, VNode
 from repro.dd.unique_table import UniqueTable
@@ -83,6 +89,8 @@ __all__ = ["DDPackage"]
 _P0 = np.array([[1, 0], [0, 0]], dtype=complex)
 _P1 = np.array([[0, 0], [0, 1]], dtype=complex)
 _X2 = np.array([[0, 1], [1, 0]], dtype=complex)
+# Hash-grid point of a normalized weight of exactly 1.
+_ONE_KEY = round(1.0 * HASH_SCALE)
 
 
 class DDPackage:
@@ -201,6 +209,7 @@ class DDPackage:
         edge's weight.
         """
         tol = self.tolerance
+        scale = HASH_SCALE
         w0 = e0.weight
         w1 = e1.weight
         a0 = abs(w0)
@@ -215,26 +224,22 @@ class DDPackage:
             return V_ZERO
         if -tol <= w0.real <= tol and -tol <= w0.imag <= tol:
             n0 = V_ZERO
-            k0 = 0
-            kr0 = 0.0
-            ki0 = 0.0
+            k0 = kr0 = ki0 = 0
         else:
             nw = w0 / pivot
             n0 = VEdge(e0.node, nw)
             k0 = id(e0.node) if e0.node is not None else 0
-            kr0 = round(nw.real, HASH_DECIMALS) or 0.0
-            ki0 = round(nw.imag, HASH_DECIMALS) or 0.0
+            kr0 = round(nw.real * scale)
+            ki0 = round(nw.imag * scale)
         if -tol <= w1.real <= tol and -tol <= w1.imag <= tol:
             n1 = V_ZERO
-            k1 = 0
-            kr1 = 0.0
-            ki1 = 0.0
+            k1 = kr1 = ki1 = 0
         else:
             nw = w1 / pivot
             n1 = VEdge(e1.node, nw)
             k1 = id(e1.node) if e1.node is not None else 0
-            kr1 = round(nw.real, HASH_DECIMALS) or 0.0
-            ki1 = round(nw.imag, HASH_DECIMALS) or 0.0
+            kr1 = round(nw.real * scale)
+            ki1 = round(nw.imag * scale)
         key = (index, k0, kr0, ki0, k1, kr1, ki1)
         node = self._vector_table.get_or_create(key, index, (n0, n1), VNode)
         return VEdge(node, pivot)
@@ -244,6 +249,7 @@ class DDPackage:
     ) -> MEdge:
         """Four-successor counterpart of :meth:`_make_vector_node`."""
         tol = self.tolerance
+        scale = HASH_SCALE
         w0 = e0.weight
         w1 = e1.weight
         w2 = e2.weight
@@ -267,51 +273,64 @@ class DDPackage:
             return M_ZERO
         if -tol <= w0.real <= tol and -tol <= w0.imag <= tol:
             n0 = M_ZERO
-            k0 = 0
-            kr0 = 0.0
-            ki0 = 0.0
+            k0 = kr0 = ki0 = 0
         else:
             nw = w0 / pivot
             n0 = MEdge(e0.node, nw)
             k0 = id(e0.node) if e0.node is not None else 0
-            kr0 = round(nw.real, HASH_DECIMALS) or 0.0
-            ki0 = round(nw.imag, HASH_DECIMALS) or 0.0
+            kr0 = round(nw.real * scale)
+            ki0 = round(nw.imag * scale)
         if -tol <= w1.real <= tol and -tol <= w1.imag <= tol:
             n1 = M_ZERO
-            k1 = 0
-            kr1 = 0.0
-            ki1 = 0.0
+            k1 = kr1 = ki1 = 0
         else:
             nw = w1 / pivot
             n1 = MEdge(e1.node, nw)
             k1 = id(e1.node) if e1.node is not None else 0
-            kr1 = round(nw.real, HASH_DECIMALS) or 0.0
-            ki1 = round(nw.imag, HASH_DECIMALS) or 0.0
+            kr1 = round(nw.real * scale)
+            ki1 = round(nw.imag * scale)
         if -tol <= w2.real <= tol and -tol <= w2.imag <= tol:
             n2 = M_ZERO
-            k2 = 0
-            kr2 = 0.0
-            ki2 = 0.0
+            k2 = kr2 = ki2 = 0
         else:
             nw = w2 / pivot
             n2 = MEdge(e2.node, nw)
             k2 = id(e2.node) if e2.node is not None else 0
-            kr2 = round(nw.real, HASH_DECIMALS) or 0.0
-            ki2 = round(nw.imag, HASH_DECIMALS) or 0.0
+            kr2 = round(nw.real * scale)
+            ki2 = round(nw.imag * scale)
         if -tol <= w3.real <= tol and -tol <= w3.imag <= tol:
             n3 = M_ZERO
-            k3 = 0
-            kr3 = 0.0
-            ki3 = 0.0
+            k3 = kr3 = ki3 = 0
         else:
             nw = w3 / pivot
             n3 = MEdge(e3.node, nw)
             k3 = id(e3.node) if e3.node is not None else 0
-            kr3 = round(nw.real, HASH_DECIMALS) or 0.0
-            ki3 = round(nw.imag, HASH_DECIMALS) or 0.0
+            kr3 = round(nw.real * scale)
+            ki3 = round(nw.imag * scale)
         key = (index, k0, kr0, ki0, k1, kr1, ki1, k2, kr2, ki2, k3, kr3, ki3)
         node = self._matrix_table.get_or_create(key, index, (n0, n1, n2, n3), MNode)
         return MEdge(node, pivot)
+
+    def _wrap_matrix_node(self, index: int, edge: MEdge) -> MEdge:
+        """The node ``[edge, 0, 0, edge]`` of a free level, keyed directly.
+
+        Both diagonal weights are the pivot, so normalizing divides them to
+        one: the key is ``(index, id, S, 0, 0, ..., id, S, 0)`` with ``S`` the
+        grid point of 1, and the successors get the exact weight 1 (which
+        keeps wrapped identities flagged).  Returns the node
+        :meth:`_make_matrix_node` returns for the same edges; a weight with
+        both components within ``tolerance`` of zero takes that path.
+        """
+        weight = edge.weight
+        tol = self.tolerance
+        if -tol <= weight.real <= tol and -tol <= weight.imag <= tol:
+            return self._make_matrix_node(index, edge, M_ZERO, M_ZERO, edge)
+        child = edge.node
+        k = id(child) if child is not None else 0
+        key = (index, k, _ONE_KEY, 0, 0, 0, 0, 0, 0, 0, k, _ONE_KEY, 0)
+        one = MEdge(child, 1.0)
+        node = self._matrix_table.get_or_create(key, index, (one, M_ZERO, M_ZERO, one), MNode)
+        return MEdge(node, weight)
 
     # ------------------------------------------------------------------
     # state construction
@@ -414,16 +433,16 @@ class DDPackage:
     def _build_operator_chain(self, operators: Mapping[int, np.ndarray]) -> MEdge:
         edge = M_ONE
         make = self._make_matrix_node
+        wrap = self._wrap_matrix_node
         get = operators.get
         for qubit in range(self.num_qubits):
             matrix = get(qubit)
-            node = edge.node
-            weight = edge.weight
             if matrix is None:
                 # Identity level: diagonal successors share the chain so far.
-                diagonal = MEdge(node, weight)
-                edge = make(qubit, diagonal, M_ZERO, M_ZERO, diagonal)
+                edge = wrap(qubit, edge)
                 continue
+            node = edge.node
+            weight = edge.weight
             if matrix.shape != (2, 2):
                 raise DDError(f"operator for qubit {qubit} must be 2x2, got {matrix.shape}")
             edge = make(
@@ -457,8 +476,14 @@ class DDPackage:
         normalizing a node (blocks within ``tolerance`` of zero become the
         zero edge, as the normalizer would make them).  The target level
         joins the four blocks.  Above the target, a free level makes
-        ``[e, 0, 0, e]`` and a control level ``[I, 0, 0, e]`` (mirrored for
-        negative controls).
+        ``[e, 0, 0, e]`` (via the wrap path) and a control level
+        ``[I, 0, 0, e]`` (mirrored for negative controls).
+
+        A base matrix that is exactly ``diag(1, λ)`` under positive controls
+        only (``cp``, ``cz``, ``mcp``, ``ccz``) is symmetric in its qubits:
+        it multiplies by ``λ`` iff all of them are 1.  Such a gate is built
+        with its lowest qubit as the target, so no level below the target
+        needs a node and every free level above it is a wrap level.
         """
         if matrix.shape != (2, 2):
             raise DDError(f"controlled_gate expects a 2x2 matrix, got {matrix.shape}")
@@ -474,12 +499,19 @@ class DDPackage:
                 raise DDError(f"control activation value must be 0 or 1, got {value}")
         if not controls:
             return self.operator_chain({target: matrix})
+        if all(controls.values()) and matrix[0, 0] == 1 and matrix[0, 1] == 0 == matrix[1, 0]:
+            # Symmetric phase gate: build it on its lowest qubit.
+            lowest = min(controls)
+            if lowest < target:
+                del controls[lowest]
+                controls[target] = 1
+                target = lowest
 
         make = self._make_matrix_node
+        wrap = self._wrap_matrix_node
         identities = self._identity_levels
         while len(identities) < self.num_qubits:
-            below = identities[-1]
-            identities.append(make(len(identities) - 1, below, M_ZERO, M_ZERO, below))
+            identities.append(wrap(len(identities) - 1, identities[-1]))
         tol = self.tolerance
         # Levels below both the target and the first control are free, so
         # each block stays ``value * identities[first_level]``.
@@ -492,10 +524,7 @@ class DDPackage:
         for qubit in range(first_level, target):
             value = controls.get(qubit)
             if value is None:
-                blocks = [
-                    block if block is M_ZERO else make(qubit, block, M_ZERO, M_ZERO, block)
-                    for block in blocks
-                ]
+                blocks = [block if block is M_ZERO else wrap(qubit, block) for block in blocks]
                 continue
             identity = identities[qubit]
             idle = (identity, M_ZERO, M_ZERO, identity)
@@ -513,7 +542,7 @@ class DDPackage:
         for qubit in range(target + 1, self.num_qubits):
             value = controls.get(qubit)
             if value is None:
-                edge = make(qubit, edge, M_ZERO, M_ZERO, edge)
+                edge = wrap(qubit, edge)
             elif value:
                 edge = make(qubit, identities[qubit], M_ZERO, M_ZERO, edge)
             else:
@@ -572,7 +601,7 @@ class DDPackage:
                 f"({index} vs {rnode.index})"
             )
         ratio = rweight / lweight
-        key = (id(lnode), id(rnode), round(ratio.real, HASH_DECIMALS) or 0.0, round(ratio.imag, HASH_DECIMALS) or 0.0)
+        key = (id(lnode), id(rnode), round(ratio.real * HASH_SCALE), round(ratio.imag * HASH_SCALE))
         table = self._add_v._table
         cached = table.get(key)
         if cached is None:
@@ -613,7 +642,7 @@ class DDPackage:
                 f"({index} vs {rnode.index})"
             )
         ratio = rweight / lweight
-        key = (id(lnode), id(rnode), round(ratio.real, HASH_DECIMALS) or 0.0, round(ratio.imag, HASH_DECIMALS) or 0.0)
+        key = (id(lnode), id(rnode), round(ratio.real * HASH_SCALE), round(ratio.imag * HASH_SCALE))
         table = self._add_m._table
         cached = table.get(key)
         if cached is None:

@@ -7,8 +7,8 @@ identity usable as structural equality and what keeps diagrams compact.
 
 :meth:`UniqueTable.get_or_create` takes a *pre-built* flat signature key
 ``(index, id0, re0, im0, id1, re1, im1, ...)``: one ``(id, re, im)`` triple
-per successor (``id`` 0 for terminal edges, weights rounded with
-:func:`~repro.dd.complexvalue.ckey` semantics).  The package's normalizers
+per successor (``id`` 0 for terminal edges, weights as the integer grid
+points of :func:`~repro.dd.complexvalue.ckey`).  The package's normalizers
 already iterate over the successor edges to normalize their weights, so they
 assemble the key in the same loop.  The hash of that key is recorded on the
 created node (``node.hash``).

@@ -271,3 +271,149 @@ class TestIdentityShortCut:
         assert np.allclose(hybrid.matrix_to_numpy(unitary), reference, atol=1e-10)
         product = hybrid.multiply_matrices(hybrid.identity(), unitary)
         assert product.node is unitary.node
+
+
+def _phase(angle: float) -> np.ndarray:
+    return np.diag([1, np.exp(1j * angle)])
+
+
+def _random_chain(package, levels, weights):
+    """A matrix DD over levels ``0 .. levels-1`` built from drawn weights."""
+    edge = M_ONE
+    for level in range(levels):
+        quad = weights[4 * level : 4 * level + 4]
+        edge = package.make_matrix_node(
+            level, [MEdge(edge.node, edge.weight * w) for w in quad]
+        )
+    return edge
+
+
+tiny = st.floats(min_value=-2e-10, max_value=2e-10)
+wrap_weights = st.one_of(
+    st.complex_numbers(max_magnitude=1e3, allow_nan=False, allow_infinity=False),
+    st.builds(complex, tiny, tiny),
+    st.sampled_from([0j, 1 + 0j, -1 + 0j, 1j, 1e-10 + 1e-10j, 1.5e-10 + 0j]),
+)
+
+
+class TestWrapPath:
+    @settings(max_examples=MAX_EXAMPLES * 2, deadline=None)
+    @given(
+        index=st.integers(min_value=0, max_value=3),
+        weight=wrap_weights,
+        chain=st.lists(
+            st.complex_numbers(min_magnitude=0.1, max_magnitude=2, allow_nan=False),
+            min_size=12,
+            max_size=12,
+        ),
+        wrap_first=st.booleans(),
+    )
+    def test_matches_the_generic_normalizer(self, index, weight, chain, wrap_first):
+        package = DDPackage(index + 1)
+        below = _random_chain(package, index, chain)
+        edge = MEdge(below.node, weight)
+        if wrap_first:
+            wrapped = package._wrap_matrix_node(index, edge)
+            reference = package._make_matrix_node(index, edge, M_ZERO, M_ZERO, edge)
+        else:
+            reference = package._make_matrix_node(index, edge, M_ZERO, M_ZERO, edge)
+            wrapped = package._wrap_matrix_node(index, edge)
+        assert wrapped.node is reference.node
+        assert abs(wrapped.weight - reference.weight) <= 1e-12
+
+    @pytest.mark.parametrize("weight", [1.0, -1.0, 1j, np.exp(0.3j), 1e-3])
+    def test_wrapped_identity_levels_stay_flagged(self, weight):
+        package = DDPackage(4)
+        levels = []
+        edge = package.identity()
+        while edge.node is not None:
+            levels.append(edge.node)
+            edge = edge.node.edges[0]
+        levels.reverse()
+        for index in range(1, 4):
+            wrapped = package._wrap_matrix_node(index, MEdge(levels[index - 1], weight))
+            assert wrapped.node is levels[index]
+            assert wrapped.node.identity
+            assert wrapped.weight == weight
+        fresh = DDPackage(2)
+        wrapped = fresh._wrap_matrix_node(0, MEdge(None, weight))
+        assert wrapped.node.identity
+        assert [e.weight for e in wrapped.node.edges] == [1.0, 0.0, 0.0, 1.0]
+
+
+class TestPhaseOrientation:
+    @pytest.mark.parametrize(
+        "matrix", [Z, _phase(0.7), _phase(-2.5), T], ids=["cz", "cp", "cp-neg", "ct"]
+    )
+    @pytest.mark.parametrize("qubits", [(0, 1), (0, 3), (1, 2), (0, 2, 3), (0, 1, 2, 3)])
+    def test_every_placement_gives_the_same_node(self, matrix, qubits):
+        package = DDPackage(4)
+        edges = []
+        for target in qubits:
+            controls = {qubit: 1 for qubit in qubits if qubit != target}
+            edge = package.controlled_gate(matrix, target, controls)
+            assert np.allclose(
+                package.matrix_to_numpy(edge),
+                _dense_controlled(4, matrix, target, controls),
+                atol=1e-12,
+            )
+            edges.append(edge)
+        assert all(edge.node is edges[0].node for edge in edges)
+        assert all(edge.weight == edges[0].weight for edge in edges)
+
+    def test_gate_classes_are_placement_independent(self):
+        from itertools import permutations
+
+        from repro.circuit.gates import CCZGate, CPhaseGate, CZGate, MCPhaseGate
+        from repro.dd.circuits import gate_to_dd
+
+        for gate in (CZGate(), CPhaseGate(0.4), CCZGate(), MCPhaseGate(1.1, 2)):
+            package = DDPackage(4)
+            nodes = {
+                id(gate_to_dd(package, gate, order).node)
+                for order in permutations((0, 2, 3)[: gate.num_qubits])
+            }
+            assert len(nodes) == 1
+            edge = gate_to_dd(package, gate, (3, 0, 2)[: gate.num_qubits])
+            dense = np.eye(16, dtype=complex)
+            base = np.diag(gate.matrix)
+            for column in range(16):
+                local = sum(
+                    ((column >> qubit) & 1) << k
+                    for k, qubit in enumerate((3, 0, 2)[: gate.num_qubits])
+                )
+                dense[column, column] = base[local]
+            assert np.allclose(package.matrix_to_numpy(edge), dense, atol=1e-12)
+
+    def test_built_with_the_lowest_qubit_as_target(self):
+        # Reoriented, a phase gate targeting qubit 3 makes exactly the
+        # unique-table lookups of the same gate targeting qubit 0, none for
+        # the blocks a target above the controls would grow below it.
+        high = DDPackage(4)
+        low = DDPackage(4)
+        high.controlled_gate(_phase(0.9), 3, {0: 1, 2: 1})
+        low.controlled_gate(_phase(0.9), 0, {2: 1, 3: 1})
+        assert high._matrix_table.lookups == low._matrix_table.lookups
+
+    @pytest.mark.parametrize(
+        "matrix, controls",
+        [
+            (_phase(0.7), {0: 0}),
+            (Z, {0: 1, 1: 0}),
+            (np.diag([np.exp(-0.35j), np.exp(0.35j)]), {0: 1}),
+            (np.diag([-1, 1]).astype(complex), {0: 1}),
+            (np.diag([1j, 1]), {0: 1, 1: 1}),
+        ],
+        ids=["negative-cp", "mixed-cz", "crz", "u00-minus-one", "u00-i"],
+    )
+    @pytest.mark.parametrize("target", [2, 3])
+    def test_asymmetric_gates_are_not_reoriented(self, matrix, controls, target):
+        package = DDPackage(4)
+        built = package.controlled_gate(matrix, target, controls)
+        assert np.allclose(
+            package.matrix_to_numpy(built),
+            _dense_controlled(4, matrix, target, controls),
+            atol=1e-12,
+        )
+        reference = _make_based_controlled(package, matrix, target, controls)
+        assert built.node is reference.node and built.weight == reference.weight

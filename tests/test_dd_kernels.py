@@ -52,6 +52,19 @@ class TestFlyweightEdges:
                 signature.extend(ckey(edge.weight))
             assert package._vector_table._table[tuple(signature)] is fast.node
 
+    def test_ckey_returns_integer_grid_points(self):
+        from repro.dd.complexvalue import HASH_DECIMALS, HASH_SCALE, ckey
+
+        assert HASH_SCALE == 10**HASH_DECIMALS
+        key = ckey(0.6 - 0.8j)
+        assert key == (6_000_000_000, -8_000_000_000)
+        assert all(type(component) is int for component in key)
+        # One grid step is 10**-HASH_DECIMALS; rounding stays within it.
+        assert ckey(0.25 + 0.4e-10j) == (2_500_000_000, 0)
+        assert ckey(0.25 + 0.6e-10j) == (2_500_000_000, 1)
+        assert ckey(complex(-0.0, -1e-12)) == (0, 0)
+        assert ckey(1.0) == (10**HASH_DECIMALS, 0)
+
     def test_nodes_carry_their_signature_hash(self):
         package = DDPackage(1)
         first = package.make_vector_node(0, (VEdge(None, 1.0), VEdge(None, 0.5)))
@@ -214,3 +227,39 @@ class TestDenseCutoff:
         plain = check_equivalence(first, second, dense_cutoff=0)
         hybrid = check_equivalence(first, second, dense_cutoff=cutoff)
         assert plain.criterion is hybrid.criterion
+
+
+class TestSchemeOneShapes:
+    """Verdict and DD shape of the seed-independent Table-1 Scheme-1 pairs.
+
+    The literals pin the node counts the kernels produce: a hashing or
+    gate-construction change that alters the diagrams shows up here even
+    when every verdict stays right.
+    """
+
+    @pytest.mark.parametrize(
+        "family, n, shape",
+        [
+            ("qft", 10, (19, 10, 725)),
+            ("qft", 14, (27, 14, 1939)),
+            ("qpe", 6, (71, 7, 673)),
+            ("qpe", 8, (271, 9, 2435)),
+            ("qpe", 10, (543, 11, 6206)),
+        ],
+    )
+    def test_verdict_and_node_counts(self, family, n, shape):
+        from repro.algorithms import iterative_qpe, qft_dynamic, qft_static_benchmark, qpe_static
+        from repro.core import transformation
+
+        if family == "qft":
+            static, dynamic = qft_static_benchmark(n), qft_dynamic(n)
+        else:
+            static, dynamic = qpe_static(n), iterative_qpe(n)
+        result = check_equivalence(static, transformation.to_unitary_circuit(dynamic).circuit)
+        details = result.details
+        assert result.criterion.value == "equivalent"
+        assert (
+            details["max_nodes"],
+            details["final_nodes"],
+            details["dd_statistics"]["matrix_nodes"],
+        ) == shape
