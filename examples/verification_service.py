@@ -11,11 +11,10 @@ repeat traffic nearly free:
    manager before any checker runs (and used to dedupe identical pairs
    *within* a batch);
 3. **Job-queue server** — ``repro-qcec serve`` exposes the whole stack over
-   HTTP, with identical in-flight submissions coalescing onto one job;
-4. **Async front end** — ``repro-qcec serve --backend async`` runs the same
-   service behind an asyncio server with long-poll result collection,
-   bounded-queue backpressure (429 + ``Retry-After``) and per-client rate
-   limiting.  Both backends export Prometheus text at ``GET /metrics``.
+   HTTP from an asyncio server: identical in-flight submissions coalesce
+   onto one job, results are collected by long-poll, a saturated queue
+   answers 429 + ``Retry-After``, clients can be rate limited, and
+   ``GET /metrics`` exports Prometheus text.
 
 Run with ``python examples/verification_service.py``.
 """
@@ -33,7 +32,6 @@ from repro import (
 )
 from repro.algorithms import ghz_ladder, ghz_with_bug, qft_dynamic, qft_static_benchmark
 from repro.core import Configuration
-from repro.service import AsyncVerificationServer
 
 
 def main() -> None:
@@ -94,15 +92,19 @@ def main() -> None:
 
     # ------------------------------------------------------------------
     # 4. The job-queue server over real HTTP (ephemeral port).
-    #    From a shell this is `repro-qcec serve --port 8111`; the client
-    #    side is VerificationClient (or plain curl).
+    #    From a shell this is `repro-qcec serve --port 8111 --rate-limit 50`;
+    #    the client side is VerificationClient (or plain curl).
     # ------------------------------------------------------------------
-    server = VerificationServer(port=0, configuration=Configuration(seed=42))
+    server = VerificationServer(
+        port=0, configuration=Configuration(seed=42), rate_limit=100.0
+    )
     server.start_background()
     try:
         client = VerificationClient(server.url)
         print("server health:", client.health())
 
+        # `verify` long-polls GET /jobs/<id>/result?wait=N, so the whole
+        # verification takes two HTTP requests instead of a polling loop.
         payload = client.verify(ghz_ladder(4), ghz_ladder(4))
         print(f"server verdict: {payload['criterion']} (cached={payload['cached']})")
 
@@ -111,31 +113,15 @@ def main() -> None:
         repeat = client.verify(ghz_ladder(4), ghz_ladder(4))
         print(f"repeat verdict: {repeat['criterion']} (cached={repeat['cached']})")
 
+        payload = client.verify(qft_static_benchmark(6), qft_dynamic(6))
+        print(f"QFT verdict: {payload['criterion']} (cached={payload['cached']})")
+
         stats = client.stats()
         print(
             f"server stats: submitted={stats['submitted']} "
             f"executed={stats['executed']} coalesced={stats['coalesced']} "
             f"cache_hits={stats['cache']['hits']}"
         )
-    finally:
-        server.close()
-
-    # ------------------------------------------------------------------
-    # 5. The asyncio front end: same service, long-poll collection,
-    #    backpressure and rate limiting knobs, Prometheus /metrics.
-    #    From a shell: `repro-qcec serve --backend async --queue-limit 64
-    #    --rate-limit 50`.
-    # ------------------------------------------------------------------
-    aserver = AsyncVerificationServer(
-        port=0, configuration=Configuration(seed=42), rate_limit=100.0
-    )
-    aserver.start_background()
-    try:
-        client = VerificationClient(aserver.url)
-        # `wait` long-polls GET /jobs/<id>/result?wait=N — the whole warm
-        # verification takes two HTTP requests instead of a polling loop.
-        payload = client.verify(qft_static_benchmark(6), qft_dynamic(6))
-        print(f"async verdict: {payload['criterion']} (cached={payload['cached']})")
         scrape = client.metrics()
         interesting = [
             line
@@ -144,7 +130,7 @@ def main() -> None:
         ]
         print("metrics sample:", *interesting, sep="\n  ")
     finally:
-        aserver.close()
+        server.close()
 
 
 if __name__ == "__main__":

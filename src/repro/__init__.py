@@ -62,7 +62,7 @@ from repro.simulators import DDSimulator, Statevector, StatevectorSimulator
 __version__ = "1.1.0"
 
 #: Service-layer names re-exported lazily (PEP 562): ``import repro`` — and
-#: hence every plain CLI invocation — must not pay for ``http.server`` /
+#: hence every plain CLI invocation — must not pay for ``asyncio`` /
 #: ``urllib`` until the service layer is actually touched.
 _SERVICE_EXPORTS = (
     "VerdictCache",

@@ -357,25 +357,19 @@ def build_parser() -> argparse.ArgumentParser:
         help="expire memoized gate DDs older than this (lazy, on lookup)",
     )
     serve.add_argument(
-        "--backend",
-        default="thread",
-        choices=("thread", "async"),
-        help="HTTP front end: thread-per-request or single-event-loop asyncio",
-    )
-    serve.add_argument(
         "--queue-limit",
         type=int,
         default=None,
         metavar="N",
         help="reject (429 + Retry-After) once N jobs are unsettled "
-        "(async backend default: 16*workers; thread backend default: unbounded)",
+        "(default: 16*workers)",
     )
     serve.add_argument(
         "--rate-limit",
         type=float,
         default=None,
         metavar="PER_SECOND",
-        help="per-client token-bucket submission rate (async backend only)",
+        help="per-client token-bucket submission rate",
     )
     serve.add_argument(
         "--rate-burst",
@@ -737,8 +731,7 @@ def _command_batch(args: argparse.Namespace) -> int:
 def _command_serve(args: argparse.Namespace) -> int:
     # Imported here so plain verify/batch invocations never pay for the
     # service layer.
-    from repro.service.aserver import AsyncVerificationServer
-    from repro.service.server import VerificationServer
+    from repro.service.aserver import VerificationServer
 
     use_cache = not args.no_cache
     configuration = Configuration(
@@ -756,39 +749,22 @@ def _command_serve(args: argparse.Namespace) -> int:
         gate_cache_ttl=args.gate_cache_ttl,
         telemetry_path=args.telemetry,
     )
-    if args.backend == "async":
-        server = AsyncVerificationServer(
-            host=args.host,
-            port=args.port,
-            configuration=configuration,
-            cache=use_cache,
-            max_finished_jobs=args.max_finished_jobs,
-            queue_limit=args.queue_limit if args.queue_limit is not None else "auto",
-            rate_limit=args.rate_limit,
-            rate_burst=args.rate_burst,
-        )
-        thread = server.start_background()
-    else:
-        if args.rate_limit is not None or args.rate_burst is not None:
-            print(
-                "warning: --rate-limit/--rate-burst only apply to --backend async",
-                file=sys.stderr,
-            )
-        server = VerificationServer(
-            host=args.host,
-            port=args.port,
-            configuration=configuration,
-            cache=use_cache,
-            max_finished_jobs=args.max_finished_jobs,
-            queue_limit=args.queue_limit,
-        )
-        thread = None
+    server = VerificationServer(
+        host=args.host,
+        port=args.port,
+        configuration=configuration,
+        cache=use_cache,
+        max_finished_jobs=args.max_finished_jobs,
+        queue_limit=args.queue_limit if args.queue_limit is not None else "auto",
+        rate_limit=args.rate_limit,
+        rate_burst=args.rate_burst,
+    )
+    thread = server.start_background()
     cache = (args.cache_path or "in-memory") if use_cache else "disabled"
     queue_limit = server.service.queue_limit
     print(
         f"repro-qcec {__version__} serving on {server.url} "
-        f"(backend={args.backend}, workers={args.max_workers}, "
-        f"scheduler={args.scheduler}, cache={cache}, "
+        f"(workers={args.max_workers}, scheduler={args.scheduler}, cache={cache}, "
         f"queue_limit={queue_limit if queue_limit is not None else 'unbounded'})",
         flush=True,
     )
@@ -808,10 +784,7 @@ def _command_serve(args: argparse.Namespace) -> int:
         pass  # not the main thread (embedded use); skip the handler
     drain_timeout = 0.0
     try:
-        if thread is not None:
-            thread.join()
-        else:
-            server.serve_forever()
+        thread.join()
     except _Terminated:
         drain_timeout = max(0.0, args.drain_timeout)
         print(

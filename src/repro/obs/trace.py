@@ -21,7 +21,7 @@ serializes the parent's position as a W3C ``traceparent`` string
 (:func:`Tracer.from_traceparent`), and ships the finished spans back as
 dicts for the parent to :meth:`Tracer.adopt`.  The same ``traceparent``
 format carries trace context in HTTP headers between
-:class:`~repro.service.client.VerificationClient` and both server backends.
+:class:`~repro.service.client.VerificationClient` and the server.
 
 Exports: :func:`span_tree` nests finished spans by parentage (the shape
 served at ``GET /jobs/<id>/trace`` and embedded in ``verify --json``);

@@ -1,4 +1,4 @@
-"""Verification service layer: fingerprints, verdict cache, job-queue servers.
+"""Verification service layer: fingerprints, verdict cache, job-queue server.
 
 The PR 1-4 stack made one *process* fast at verifying circuit pairs; this
 subsystem turns it into a *service* for real compilation flows, where the
@@ -12,18 +12,20 @@ same pairs are re-verified over and over as toolchains iterate:
   with an optional persistent JSON-lines tier
   (``Configuration.cache_path``) storing
   :class:`~repro.core.results.PortfolioResult` essentials;
-* :mod:`repro.service.server` — a stdlib-only threaded HTTP job-queue server
-  (``repro-qcec serve``) with submit/status/result/stats/metrics endpoints,
-  request deduplication by fingerprint and long-poll result delivery;
-* :mod:`repro.service.aserver` — the asyncio front end over the same
-  :class:`VerificationService` backend (``repro-qcec serve --backend
-  async``), adding bounded-queue backpressure (429 + ``Retry-After``) and
-  per-client token-bucket rate limiting;
+* :mod:`repro.service.server` — :class:`VerificationService`, the
+  transport-free job queue: worker pool, request deduplication by
+  fingerprint, queue-limit backpressure, graceful drain and long-poll
+  plumbing;
+* :mod:`repro.service.aserver` — :class:`VerificationServer`, the asyncio
+  HTTP front end over that queue (``repro-qcec serve``) with
+  submit/status/result/trace/stats/metrics/healthz endpoints, long-poll
+  result delivery, 429 + ``Retry-After`` backpressure and per-client
+  token-bucket rate limiting;
 * :mod:`repro.service.metrics` — the unified :class:`MetricsRegistry`
-  (counters, gauges, histograms) both servers export as Prometheus text at
+  (counters, gauges, histograms) the server exports as Prometheus text at
   ``GET /metrics``;
 * :mod:`repro.service.client` — the matching :class:`VerificationClient`,
-  long-polling against either backend.
+  long-polling for results.
 
 The cache is also consulted by
 :class:`~repro.core.manager.EquivalenceCheckingManager` itself
@@ -31,7 +33,7 @@ The cache is also consulted by
 dedupes identical pairs *within* a batch.
 """
 
-from repro.service.aserver import AsyncVerificationServer
+from repro.service.aserver import VerificationServer
 from repro.service.cache import CachedVerdict, VerdictCache
 from repro.service.client import VerificationClient
 from repro.service.fingerprint import (
@@ -40,10 +42,9 @@ from repro.service.fingerprint import (
     pair_fingerprint,
 )
 from repro.service.metrics import Counter, Gauge, Histogram, MetricsRegistry
-from repro.service.server import VerificationServer, VerificationService
+from repro.service.server import VerificationService
 
 __all__ = [
-    "AsyncVerificationServer",
     "CachedVerdict",
     "Counter",
     "Gauge",

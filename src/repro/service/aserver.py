@@ -1,37 +1,44 @@
-"""An asyncio front end for the verification job queue (ROADMAP item 2).
+"""The HTTP front end of the verification job queue (``repro-qcec serve``).
 
-The thread-per-request server in :mod:`repro.service.server` is fine for a
-lab bench but the wrong substrate for heavy traffic: every idle poll and
-every long-poll pins an OS thread.  This module serves the same endpoints
-from a single event loop (``asyncio.start_server``; stdlib only), while all
-verification work keeps running on the :class:`~repro.service.server.
-VerificationService` worker pool — the frontend/backend split of modern
-automata tools (Kofola et al.): the transport parses, routes and *sheds
-load*; every verification decision stays in the manager.
+:class:`VerificationServer` serves JSON over HTTP/1.1 from a single asyncio
+event loop (``asyncio.start_server``; stdlib only), while all verification
+work runs on the :class:`~repro.service.server.VerificationService` worker
+pool — the frontend/backend split of modern automata tools (Kofola et al.):
+the transport parses, routes and *sheds load*; every verification decision
+stays in the manager.
 
-What the asyncio front end adds over the thread server:
+Endpoints (all JSON unless noted):
 
-* **Backpressure** — the service's ``queue_limit`` is on by default here:
-  once that many jobs are unsettled, ``POST /jobs`` answers ``429`` with a
-  ``Retry-After`` header instead of letting ``_jobs`` grow unboundedly.
+* ``POST /jobs``           — body ``{"first": <qasm>, "second": <qasm>}``;
+  returns ``202 {"job_id", "fingerprint", "coalesced"}``.  While a job for
+  the same canonical pair is queued or running, an identical submission
+  returns the *existing* job id (``"coalesced": true``).  A ``Traceparent``
+  request header makes the job's spans part of the client's distributed
+  trace.
+* ``GET /jobs/<id>``        — job status (``queued|running|done|failed``).
+* ``GET /jobs/<id>/result`` — the verdict payload (``409`` while pending,
+  ``410`` once pruned and no longer cached).  ``?wait=N`` long-polls: the
+  request parks an ``asyncio.Event`` (woken via ``loop.call_soon_threadsafe``
+  from the worker thread that settles the job) until the job settles or
+  ``N`` seconds pass, so a client needs one request, not a poll loop.
+* ``GET /jobs/<id>/trace``  — the span tree of a settled job.
+* ``GET /stats``            — job counters, dedup counter, verdict-cache,
+  telemetry-journal and service statistics.
+* ``GET /metrics``          — the unified registry in Prometheus text format.
+* ``GET /healthz``          — liveness probe with the package version.
+
+Load shedding:
+
+* **Backpressure** — the service's ``queue_limit`` is on by default: once
+  that many jobs are unsettled, ``POST /jobs`` answers ``429`` with a
+  ``Retry-After`` header instead of letting the job table grow unboundedly.
   Coalesced (duplicate in-flight) submissions are exempt.
 * **Per-client rate limiting** — a token bucket per client address for
   ``POST /jobs`` (``rate_limit`` submissions/second, burst ``rate_burst``);
   one chatty client cannot starve the queue for everyone else.
-* **Cheap long-polling** — ``GET /jobs/<id>/result?wait=N`` parks an
-  ``asyncio.Event`` (woken via ``loop.call_soon_threadsafe`` from the worker
-  thread that settles the job) instead of a blocked thread, so thousands of
-  waiting clients cost next to nothing.
-* ``GET /metrics`` — the same unified Prometheus registry as the thread
-  server.
-* ``GET /jobs/<id>/trace`` — the same per-job span tree as the thread
-  server; a ``Traceparent`` request header on submission joins the job's
-  spans to the client's distributed trace.
 
-:class:`AsyncVerificationServer` mirrors :class:`~repro.service.server.
-VerificationServer`'s lifecycle (``start_background()`` / ``close()`` /
-``url``), so the client, the tests and the CLI treat the two backends
-interchangeably.
+Request bodies must be sized by ``Content-Length``; a request carrying
+``Transfer-Encoding`` is answered ``501`` and its connection closed.
 """
 
 from __future__ import annotations
@@ -53,7 +60,7 @@ from repro.service.server import (
     parse_wait_seconds,
 )
 
-__all__ = ["AsyncVerificationServer"]
+__all__ = ["VerificationServer"]
 
 _log = get_logger("service.aserver")
 
@@ -79,6 +86,7 @@ _REASONS = {
     429: "Too Many Requests",
     431: "Request Header Fields Too Large",
     500: "Internal Server Error",
+    501: "Not Implemented",
     503: "Service Unavailable",
 }
 
@@ -108,15 +116,21 @@ class _TokenBucket:
         return missing / self.rate if self.rate > 0 else 1.0
 
 
-class AsyncVerificationServer:
-    """Asyncio HTTP server over a shared :class:`VerificationService`.
+class VerificationServer:
+    """Asyncio HTTP server owning a :class:`VerificationService`.
+
+    ``port=0`` binds an ephemeral port (read it back from :attr:`port` once
+    started).  :meth:`start_background` serves on a daemon thread so
+    in-process users (the example, the test suite, the CLI) can drive a real
+    client against it.  ``cache``, ``max_finished_jobs``, ``queue_limit`` and
+    ``job_retries`` are forwarded to :class:`VerificationService`.
 
     ``queue_limit`` defaults to ``16 * max_workers`` — deep enough to keep
     the pool busy through bursts, shallow enough that a saturating client
     sees ``429`` within a bounded latency instead of a silently growing
-    queue.  Pass ``queue_limit=None`` explicitly for the old unbounded
-    behaviour.  ``rate_limit`` (submissions/second per client address) is
-    off by default; ``rate_burst`` defaults to ``max(2, 2 * rate_limit)``.
+    queue.  Pass ``queue_limit=None`` explicitly for an unbounded queue.
+    ``rate_limit`` (submissions/second per client address) is off by
+    default; ``rate_burst`` defaults to ``max(2, 2 * rate_limit)``.
     """
 
     def __init__(
@@ -206,14 +220,14 @@ class AsyncVerificationServer:
                 self._ready.set()
 
         self._thread = threading.Thread(
-            target=runner, name="averification-server", daemon=True
+            target=runner, name="verification-server", daemon=True
         )
         self._thread.start()
         if not self._ready.wait(timeout) or self._bound_port is None:
             error = self._startup_error
             self.service.shutdown(wait=False)
             raise ServiceError(
-                f"async server failed to start: {error or 'timed out'}", status=503
+                f"server failed to start: {error or 'timed out'}", status=503
             )
         return self._thread
 
@@ -265,7 +279,13 @@ class AsyncVerificationServer:
                     return
                 except asyncio.LimitOverrunError:
                     await self._respond(
-                        writer, "?", 431, {"error": "request headers too large"}
+                        writer,
+                        431,
+                        {"error": "request headers too large"},
+                        method="?",
+                        target=None,
+                        peer=peer,
+                        keep_alive=False,
                     )
                     return
                 keep_alive = await self._handle_request(
@@ -289,88 +309,102 @@ class AsyncVerificationServer:
         header_block: bytes,
         peer: str,
     ) -> bool:
+        """Answer one request; returns whether the connection stays open."""
+        method, target = "?", None
+        # Until the body has been read to its end, whatever follows on the
+        # connection cannot be framed as a next request, so an error before
+        # that point closes the connection.
+        keep_alive = False
+        headers_out: dict = {}
+        raw = False
         try:
-            method, target, headers = self._parse_head(header_block)
-        except ValueError as error:
-            await self._respond(writer, "?", 400, {"error": str(error)})
-            return False
-        connection = headers.get("connection", "").lower()
-        keep_alive = connection != "close"
-
-        try:
-            length = int(headers.get("content-length") or 0)
-        except ValueError:
-            await self._respond(
-                writer, method, 400, {"error": "invalid Content-Length header"}
-            )
-            return False
-        if length < 0:
-            await self._respond(
-                writer, method, 400, {"error": "invalid Content-Length header"}
-            )
-            return False
-        if length > _MAX_BODY_BYTES:
-            await self._respond(
-                writer,
-                method,
-                413,
-                {"error": f"request body exceeds {_MAX_BODY_BYTES} bytes"},
-            )
-            return False
-        body = b""
-        if length:
-            try:
-                body = await asyncio.wait_for(
-                    reader.readexactly(length), timeout=_BODY_READ_TIMEOUT
-                )
-            except (asyncio.IncompleteReadError, TimeoutError):
-                await self._respond(
-                    writer, method, 408, {"error": "timed out reading the request"}
-                )
-                return False
-
-        try:
+            method, target, version, headers = self._parse_head(header_block)
+            body = await self._read_body(reader, headers)
+            connection = headers.get("connection", "").lower()
+            # HTTP/1.1 connections persist unless the client asks to close
+            # them; HTTP/1.0 ones close unless it asks to keep them alive.
+            if version == "HTTP/1.0":
+                keep_alive = connection == "keep-alive"
+            else:
+                keep_alive = connection != "close"
             status, payload, headers_out, raw = await self._route(
                 method, target, body, peer, headers
             )
         except ServiceError as error:
-            headers_out = {}
+            status, payload = error.status, {"error": str(error)}
             if error.retry_after is not None:
                 headers_out["Retry-After"] = str(max(1, math.ceil(error.retry_after)))
-            await self._respond(
-                writer, method, error.status, {"error": str(error)}, headers_out
-            )
-            return keep_alive
+        except ConnectionError:
+            raise  # the client went away; there is no one left to answer
         except Exception as error:  # noqa: BLE001 - a handler bug must not kill the loop
-            await self._respond(
-                writer, method, 500, {"error": f"{type(error).__name__}: {error}"}
-            )
-            return keep_alive
-        await self._respond(writer, method, status, payload, headers_out, raw=raw)
+            status, payload = 500, {"error": f"{type(error).__name__}: {error}"}
+        await self._respond(
+            writer,
+            status,
+            payload,
+            method=method,
+            target=target,
+            peer=peer,
+            keep_alive=keep_alive,
+            headers=headers_out,
+            raw=raw,
+        )
         return keep_alive
 
     @staticmethod
-    def _parse_head(block: bytes) -> tuple[str, str, dict[str, str]]:
+    async def _read_body(
+        reader: asyncio.StreamReader, headers: dict[str, str]
+    ) -> bytes:
+        """The request body as sized by ``Content-Length``.
+
+        Raises :class:`ServiceError` (400/408/413/501) for a body the server
+        will not read.
+        """
+        if "transfer-encoding" in headers:
+            # Chunked framing is not parsed here; reading on would take the
+            # chunk lines for the next request on this connection.
+            raise ServiceError(
+                "Transfer-Encoding request bodies are not supported; "
+                "send a Content-Length",
+                status=501,
+            )
         try:
-            text = block.decode("latin-1")
-        except UnicodeDecodeError as error:  # pragma: no cover - latin-1 is total
-            raise ValueError(f"undecodable request head: {error}") from error
-        lines = text.split("\r\n")
+            length = int(headers.get("content-length") or 0)
+        except ValueError:
+            length = -1
+        if length < 0:
+            raise ServiceError("invalid Content-Length header", status=400)
+        if length > _MAX_BODY_BYTES:
+            raise ServiceError(
+                f"request body exceeds {_MAX_BODY_BYTES} bytes", status=413
+            )
+        if not length:
+            return b""
+        try:
+            return await asyncio.wait_for(
+                reader.readexactly(length), timeout=_BODY_READ_TIMEOUT
+            )
+        except (asyncio.IncompleteReadError, TimeoutError):
+            raise ServiceError("timed out reading the request", status=408) from None
+
+    @staticmethod
+    def _parse_head(block: bytes) -> tuple[str, str, str, dict[str, str]]:
+        lines = block.decode("latin-1").split("\r\n")
         request_line = lines[0].split(" ")
         if len(request_line) != 3:
-            raise ValueError(f"malformed request line {lines[0]!r}")
+            raise ServiceError(f"malformed request line {lines[0]!r}", status=400)
         method, target, version = request_line
         if not version.startswith("HTTP/1."):
-            raise ValueError(f"unsupported HTTP version {version!r}")
+            raise ServiceError(f"unsupported HTTP version {version!r}", status=400)
         headers: dict[str, str] = {}
         for line in lines[1:]:
             if not line:
                 continue
             name, separator, value = line.partition(":")
             if not separator:
-                raise ValueError(f"malformed header line {line!r}")
+                raise ServiceError(f"malformed header line {line!r}", status=400)
             headers[name.strip().lower()] = value.strip()
-        return method, target, headers
+        return method, target, version, headers
 
     # ------------------------------------------------------------------
     # routing
@@ -382,7 +416,7 @@ class AsyncVerificationServer:
         target: str,
         body: bytes,
         peer: str,
-        headers: dict[str, str] | None = None,
+        headers: dict[str, str],
     ) -> tuple[int, dict | str, dict, bool]:
         """Dispatch one request; returns (status, payload, headers, is_raw_text)."""
         split = urlsplit(target)
@@ -433,7 +467,7 @@ class AsyncVerificationServer:
                     self.service.submit_qasm,
                     first,
                     second,
-                    traceparent=(headers or {}).get("traceparent"),
+                    traceparent=headers.get("traceparent"),
                 ),
             )
             return 202, result, {}, False
@@ -489,9 +523,13 @@ class AsyncVerificationServer:
     async def _respond(
         self,
         writer: asyncio.StreamWriter,
-        method: str,
         status: int,
         payload: dict | str,
+        *,
+        method: str,
+        target: str | None,
+        peer: str,
+        keep_alive: bool,
         headers: dict | None = None,
         raw: bool = False,
     ) -> None:
@@ -506,6 +544,7 @@ class AsyncVerificationServer:
             f"HTTP/1.1 {status} {reason}",
             f"Content-Type: {content_type}",
             f"Content-Length: {len(body)}",
+            f"Connection: {'keep-alive' if keep_alive else 'close'}",
         ]
         for name, value in (headers or {}).items():
             head_lines.append(f"{name}: {value}")
@@ -513,7 +552,9 @@ class AsyncVerificationServer:
         self._m_requests.inc(backend="async", method=method, status=str(status))
         _log.info(
             "http access",
-            **fields(backend="async", method=method, status=status),
+            **fields(
+                backend="async", method=method, path=target, status=status, client=peer
+            ),
         )
         try:
             writer.write("\r\n".join(head_lines).encode("latin-1") + body)

@@ -1,8 +1,8 @@
-"""A stdlib-only client for the verification job-queue servers.
+"""A stdlib-only client for the verification job-queue server.
 
-Mirrors the endpoints of :mod:`repro.service.server` (and its asyncio twin
-:mod:`repro.service.aserver`) one method per endpoint, plus the ``submit →
-wait → result`` convenience loop every caller would otherwise rewrite.
+Mirrors the endpoints of :mod:`repro.service.aserver` one method per
+endpoint, plus the ``submit → wait → result`` convenience loop every caller
+would otherwise rewrite.
 Accepts circuits as :class:`~repro.circuit.circuit.QuantumCircuit` objects
 (exported to QASM on the wire) or as raw OpenQASM 2 strings.
 

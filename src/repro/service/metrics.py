@@ -3,8 +3,8 @@
 PR 5 left the service's observability scattered: ``DDPackage.statistics()``,
 ``VerdictCache.statistics()`` and ``VerificationService.stats()`` each expose
 their own ad-hoc dict.  This module unifies them behind one
-:class:`MetricsRegistry` of counters, gauges and histograms that both HTTP
-front ends (`repro.service.server` and `repro.service.aserver`) export at
+:class:`MetricsRegistry` of counters, gauges and histograms that the HTTP
+front end (`repro.service.aserver`) exports at
 ``GET /metrics`` in the Prometheus text exposition format (version 0.0.4).
 
 Design notes

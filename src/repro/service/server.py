@@ -1,53 +1,30 @@
-"""A stdlib-only HTTP job-queue server for equivalence verification.
+"""The transport-free verification job queue behind ``repro-qcec serve``.
 
-``repro-qcec serve --port N`` turns the portfolio manager into a long-running
-service: clients POST QASM circuit pairs, the server queues them onto a
-worker pool (the same executor machinery ``verify_batch`` uses), and clients
-collect the verdict.  The design follows the frontend/backend split of
-modern automata tools (Kofola et al.): the HTTP layer only parses and
-routes; every decision — scheduling, caching, early termination — stays in
+:class:`VerificationService` turns the portfolio manager into a long-running
+service: callers submit circuit pairs, the service queues them onto a worker
+pool (the same executor machinery ``verify_batch`` uses), and callers collect
+the verdict.  It owns the job table, the dedup index (identical in-flight
+submissions coalesce onto one job by fingerprint), queue-limit backpressure,
+graceful drain, settled-event plumbing for long-polls, and the metrics
+registry.  Every decision (scheduling, caching, early termination) stays in
 :class:`~repro.core.manager.EquivalenceCheckingManager`.
 
-Endpoints (all JSON unless noted):
-
-* ``POST /jobs``           — body ``{"first": <qasm>, "second": <qasm>}``;
-  returns ``202 {"job_id", "fingerprint", "coalesced"}``.  Submissions are
-  **deduplicated by fingerprint**: while a job for the same canonical pair
-  is queued or running, an identical submission returns the *existing*
-  job id (``"coalesced": true``) instead of queueing a second run.  With a
-  ``queue_limit`` configured, a saturated queue answers ``429`` with a
-  ``Retry-After`` header instead of growing without bound.
-* ``GET /jobs/<id>``        — job status (``queued|running|done|failed``).
-* ``GET /jobs/<id>/result`` — the verdict payload (``409`` while pending).
-  ``?wait=N`` long-polls: the request blocks until the job settles or ``N``
-  seconds pass, so a well-behaved client needs one request, not a poll loop.
-* ``GET /jobs/<id>/trace``  — the span tree of a settled job (``409`` while
-  pending).  A client-supplied ``Traceparent`` request header on submission
-  makes the job's spans part of the client's distributed trace.
-* ``GET /stats``            — job counters, dedup counter, verdict-cache,
-  telemetry-journal and service statistics.
-* ``GET /metrics``          — the unified registry in Prometheus text format.
-* ``GET /healthz``          — liveness probe with the package version.
-
-:class:`VerificationService` is the transport-free core (job queue, worker
-pool, dedup index, settled-event plumbing) shared by this module's
-``ThreadingHTTPServer`` front end and the asyncio front end in
-:mod:`repro.service.aserver`.
+The HTTP front end, :class:`~repro.service.aserver.VerificationServer`,
+only parses requests and routes them onto this class (the frontend/backend
+split of modern automata tools, Kofola et al.); in-process users drive the
+service directly.
 """
 
 from __future__ import annotations
 
-import json
 import math
 import random
 import threading
 import time
 from collections import deque
 from dataclasses import dataclass, field
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from concurrent.futures import ThreadPoolExecutor
 from typing import Callable
-from urllib.parse import parse_qs, urlsplit
 
 from repro.circuit.qasm import circuit_from_qasm
 from repro.core.configuration import Configuration
@@ -60,18 +37,18 @@ from repro.resilience.retry import RetryPolicy
 from repro.service.fingerprint import fingerprints_sound_for, pair_fingerprint
 from repro.service.metrics import _REWRITE_COUNTER_KEYS, MetricsRegistry
 
-__all__ = ["VerificationJob", "VerificationServer", "VerificationService"]
+__all__ = ["VerificationJob", "VerificationService"]
 
 _log = get_logger("service.server")
 
 #: Upper bound on a ``POST /jobs`` body.  Generous for QASM circuit pairs
 #: (a 10k-gate circuit exports to well under 1 MB) while keeping a
-#: misbehaving client from making a handler thread buffer arbitrary data.
+#: misbehaving client from making the server buffer arbitrary data.
 _MAX_BODY_BYTES = 32 * 1024 * 1024
 
 #: Cap on ``?wait=`` long-polls: a client asking for more still gets its
 #: (possibly 409) answer after this many seconds and may simply re-issue the
-#: request.  Bounds how long one request can pin a handler thread.
+#: request.  Bounds how long one request can hold its connection.
 MAX_LONG_POLL_SECONDS = 30.0
 
 
@@ -128,8 +105,8 @@ class VerificationService:
     ``queue_limit`` bounds the number of unsettled jobs: once that many are
     queued or running, new (non-coalescing) submissions are rejected with a
     429 :class:`ServiceError` carrying ``retry_after``.  ``None`` (the
-    default) keeps the PR-5 unbounded behaviour for in-process users; the
-    HTTP front ends enable it.
+    default) keeps the queue unbounded for in-process users; the HTTP
+    front end enables it.
 
     The job table keeps the most recent ``max_finished_jobs`` settled jobs
     for polling; older ones are pruned, which bounds server memory
@@ -629,7 +606,7 @@ class VerificationService:
 
         Returns False — without registering — when the job is already
         settled, pruned or unknown, so a caller can fall through to
-        ``job_result`` immediately.  The asyncio front end registers a
+        ``job_result`` immediately.  The HTTP front end registers a
         ``loop.call_soon_threadsafe`` trampoline here.
         """
         with self._lock:
@@ -912,218 +889,3 @@ def parse_wait_seconds(query: dict[str, list[str]]) -> float:
     if wait < 0 or wait != wait:  # negative or NaN
         raise ServiceError(f"invalid wait value {raw[0]!r}", status=400)
     return min(wait, MAX_LONG_POLL_SECONDS)
-
-
-class _ServiceRequestHandler(BaseHTTPRequestHandler):
-    """Thin JSON-over-HTTP routing onto the owning :class:`VerificationService`."""
-
-    # Socket read timeout (socketserver applies it in setup()): a client that
-    # claims a Content-Length and then stalls mid-body gets its connection
-    # dropped instead of pinning a handler thread forever.
-    timeout = 30.0
-
-    # Replace the default per-request stderr logging with structured access
-    # logs — silent unless ``configure_logging`` installed a handler.
-    def log_message(self, format: str, *args) -> None:  # noqa: A002
-        pass
-
-    def log_request(self, code: object = "-", size: object = "-") -> None:
-        _log.info(
-            "http access",
-            **fields(
-                method=getattr(self, "command", None),
-                path=getattr(self, "path", None),
-                status=getattr(code, "value", code),
-                client=self.client_address[0] if self.client_address else None,
-            ),
-        )
-
-    @property
-    def service(self) -> VerificationService:
-        return self.server.service  # type: ignore[attr-defined]
-
-    def _send(self, status: int, payload: dict, headers: dict | None = None) -> None:
-        body = json.dumps(payload).encode("utf-8")
-        self.send_response(status)
-        self.send_header("Content-Type", "application/json")
-        self.send_header("Content-Length", str(len(body)))
-        for name, value in (headers or {}).items():
-            self.send_header(name, value)
-        self.end_headers()
-        self.wfile.write(body)
-
-    def _safe_send(self, status: int, payload: dict, headers: dict | None = None) -> None:
-        # A client that disconnects before (or while) the response is written
-        # surfaces as BrokenPipeError/ConnectionResetError here; the request
-        # is already fully processed, so the only correct reaction is to drop
-        # the connection quietly instead of killing the handler thread with a
-        # traceback.
-        try:
-            self._send(status, payload, headers)
-        except OSError:
-            self.close_connection = True
-
-    def _send_text(self, status: int, text: str, content_type: str) -> None:
-        body = text.encode("utf-8")
-        try:
-            self.send_response(status)
-            self.send_header("Content-Type", content_type)
-            self.send_header("Content-Length", str(len(body)))
-            self.end_headers()
-            self.wfile.write(body)
-        except OSError:
-            self.close_connection = True
-
-    def _handle(self, handler) -> None:
-        try:
-            status, payload = handler()
-        except ServiceError as error:
-            headers = {}
-            if error.retry_after is not None:
-                headers["Retry-After"] = str(max(1, math.ceil(error.retry_after)))
-            self._safe_send(error.status, {"error": str(error)}, headers)
-        except TimeoutError:
-            # The socket timeout fired mid-request (a client stalling inside
-            # its declared body): answer 408 if the socket still accepts it
-            # and drop the connection so the thread is freed either way.
-            self.close_connection = True
-            self._safe_send(408, {"error": "timed out reading the request"})
-        except Exception as error:  # noqa: BLE001 - a handler bug must not kill the thread
-            self._safe_send(500, {"error": f"{type(error).__name__}: {error}"})
-        else:
-            self._safe_send(status, payload)
-
-    def do_GET(self) -> None:  # noqa: N802 - http.server API
-        split = urlsplit(self.path)
-        parts = [part for part in split.path.split("/") if part]
-        if parts == ["metrics"]:
-            self._send_text(
-                200, self.service.metrics.render(), "text/plain; version=0.0.4"
-            )
-            return
-        query = parse_qs(split.query)
-
-        def handler():
-            if parts == ["stats"]:
-                return 200, self.service.stats()
-            if parts == ["healthz"]:
-                return 200, self.service.health()
-            if len(parts) == 2 and parts[0] == "jobs":
-                return 200, self.service.job_status(parts[1])
-            if len(parts) == 3 and parts[0] == "jobs" and parts[2] == "result":
-                wait = parse_wait_seconds(query)
-                if wait > 0:
-                    self.service.wait_settled(parts[1], wait)
-                return 200, self.service.job_result(parts[1])
-            if len(parts) == 3 and parts[0] == "jobs" and parts[2] == "trace":
-                return 200, self.service.job_trace(parts[1])
-            raise ServiceError(f"unknown endpoint {self.path!r}", status=404)
-
-        self._handle(handler)
-
-    def do_POST(self) -> None:  # noqa: N802 - http.server API
-        def handler():
-            parts = [part for part in self.path.split("?", 1)[0].split("/") if part]
-            if parts != ["jobs"]:
-                raise ServiceError(f"unknown endpoint {self.path!r}", status=404)
-            # The Content-Length header is client-controlled: reject garbage
-            # and negative values (rfile.read(-1) would block until EOF) as
-            # 400, and oversized bodies before reading them.
-            try:
-                length = int(self.headers.get("Content-Length") or 0)
-            except ValueError:
-                raise ServiceError("invalid Content-Length header", status=400)
-            if length < 0:
-                raise ServiceError("invalid Content-Length header", status=400)
-            if length > _MAX_BODY_BYTES:
-                raise ServiceError(
-                    f"request body exceeds {_MAX_BODY_BYTES} bytes", status=413
-                )
-            try:
-                payload = json.loads(self.rfile.read(length) or b"{}")
-            except ValueError as error:
-                raise ServiceError(f"request body is not JSON: {error}", status=400)
-            first = payload.get("first")
-            second = payload.get("second")
-            if not isinstance(first, str) or not isinstance(second, str):
-                raise ServiceError(
-                    "body must be {'first': <qasm>, 'second': <qasm>}", status=400
-                )
-            return 202, self.service.submit_qasm(
-                first, second, traceparent=self.headers.get("Traceparent")
-            )
-
-        self._handle(handler)
-
-
-class VerificationServer(ThreadingHTTPServer):
-    """``ThreadingHTTPServer`` owning a :class:`VerificationService`.
-
-    ``port=0`` binds an ephemeral port (read it back from :attr:`port`) —
-    handy for tests and CI.  :meth:`start_background` serves on a daemon
-    thread so in-process users (the example, the test suite) can drive a
-    real client against it.  The service knobs (``cache``,
-    ``max_finished_jobs``, ``queue_limit``) are forwarded verbatim to
-    :class:`VerificationService`.
-    """
-
-    daemon_threads = True
-
-    def __init__(
-        self,
-        host: str = "127.0.0.1",
-        port: int = 0,
-        configuration: Configuration | None = None,
-        *,
-        cache: bool = True,
-        max_finished_jobs: int = 1024,
-        queue_limit: int | None = None,
-    ):
-        super().__init__((host, port), _ServiceRequestHandler)
-        self._serving = threading.Event()
-        self.service = VerificationService(
-            configuration,
-            cache=cache,
-            max_finished_jobs=max_finished_jobs,
-            queue_limit=queue_limit,
-        )
-
-    @property
-    def port(self) -> int:
-        return self.server_address[1]
-
-    @property
-    def url(self) -> str:
-        return f"http://{self.server_address[0]}:{self.port}"
-
-    def serve_forever(self, poll_interval: float = 0.5) -> None:
-        self._serving.set()
-        super().serve_forever(poll_interval)
-
-    def start_background(self) -> threading.Thread:
-        thread = threading.Thread(
-            target=self.serve_forever, name="verification-server", daemon=True
-        )
-        thread.start()
-        self._serving.wait(timeout=5.0)
-        return thread
-
-    def drain(self, timeout: float = 30.0) -> bool:
-        """Stop accepting new jobs, finish in-flight ones (up to ``timeout``).
-
-        The HTTP listener keeps answering throughout — new submissions get
-        503 + ``Retry-After``, status/result/metrics stay live — so clients
-        can collect verdicts for work already accepted.
-        """
-        return self.service.drain(timeout)
-
-    def close(self, drain_timeout: float = 0.0) -> None:
-        """Shut down; with ``drain_timeout > 0`` drain gracefully first."""
-        if drain_timeout > 0:
-            self.service.drain(drain_timeout)
-        # shutdown() blocks on an event only serve_forever sets; skip it for
-        # a server that was constructed but never served.
-        if self._serving.is_set():
-            self.shutdown()
-        self.server_close()
-        self.service.shutdown(wait=False)

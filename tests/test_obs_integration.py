@@ -5,7 +5,7 @@ Covers the two acceptance criteria of the observability PR:
 * a seeded ``verify_batch`` produces *structurally identical* span trees —
   same span names, parentage and checker attempts — on the thread and the
   process executor (hypothesis property over random seeded batches);
-* a client-supplied W3C ``traceparent`` travels through both HTTP backends
+* a client-supplied W3C ``traceparent`` travels through the HTTP server
   into job execution and comes back from ``GET /jobs/<id>/trace``.
 """
 
@@ -112,21 +112,11 @@ class TestWorkerDDStatistics:
         assert total > 0
 
 
-@pytest.mark.parametrize("backend", ["thread", "async"])
 class TestTraceparentEndToEnd:
-    def _server(self, backend):
-        if backend == "async":
-            from repro.service.aserver import AsyncVerificationServer
+    def test_client_traceparent_reaches_job_trace(self):
+        from repro.service import VerificationClient, VerificationServer
 
-            return AsyncVerificationServer(port=0)
-        from repro.service.server import VerificationServer
-
-        return VerificationServer(port=0)
-
-    def test_client_traceparent_reaches_job_trace(self, backend):
-        from repro.service.client import VerificationClient
-
-        server = self._server(backend)
+        server = VerificationServer(port=0)
         server.start_background()
         try:
             client = VerificationClient(server.url)
@@ -152,10 +142,10 @@ class TestTraceparentEndToEnd:
         finally:
             server.close()
 
-    def test_untraced_submission_roots_a_fresh_trace(self, backend):
-        from repro.service.client import VerificationClient
+    def test_untraced_submission_roots_a_fresh_trace(self):
+        from repro.service import VerificationClient, VerificationServer
 
-        server = self._server(backend)
+        server = VerificationServer(port=0)
         server.start_background()
         try:
             client = VerificationClient(server.url)

@@ -1,34 +1,36 @@
-"""End-to-end tests of the asyncio verification server front end.
+"""End-to-end tests of the HTTP front end's transport behaviour.
 
-Mirrors ``tests/test_service_server.py`` for the round-trip basics, then
-covers what the async front end adds: bounded-queue backpressure (429 +
-``Retry-After``), per-client token-bucket rate limiting, long-poll wakeup
-ordering, and thread/async backend agreement on verdict payloads.
+``tests/test_service_server.py`` covers the round-trip basics and request
+deduplication; this module covers connection handling on raw sockets,
+bounded-queue backpressure (429 + ``Retry-After``), per-client token-bucket
+rate limiting, long-poll wakeup ordering, pruned jobs, the access log and
+the ``/metrics`` exposition.
 """
 
+import contextlib
+import io
+import json
+import logging
 import socket
 import threading
 import time
 
 import pytest
 
-from repro.algorithms import ghz_ladder, ghz_with_bug
+from repro.algorithms import ghz_ladder
 from repro.core import Configuration
 from repro.exceptions import ServiceError
+from repro.obs.logs import configure_logging
 from repro.resilience import FaultPlan, FaultRule
-from repro.service import (
-    AsyncVerificationServer,
-    VerificationClient,
-    VerificationServer,
-)
+from repro.service import VerificationClient, VerificationServer
 
 SEED = 5
 
 
 @pytest.fixture()
 def server():
-    """A live asyncio server on an ephemeral port, torn down after the test."""
-    instance = AsyncVerificationServer(
+    """A live server on an ephemeral port, torn down after the test."""
+    instance = VerificationServer(
         port=0, configuration=Configuration(seed=SEED, max_workers=2)
     )
     instance.start_background()
@@ -56,26 +58,50 @@ def _hold_worker(service):
     return release
 
 
-class TestAsyncRoundTrip:
-    def test_health_reports_version(self, client):
-        import repro
+def _read_to_eof(sock: socket.socket) -> bytes:
+    """Everything the server sends before it closes the connection.
 
-        payload = client.health()
-        assert payload["ok"] is True
-        assert payload["version"] == repro.__version__
+    Raises ``TimeoutError`` (via the socket timeout) if the server holds
+    the connection open instead of closing it.
+    """
+    received = b""
+    while chunk := sock.recv(4096):
+        received += chunk
+    return received
 
-    def test_submit_wait_result(self, client):
-        submission = client.submit(ghz_ladder(3), ghz_ladder(3))
-        assert submission["coalesced"] is False
-        payload = client.wait(submission["job_id"], timeout=30.0)
-        assert payload["criterion"] == "equivalent"
-        assert payload["equivalent"] is True
-        assert client.status(submission["job_id"])["status"] == "done"
 
-    def test_non_equivalent_verdict(self, client):
-        payload = client.verify(ghz_ladder(3), ghz_with_bug(3), timeout=30.0)
-        assert payload["criterion"] == "not_equivalent"
+def _read_response(reader) -> tuple[int, dict[str, str], bytes]:
+    """One response (status, lower-cased headers, body) from a socket file."""
+    status = int(reader.readline().split(b" ")[1])
+    headers: dict[str, str] = {}
+    while (line := reader.readline()) not in (b"\r\n", b""):
+        name, _, value = line.decode("latin-1").partition(":")
+        headers[name.strip().lower()] = value.strip()
+    return status, headers, reader.read(int(headers["content-length"]))
 
+
+@contextlib.contextmanager
+def _captured_log():
+    """The ``repro`` JSON log written to a ``StringIO`` for the block."""
+    stream = io.StringIO()
+    configure_logging(stream=stream)
+    try:
+        yield stream
+    finally:
+        root = logging.getLogger("repro")
+        for handler in list(root.handlers):
+            root.removeHandler(handler)
+            handler.close()
+        root.setLevel(logging.NOTSET)
+        root.propagate = True
+
+
+def _access_records(stream: io.StringIO) -> list[dict]:
+    records = [json.loads(line) for line in stream.getvalue().splitlines()]
+    return [record for record in records if record["message"] == "http access"]
+
+
+class TestHttpTransport:
     def test_unknown_endpoint_and_method(self, client):
         with pytest.raises(ServiceError) as excinfo:
             client._request("GET", "/nope")
@@ -84,24 +110,157 @@ class TestAsyncRoundTrip:
             client._request("PUT", "/jobs")
         assert excinfo.value.status == 405
 
-    def test_bad_submission_body_is_400(self, client):
-        with pytest.raises(ServiceError) as excinfo:
-            client._request("POST", "/jobs", {"first": 3, "second": None})
-        assert excinfo.value.status == 400
-
     def test_malformed_request_line_gets_400(self, server):
         with socket.create_connection(("127.0.0.1", server.port), timeout=5) as sock:
             sock.sendall(b"GARBAGE\r\n\r\n")
             response = sock.recv(4096)
         assert b"400" in response.split(b"\r\n", 1)[0]
 
-    def test_keep_alive_serves_multiple_requests_per_connection(self, server):
-        request = b"GET /healthz HTTP/1.1\r\nHost: x\r\n\r\n"
+    @pytest.mark.parametrize(
+        "request_head",
+        [
+            b"GET /healthz HTTP/1.1\r\nHost: x\r\n\r\n",
+            b"GET /healthz HTTP/1.0\r\nConnection: keep-alive\r\n\r\n",
+            b"GET /healthz HTTP/1.0\r\nConnection: Keep-Alive\r\n\r\n",
+        ],
+    )
+    def test_keep_alive_serves_multiple_requests_per_connection(
+        self, server, request_head
+    ):
         with socket.create_connection(("127.0.0.1", server.port), timeout=5) as sock:
             for _ in range(3):
-                sock.sendall(request)
+                sock.sendall(request_head)
                 chunk = sock.recv(4096)
                 assert chunk.startswith(b"HTTP/1.1 200")
+                assert b"\r\nConnection: keep-alive\r\n" in chunk
+
+    def test_http_1_0_connection_closes_after_the_response(self, server):
+        with socket.create_connection(("127.0.0.1", server.port), timeout=5) as sock:
+            sock.sendall(b"GET /healthz HTTP/1.0\r\n\r\n")
+            sock.settimeout(3.0)
+            response = _read_to_eof(sock)
+        head = response.split(b"\r\n\r\n", 1)[0]
+        assert head.startswith(b"HTTP/1.1 200")
+        assert b"Connection: close" in head.split(b"\r\n")
+
+    def test_http_1_0_submission_closes_after_the_response(self, server):
+        body = json.dumps(
+            {"first": ghz_ladder(2).to_qasm(), "second": ghz_ladder(2).to_qasm()}
+        ).encode()
+        request = (
+            b"POST /jobs HTTP/1.0\r\nContent-Length: "
+            + str(len(body)).encode()
+            + b"\r\n\r\n"
+            + body
+        )
+        with socket.create_connection(("127.0.0.1", server.port), timeout=5) as sock:
+            sock.sendall(request)
+            sock.settimeout(3.0)
+            response = _read_to_eof(sock)
+        assert response.count(b"HTTP/1.1 ") == 1
+        assert response.startswith(b"HTTP/1.1 202")
+        assert json.loads(response.split(b"\r\n\r\n", 1)[1])["job_id"]
+
+    def test_http_1_1_connection_close_is_honoured(self, server):
+        with socket.create_connection(("127.0.0.1", server.port), timeout=5) as sock:
+            sock.sendall(
+                b"GET /healthz HTTP/1.1\r\nHost: x\r\nConnection: close\r\n\r\n"
+            )
+            sock.settimeout(3.0)
+            response = _read_to_eof(sock)
+        head = response.split(b"\r\n\r\n", 1)[0]
+        assert head.startswith(b"HTTP/1.1 200")
+        assert b"Connection: close" in head.split(b"\r\n")
+
+    def test_routing_error_keeps_the_connection_open(self, server):
+        # A 404 is answered after the (empty) body was read, so the next
+        # request on the same connection is still framed correctly.
+        with socket.create_connection(("127.0.0.1", server.port), timeout=5) as sock:
+            reader = sock.makefile("rb")
+            sock.sendall(b"GET /nope HTTP/1.1\r\nHost: x\r\n\r\n")
+            status, headers, _ = _read_response(reader)
+            assert status == 404
+            assert headers["connection"] == "keep-alive"
+            sock.sendall(b"GET /healthz HTTP/1.1\r\nHost: x\r\n\r\n")
+            status, _, body = _read_response(reader)
+            assert status == 200
+            assert json.loads(body)["ok"] is True
+
+    def test_pipelined_requests_are_answered_in_order(self, server):
+        with socket.create_connection(("127.0.0.1", server.port), timeout=5) as sock:
+            reader = sock.makefile("rb")
+            sock.sendall(
+                b"GET /healthz HTTP/1.1\r\nHost: x\r\n\r\n"
+                b"GET /stats HTTP/1.1\r\nHost: x\r\n\r\n"
+            )
+            status, _, body = _read_response(reader)
+            assert status == 200 and "ok" in json.loads(body)
+            status, _, body = _read_response(reader)
+            assert status == 200 and "submitted" in json.loads(body)
+
+    @pytest.mark.parametrize(
+        "request_head, status",
+        [
+            (b"GET /healthz HTTP/2.0\r\n\r\n", b"400"),
+            (b"GET /healthz HTTP/1.1\r\nno colon here\r\n\r\n", b"400"),
+            (b"POST /jobs HTTP/1.1\r\nContent-Length: 1000000000\r\n\r\n", b"413"),
+        ],
+        ids=["http-version", "header-line", "oversized-body"],
+    )
+    def test_error_before_the_body_closes_the_connection(
+        self, server, request_head, status
+    ):
+        # Before the body is read, what follows cannot be framed as a next
+        # request, so the server answers once and closes.
+        with socket.create_connection(("127.0.0.1", server.port), timeout=5) as sock:
+            sock.sendall(request_head)
+            sock.settimeout(3.0)
+            response = _read_to_eof(sock)
+        assert response.count(b"HTTP/1.1 ") == 1
+        assert response.split(b"\r\n", 1)[0].split(b" ")[1] == status
+        assert b"Connection: close" in response.split(b"\r\n\r\n", 1)[0].split(b"\r\n")
+
+    @pytest.mark.parametrize(
+        "transfer_encoding", [b"chunked", b"Chunked", b"gzip, chunked"]
+    )
+    def test_chunked_body_gets_one_501_then_eof(self, server, transfer_encoding):
+        body = json.dumps({"first": "x", "second": "y"}).encode()
+        request = (
+            b"POST /jobs HTTP/1.1\r\nHost: x\r\nTransfer-Encoding: "
+            + transfer_encoding
+            + b"\r\n\r\n"
+            + f"{len(body):x}\r\n".encode()
+            + body
+            + b"\r\n0\r\n\r\n"
+        )
+        with socket.create_connection(("127.0.0.1", server.port), timeout=5) as sock:
+            sock.sendall(request)
+            sock.settimeout(3.0)
+            response = _read_to_eof(sock)
+        # Exactly one response: the chunk framing is never parsed as a
+        # second request on the same connection.
+        assert response.count(b"HTTP/1.1 ") == 1
+        assert response.startswith(b"HTTP/1.1 501")
+        assert server.service.stats()["submitted"] == 0
+
+    def test_access_log_names_path_and_client(self, client):
+        with _captured_log() as stream:
+            client.health()
+        (access,) = _access_records(stream)
+        assert access["method"] == "GET"
+        assert access["path"] == "/healthz"
+        assert access["status"] == 200
+        assert access["client"] == "127.0.0.1"
+
+    def test_access_log_records_error_responses(self, client):
+        with _captured_log() as stream:
+            with pytest.raises(ServiceError):
+                client._request("GET", "/nope?x=1")
+        (access,) = _access_records(stream)
+        assert access["method"] == "GET"
+        assert access["path"] == "/nope?x=1"
+        assert access["status"] == 404
+        assert access["client"] == "127.0.0.1"
 
     def test_stats_expose_queue_fields(self, client, server):
         stats = client.stats()
@@ -177,7 +336,7 @@ class TestLongPoll:
 
 class TestBackpressure:
     def test_saturated_queue_answers_429_with_retry_after(self):
-        server = AsyncVerificationServer(
+        server = VerificationServer(
             port=0,
             configuration=Configuration(seed=SEED, max_workers=1),
             queue_limit=1,
@@ -209,7 +368,7 @@ class TestBackpressure:
             server.close()
 
     def test_jobs_table_stays_bounded_under_saturating_load(self):
-        server = AsyncVerificationServer(
+        server = VerificationServer(
             port=0,
             configuration=Configuration(seed=SEED, max_workers=1),
             queue_limit=2,
@@ -237,7 +396,7 @@ class TestBackpressure:
 
 class TestRateLimit:
     def test_token_bucket_rejects_burst_overflow(self):
-        server = AsyncVerificationServer(
+        server = VerificationServer(
             port=0,
             configuration=Configuration(seed=SEED, max_workers=2),
             rate_limit=0.5,
@@ -261,7 +420,7 @@ class TestRateLimit:
 
 class TestPrunedJobs:
     def test_pruned_job_result_served_from_cache(self):
-        server = AsyncVerificationServer(
+        server = VerificationServer(
             port=0,
             configuration=Configuration(seed=SEED, max_workers=1),
             max_finished_jobs=1,
@@ -285,7 +444,7 @@ class TestPrunedJobs:
             server.close()
 
     def test_pruned_and_uncached_job_is_a_distinguishable_410(self):
-        server = AsyncVerificationServer(
+        server = VerificationServer(
             port=0,
             configuration=Configuration(seed=SEED, max_workers=1),
             max_finished_jobs=1,
@@ -312,7 +471,7 @@ class TestConcurrency:
         # when the other five identical submissions arrive; without the hold
         # a fast verdict can finish first and the followers queue fresh jobs.
         hold = FaultPlan(rules=(FaultRule(site="checker", action="sleep", delay=1.0),))
-        server = AsyncVerificationServer(
+        server = VerificationServer(
             port=0,
             configuration=Configuration(seed=SEED, max_workers=2, fault_plan=hold),
         )
@@ -370,7 +529,7 @@ class TestMetricsEndpoint:
                 assert series
         return types
 
-    def test_async_metrics_cover_required_families(self, client):
+    def test_metrics_cover_required_families(self, client):
         client.verify(ghz_ladder(3), ghz_ladder(3), timeout=30.0)
         client.verify(ghz_ladder(3), ghz_ladder(3), timeout=30.0)
         types = self._assert_parseable_prometheus(client.metrics())
@@ -378,54 +537,16 @@ class TestMetricsEndpoint:
             assert family in types, f"missing metric family {family}"
         assert types["repro_checker_latency_seconds"] == "histogram"
 
-    def test_thread_metrics_cover_required_families(self):
-        server = VerificationServer(
-            port=0, configuration=Configuration(seed=SEED, max_workers=2)
-        )
-        server.start_background()
-        try:
-            client = VerificationClient(server.url, timeout=10.0)
-            client.verify(ghz_ladder(3), ghz_ladder(3), timeout=30.0)
-            client.verify(ghz_ladder(3), ghz_ladder(3), timeout=30.0)
-            types = self._assert_parseable_prometheus(client.metrics())
-            for family in self.REQUIRED_FAMILIES:
-                assert family in types, f"missing metric family {family}"
-        finally:
-            server.close()
-
-
-class TestBackendAgreement:
-    #: Payload fields that must be identical across backends; timings and
-    #: job ids are inherently volatile and excluded.
-    STABLE_FIELDS = ("first", "second", "criterion", "equivalent", "decided_by")
-
-    def test_thread_and_async_backends_return_identical_verdict_payloads(self):
-        pairs = [
-            (ghz_ladder(3), ghz_ladder(3)),
-            (ghz_ladder(3), ghz_with_bug(3)),
-        ]
-        payloads: dict[str, list[dict]] = {}
-        configuration = Configuration(seed=SEED, max_workers=2)
-        thread_server = VerificationServer(port=0, configuration=configuration)
-        thread_server.start_background()
-        try:
-            thread_client = VerificationClient(thread_server.url, timeout=10.0)
-            payloads["thread"] = [
-                thread_client.verify(first, second, timeout=30.0)
-                for first, second in pairs
-            ]
-        finally:
-            thread_server.close()
-        async_server = AsyncVerificationServer(port=0, configuration=configuration)
-        async_server.start_background()
-        try:
-            async_client = VerificationClient(async_server.url, timeout=10.0)
-            payloads["async"] = [
-                async_client.verify(first, second, timeout=30.0)
-                for first, second in pairs
-            ]
-        finally:
-            async_server.close()
-        for thread_payload, async_payload in zip(payloads["thread"], payloads["async"]):
-            for field in self.STABLE_FIELDS:
-                assert thread_payload.get(field) == async_payload.get(field), field
+    def test_http_requests_are_counted_by_backend_method_and_status(self, client):
+        client.health()
+        with pytest.raises(ServiceError):
+            client._request("GET", "/nope")
+        text = client.metrics()
+        types = self._assert_parseable_prometheus(text)
+        assert types["repro_http_requests_total"] == "counter"
+        for status in ("200", "404"):
+            series = (
+                f'repro_http_requests_total{{backend="async", method="GET", '
+                f'status="{status}"}} 1'
+            )
+            assert series in text.splitlines()

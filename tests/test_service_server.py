@@ -7,7 +7,7 @@ import pytest
 
 from repro.algorithms import ghz_ladder, ghz_with_bug, qft_dynamic, qft_static_benchmark
 from repro.cli import build_parser, main
-from repro.core import Configuration
+from repro.core import Configuration, EquivalenceCheckingManager
 from repro.exceptions import ServiceError
 from repro.resilience import FaultPlan, FaultRule
 from repro.service import VerificationClient, VerificationServer, VerificationService
@@ -77,18 +77,31 @@ class TestServerRoundTrip:
             client.status("job-999999")
         assert excinfo.value.status == 404
 
-    def test_unknown_endpoint_is_404(self, client):
-        with pytest.raises(ServiceError) as excinfo:
-            client._request("GET", "/nope")
-        assert excinfo.value.status == 404
-
     def test_malformed_submission_is_400(self, client):
         with pytest.raises(ServiceError) as excinfo:
             client.verify("OPENQASM 2.0; nonsense", ghz_ladder(2).to_qasm())
         assert excinfo.value.status == 400
-        with pytest.raises(ServiceError) as excinfo:
-            client._request("POST", "/jobs", {"first": 1, "second": 2})
-        assert excinfo.value.status == 400
+        for body in ({"first": 1, "second": 2}, {"first": 3, "second": None}):
+            with pytest.raises(ServiceError) as excinfo:
+                client._request("POST", "/jobs", body)
+            assert excinfo.value.status == 400
+
+
+    @pytest.mark.parametrize(
+        "pair",
+        [
+            lambda: (ghz_ladder(3), ghz_ladder(3)),
+            lambda: (ghz_ladder(3), ghz_with_bug(3)),
+            lambda: (qft_static_benchmark(4), qft_dynamic(4)),
+        ],
+        ids=["ghz-equivalent", "ghz-bug", "qft-dynamic"],
+    )
+    def test_http_verdict_matches_an_in_process_manager(self, client, pair):
+        first, second = pair()
+        expected = EquivalenceCheckingManager(seed=SEED).run(first, second)
+        payload = client.verify(first, second, timeout=60.0)
+        assert payload["criterion"] == expected.criterion.value
+        assert payload["equivalent"] == expected.equivalent
 
 
 class TestRequestDeduplication:
@@ -206,9 +219,7 @@ class TestServiceInProcess:
         import http.client
 
         for value, expected in (("abc", 400), ("-5", 400), (str(10**9), 413)):
-            connection = http.client.HTTPConnection(
-                server.server_address[0], server.port, timeout=5
-            )
+            connection = http.client.HTTPConnection("127.0.0.1", server.port, timeout=5)
             try:
                 connection.putrequest("POST", "/jobs", skip_accept_encoding=True)
                 connection.putheader("Content-Length", value)
@@ -219,37 +230,32 @@ class TestServiceInProcess:
             finally:
                 connection.close()
 
-    def test_stalled_body_does_not_pin_a_handler_thread(self, monkeypatch):
-        # A client that claims a large Content-Length and then stalls must be
-        # disconnected by the handler's socket timeout, not serviced forever.
+    def test_stalled_body_is_answered_408(self, monkeypatch):
+        # A client that claims a large Content-Length and then stalls gets a
+        # 408 once the body read times out, and its connection is closed.
         import socket
 
-        from repro.service.server import _ServiceRequestHandler
+        from repro.service import aserver
 
-        monkeypatch.setattr(_ServiceRequestHandler, "timeout", 0.5)
+        monkeypatch.setattr(aserver, "_BODY_READ_TIMEOUT", 0.5)
         stalled_server = VerificationServer(
             port=0, configuration=Configuration(seed=SEED, max_workers=1)
         )
         stalled_server.start_background()
         try:
             with socket.create_connection(
-                (stalled_server.server_address[0], stalled_server.port), timeout=5
+                ("127.0.0.1", stalled_server.port), timeout=5
             ) as raw:
                 raw.sendall(
                     b"POST /jobs HTTP/1.1\r\nHost: x\r\n"
                     b"Content-Length: 1000\r\n\r\npartial"
                 )
                 raw.settimeout(5)
-                # Once its read times out the server answers 408 (if the
-                # socket still accepts it) and closes the connection.
                 received = b""
-                while True:
-                    chunk = raw.recv(4096)
-                    if not chunk:
-                        break
+                while chunk := raw.recv(4096):
                     received += chunk
-                assert received == b"" or b" 408 " in received.split(b"\r\n", 1)[0]
-            # The worker thread is free again: a well-formed request succeeds.
+                assert received.split(b"\r\n", 1)[0] == b"HTTP/1.1 408 Request Timeout"
+            # The server keeps serving: a well-formed request succeeds.
             client = VerificationClient(stalled_server.url, timeout=10.0)
             assert client.health()["ok"] is True
         finally:
@@ -357,7 +363,7 @@ class TestServiceInProcess:
         finally:
             service.shutdown()
 
-    def test_thread_backend_queue_limit_backpressure(self):
+    def test_service_queue_limit_backpressure(self):
         service = VerificationService(
             Configuration(seed=SEED, max_workers=1), queue_limit=1
         )
@@ -434,6 +440,13 @@ class TestServeCli:
         assert args.scheduler == "adaptive"
         assert args.cache_path is None
         assert args.gate_cache_ttl is None
+
+    @pytest.mark.parametrize("value", ["thread", "async"])
+    def test_serve_has_no_backend_option(self, value, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            build_parser().parse_args(["serve", "--backend", value])
+        assert excinfo.value.code == 2
+        assert "--backend" in capsys.readouterr().err
 
     def test_version_flag(self, capsys):
         import repro
