@@ -122,16 +122,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="seed of the simulative stimuli (fixed seeds make verdicts cacheable)",
     )
     verify.add_argument(
-        "--dense-cutoff",
-        type=int,
-        default=0,
-        metavar="K",
-        help=(
-            "evaluate DD subtrees below level K as dense numpy blocks "
-            "(hybrid kernels; 0 disables)"
-        ),
-    )
-    verify.add_argument(
         "--portfolio",
         default=None,
         metavar="CHECKERS",
@@ -224,13 +214,6 @@ def build_parser() -> argparse.ArgumentParser:
             "PROBABLY_EQUIVALENT verdicts are never persisted to --cache-path "
             "(fresh stimuli could still falsify them)"
         ),
-    )
-    batch.add_argument(
-        "--dense-cutoff",
-        type=int,
-        default=0,
-        metavar="K",
-        help="hybrid dense-subtree cutoff of the DD kernels (0 disables)",
     )
     batch.add_argument(
         "--scheduler",
@@ -347,14 +330,7 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=256,
         metavar="N",
-        help="bound the per-package gate-DD caches (long-lived workers)",
-    )
-    serve.add_argument(
-        "--gate-cache-ttl",
-        type=float,
-        default=None,
-        metavar="SECONDS",
-        help="expire memoized gate DDs older than this (lazy, on lookup)",
+        help="LRU bound of the gate-DD cache of each check",
     )
     serve.add_argument(
         "--queue-limit",
@@ -521,7 +497,6 @@ def _command_verify(args: argparse.Namespace) -> int:
         backend=args.backend,
         tolerance=args.tolerance,
         seed=args.seed,
-        dense_cutoff=args.dense_cutoff,
         portfolio=_parse_portfolio(args.portfolio),
         scheduler=args.scheduler,
         timeout=args.timeout,
@@ -631,7 +606,6 @@ def _command_batch(args: argparse.Namespace) -> int:
         backend=args.backend,
         tolerance=args.tolerance,
         seed=args.seed,
-        dense_cutoff=args.dense_cutoff,
         portfolio=_parse_portfolio(args.portfolio),
         scheduler=args.scheduler,
         timeout=args.timeout,
@@ -746,7 +720,6 @@ def _command_serve(args: argparse.Namespace) -> int:
         cache_path=args.cache_path if use_cache else None,
         cache_size=args.cache_size,
         gate_cache_size=args.gate_cache_size,
-        gate_cache_ttl=args.gate_cache_ttl,
         telemetry_path=args.telemetry,
     )
     server = VerificationServer(

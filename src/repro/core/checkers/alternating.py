@@ -75,8 +75,6 @@ class AlternatingChecker(Checker):
             num_qubits,
             gate_cache=config.gate_cache,
             gate_cache_size=config.gate_cache_size,
-            gate_cache_ttl=config.gate_cache_ttl,
-            dense_cutoff=config.dense_cutoff,
         )
         left, right = gate_lists(first, second)
         product = package.identity()

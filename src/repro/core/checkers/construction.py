@@ -51,8 +51,6 @@ class ConstructionChecker(Checker):
                 first.num_qubits,
                 gate_cache=config.gate_cache,
                 gate_cache_size=config.gate_cache_size,
-                gate_cache_ttl=config.gate_cache_ttl,
-                dense_cutoff=config.dense_cutoff,
             )
             from repro.dd.circuits import circuit_to_unitary_dd
 

@@ -57,8 +57,6 @@ class SimulationChecker(Checker):
             seed=config.seed,
             gate_cache=config.gate_cache,
             gate_cache_size=config.gate_cache_size,
-            gate_cache_ttl=config.gate_cache_ttl,
-            dense_cutoff=config.dense_cutoff,
         )
         criterion = (
             EquivalenceCriterion.PROBABLY_EQUIVALENT

@@ -84,8 +84,6 @@ def simulative_check_steps(
     seed: int | None = None,
     gate_cache: bool = True,
     gate_cache_size: int | None = None,
-    gate_cache_ttl: float | None = None,
-    dense_cutoff: int = 0,
 ) -> Generator[int, None, tuple[bool, dict]]:
     """:func:`run_simulative_check` as a generator of one step per stimulus.
 
@@ -120,8 +118,6 @@ def simulative_check_steps(
             num_qubits,
             gate_cache=gate_cache,
             gate_cache_size=gate_cache_size,
-            gate_cache_ttl=gate_cache_ttl,
-            dense_cutoff=dense_cutoff,
         )
         build = dd_circuits.instruction_to_dd
         gates_one = [build(package, inst) for inst in instructions_one]

@@ -357,9 +357,6 @@ _DD_COUNTER_KEYS = (
     "gate_cache_hits",
     "gate_cache_misses",
     "gate_cache_evictions",
-    "gate_cache_expirations",
-    "chain_cache_evictions",
-    "chain_cache_expirations",
 )
 
 

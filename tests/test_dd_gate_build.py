@@ -260,17 +260,14 @@ class TestIdentityShortCut:
         seed=st.integers(min_value=0, max_value=10_000),
         num_qubits=st.integers(min_value=1, max_value=4),
         depth=st.integers(min_value=0, max_value=6),
-        cutoff=st.integers(min_value=1, max_value=5),
     )
-    def test_results_unchanged_with_dense_cutoff(self, seed, num_qubits, depth, cutoff):
+    def test_identity_times_unitary_returns_the_unitary_node(self, seed, num_qubits, depth):
         circuit = random_static_circuit(num_qubits, depth, seed=seed)
-        plain = DDPackage(num_qubits)
-        hybrid = DDPackage(num_qubits, dense_cutoff=cutoff)
-        reference = plain.matrix_to_numpy(circuit_to_unitary_dd(plain, circuit))
-        unitary = circuit_to_unitary_dd(hybrid, circuit)
-        assert np.allclose(hybrid.matrix_to_numpy(unitary), reference, atol=1e-10)
-        product = hybrid.multiply_matrices(hybrid.identity(), unitary)
+        package = DDPackage(num_qubits)
+        unitary = circuit_to_unitary_dd(package, circuit)
+        product = package.multiply_matrices(package.identity(), unitary)
         assert product.node is unitary.node
+        assert product.weight == unitary.weight
 
 
 def _phase(angle: float) -> np.ndarray:

@@ -1,5 +1,9 @@
-"""Tests of the DD kernel overhaul: flyweight edges, hybrid dense-subtree
-cutoff, memoized trace/probability queries, and statistics stability."""
+"""Tests of the DD kernel overhaul: flyweight edges, memoized
+trace/probability queries, and statistics stability."""
+
+import dataclasses
+import inspect
+from functools import reduce
 
 import numpy as np
 import pytest
@@ -7,17 +11,26 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.circuit.random_circuits import random_static_circuit
-from repro.cli import build_parser
 from repro.core import Configuration, check_equivalence
 from repro.dd.circuits import circuit_to_unitary_dd
 from repro.dd.nodes import M_ONE, M_ZERO, V_ONE, V_ZERO, VEdge
 from repro.dd.package import DDPackage
-from repro.exceptions import DDError, EquivalenceCheckingError
+from repro.exceptions import DDError
 from repro.simulators.dd_simulator import DDSimulator
 
 H2 = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2)
 
 MAX_EXAMPLES = 10
+
+
+def _u3(theta: float, phi: float, lam: float) -> np.ndarray:
+    return np.array(
+        [
+            [np.cos(theta / 2), -np.exp(1j * lam) * np.sin(theta / 2)],
+            [np.exp(1j * phi) * np.sin(theta / 2), np.exp(1j * (phi + lam)) * np.cos(theta / 2)],
+        ],
+        dtype=complex,
+    )
 
 
 class TestFlyweightEdges:
@@ -75,8 +88,7 @@ class TestFlyweightEdges:
         assert isinstance(first.node.hash, int)
 
     def test_gate_cache_statistics_unchanged_by_refactor(self):
-        # Mirrors the PR 1 counting contract: 24 gate applications, 3 distinct
-        # (gate, qubits) keys — also with the hybrid kernels enabled.
+        # 24 gate applications, 3 distinct (gate, qubits) keys.
         from repro.circuit import QuantumCircuit
 
         circuit = QuantumCircuit(3, name="repeated")
@@ -84,13 +96,12 @@ class TestFlyweightEdges:
             circuit.h(0)
             circuit.cx(0, 1)
             circuit.t(2)
-        for cutoff in (0, 2):
-            package = DDPackage(3, dense_cutoff=cutoff)
-            circuit_to_unitary_dd(package, circuit)
-            statistics = package.statistics()
-            assert statistics["gate_cache_misses"] == 3
-            assert statistics["gate_cache_hits"] == 21
-            assert statistics["gate_cache_size"] == 3
+        package = DDPackage(3)
+        circuit_to_unitary_dd(package, circuit)
+        statistics = package.statistics()
+        assert statistics["gate_cache_misses"] == 3
+        assert statistics["gate_cache_hits"] == 21
+        assert statistics["gate_cache_size"] == 3
 
     def test_lru_eviction_counters_unchanged_by_refactor(self):
         from repro.circuit import QuantumCircuit
@@ -149,84 +160,87 @@ class TestMemoizedQueries:
         assert package.probability_of_one(state, num_qubits - 1) == pytest.approx(0.5)
 
 
-class TestDenseCutoff:
-    def test_package_rejects_negative_cutoff(self):
-        with pytest.raises(DDError):
-            DDPackage(2, dense_cutoff=-1)
+class TestOneKernelPath:
+    """The package has one recursive kernel path and one (LRU) gate cache."""
 
-    def test_configuration_rejects_negative_cutoff(self):
-        with pytest.raises(EquivalenceCheckingError):
-            Configuration(dense_cutoff=-1)
+    def test_package_constructor_parameters(self):
+        parameters = list(inspect.signature(DDPackage.__init__).parameters)
+        assert parameters == ["self", "num_qubits", "tolerance", "gate_cache", "gate_cache_size"]
 
-    def test_cli_exposes_dense_cutoff(self):
-        args = build_parser().parse_args(["verify", "a.qasm", "b.qasm", "--dense-cutoff", "4"])
-        assert args.dense_cutoff == 4
-
-    def test_dense_caches_populate_and_clear(self):
-        package = DDPackage(3, dense_cutoff=3)
-        first = package.operator_chain({0: H2})
-        second = package.operator_chain({1: H2})
-        package.multiply_matrices(first, second)
-        statistics = package.statistics()
-        assert statistics["dense_cutoff"] == 3
-        assert statistics["dense_matrix_cache"] > 0
-        package.clear_caches()
-        assert package.statistics()["dense_matrix_cache"] == 0
+    def test_configuration_field_count(self):
+        assert len(dataclasses.fields(Configuration)) == 26
 
     @settings(max_examples=MAX_EXAMPLES, deadline=None)
     @given(
         seed=st.integers(min_value=0, max_value=10_000),
         num_qubits=st.integers(min_value=1, max_value=4),
         depth=st.integers(min_value=0, max_value=6),
-        cutoff=st.integers(min_value=1, max_value=5),
     )
-    def test_unitaries_numerically_equal_with_and_without_cutoff(
-        self, seed, num_qubits, depth, cutoff
-    ):
+    def test_simulated_state_is_the_first_unitary_column(self, seed, num_qubits, depth):
         circuit = random_static_circuit(num_qubits, depth, seed=seed)
-        plain = DDPackage(num_qubits)
-        hybrid = DDPackage(num_qubits, dense_cutoff=cutoff)
-        reference = plain.matrix_to_numpy(circuit_to_unitary_dd(plain, circuit))
-        dense = hybrid.matrix_to_numpy(circuit_to_unitary_dd(hybrid, circuit))
-        assert np.allclose(dense, reference, atol=1e-10)
+        package = DDPackage(num_qubits)
+        unitary = package.matrix_to_numpy(circuit_to_unitary_dd(package, circuit))
+        state = DDSimulator().run(circuit, package=DDPackage(num_qubits))
+        assert np.allclose(state.to_statevector(), unitary[:, 0], atol=1e-10)
 
     @settings(max_examples=MAX_EXAMPLES, deadline=None)
     @given(
         seed=st.integers(min_value=0, max_value=10_000),
         num_qubits=st.integers(min_value=1, max_value=4),
-        depth=st.integers(min_value=0, max_value=6),
-        cutoff=st.integers(min_value=1, max_value=5),
-    )
-    def test_states_numerically_equal_with_and_without_cutoff(
-        self, seed, num_qubits, depth, cutoff
-    ):
-        circuit = random_static_circuit(num_qubits, depth, seed=seed)
-        plain = DDSimulator().run(circuit, package=DDPackage(num_qubits))
-        hybrid = DDSimulator().run(
-            circuit, package=DDPackage(num_qubits, dense_cutoff=cutoff)
-        )
-        assert np.allclose(
-            plain.to_statevector(), hybrid.to_statevector(), atol=1e-10
-        )
-
-    @settings(max_examples=MAX_EXAMPLES, deadline=None)
-    @given(
-        seed=st.integers(min_value=0, max_value=10_000),
-        num_qubits=st.integers(min_value=1, max_value=4),
-        cutoff=st.integers(min_value=1, max_value=5),
+        bound=st.integers(min_value=1, max_value=3),
         equivalent=st.booleans(),
     )
-    def test_verdicts_identical_with_and_without_cutoff(
-        self, seed, num_qubits, cutoff, equivalent
+    def test_verdicts_identical_under_a_tight_gate_cache(
+        self, seed, num_qubits, bound, equivalent
     ):
         first = random_static_circuit(num_qubits, 4, seed=seed)
         if equivalent:
             second = random_static_circuit(num_qubits, 4, seed=seed)
         else:
             second = random_static_circuit(num_qubits, 5, seed=seed + 1)
-        plain = check_equivalence(first, second, dense_cutoff=0)
-        hybrid = check_equivalence(first, second, dense_cutoff=cutoff)
-        assert plain.criterion is hybrid.criterion
+        unbounded = check_equivalence(first, second)
+        bounded = check_equivalence(first, second, gate_cache_size=bound)
+        assert bounded.criterion is unbounded.criterion
+
+    def test_statistics_cover_the_published_counters_only(self):
+        from repro.service.metrics import _DD_COUNTER_KEYS
+
+        statistics = DDPackage(2).statistics()
+        assert set(_DD_COUNTER_KEYS) <= set(statistics)
+        assert not [key for key in statistics if "chain" in key or "dense" in key]
+        assert not [key for key in statistics if "expiration" in key]
+
+    @pytest.mark.parametrize("num_qubits", [1, 2, 3, 4])
+    def test_identity_is_the_interned_top_level(self, num_qubits):
+        package = DDPackage(num_qubits)
+        identity = package.identity()
+        assert np.allclose(package.matrix_to_numpy(identity), np.eye(1 << num_qubits))
+        assert package.count_nodes(identity) == num_qubits
+        assert package.operator_chain({}).node is identity.node
+
+    def test_identity_survives_clear_caches(self):
+        package = DDPackage(3)
+        identity = package.identity()
+        unitary = circuit_to_unitary_dd(package, random_static_circuit(3, 4, seed=5))
+        package.clear_caches()
+        assert package.identity() is identity
+        assert package.multiply_matrices(identity, unitary).node is unitary.node
+
+    @settings(max_examples=MAX_EXAMPLES, deadline=None)
+    @given(
+        num_qubits=st.integers(min_value=1, max_value=4),
+        data=st.data(),
+    )
+    def test_operator_chain_matches_kronecker_product(self, num_qubits, data):
+        qubits = data.draw(st.sets(st.integers(min_value=0, max_value=num_qubits - 1)))
+        angle = st.floats(min_value=-np.pi, max_value=np.pi)
+        operators = {
+            qubit: _u3(data.draw(angle), data.draw(angle), data.draw(angle)) for qubit in qubits
+        }
+        package = DDPackage(num_qubits)
+        chain = package.operator_chain(operators)
+        factors = [operators.get(q, np.eye(2)) for q in reversed(range(num_qubits))]
+        assert np.allclose(package.matrix_to_numpy(chain), reduce(np.kron, factors), atol=1e-10)
 
 
 class TestSchemeOneShapes:

@@ -114,6 +114,12 @@ class TestOperators:
         with pytest.raises(DDError):
             package.operator_chain({0: np.eye(4)})
 
+    @pytest.mark.parametrize("qubit", [5, -1])
+    def test_operator_chain_rejects_out_of_range_qubits(self, qubit):
+        package = DDPackage(2)
+        with pytest.raises(DDError, match="out of range"):
+            package.operator_chain({qubit: X2})
+
 
 class TestArithmetic:
     def test_matrix_vector_multiplication(self):

@@ -232,8 +232,6 @@ class TestPairAndConfigurationFingerprints:
             {"batch_chunk_size": 4},
             {"gate_cache": False},
             {"gate_cache_size": 32},
-            {"gate_cache_ttl": 60.0},
-            {"dense_cutoff": 4},
             {"verdict_cache": True},
             {"cache_size": 2},
         ):

@@ -439,7 +439,7 @@ class TestServeCli:
         assert args.port == 8111
         assert args.scheduler == "adaptive"
         assert args.cache_path is None
-        assert args.gate_cache_ttl is None
+        assert args.gate_cache_size == 256
 
     @pytest.mark.parametrize("value", ["thread", "async"])
     def test_serve_has_no_backend_option(self, value, capsys):
@@ -447,6 +447,21 @@ class TestServeCli:
             build_parser().parse_args(["serve", "--backend", value])
         assert excinfo.value.code == 2
         assert "--backend" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["verify", "a.qasm", "b.qasm", "--dense-cutoff", "4"],
+            ["batch", "manifest.txt", "--dense-cutoff", "4"],
+            ["serve", "--gate-cache-ttl", "60"],
+        ],
+        ids=["verify-dense-cutoff", "batch-dense-cutoff", "serve-gate-cache-ttl"],
+    )
+    def test_removed_dd_flags_are_rejected(self, argv, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            build_parser().parse_args(argv)
+        assert excinfo.value.code == 2
+        assert argv[-2] in capsys.readouterr().err
 
     def test_version_flag(self, capsys):
         import repro

@@ -12,7 +12,6 @@ from repro.algorithms import (
 )
 from repro.circuit import QuantumCircuit
 from repro.core import Configuration, EquivalenceCheckingManager, EquivalenceCriterion
-from repro.dd.package import DDPackage
 from repro.exceptions import EquivalenceCheckingError
 from repro.service.cache import CachedVerdict, VerdictCache
 from repro.service.fingerprint import pair_fingerprint
@@ -372,60 +371,3 @@ class TestInBatchDeduplication:
         stats = warm.verdict_cache.statistics()
         assert stats["hits"] == 2
         assert stats["stores"] == 0
-
-
-class TestGateCacheTtl:
-    def _package_with_clock(self, ttl):
-        package = DDPackage(2, gate_cache_ttl=ttl)
-        now = {"t": 0.0}
-        package._clock = lambda: now["t"]
-        return package, now
-
-    def test_entries_expire_lazily_on_lookup(self):
-        package, now = self._package_with_clock(ttl=10.0)
-        edge = package.identity()
-        package.gate_cache_store("key", edge)
-        assert package.gate_cache_lookup("key") is edge
-        now["t"] = 11.0
-        assert package.gate_cache_lookup("key") is None
-        stats = package.statistics()
-        assert stats["gate_cache_expirations"] == 1
-        assert stats["gate_cache_misses"] == 1
-        # A re-store after expiry serves again.
-        package.gate_cache_store("key", edge)
-        assert package.gate_cache_lookup("key") is edge
-
-    def test_entries_survive_within_ttl(self):
-        package, now = self._package_with_clock(ttl=10.0)
-        edge = package.identity()
-        package.gate_cache_store("key", edge)
-        now["t"] = 9.5
-        assert package.gate_cache_lookup("key") is edge
-        assert package.statistics()["gate_cache_expirations"] == 0
-
-    def test_chain_cache_expires_too(self):
-        import numpy as np
-
-        package, now = self._package_with_clock(ttl=5.0)
-        x = np.array([[0, 1], [1, 0]], dtype=complex)
-        package.operator_chain({0: x})
-        before = package.statistics()["chain_cache_expirations"]
-        now["t"] = 6.0
-        package.operator_chain({0: x})  # expired: rebuilt, counted
-        assert package.statistics()["chain_cache_expirations"] == before + 1
-
-    def test_ttl_validation(self):
-        from repro.exceptions import DDError
-
-        with pytest.raises(DDError):
-            DDPackage(1, gate_cache_ttl=0.0)
-        with pytest.raises(EquivalenceCheckingError):
-            Configuration(gate_cache_ttl=-1.0)
-
-    def test_ttl_config_reaches_checkers_without_changing_verdicts(self):
-        first, second = ghz_ladder(3), ghz_ladder(3)
-        plain = EquivalenceCheckingManager(seed=SEED).run(first, second)
-        with_ttl = EquivalenceCheckingManager(seed=SEED, gate_cache_ttl=3600.0).run(
-            first, second
-        )
-        assert with_ttl.criterion is plain.criterion
