@@ -10,6 +10,10 @@ every PR can run to record the kernel-performance trajectory:
   gate DD into the running product (``multiply_matrices`` + ``_add``).
 * ``qft_verification``  — end-to-end ``check_equivalence`` of the static vs.
   dynamic QFT pair (the Table-1 t_ver column).
+* ``alternating``       — full mode only: the alternating checker alone on
+  the static circuit vs. the Scheme-1 reconstruction of the dynamic one, at
+  the sizes where gate application and peak-node counting dominate (QPE
+  n=16, QFT n=40).  Timed in process CPU time; ``min_ms`` is the best run.
 
 Results are emitted as ``BENCH_table1.json`` (schema shared via
 ``bench_common.validate_bench_payload``; the script exits non-zero if its own
@@ -32,8 +36,10 @@ import time
 
 from bench_common import BENCH_SCHEMA_VERSION, SCALE, write_bench_json
 
-from repro.algorithms import qft_dynamic, qft_static_benchmark
-from repro.core import check_equivalence
+from repro.algorithms import iterative_qpe, qft_dynamic, qft_static_benchmark, qpe_static
+from repro.core import Configuration, check_equivalence
+from repro.core.checkers.alternating import AlternatingChecker
+from repro.core.transformation import to_unitary_circuit
 from repro.dd.circuits import instruction_to_dd
 from repro.dd.package import DDPackage
 
@@ -46,15 +52,17 @@ PR2_BASELINE_N14_MS = 153.3
 
 FULL_SIZES = [8, 10, 14]
 QUICK_SIZES = [6, 8]
+#: (family, n) of the full-mode ``alternating`` rows.
+ALTERNATING_PAIRS = [("qpe", 16), ("qft", 40)]
 
 
-def _time(callable_, repeats: int) -> tuple[float, float]:
+def _time(callable_, repeats: int, clock=time.perf_counter) -> tuple[float, float]:
     """Return (mean_ms, min_ms) over ``repeats`` runs of ``callable_``."""
     timings = []
     for _ in range(repeats):
-        start = time.perf_counter()
+        start = clock()
         callable_()
-        timings.append((time.perf_counter() - start) * 1000.0)
+        timings.append((clock() - start) * 1000.0)
     return sum(timings) / len(timings), min(timings)
 
 
@@ -127,6 +135,34 @@ def bench_qft_verification(size: int, repeats: int) -> dict:
     }
 
 
+def bench_alternating(family: str, size: int, repeats: int) -> dict:
+    if family == "qft":
+        static, dynamic = qft_static_benchmark(size), qft_dynamic(size)
+    else:
+        static, dynamic = qpe_static(size), iterative_qpe(size)
+    unitary = to_unitary_circuit(dynamic).circuit
+    configuration = Configuration()
+    outcomes = []
+
+    def check() -> None:
+        outcomes.append(AlternatingChecker().check(static, unitary, configuration))
+
+    mean_ms, min_ms = _time(check, repeats, clock=time.process_time)
+    criteria = {outcome.criterion.value for outcome in outcomes}
+    if len(criteria) != 1:
+        raise RuntimeError(f"verdict instability across repeats: {sorted(criteria)}")
+    return {
+        "name": "alternating",
+        "family": family,
+        "n": size,
+        "repeats": repeats,
+        "mean_ms": mean_ms,
+        "min_ms": min_ms,
+        "criterion": criteria.pop(),
+        "max_nodes": outcomes[0].details["max_nodes"],
+    }
+
+
 def run(args: argparse.Namespace) -> dict:
     sizes = args.sizes or (QUICK_SIZES if args.quick else FULL_SIZES)
     repeats = args.repeats or (2 if args.quick else 5)
@@ -135,6 +171,9 @@ def run(args: argparse.Namespace) -> dict:
         results.append(bench_gate_build(size, repeats))
         results.append(bench_apply_product(size, repeats))
         results.append(bench_qft_verification(size, repeats))
+    if not args.quick:
+        for family, size in ALTERNATING_PAIRS:
+            results.append(bench_alternating(family, size, min(repeats, 3)))
 
     payload: dict = {
         "schema_version": BENCH_SCHEMA_VERSION,
@@ -183,8 +222,9 @@ def main(argv: list[str] | None = None) -> int:
 
     for entry in payload["results"]:
         extra = f" criterion={entry['criterion']}" if "criterion" in entry else ""
+        name = f"{entry['name']} {entry['family']}" if "family" in entry else entry["name"]
         print(
-            f"{entry['name']:>18} n={entry['n']:<3} mean={entry['mean_ms']:8.2f}ms "
+            f"{name:>18} n={entry['n']:<3} mean={entry['mean_ms']:8.2f}ms "
             f"min={entry['min_ms']:8.2f}ms{extra}"
         )
     if "speedup_vs_baseline" in payload:

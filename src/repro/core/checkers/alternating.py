@@ -77,8 +77,19 @@ class AlternatingChecker(Checker):
             gate_cache_size=config.gate_cache_size,
         )
         left, right = gate_lists(first, second)
+        # Node counts memoized by root node: nodes are immutable, so a
+        # root's count never changes, and a product often returns to a root
+        # it had before (the identity above all).
+        counts: dict = {}
+
+        def count_nodes(edge) -> int:
+            count = counts.get(edge.node)
+            if count is None:
+                count = counts[edge.node] = package.count_nodes(edge)
+            return count
+
         product = package.identity()
-        max_nodes = package.count_nodes(product)
+        max_nodes = count_nodes(product)
         left_index = 0
         right_index = 0
         remaining = len(left) + len(right)
@@ -110,21 +121,21 @@ class AlternatingChecker(Checker):
                     left_index = saved_left
                     candidate_right = apply_right(product)
                     right_after = right_index
-                    if package.count_nodes(candidate_left) <= package.count_nodes(candidate_right):
+                    if count_nodes(candidate_left) <= count_nodes(candidate_right):
                         product = candidate_left
                         left_index, right_index = left_after, saved_right
                     else:
                         product = candidate_right
                         left_index, right_index = saved_left, right_after
                     cost = 2
-                max_nodes = max(max_nodes, package.count_nodes(product))
+                max_nodes = max(max_nodes, count_nodes(product))
                 remaining -= 1
                 if remaining:
                     yield cost
         else:
             for token in alternating_schedule(len(left), len(right), config.strategy):
                 product = apply_left(product) if token == LEFT else apply_right(product)
-                max_nodes = max(max_nodes, package.count_nodes(product))
+                max_nodes = max(max_nodes, count_nodes(product))
                 remaining -= 1
                 if remaining:
                     yield 1
@@ -132,7 +143,7 @@ class AlternatingChecker(Checker):
         scalar = package.identity_scalar(product, config.tolerance)
         details = {
             "max_nodes": max_nodes,
-            "final_nodes": package.count_nodes(product),
+            "final_nodes": count_nodes(product),
             "num_gates_first": len(left),
             "num_gates_second": len(right),
             "dd_statistics": package.statistics(),

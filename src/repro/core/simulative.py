@@ -27,7 +27,7 @@ from collections.abc import Callable, Generator
 from repro.circuit.circuit import QuantumCircuit
 from repro.circuit.gates import RYGate, RZGate
 from repro.dd import circuits as dd_circuits
-from repro.dd.nodes import V_ONE, VEdge
+from repro.dd.nodes import VEdge
 from repro.dd.package import DDPackage
 from repro.exceptions import EquivalenceCheckingError
 from repro.simulators.statevector import StatevectorSimulator
@@ -57,15 +57,23 @@ def _random_product_circuit(num_qubits: int, rng: random.Random) -> QuantumCircu
 
 
 def _product_state_dd(package: DDPackage, angles: list[tuple[float, float]]) -> VEdge:
-    """The product state ``RZ(phi) RY(theta) |0>`` on every qubit, one node per qubit."""
-    edge = V_ONE
+    """The product state ``RZ(phi) RY(theta) |0>`` on every qubit, one node per qubit.
+
+    Each level is built over the unit-weight edge to the level below, and
+    the pivots the normalizer divides out are multiplied into one scale that
+    is applied once, at the root.  Pushing the running root weight into the
+    children instead would let it sink below ``tolerance`` (it is a product
+    of per-qubit pivots, each as small as ``1/sqrt(2)``), and at a few
+    hundred qubits the normalizer would then return the zero vector.
+    """
+    node = None
+    scale = 1.0
     for qubit, (theta, phi) in enumerate(angles):
         low, high = map(complex, RZGate(phi).matrix @ RYGate(theta).matrix[:, 0])
-        weight = edge.weight
-        edge = package.make_vector_node(
-            qubit, (VEdge(edge.node, weight * low), VEdge(edge.node, weight * high))
-        )
-    return edge
+        edge = package.make_vector_node(qubit, (VEdge(node, low), VEdge(node, high)))
+        node = edge.node
+        scale *= edge.weight
+    return VEdge(node, scale)
 
 
 def _gate_instructions(circuit: QuantumCircuit) -> list:

@@ -59,6 +59,18 @@ follow a small set of strict conventions:
   the root weights, right after the zero and level checks — before the
   compute-table probe.  Gate DDs are the identity on most levels, so this
   cuts most of the recursion of a gate application.
+* Zero-block short-cuts: the normalizers store every zero successor as the
+  ``M_ZERO`` singleton, so ``edges[1] is M_ZERO and edges[2] is M_ZERO``
+  tells a block-diagonal node exactly.  On a compute-table miss,
+  ``multiply_matrices`` forms the four products with no additions when
+  either operand is block-diagonal, two when both are, and one when both
+  are wrap levels ``[e, 0, 0, e]`` (same node and weight on the diagonal),
+  re-wrapped through ``_wrap_matrix_node``; ``multiply_matrix_vector``
+  forms two products and no addition for a block-diagonal matrix.  Only the
+  general case expands into eight products and four additions.  The
+  skipped products and sums are exactly those with a zero operand, which
+  the full expansion returns without touching a compute table, so results,
+  node shapes and table contents are those of the full expansion.
 """
 
 from __future__ import annotations
@@ -631,16 +643,19 @@ class DDPackage:
         table = self._mult_mv._table
         cached = table.get(key)
         if cached is None:
-            medges = mnode.edges
-            vedges = vnode.edges
-            v0 = vedges[0]
-            v1 = vedges[1]
+            m0, m1, m2, m3 = mnode.edges
+            v0, v1 = vnode.edges
             multiply = self.multiply_matrix_vector
-            cached = self._make_vector_node(
-                index,
-                self._add_v_rec(multiply(medges[0], v0), multiply(medges[1], v1)),
-                self._add_v_rec(multiply(medges[2], v0), multiply(medges[3], v1)),
-            )
+            if m1 is M_ZERO and m2 is M_ZERO:
+                # Block-diagonal: each half of the result is one product.
+                cached = self._make_vector_node(index, multiply(m0, v0), multiply(m3, v1))
+            else:
+                add = self._add_v_rec
+                cached = self._make_vector_node(
+                    index,
+                    add(multiply(m0, v0), multiply(m1, v1)),
+                    add(multiply(m2, v0), multiply(m3, v1)),
+                )
             table[key] = cached
         return VEdge(cached.node, cached.weight * (mweight * vweight))
 
@@ -676,25 +691,38 @@ class DDPackage:
         table = self._mult_mm._table
         cached = table.get(key)
         if cached is None:
-            ledges = lnode.edges
-            redges = rnode.edges
-            l0 = ledges[0]
-            l1 = ledges[1]
-            l2 = ledges[2]
-            l3 = ledges[3]
-            r0 = redges[0]
-            r1 = redges[1]
-            r2 = redges[2]
-            r3 = redges[3]
+            l0, l1, l2, l3 = lnode.edges
+            r0, r1, r2, r3 = rnode.edges
             multiply = self.multiply_matrices
-            add = self._add_m_rec
-            cached = self._make_matrix_node(
-                index,
-                add(multiply(l0, r0), multiply(l1, r2)),
-                add(multiply(l0, r1), multiply(l1, r3)),
-                add(multiply(l2, r0), multiply(l3, r2)),
-                add(multiply(l2, r1), multiply(l3, r3)),
-            )
+            make = self._make_matrix_node
+            if l1 is M_ZERO and l2 is M_ZERO:
+                if r1 is not M_ZERO or r2 is not M_ZERO:
+                    cached = make(
+                        index, multiply(l0, r0), multiply(l0, r1), multiply(l3, r2), multiply(l3, r3)
+                    )
+                elif (
+                    l0.node is l3.node
+                    and r0.node is r3.node
+                    and l0.weight == l3.weight
+                    and r0.weight == r3.weight
+                ):
+                    # Two wrap levels: the product is the wrap of one product.
+                    cached = self._wrap_matrix_node(index, multiply(l0, r0))
+                else:
+                    cached = make(index, multiply(l0, r0), M_ZERO, M_ZERO, multiply(l3, r3))
+            elif r1 is M_ZERO and r2 is M_ZERO:
+                cached = make(
+                    index, multiply(l0, r0), multiply(l1, r3), multiply(l2, r0), multiply(l3, r3)
+                )
+            else:
+                add = self._add_m_rec
+                cached = make(
+                    index,
+                    add(multiply(l0, r0), multiply(l1, r2)),
+                    add(multiply(l0, r1), multiply(l1, r3)),
+                    add(multiply(l2, r0), multiply(l3, r2)),
+                    add(multiply(l2, r1), multiply(l3, r3)),
+                )
             table[key] = cached
         return MEdge(cached.node, cached.weight * (lweight * rweight))
 
@@ -720,9 +748,10 @@ class DDPackage:
         table = self._inner._table
         cached = table.get(key)
         if cached is None:
-            cached = sum(
-                self.inner_product(lnode.edges[branch], rnode.edges[branch])
-                for branch in range(2)
+            ledges = lnode.edges
+            redges = rnode.edges
+            cached = self.inner_product(ledges[0], redges[0]) + self.inner_product(
+                ledges[1], redges[1]
             )
             table[key] = cached
         return left.weight.conjugate() * right.weight * cached
@@ -741,7 +770,8 @@ class DDPackage:
         table = self._norm._table
         cached = table.get(key)
         if cached is None:
-            cached = sum(self.norm_squared(edge) for edge in node.edges)
+            edges = node.edges
+            cached = self.norm_squared(edges[0]) + self.norm_squared(edges[1])
             table[key] = cached
         return abs(vector.weight) ** 2 * cached
 
@@ -964,18 +994,26 @@ class DDPackage:
 
     @staticmethod
     def count_nodes(edge: "VEdge | MEdge") -> int:
-        """Number of distinct nodes reachable from ``edge`` (excluding the terminal)."""
-        seen: set[int] = set()
+        """Number of distinct nodes reachable from ``edge`` (excluding the terminal).
 
-        def walk(current) -> None:
-            node = current.node
-            if node is None or id(node) in seen:
-                return
-            seen.add(id(node))
-            for child in node.edges:
-                walk(child)
-
-        walk(edge)
+        The walk is iterative (an explicit stack and a set of visited
+        nodes), so diagrams of any depth are counted without hitting the
+        interpreter's recursion limit.
+        """
+        root = edge.node
+        if root is None:
+            return 0
+        seen = {root}
+        mark = seen.add
+        stack = [root]
+        push = stack.append
+        pop = stack.pop
+        while stack:
+            for child in pop().edges:
+                node = child.node
+                if node is not None and node not in seen:
+                    mark(node)
+                    push(node)
         return len(seen)
 
     def statistics(self) -> dict[str, float]:

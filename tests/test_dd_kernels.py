@@ -1,5 +1,7 @@
 """Tests of the DD kernel overhaul: flyweight edges, memoized
-trace/probability queries, and statistics stability."""
+trace/probability queries, statistics stability, and the zero-block
+multiplication short-cuts and iterative node count checked against numpy
+and reference implementations."""
 
 import dataclasses
 import inspect
@@ -13,7 +15,7 @@ from hypothesis import strategies as st
 from repro.circuit.random_circuits import random_static_circuit
 from repro.core import Configuration, check_equivalence
 from repro.dd.circuits import circuit_to_unitary_dd
-from repro.dd.nodes import M_ONE, M_ZERO, V_ONE, V_ZERO, VEdge
+from repro.dd.nodes import M_ONE, M_ZERO, V_ONE, V_ZERO, MEdge, VEdge
 from repro.dd.package import DDPackage
 from repro.exceptions import DDError
 from repro.simulators.dd_simulator import DDSimulator
@@ -243,22 +245,228 @@ class TestOneKernelPath:
         assert np.allclose(package.matrix_to_numpy(chain), reduce(np.kron, factors), atol=1e-10)
 
 
+# Entries of the random 2x2 operators: structural zeros and exact units
+# next to generic values, so the operands have zero blocks, wrap levels and
+# identity levels as well as dense ones.
+_ENTRY = st.one_of(
+    st.sampled_from([0j, 0j, 1 + 0j, -1 + 0j, 1j, 0.6 + 0.8j]),
+    st.complex_numbers(max_magnitude=2.0, allow_nan=False, allow_infinity=False),
+)
+
+
+@st.composite
+def _gate_dd(draw, package: DDPackage) -> MEdge:
+    """An ``operator_chain`` or (negatively) ``controlled_gate`` DD."""
+    num_qubits = package.num_qubits
+    matrix = np.array([[draw(_ENTRY), draw(_ENTRY)], [draw(_ENTRY), draw(_ENTRY)]])
+    qubits = list(range(num_qubits))
+    target = draw(st.sampled_from(qubits))
+    others = [qubit for qubit in qubits if qubit != target]
+    if others and draw(st.booleans()):
+        chosen = draw(st.lists(st.sampled_from(others), min_size=1, unique=True))
+        controls = {qubit: draw(st.sampled_from([0, 1])) for qubit in chosen}
+        return package.controlled_gate(matrix, target, controls)
+    chain = {target: matrix}
+    for qubit in draw(st.lists(st.sampled_from(qubits), unique=True)):
+        chain.setdefault(qubit, np.array([[draw(_ENTRY), draw(_ENTRY)], [draw(_ENTRY), draw(_ENTRY)]]))
+    return package.operator_chain(chain)
+
+
+@st.composite
+def _matrix_operand(draw, package: DDPackage) -> MEdge:
+    """A product of gate DDs, the identity or zero, optionally scaled."""
+    kind = draw(st.sampled_from(["product", "product", "product", "identity", "zero"]))
+    if kind == "zero":
+        return M_ZERO
+    edge = package.identity()
+    if kind == "product":
+        for _ in range(draw(st.integers(min_value=1, max_value=3))):
+            edge = package.multiply_matrices(draw(_gate_dd(package)), edge)
+    if draw(st.booleans()):
+        edge = package.scale_matrix(edge, draw(_ENTRY))
+    return edge
+
+
+@st.composite
+def _vector_operand(draw, package: DDPackage) -> VEdge:
+    """A basis state, a dense random vector with structural zeros, or zero."""
+    kind = draw(st.sampled_from(["basis", "dense", "dense", "zero"]))
+    if kind == "zero":
+        return V_ZERO
+    size = 1 << package.num_qubits
+    if kind == "basis":
+        return package.basis_state(draw(st.integers(min_value=0, max_value=size - 1)))
+    amplitudes = [draw(_ENTRY) for _ in range(size)]
+    return package.vector_from_numpy(np.array(amplitudes, dtype=complex))
+
+
+def _reference_multiply_matrices(package: DDPackage, left: MEdge, right: MEdge, memo: dict) -> MEdge:
+    """The full 8-product / 4-add expansion with only the identity short-cut."""
+    lnode, rnode = left.node, right.node
+    if (lnode is None and left.weight == 0) or (rnode is None and right.weight == 0):
+        return M_ZERO
+    if lnode is None:
+        return MEdge(None, left.weight * right.weight)
+    if lnode.identity:
+        return MEdge(rnode, left.weight * right.weight)
+    if rnode.identity:
+        return MEdge(lnode, left.weight * right.weight)
+    key = (id(lnode), id(rnode))
+    cached = memo.get(key)
+    if cached is None:
+        l0, l1, l2, l3 = lnode.edges
+        r0, r1, r2, r3 = rnode.edges
+
+        def product(a, b):
+            return _reference_multiply_matrices(package, a, b, memo)
+
+        add = package.add_matrices
+        cached = package.make_matrix_node(
+            lnode.index,
+            [
+                add(product(l0, r0), product(l1, r2)),
+                add(product(l0, r1), product(l1, r3)),
+                add(product(l2, r0), product(l3, r2)),
+                add(product(l2, r1), product(l3, r3)),
+            ],
+        )
+        memo[key] = cached
+    return MEdge(cached.node, cached.weight * (left.weight * right.weight))
+
+
+def _reference_multiply_matrix_vector(
+    package: DDPackage, matrix: MEdge, vector: VEdge, memo: dict
+) -> VEdge:
+    """The full 4-product / 2-add expansion with only the identity short-cut."""
+    mnode, vnode = matrix.node, vector.node
+    if (mnode is None and matrix.weight == 0) or (vnode is None and vector.weight == 0):
+        return V_ZERO
+    if mnode is None:
+        return VEdge(None, matrix.weight * vector.weight)
+    if mnode.identity:
+        return VEdge(vnode, matrix.weight * vector.weight)
+    key = (id(mnode), id(vnode))
+    cached = memo.get(key)
+    if cached is None:
+        m0, m1, m2, m3 = mnode.edges
+        v0, v1 = vnode.edges
+
+        def product(a, b):
+            return _reference_multiply_matrix_vector(package, a, b, memo)
+
+        add = package.add_vectors
+        cached = package.make_vector_node(
+            mnode.index,
+            [add(product(m0, v0), product(m1, v1)), add(product(m2, v0), product(m3, v1))],
+        )
+        memo[key] = cached
+    return VEdge(cached.node, cached.weight * (matrix.weight * vector.weight))
+
+
+def _reference_count_nodes(edge) -> int:
+    seen: set[int] = set()
+
+    def walk(current) -> None:
+        node = current.node
+        if node is None or id(node) in seen:
+            return
+        seen.add(id(node))
+        for child in node.edges:
+            walk(child)
+
+    walk(edge)
+    return len(seen)
+
+
+def _assert_same_edge(fast, reference) -> None:
+    assert fast.node is reference.node
+    assert abs(fast.weight - reference.weight) <= 1e-12 * max(1.0, abs(reference.weight))
+
+
+class TestZeroBlockKernels:
+    """The zero-block short-cuts give the full expansion's nodes and weights."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(num_qubits=st.integers(min_value=1, max_value=4), data=st.data())
+    def test_multiply_matrices_matches_numpy_and_the_full_expansion(self, num_qubits, data):
+        package = DDPackage(num_qubits)
+        left = data.draw(_matrix_operand(package))
+        right = data.draw(_matrix_operand(package))
+        product = package.multiply_matrices(left, right)
+        expected = package.matrix_to_numpy(left) @ package.matrix_to_numpy(right)
+        assert np.allclose(package.matrix_to_numpy(product), expected, atol=1e-9)
+        _assert_same_edge(product, _reference_multiply_matrices(package, left, right, {}))
+
+    @settings(max_examples=60, deadline=None)
+    @given(num_qubits=st.integers(min_value=1, max_value=4), data=st.data())
+    def test_multiply_matrix_vector_matches_numpy_and_the_full_expansion(self, num_qubits, data):
+        package = DDPackage(num_qubits)
+        matrix = data.draw(_matrix_operand(package))
+        vector = data.draw(_vector_operand(package))
+        product = package.multiply_matrix_vector(matrix, vector)
+        expected = package.matrix_to_numpy(matrix) @ package.vector_to_numpy(vector)
+        assert np.allclose(package.vector_to_numpy(product), expected, atol=1e-9)
+        _assert_same_edge(product, _reference_multiply_matrix_vector(package, matrix, vector, {}))
+
+    def test_wrap_levels_multiply_into_a_wrap_level(self):
+        package = DDPackage(3)
+        left = package.operator_chain({0: _u3(0.3, 0.2, 0.1)})
+        right = package.operator_chain({0: _u3(1.1, -0.4, 0.7)})
+        product = package.multiply_matrices(left, right)
+        e0, e1, e2, e3 = product.node.edges
+        assert e1 is M_ZERO and e2 is M_ZERO
+        assert e0.node is e3.node and e0.weight == e3.weight == 1
+        # One product per level: each wrap level recurses once.
+        assert package.statistics()["multiply_mm_cache"] == 3
+
+    @pytest.mark.parametrize("swap", [False, True])
+    def test_a_diagonal_level_is_not_a_wrap_level(self, swap):
+        # ``Z`` on qubit 1 is ``[I, 0, 0, -I]``: the same node on the
+        # diagonal with different weights, next to a true wrap level.
+        package = DDPackage(2)
+        left = package.operator_chain({1: np.diag([1.0, -1.0]).astype(complex)})
+        right = package.operator_chain({0: H2})
+        if swap:
+            left, right = right, left
+        product = package.multiply_matrices(left, right)
+        expected = package.matrix_to_numpy(left) @ package.matrix_to_numpy(right)
+        assert np.allclose(package.matrix_to_numpy(product), expected, atol=1e-12)
+        _assert_same_edge(product, _reference_multiply_matrices(package, left, right, {}))
+
+    @settings(max_examples=MAX_EXAMPLES * 3, deadline=None)
+    @given(num_qubits=st.integers(min_value=1, max_value=4), data=st.data())
+    def test_count_nodes_matches_a_recursive_walk(self, num_qubits, data):
+        package = DDPackage(num_qubits)
+        matrix = data.draw(_matrix_operand(package))
+        vector = data.draw(_vector_operand(package))
+        assert package.count_nodes(matrix) == _reference_count_nodes(matrix)
+        assert package.count_nodes(vector) == _reference_count_nodes(vector)
+
+    def test_count_nodes_needs_no_recursion(self):
+        assert DDPackage.count_nodes(DDPackage(1200).identity()) == 1200
+
+    def test_terminal_edges_count_no_nodes(self):
+        assert DDPackage.count_nodes(M_ONE) == DDPackage.count_nodes(V_ZERO) == 0
+
+
 class TestSchemeOneShapes:
     """Verdict and DD shape of the seed-independent Table-1 Scheme-1 pairs.
 
     The literals pin the node counts the kernels produce: a hashing or
     gate-construction change that alters the diagrams shows up here even
-    when every verdict stays right.
+    when every verdict stays right.  The last two entries pin the compute
+    work (multiply and add compute-table sizes): the zero-block short-cuts
+    skip only products and sums that were never memoized either.
     """
 
     @pytest.mark.parametrize(
         "family, n, shape",
         [
-            ("qft", 10, (19, 10, 725)),
-            ("qft", 14, (27, 14, 1939)),
-            ("qpe", 6, (71, 7, 673)),
-            ("qpe", 8, (271, 9, 2435)),
-            ("qpe", 10, (543, 11, 6206)),
+            ("qft", 10, (19, 10, 725, 385, 18)),
+            ("qft", 14, (27, 14, 1939, 1015, 26)),
+            ("qpe", 6, (71, 7, 673, 620, 212)),
+            ("qpe", 8, (271, 9, 2435, 2472, 666)),
+            ("qpe", 10, (543, 11, 6206, 6434, 1574)),
         ],
     )
     def test_verdict_and_node_counts(self, family, n, shape):
@@ -276,4 +484,29 @@ class TestSchemeOneShapes:
             details["max_nodes"],
             details["final_nodes"],
             details["dd_statistics"]["matrix_nodes"],
+            details["dd_statistics"]["multiply_mm_cache"],
+            details["dd_statistics"]["add_matrix_cache"],
         ) == shape
+
+    @pytest.mark.parametrize("strategy", ["proportional", "lookahead"])
+    def test_each_root_is_counted_once_per_check(self, monkeypatch, strategy):
+        from repro.algorithms import iterative_qpe, qpe_static
+        from repro.core import transformation
+
+        roots = []
+        counts = []
+        count_nodes = DDPackage.count_nodes
+
+        def recording(edge):
+            roots.append(edge.node)
+            counts.append(count_nodes(edge))
+            return counts[-1]
+
+        monkeypatch.setattr(DDPackage, "count_nodes", staticmethod(recording))
+        static = qpe_static(6)
+        dynamic = transformation.to_unitary_circuit(iterative_qpe(6)).circuit
+        result = check_equivalence(static, dynamic, strategy=strategy)
+        assert result.criterion.value == "equivalent"
+        assert len(roots) == len(set(map(id, roots)))
+        # Lookahead also counts the candidate it rejects.
+        assert result.details["max_nodes"] in counts

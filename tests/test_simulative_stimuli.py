@@ -10,12 +10,13 @@ import pytest
 from repro.algorithms import (
     bernstein_vazirani_dynamic,
     bernstein_vazirani_static,
+    ghz_ladder,
     iterative_qpe,
     qft_dynamic,
     qft_static_benchmark,
     qpe_static,
 )
-from repro.core import simulative
+from repro.core import EquivalenceCheckingManager, EquivalenceCriterion, simulative
 from repro.core.checkers.base import CheckerInterrupted
 from repro.core.simulative import (
     _product_state_dd,
@@ -97,6 +98,16 @@ class TestProductStimulus:
         assert np.allclose(package.vector_to_numpy(edge), dense, atol=1e-12)
         assert package.count_nodes(edge) == num_qubits
 
+    @pytest.mark.parametrize("num_qubits", [300, 600])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_wide_stimulus_keeps_unit_norm(self, num_qubits, seed):
+        # The per-qubit pivots multiply to far below the tolerance at these
+        # widths; applied to the children they would zero the stimulus.
+        package = DDPackage(num_qubits)
+        edge = _product_state_dd(package, _random_product_angles(num_qubits, random.Random(seed)))
+        assert package.count_nodes(edge) == num_qubits
+        assert package.norm_squared(edge) == pytest.approx(1.0, abs=1e-9)
+
     def test_angles_draw_like_the_preparation_circuit(self):
         # The DD path must consume the random stream exactly as the dense
         # path does, so both backends see the same stimuli for a seed.
@@ -157,6 +168,24 @@ class TestAgreesWithPerStimulusSimulation:
             failed_runs.add(failed_run)
         if stimuli_type == "basis":
             assert None in failed_runs and any(run and run > 0 for run in failed_runs)
+
+
+class TestWideRegisters:
+    """A wide circuit is equivalent to itself on every entry point."""
+
+    def test_simulative_check_passes_a_300_qubit_self_pair(self):
+        passed, details = run_simulative_check(
+            ghz_ladder(300, measure=False), ghz_ladder(300, measure=False),
+            num_simulations=2, seed=1,
+        )
+        assert passed
+        assert details["min_fidelity"] == pytest.approx(1.0, abs=1e-9)
+
+    def test_default_manager_does_not_refute_a_250_qubit_self_pair(self):
+        result = EquivalenceCheckingManager(seed=1).run(
+            ghz_ladder(250, measure=False), ghz_ladder(250, measure=False)
+        )
+        assert result.criterion is not EquivalenceCriterion.NOT_EQUIVALENT
 
 
 class _CountingBuild:
