@@ -71,11 +71,7 @@ class AlternatingChecker(Checker):
         config: "Configuration",
     ) -> Generator[int, None, CheckerOutcome]:
         num_qubits = first.num_qubits
-        package = DDPackage(
-            num_qubits,
-            gate_cache=config.gate_cache,
-            gate_cache_size=config.gate_cache_size,
-        )
+        package = DDPackage(num_qubits, gate_cache_size=config.gate_cache_size)
         left, right = gate_lists(first, second)
         # Node counts memoized by root node: nodes are immutable, so a
         # root's count never changes, and a product often returns to a root

@@ -47,11 +47,7 @@ class ConstructionChecker(Checker):
     ) -> CheckerOutcome:
         config = configuration
         if config.backend == "dd":
-            package = DDPackage(
-                first.num_qubits,
-                gate_cache=config.gate_cache,
-                gate_cache_size=config.gate_cache_size,
-            )
+            package = DDPackage(first.num_qubits, gate_cache_size=config.gate_cache_size)
             from repro.dd.circuits import circuit_to_unitary_dd
 
             unitary_first = circuit_to_unitary_dd(package, first, interrupt=interrupt)

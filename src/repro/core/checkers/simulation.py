@@ -55,7 +55,6 @@ class SimulationChecker(Checker):
             stimuli_type=config.stimuli_type,
             tolerance=config.tolerance,
             seed=config.seed,
-            gate_cache=config.gate_cache,
             gate_cache_size=config.gate_cache_size,
         )
         criterion = (

@@ -65,12 +65,10 @@ class Configuration:
         single-qubit product states).
     seed:
         Seed for the random stimuli.
-    gate_cache:
-        Whether the decision-diagram backend memoizes per-gate DDs (see
-        :meth:`repro.dd.package.DDPackage.gate_cache_lookup`).  On by default;
-        switching it off is mainly useful for benchmarking the cache itself.
     gate_cache_size:
-        Upper bound on the number of memoized gate DDs per check, evicted
+        Upper bound on the number of gate DDs the decision-diagram backend
+        memoizes per check (see
+        :meth:`repro.dd.package.DDPackage.gate_cache_lookup`), evicted
         least-recently-used first.  Every checker run builds its own
         :class:`~repro.dd.package.DDPackage`, so the bound caps the gate
         cache of one check, not of a process.  ``None`` (the default) keeps
@@ -177,7 +175,6 @@ class Configuration:
     num_simulations: int = 16
     stimuli_type: str = "product"
     seed: int | None = None
-    gate_cache: bool = True
     gate_cache_size: int | None = None
     portfolio: tuple[str, ...] | None = None
     scheduler: str = "static"

@@ -87,6 +87,11 @@ from repro.core.transformation import to_unitary_circuit
 from repro.core.workers import BatchWorkUnit, chunk_pairs, verify_work_unit
 from repro.obs import trace
 from repro.obs.logs import fields, get_logger
+from repro.obs.metrics import (
+    merge_dd_statistics,
+    publish_dd_statistics,
+    publish_rewrite_statistics,
+)
 from repro.resilience.breaker import BreakerBoard
 from repro.resilience.faults import FaultInjector
 from repro.resilience.retry import RetryPolicy
@@ -111,6 +116,13 @@ _DEFINITIVE = (
     EquivalenceCriterion.EQUIVALENT_UP_TO_GLOBAL_PHASE,
     EquivalenceCriterion.NOT_EQUIVALENT,
 )
+
+#: ``repro_manager_runs_total`` outcome label by ``PortfolioResult.cached_via``.
+_RUN_OUTCOMES = {
+    None: "executed",
+    "fingerprint": "cache_hit",
+    "canonical_fingerprint": "canonical_cache_hit",
+}
 
 #: Ranking of non-definitive criteria: when no checker is definitive the
 #: portfolio falls back to the *best* indicative verdict seen, in this order
@@ -192,10 +204,10 @@ class EquivalenceCheckingManager:
             )
         else:
             self.verdict_cache = None
-        # Optional MetricsRegistry (repro.service.metrics): when set, the
-        # manager observes per-checker latency histograms and run-outcome
-        # counters into it.  The verification service wires its registry in;
-        # plain in-process managers run unmetered.
+        # Optional MetricsRegistry (repro.obs.metrics): when set, _record
+        # writes the run-outcome, checker-latency, DD and rewrite series into
+        # it.  The verification service wires its registry in; plain
+        # in-process managers run unmetered.
         self.metrics = None
         # Per-checker circuit breakers (repro.resilience.breaker): a checker
         # that keeps crashing or timing out is quarantined and the portfolio
@@ -232,9 +244,8 @@ class EquivalenceCheckingManager:
             "unit_bisections": 0,
             "abandoned_units": 0,
         }
-        # Per-checker decision-diagram cache statistics accumulated across
-        # runs — fed from in-process attempts and from process-pool work-unit
-        # results (whose worker-side state dies with the pool).
+        # Per-checker decision-diagram statistics accumulated by _record from
+        # the attempt details of every executed pair, process batches included.
         self._dd_stats_lock = threading.Lock()
         self._dd_stats: dict[str, dict] = {}
 
@@ -297,72 +308,135 @@ class EquivalenceCheckingManager:
             first=getattr(first, "name", None),
             second=getattr(second, "name", None),
         ) as run_span:
-            result, fingerprint = self._run_cached(
-                first,
-                second,
-                qubit_permutation=qubit_permutation,
-                schedule=schedule,
-                fingerprint=fingerprint,
-            )
+            if qubit_permutation is not None or schedule is not None:
+                fingerprint = None
+            elif fingerprint is not None and not self._fingerprints_sound():
+                # A caller-supplied key cannot be trusted either when the
+                # tolerance out-resolves the canonical form.
+                fingerprint = None
+            elif self.verdict_cache is not None and fingerprint is None:
+                fingerprint = self._pair_fingerprint(first, second)
+            result, keys = self._lookup(first, second, fingerprint)
+            if result is None:
+                result = self._run_uncached(
+                    first, second, qubit_permutation=qubit_permutation, schedule=schedule
+                )
+                self._store(result, *keys)
             run_span.set_attr("criterion", result.criterion.value)
             if result.cached:
                 run_span.set_attr("cached_via", result.cached_via)
-            self._record_telemetry(result, fingerprint)
+            self._record(result, keys)
             return result
 
-    def _run_cached(
-        self,
-        first: QuantumCircuit,
-        second: QuantumCircuit,
-        *,
-        qubit_permutation: dict[int, int] | None,
-        schedule: Schedule | None,
-        fingerprint: str | None,
-    ) -> tuple[PortfolioResult, str | None]:
-        """Cache consult + portfolio run; returns the usable fingerprint too."""
-        if qubit_permutation is not None or schedule is not None:
-            fingerprint = None
-        elif fingerprint is not None and not self._fingerprints_sound():
-            # A caller-supplied key cannot be trusted either when the
-            # tolerance out-resolves the canonical form.
-            fingerprint = None
-        elif self.verdict_cache is not None and fingerprint is None:
-            fingerprint = self._pair_fingerprint(first, second)
-        canonical_fingerprint: str | None = None
-        if self.verdict_cache is not None and fingerprint is not None:
-            with trace.span("cache.lookup", tier="fingerprint") as lookup_span:
-                cached = self.verdict_cache.get(fingerprint)
-                lookup_span.set_attr("hit", cached is not None)
-            if cached is not None:
-                self._count_run("cache_hit")
-                return replace(cached, cached_via="fingerprint"), fingerprint
-            # Second tier: the translation-level-invariant canonical key.  A
-            # hit means this pair was verified before at *another* translation
-            # level; the verdict fans out to the raw key so future lookups of
-            # this exact representation hit directly.
-            canonical_fingerprint = self._canonical_pair_fingerprint(first, second)
-            if canonical_fingerprint is not None:
-                with trace.span("cache.lookup", tier="canonical") as lookup_span:
-                    cached = self.verdict_cache.get(canonical_fingerprint)
-                    lookup_span.set_attr("hit", cached is not None)
-                if cached is not None:
-                    self._count_run("canonical_cache_hit")
-                    result = replace(cached, cached_via="canonical_fingerprint")
-                    self.verdict_cache.put(fingerprint, result)
-                    return result, fingerprint
-        self._count_run("executed")
-        result = self._run_uncached(
-            first, second, qubit_permutation=qubit_permutation, schedule=schedule
-        )
-        if (
-            self.verdict_cache is not None
-            and fingerprint is not None
-            and self._cacheable(result)
-        ):
-            self.verdict_cache.put(fingerprint, result)
-            if canonical_fingerprint is not None:
-                self.verdict_cache.put(canonical_fingerprint, result)
-        return result, fingerprint
+    def _lookup(
+        self, first: QuantumCircuit, second: QuantumCircuit, fingerprint: str | None
+    ) -> tuple[PortfolioResult | None, tuple[str | None, ...]]:
+        """Consult the verdict cache for one pair: ``(hit or None, keys)``.
+
+        Tries the raw ``fingerprint``, then the translation-level-invariant
+        canonical key.  A canonical hit means the pair was verified before at
+        *another* translation level; its verdict fans out to the raw key so
+        later lookups of this exact representation hit directly.  ``keys``
+        are the keys a fresh verdict is stored under and recorded with: the
+        raw fingerprint (none when it is unusable), then — when the canonical
+        tier was consulted — the canonical key, or None if the pair could not
+        be canonicalized.
+        """
+        if fingerprint is None:
+            return None, ()
+        if self.verdict_cache is None:
+            return None, (fingerprint,)
+        with trace.span("cache.lookup", tier="fingerprint") as lookup_span:
+            cached = self.verdict_cache.get(fingerprint)
+            lookup_span.set_attr("hit", cached is not None)
+        if cached is not None:
+            return replace(cached, cached_via="fingerprint"), (fingerprint,)
+        if not self.configuration.canonicalize:
+            return None, (fingerprint,)
+        canonical = self._canonical_pair_fingerprint(first, second)
+        keys = (fingerprint, canonical)
+        if canonical is None:
+            return None, keys
+        with trace.span("cache.lookup", tier="canonical") as lookup_span:
+            cached = self.verdict_cache.get(canonical)
+            lookup_span.set_attr("hit", cached is not None)
+        if cached is None:
+            return None, keys
+        result = replace(cached, cached_via="canonical_fingerprint")
+        self._store(result, fingerprint)
+        return result, keys
+
+    def _store(self, result: PortfolioResult, *keys: str | None) -> None:
+        """Store a cacheable verdict under every non-None key."""
+        if self.verdict_cache is None or not self._cacheable(result):
+            return
+        for key in keys:
+            if key is not None:
+                self.verdict_cache.put(key, result)
+
+    def _record(
+        self, result: PortfolioResult, keys: tuple[str | None, ...] = ()
+    ) -> None:
+        """Record one settled pair: the only writer of metrics, DD totals, telemetry.
+
+        Called exactly once per settled pair, by the process that owns the
+        registry and the journal (process-batch workers record nothing).
+        Everything is derived from ``result`` and the ``keys`` of
+        :meth:`_lookup`: the run outcome from ``cached_via``; for executed
+        runs, the latency of every attempt that started and the DD and
+        rewrite counters from the attempt details (a cache hit ran nothing,
+        so it contributes none of those); then one telemetry record.
+        """
+        metrics = self.metrics
+        if metrics is not None:
+            if len(keys) > 1:
+                metrics.counter(
+                    "repro_canonical_fingerprints_total",
+                    "Canonical (translation-level-invariant) fingerprint computations.",
+                    labelnames=("status",),
+                ).inc(status="computed" if keys[1] is not None else "unavailable")
+            metrics.counter(
+                "repro_manager_runs_total",
+                "Pair checks by outcome (cache hit vs. executed portfolio run).",
+                labelnames=("outcome",),
+            ).inc(outcome=_RUN_OUTCOMES[result.cached_via])
+            latency = metrics.histogram(
+                "repro_checker_latency_seconds",
+                "Wall-clock latency of individual checker attempts.",
+                labelnames=("checker", "status"),
+            )
+        for attempt in () if result.cached else result.attempts:
+            details = getattr(attempt.result, "details", None) or {}
+            dd_statistics = details.get("dd_statistics")
+            if dd_statistics is not None:
+                with self._dd_stats_lock:
+                    merge_dd_statistics(
+                        self._dd_stats.setdefault(attempt.method, {}), dd_statistics
+                    )
+            if metrics is None or attempt.status == "skipped":
+                continue
+            latency.observe(
+                attempt.time_taken, checker=attempt.method, status=attempt.status
+            )
+            if dd_statistics is not None:
+                publish_dd_statistics(metrics, dd_statistics, checker=attempt.method)
+            if "rewrite_statistics" in details:
+                publish_rewrite_statistics(
+                    metrics, details["rewrite_statistics"], checker=attempt.method
+                )
+        if self.telemetry is not None:
+            from repro.obs.telemetry import run_record
+
+            breakers = None
+            if self.breakers is not None:
+                snapshot = self.breakers.snapshot()
+                if snapshot:
+                    breakers = {name: entry["state"] for name, entry in snapshot.items()}
+            self.telemetry.record_run(
+                run_record(
+                    result, fingerprint=keys[0] if keys else None, breakers=breakers
+                )
+            )
 
     def _cacheable(self, result: PortfolioResult) -> bool:
         """Whether a fresh result may be stored without risking verdict drift.
@@ -421,12 +495,6 @@ class EquivalenceCheckingManager:
             canonical_span.set_attr(
                 "status", "computed" if key is not None else "unavailable"
             )
-        if self.metrics is not None:
-            self.metrics.counter(
-                "repro_canonical_fingerprints_total",
-                "Canonical (translation-level-invariant) fingerprint computations.",
-                labelnames=("status",),
-            ).inc(status="computed" if key is not None else "unavailable")
         return key
 
     def _run_uncached(
@@ -499,12 +567,10 @@ class EquivalenceCheckingManager:
                     # statistics and the result stay honest about it.
                     trace.add_event("checker.quarantined", checker=runner.name)
                     pending.remove(runner)
-                    attempts[runner.position] = self._observe_attempt(
-                        CheckerAttempt(
-                            method=runner.name,
-                            status="quarantined",
-                            error="circuit breaker open: checker quarantined",
-                        )
+                    attempts[runner.position] = CheckerAttempt(
+                        method=runner.name,
+                        status="quarantined",
+                        error="circuit breaker open: checker quarantined",
                     )
                     continue
                 if checker_registry.resolve(runner.name).scheme_two:
@@ -547,17 +613,15 @@ class EquivalenceCheckingManager:
                     self.breakers.record(runner.name, False)
                 else:
                     self.breakers.release(runner.name)
-            attempts[runner.position] = self._observe_attempt(
-                CheckerAttempt(
-                    method=runner.name,
-                    status="timeout" if timed_out else "preempted",
-                    error=(
-                        f"overall timeout of {config.timeout}s exhausted"
-                        if timed_out
-                        else None
-                    ),
-                    time_taken=runner.active,
-                )
+            attempts[runner.position] = CheckerAttempt(
+                method=runner.name,
+                status="timeout" if timed_out else "preempted",
+                error=(
+                    f"overall timeout of {config.timeout}s exhausted"
+                    if timed_out
+                    else None
+                ),
+                time_taken=runner.active,
             )
 
         if decider is not None:
@@ -673,95 +737,23 @@ class EquivalenceCheckingManager:
                 checker_span.set_attr("criterion", result.criterion.value)
             if error is not None:
                 checker_span.set_attr("error", error)
-        return self._observe_attempt(
-            CheckerAttempt(
-                method=runner.name,
-                status=status,
-                result=result,
-                error=error,
-                time_taken=runner.active,
-            )
+        return CheckerAttempt(
+            method=runner.name,
+            status=status,
+            result=result,
+            error=error,
+            time_taken=runner.active,
         )
-
-    def _count_run(self, outcome: str) -> None:
-        if self.metrics is None:
-            return
-        self.metrics.counter(
-            "repro_manager_runs_total",
-            "Pair checks by outcome (cache hit vs. executed portfolio run).",
-            labelnames=("outcome",),
-        ).inc(outcome=outcome)
-
-    def _observe_attempt(self, attempt: CheckerAttempt) -> CheckerAttempt:
-        """Record one checker attempt: DD accumulator, then metrics if any."""
-        details = getattr(attempt.result, "details", None)
-        if isinstance(details, dict) and "dd_statistics" in details:
-            self._accumulate_dd_statistics(attempt.method, details["dd_statistics"])
-        if self.metrics is None:
-            return attempt
-        self.metrics.histogram(
-            "repro_checker_latency_seconds",
-            "Wall-clock latency of individual checker attempts.",
-            labelnames=("checker", "status"),
-        ).observe(attempt.time_taken, checker=attempt.method, status=attempt.status)
-        if isinstance(details, dict) and "dd_statistics" in details:
-            from repro.service.metrics import publish_dd_statistics
-
-            publish_dd_statistics(
-                self.metrics, details["dd_statistics"], checker=attempt.method
-            )
-        if isinstance(details, dict) and "rewrite_statistics" in details:
-            from repro.service.metrics import publish_rewrite_statistics
-
-            publish_rewrite_statistics(
-                self.metrics, details["rewrite_statistics"], checker=attempt.method
-            )
-        return attempt
-
-    def _accumulate_dd_statistics(self, checker: str, statistics: dict) -> None:
-        from repro.service.metrics import merge_dd_statistics
-
-        with self._dd_stats_lock:
-            merge_dd_statistics(self._dd_stats.setdefault(checker, {}), statistics)
 
     def dd_statistics(self) -> dict[str, dict]:
         """Per-checker decision-diagram cache counters accumulated so far.
 
-        Covers in-process attempts *and* process-pool batches: work-unit
-        results carry the workers' accumulated counters back (see
-        :class:`~repro.core.workers.WorkUnitResult`), so the gate-cache
-        hit/miss/eviction totals no longer vanish with the pool.
+        Covers in-process runs *and* process-pool batches: the entries a
+        worker returns carry each attempt's ``dd_statistics`` detail, which
+        the parent's :meth:`_record` folds in like any other run.
         """
         with self._dd_stats_lock:
             return {checker: dict(stats) for checker, stats in self._dd_stats.items()}
-
-    def _absorb_worker_dd_statistics(self, per_checker: dict[str, dict]) -> None:
-        """Fold a work unit's DD counters into the parent's view and metrics."""
-        if not per_checker:
-            return
-        from repro.service.metrics import publish_dd_statistics
-
-        for checker, statistics in per_checker.items():
-            self._accumulate_dd_statistics(checker, statistics)
-            if self.metrics is not None:
-                publish_dd_statistics(self.metrics, statistics, checker=checker)
-
-    def _record_telemetry(
-        self, result: PortfolioResult | None, fingerprint: str | None = None
-    ) -> None:
-        """Append one run-telemetry record (no-op without a journal)."""
-        if self.telemetry is None or result is None:
-            return
-        from repro.obs.telemetry import run_record
-
-        breakers = None
-        if self.breakers is not None:
-            snapshot = self.breakers.snapshot()
-            if snapshot:
-                breakers = {name: entry["state"] for name, entry in snapshot.items()}
-        self.telemetry.record_run(
-            run_record(result, fingerprint=fingerprint, breakers=breakers)
-        )
 
     # ------------------------------------------------------------------
     # batch verification
@@ -779,7 +771,9 @@ class EquivalenceCheckingManager:
         (``executor="process"``, sharded into picklable work units of
         ``batch_chunk_size`` pairs; see :mod:`repro.core.workers`).  Entries
         come back in input order either way, and a pair that raises is
-        recorded as failed without affecting the other pairs.
+        recorded as failed without affecting the other pairs.  Each pair is
+        looked up, stored and recorded exactly as :meth:`run` would do it,
+        whichever executor ran it.
 
         With the verdict cache enabled, identical pairs *within* the batch
         are deduplicated by fingerprint: each distinct pair runs once (on
@@ -797,12 +791,7 @@ class EquivalenceCheckingManager:
             executor=config.executor,
             max_workers=config.max_workers,
         ):
-            if self.verdict_cache is not None:
-                entries = self._batch_entries_deduplicated(pairs)
-            elif config.executor == "process":
-                entries = self._batch_entries_processes(pairs)
-            else:
-                entries = self._batch_entries_threads(pairs)
+            entries = self._batch_entries(pairs)
         return BatchResult(
             entries=entries,
             total_time=time.perf_counter() - start,
@@ -829,117 +818,77 @@ class EquivalenceCheckingManager:
             schedules[index] = schedule
         return schedules
 
-    def _batch_entries_deduplicated(
+    def _batch_entries(
         self, pairs: Sequence[tuple[QuantumCircuit, QuantumCircuit]]
     ) -> list[BatchEntry]:
-        """Run each distinct fingerprint once, fan verdicts out to duplicates.
+        """Settle a batch: lookups here, misses on the executor, one record each.
 
-        Distinct representatives are first looked up in the verdict cache
-        here in the parent — on both executors, so a warm persistent cache
-        short-circuits process batches too (workers run cache-less).  The
-        remaining misses run through the normal thread/process batch path
-        (entries remapped to their original indices, verdicts stored by the
-        parent); every duplicate is then served from the cache — a real
-        lookup, so the cache statistics account for the saved work.  A pair
-        whose fingerprinting fails is treated as unique and runs normally.
+        Every distinct pair is looked up in the verdict cache here in the
+        parent — on both executors, so a warm persistent cache short-circuits
+        process batches too (workers run cache-less) — and only the misses
+        are dispatched.  The parent then stores and records every verdict,
+        whichever executor produced it.  With the cache enabled, pairs are
+        deduplicated by fingerprint; a duplicate is served from its
+        representative's cache entry (a real lookup, so the cache statistics
+        account for the saved work) or, when that verdict was not cacheable,
+        replicates it.  Duplicates copy an already recorded verdict and are
+        not recorded again.  A pair whose fingerprinting fails is unique.
         """
-        fingerprints = [self._pair_fingerprint(first, second) for first, second in pairs]
+        caching = self.verdict_cache is not None
+        fingerprints = [
+            self._pair_fingerprint(first, second) if caching else None
+            for first, second in pairs
+        ]
         representative: dict[str, int] = {}
-        run_indices: list[int] = []
-        for index, fingerprint in enumerate(fingerprints):
-            if fingerprint is None or fingerprint not in representative:
-                if fingerprint is not None:
-                    representative[fingerprint] = index
-                run_indices.append(index)
-
+        keys: dict[int, tuple[str | None, ...]] = {}
         entries: list[BatchEntry | None] = [None] * len(pairs)
-        dispatch_indices: list[int] = []
-        canonical_fingerprints: dict[int, str | None] = {}
-        for index in run_indices:
+        for index, (first, second) in enumerate(pairs):
             fingerprint = fingerprints[index]
-            first, second = pairs[index]
-            cached = None
             if fingerprint is not None:
-                cached = self.verdict_cache.get(fingerprint)
-                if cached is not None:
-                    cached = replace(cached, cached_via="fingerprint")
-                else:
-                    canonical = self._canonical_pair_fingerprint(first, second)
-                    canonical_fingerprints[index] = canonical
-                    if canonical is not None:
-                        cached = self.verdict_cache.get(canonical)
-                        if cached is not None:
-                            cached = replace(cached, cached_via="canonical_fingerprint")
-                            # Fan the cross-level verdict out to the raw key.
-                            self.verdict_cache.put(fingerprint, cached)
-            if cached is None:
-                dispatch_indices.append(index)
-                continue
-            # Telemetry for parent-side cache hits (duplicate fan-outs below
-            # are copies of the same observation and are not re-recorded).
-            self._record_telemetry(cached, fingerprint)
-            entries[index] = BatchEntry(
-                index=index,
-                name_first=getattr(first, "name", None) or f"first[{index}]",
-                name_second=getattr(second, "name", None) or f"second[{index}]",
-                result=cached,
-            )
+                if fingerprint in representative:
+                    continue
+                representative[fingerprint] = index
+            cached, keys[index] = self._lookup(first, second, fingerprint)
+            if cached is not None:
+                entries[index] = _entry(index, first, second, result=cached)
 
-        dispatch_pairs = [pairs[index] for index in dispatch_indices]
-        if self.configuration.executor == "process":
-            unique_entries = self._batch_entries_processes(dispatch_pairs)
-        else:
-            # The parent already consulted the cache for every dispatched
-            # pair, so the per-run consult would only re-count the misses.
-            unique_entries = self._batch_entries_threads(
-                dispatch_pairs, consult_cache=False
-            )
-        for position, entry in zip(dispatch_indices, unique_entries):
-            entry.index = position
-            entries[position] = entry
-            # Verdicts are stored by the parent on both executors (process
-            # workers are cache-less by design) so duplicates, later batches
-            # and the persistent journal all see them.
-            fingerprint = fingerprints[position]
-            if (
-                fingerprint is not None
-                and entry.result is not None
-                and self._cacheable(entry.result)
-            ):
-                self.verdict_cache.put(fingerprint, entry.result)
-                canonical = canonical_fingerprints.get(position)
-                if canonical is not None:
-                    self.verdict_cache.put(canonical, entry.result)
+        dispatch = [index for index in keys if entries[index] is None]
+        run_pairs = (
+            self._batch_entries_processes
+            if self.configuration.executor == "process"
+            else self._batch_entries_threads
+        )
+        for index, entry in zip(dispatch, run_pairs([pairs[i] for i in dispatch])):
+            entry.index = index
+            entries[index] = entry
+            if entry.result is not None:
+                self._store(entry.result, *keys[index])
+        for index, pair_keys in keys.items():
+            if entries[index].result is not None:
+                self._record(entries[index].result, pair_keys)
 
         for index, fingerprint in enumerate(fingerprints):
             if entries[index] is not None:
                 continue
             started = time.perf_counter()
-            first, second = pairs[index]
-            entry = BatchEntry(
-                index=index,
-                name_first=getattr(first, "name", None) or f"first[{index}]",
-                name_second=getattr(second, "name", None) or f"second[{index}]",
-            )
             source = entries[representative[fingerprint]]
-            cached = self.verdict_cache.get(fingerprint) if source.result else None
-            if cached is not None:
-                entry.result = cached
-            elif source.result is not None:
-                # Uncacheable representative (NO_INFORMATION, or an unseeded
-                # PROBABLY_EQUIVALENT that must not persist): replicate its
-                # verdict so duplicates still agree entry-for-entry.
-                entry.result = replace(source.result)
-            else:
-                entry.error = source.error
+            entry = _entry(index, *pairs[index], error=source.error)
+            if source.result is not None:
+                # An uncacheable representative (NO_INFORMATION, or an
+                # unseeded PROBABLY_EQUIVALENT that must not persist) is
+                # replicated so duplicates still agree entry-for-entry.
+                cached = self.verdict_cache.get(fingerprint)
+                entry.result = (
+                    replace(cached, cached_via="fingerprint")
+                    if cached is not None
+                    else replace(source.result)
+                )
             entry.time_taken = time.perf_counter() - started
             entries[index] = entry
         return entries
 
     def _batch_entries_threads(
-        self,
-        pairs: Sequence[tuple[QuantumCircuit, QuantumCircuit]],
-        consult_cache: bool = True,
+        self, pairs: Sequence[tuple[QuantumCircuit, QuantumCircuit]]
     ) -> list[BatchEntry]:
         schedules = self._batch_schedules(pairs)
         with concurrent.futures.ThreadPoolExecutor(
@@ -956,7 +905,6 @@ class EquivalenceCheckingManager:
                     first,
                     second,
                     schedules[index],
-                    consult_cache=consult_cache,
                 )
                 for index, (first, second) in enumerate(pairs)
             ]
@@ -1051,10 +999,8 @@ class EquivalenceCheckingManager:
                         outcome = future.result()
                         for entry in outcome.entries:
                             entries[entry.index] = entry
-                            self._observe_remote_entry(entry)
                         if tracer is not None and outcome.spans:
                             tracer.adopt(outcome.spans)
-                        self._absorb_worker_dd_statistics(outcome.dd_statistics)
                     except Exception as error:  # noqa: BLE001 - isolate unit failures
                         round_failed = True
                         collateral = isinstance(
@@ -1115,11 +1061,8 @@ class EquivalenceCheckingManager:
             executor.shutdown(wait=False, cancel_futures=True)
         for index, (first, second) in enumerate(pairs):
             if entries[index] is None:  # defensive: a worker under-delivered
-                entries[index] = BatchEntry(
-                    index=index,
-                    name_first=getattr(first, "name", None) or f"first[{index}]",
-                    name_second=getattr(second, "name", None) or f"second[{index}]",
-                    error="worker returned no entry for this pair",
+                entries[index] = _entry(
+                    index, first, second, error="worker returned no entry for this pair"
                 )
         return entries
 
@@ -1171,11 +1114,8 @@ class EquivalenceCheckingManager:
             **fields(pairs=len(unit), error=f"{type(error).__name__}: {error}"),
         )
         for index, first, second in unit:
-            entries[index] = BatchEntry(
-                index=index,
-                name_first=getattr(first, "name", None) or f"first[{index}]",
-                name_second=getattr(second, "name", None) or f"second[{index}]",
-                error=f"{type(error).__name__}: {error}",
+            entries[index] = _entry(
+                index, first, second, error=f"{type(error).__name__}: {error}"
             )
 
     def batch_statistics(self) -> dict:
@@ -1183,64 +1123,43 @@ class EquivalenceCheckingManager:
         with self._batch_stats_lock:
             return dict(self._batch_stats)
 
-    def _observe_remote_entry(self, entry: BatchEntry) -> None:
-        """Metrics + telemetry for an entry verified in a worker process.
-
-        The worker's manager had neither a metrics registry nor a telemetry
-        journal, so the parent records the reassembled entry: per-attempt
-        latency observations (previously parent-process-only) and the
-        run-telemetry record.
-        """
-        result = entry.result
-        if result is None:
-            return
-        if self.metrics is not None:
-            histogram = self.metrics.histogram(
-                "repro_checker_latency_seconds",
-                "Wall-clock latency of individual checker attempts.",
-                labelnames=("checker", "status"),
-            )
-            for attempt in result.attempts:
-                histogram.observe(
-                    attempt.time_taken, checker=attempt.method, status=attempt.status
-                )
-        self._record_telemetry(result)
-
     def _batch_entry(
         self,
         index: int,
         first: QuantumCircuit,
         second: QuantumCircuit,
         schedule: Schedule | None = None,
-        *,
-        consult_cache: bool = True,
     ) -> BatchEntry:
+        """Run one dispatched batch pair with its parent-made schedule.
+
+        Records nothing and skips the cache: the parent looked the pair up
+        and records the returned entry, so pool threads and worker processes
+        run the same code.
+        """
         started = time.perf_counter()
-        entry = BatchEntry(
-            index=index,
-            name_first=getattr(first, "name", None) or f"first[{index}]",
-            name_second=getattr(second, "name", None) or f"second[{index}]",
-        )
+        entry = _entry(index, first, second)
         try:
-            if consult_cache:
-                entry.result = self.run(first, second, schedule=schedule)
-            else:
-                # The deduplicated batch path consulted the cache in the
-                # parent already, so this runs (and records) uncached — with
-                # its own span, since self.run() is bypassed.
-                with trace.span(
-                    "manager.run",
-                    first=entry.name_first,
-                    second=entry.name_second,
-                ) as run_span:
-                    entry.result = self._run_uncached(first, second, schedule=schedule)
-                    run_span.set_attr("criterion", entry.result.criterion.value)
-                    self._record_telemetry(entry.result)
+            with trace.span(
+                "manager.run", first=entry.name_first, second=entry.name_second
+            ) as run_span:
+                entry.result = self._run_uncached(first, second, schedule=schedule)
+                run_span.set_attr("criterion", entry.result.criterion.value)
         except Exception as error:  # noqa: BLE001 - isolate per-pair failures
             entry.error = f"{type(error).__name__}: {error}"
         entry.time_taken = time.perf_counter() - started
         return entry
 
+
+def _entry(
+    index: int, first: QuantumCircuit, second: QuantumCircuit, **values
+) -> BatchEntry:
+    """A batch entry named after its circuits (by position when unnamed)."""
+    return BatchEntry(
+        index=index,
+        name_first=getattr(first, "name", None) or f"first[{index}]",
+        name_second=getattr(second, "name", None) or f"second[{index}]",
+        **values,
+    )
 
 def verify_portfolio(
     first: QuantumCircuit,

@@ -90,7 +90,6 @@ def simulative_check_steps(
     stimuli_type: str = "product",
     tolerance: float = 1e-7,
     seed: int | None = None,
-    gate_cache: bool = True,
     gate_cache_size: int | None = None,
 ) -> Generator[int, None, tuple[bool, dict]]:
     """:func:`run_simulative_check` as a generator of one step per stimulus.
@@ -122,11 +121,7 @@ def simulative_check_steps(
     instructions_two = _gate_instructions(second)
     step_cost = len(instructions_one) + len(instructions_two)
     if backend == "dd":
-        package = DDPackage(
-            num_qubits,
-            gate_cache=gate_cache,
-            gate_cache_size=gate_cache_size,
-        )
+        package = DDPackage(num_qubits, gate_cache_size=gate_cache_size)
         build = dd_circuits.instruction_to_dd
         gates_one = [build(package, inst) for inst in instructions_one]
         gates_two = [build(package, inst) for inst in instructions_two]

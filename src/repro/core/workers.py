@@ -15,11 +15,12 @@ requires every work unit to round-trip through ``pickle``:
 * the *worker* is the top-level function :func:`verify_work_unit`, importable
   by name from any start method (fork, spawn, forkserver);
 * the *output* is a :class:`WorkUnitResult`: plain
-  :class:`~repro.core.results.BatchEntry` objects plus the observability
-  payloads that would otherwise die with the worker process — finished
-  trace spans (serialized as dicts, already parented under the parent's
-  batch span via the shipped ``traceparent``) and the per-checker
-  decision-diagram cache statistics the worker's manager accumulated.
+  :class:`~repro.core.results.BatchEntry` objects plus the finished trace
+  spans that would otherwise die with the worker process (serialized as
+  dicts, already parented under the parent's batch span via the shipped
+  ``traceparent``).  Workers record nothing: the entries' attempt details
+  carry everything the parent's recorder derives metrics, decision-diagram
+  statistics and telemetry from.
 
 Each worker process rebuilds its own
 :class:`~repro.core.manager.EquivalenceCheckingManager` from the configuration;
@@ -70,18 +71,14 @@ class BatchWorkUnit:
 
 @dataclass
 class WorkUnitResult:
-    """What one work unit sends back: entries plus observability payloads.
+    """What one work unit sends back: entries plus their trace spans.
 
     ``spans`` are finished :class:`~repro.obs.trace.Span` dicts (empty when
-    the unit was untraced); ``dd_statistics`` maps checker names to the
-    accumulated decision-diagram cache counters of the worker's manager —
-    returned explicitly because the worker's metrics/accumulator state dies
-    with the process.
+    the unit was untraced).
     """
 
     entries: list[BatchEntry]
     spans: list[dict] = field(default_factory=list)
-    dd_statistics: dict[str, dict] = field(default_factory=dict)
 
 
 def chunk_pairs(
@@ -109,10 +106,10 @@ def verify_work_unit(unit: BatchWorkUnit) -> WorkUnitResult:
     process pools, with the verdict cache disabled (worker caches would be
     process-local and concurrent appends to a shared ``cache_path`` journal
     from many workers could interleave) and with telemetry disabled (the
-    parent records the reassembled entries, so per-run records are written
-    exactly once).  The parent's :meth:`~repro.core.manager.
-    EquivalenceCheckingManager.verify_batch` dedupes before chunking and
-    stores the workers' verdicts into its own cache after reassembly.
+    worker records nothing, so it need not open the journal).  The parent's
+    :meth:`~repro.core.manager.EquivalenceCheckingManager.verify_batch`
+    dedupes and looks pairs up before chunking, and stores and records the
+    reassembled entries, so each pair is recorded exactly once.
 
     When the unit carries a ``traceparent``, a process-local
     :class:`~repro.obs.trace.Tracer` continues the parent's trace: each
@@ -152,7 +149,5 @@ def verify_work_unit(unit: BatchWorkUnit) -> WorkUnitResult:
                 manager._batch_entry(index, first, second, unit.schedules.get(index))
             )
     return WorkUnitResult(
-        entries=entries,
-        spans=tracer.export() if tracer is not None else [],
-        dd_statistics=manager.dd_statistics(),
+        entries=entries, spans=tracer.export() if tracer is not None else []
     )

@@ -107,7 +107,6 @@ class DDPackage:
         self,
         num_qubits: int,
         tolerance: float = DEFAULT_TOLERANCE,
-        gate_cache: bool = True,
         gate_cache_size: int | None = None,
     ):
         if num_qubits < 1:
@@ -126,7 +125,6 @@ class DDPackage:
         self._norm = ComputeTable("norm-squared")
         self._max_entry = ComputeTable("max-entry")
         self._trace = ComputeTable("trace")
-        self.gate_cache_enabled = gate_cache
         # The gate cache is LRU-ordered: a hit refreshes the entry, a store
         # beyond ``gate_cache_size`` evicts the least recently used entry.
         # ``None`` keeps it unbounded (the package lives for one check).
@@ -870,7 +868,12 @@ class DDPackage:
         table = self._max_entry._table
         cached = table.get(key)
         if cached is None:
-            cached = max(self.max_entry_magnitude(edge) for edge in node.edges)
+            # Unrolled so that deep diagrams recurse one frame per level.
+            edges = node.edges
+            recurse = self.max_entry_magnitude
+            cached = max(
+                recurse(edges[0]), recurse(edges[1]), recurse(edges[2]), recurse(edges[3])
+            )
             table[key] = cached
         return abs(matrix.weight) * cached
 
@@ -878,35 +881,31 @@ class DDPackage:
         """Return ``c`` if the matrix equals ``c * I`` (within tolerance), else None."""
 
         cache: dict[int, complex | None] = {}
+        max_entry = self.max_entry_magnitude
 
+        # One frame per DD level: the node test is inlined, not a helper.
         def recurse(edge: MEdge) -> complex | None:
-            if edge.node is None:
+            node = edge.node
+            if node is None:
                 weight = edge.weight
                 return 0.0 if weight == 0 else weight
-            key = id(edge.node)
+            key = id(node)
             if key in cache:
                 scalar = cache[key]
             else:
-                scalar = self._identity_scalar_of_node(edge.node, tolerance, recurse)
+                edges = node.edges
+                scalar = None
+                if not (max_entry(edges[1]) > tolerance or max_entry(edges[2]) > tolerance):
+                    low = recurse(edges[0])
+                    high = recurse(edges[3]) if low is not None else None
+                    if high is not None and not abs(low - high) > tolerance:
+                        scalar = low
                 cache[key] = scalar
             if scalar is None:
                 return None
             return edge.weight * scalar
 
         return recurse(matrix)
-
-    def _identity_scalar_of_node(self, node: MNode, tolerance: float, recurse) -> complex | None:
-        if self.max_entry_magnitude(node.edges[1]) > tolerance:
-            return None
-        if self.max_entry_magnitude(node.edges[2]) > tolerance:
-            return None
-        diag_low = recurse(node.edges[0])
-        diag_high = recurse(node.edges[3])
-        if diag_low is None or diag_high is None:
-            return None
-        if abs(diag_low - diag_high) > tolerance:
-            return None
-        return diag_low
 
     def is_identity(
         self, matrix: MEdge, up_to_global_phase: bool = True, tolerance: float = 1e-7
@@ -924,15 +923,13 @@ class DDPackage:
     # ------------------------------------------------------------------
 
     def gate_cache_lookup(self, key) -> MEdge | None:
-        """Look up a previously built gate DD (None on miss or disabled cache).
+        """Look up a previously built gate DD (None on a miss).
 
         Keys are hashable gate descriptions — ``(gate, qubits)`` as produced by
         :func:`repro.dd.circuits.instruction_to_dd`.  A hit marks the entry as
         most recently used.  Hit/miss/eviction counters feed
         :meth:`statistics`.
         """
-        if not self.gate_cache_enabled:
-            return None
         cached = self._gate_cache.get(key)
         if cached is None:
             self._gate_cache_misses += 1
@@ -942,13 +939,11 @@ class DDPackage:
         return cached
 
     def gate_cache_store(self, key, edge: MEdge) -> None:
-        """Memoize the matrix DD of a gate (no-op when the cache is disabled).
+        """Memoize the matrix DD of a gate.
 
         When ``gate_cache_size`` is set, storing beyond the bound evicts the
         least recently used entries.
         """
-        if not self.gate_cache_enabled:
-            return
         cache = self._gate_cache
         cache[key] = edge
         if self.gate_cache_size is not None:
@@ -1039,20 +1034,6 @@ class DDPackage:
                 else 0.0
             ),
         }
-
-    def publish_metrics(self, registry, checker: str = "standalone") -> None:
-        """Push this package's counters into a unified metrics registry.
-
-        ``registry`` is a :class:`repro.service.metrics.MetricsRegistry`;
-        the import is deferred because the DD layer sits below the service
-        layer.  Checker code that hands its statistics to the manager via
-        result details does not need this — the manager harvests those into
-        the same series; this hook is for standalone package users (tests,
-        benchmarks, notebooks) that want their runs on the same dashboard.
-        """
-        from repro.service.metrics import publish_dd_statistics
-
-        publish_dd_statistics(registry, self.statistics(), checker=checker)
 
     def clear_caches(self) -> None:
         """Drop all compute tables and the gate cache (unique tables are kept)."""

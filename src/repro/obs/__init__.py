@@ -1,6 +1,6 @@
-"""Observability layer: tracing, structured logging, run telemetry.
+"""Observability layer: tracing, structured logging, metrics, run telemetry.
 
-Three stdlib-only modules that sit *below* every other subsystem (core,
+Four stdlib-only modules that sit *below* every other subsystem (core,
 service, resilience all import them; they import nothing back except the
 crash-safe journal, which itself only uses :mod:`repro.obs.logs`):
 
@@ -17,6 +17,11 @@ crash-safe journal, which itself only uses :mod:`repro.obs.logs`):
   trace correlation (``trace_id``/``span_id`` from the active span), wired
   to ``--log-level``/``--log-file`` on every CLI command.  Without explicit
   configuration the stack stays library-quiet (no handlers installed).
+* :mod:`repro.obs.metrics` — the unified :class:`~repro.obs.metrics.
+  MetricsRegistry` (counters, gauges, histograms) rendered as Prometheus
+  text.  The manager's single recorder writes its run, checker-latency, DD
+  and rewrite series there, and the service exports the registry at
+  ``GET /metrics``.
 * :mod:`repro.obs.telemetry` — a run-telemetry journal: one crash-safe
   record per settled verification (fingerprint, features, schedule,
   per-checker timings and outcomes, verdict, cache provenance, breaker

@@ -1,17 +1,18 @@
 """A unified metrics registry with Prometheus text exposition.
 
-PR 5 left the service's observability scattered: ``DDPackage.statistics()``,
-``VerdictCache.statistics()`` and ``VerificationService.stats()`` each expose
-their own ad-hoc dict.  This module unifies them behind one
-:class:`MetricsRegistry` of counters, gauges and histograms that the HTTP
-front end (`repro.service.aserver`) exports at
+``DDPackage.statistics()``, ``VerdictCache.statistics()`` and
+``VerificationService.stats()`` each keep their own dict; this module
+unifies them behind one :class:`MetricsRegistry` of counters, gauges and
+histograms that the HTTP front end (:mod:`repro.service.aserver`) exports at
 ``GET /metrics`` in the Prometheus text exposition format (version 0.0.4).
+The portfolio manager writes its run, checker-latency, DD and rewrite series
+into the same registry (``EquivalenceCheckingManager.metrics``).
 
 Design notes
 ------------
-* **Stdlib only, no repro imports.**  The registry sits below every other
-  service module (and even below :mod:`repro.dd.package`, which publishes
-  into it), so it must not import any of them.
+* **Stdlib only, no repro imports.**  The registry sits in the
+  observability layer below :mod:`repro.core` and :mod:`repro.service`,
+  both of which write into it, so it must not import either.
 * **Instruments are cheap and thread-safe.**  Checker worker threads observe
   latencies concurrently with HTTP scrape threads rendering the exposition;
   a single registry lock covers both.
@@ -365,10 +366,8 @@ def publish_dd_statistics(
 ) -> None:
     """Accumulate one ``DDPackage.statistics()`` snapshot into ``registry``.
 
-    Used both by :meth:`repro.dd.package.DDPackage.publish_metrics` (an
-    in-process package publishing its own totals) and by the manager, which
-    harvests the ``dd_statistics`` payload each DD-based checker leaves in
-    its result details.
+    The manager calls this for the ``dd_statistics`` payload each DD-based
+    checker leaves in its result details.
     """
     counter = registry.counter(
         "repro_dd_events_total",
@@ -394,9 +393,8 @@ def merge_dd_statistics(accumulator: dict, statistics: dict) -> dict:
 
     Counter keys add up; the point-in-time node counts keep the most recent
     snapshot's value.  Used by the manager to aggregate per-checker DD
-    activity across a batch — including snapshots harvested from
-    process-pool work-unit results, whose worker-side accumulators die with
-    the pool.
+    activity across runs and batches, process-pool batches included (their
+    entries carry the workers' snapshots back to the parent).
     """
     for key in _DD_COUNTER_KEYS:
         value = statistics.get(key)

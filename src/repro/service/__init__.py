@@ -21,9 +21,6 @@ same pairs are re-verified over and over as toolchains iterate:
   submit/status/result/trace/stats/metrics/healthz endpoints, long-poll
   result delivery, 429 + ``Retry-After`` backpressure and per-client
   token-bucket rate limiting;
-* :mod:`repro.service.metrics` — the unified :class:`MetricsRegistry`
-  (counters, gauges, histograms) the server exports as Prometheus text at
-  ``GET /metrics``;
 * :mod:`repro.service.client` — the matching :class:`VerificationClient`,
   long-polling for results.
 
@@ -31,8 +28,14 @@ The cache is also consulted by
 :class:`~repro.core.manager.EquivalenceCheckingManager` itself
 (``Configuration.verdict_cache`` / ``cache_path``), which additionally
 dedupes identical pairs *within* a batch.
+
+The server exports the unified metrics registry of
+:mod:`repro.obs.metrics` as Prometheus text at ``GET /metrics``;
+:class:`Counter`, :class:`Gauge`, :class:`Histogram` and
+:class:`MetricsRegistry` are re-exported here.
 """
 
+from repro.obs.metrics import Counter, Gauge, Histogram, MetricsRegistry
 from repro.service.aserver import VerificationServer
 from repro.service.cache import CachedVerdict, VerdictCache
 from repro.service.client import VerificationClient
@@ -41,7 +44,6 @@ from repro.service.fingerprint import (
     configuration_fingerprint,
     pair_fingerprint,
 )
-from repro.service.metrics import Counter, Gauge, Histogram, MetricsRegistry
 from repro.service.server import VerificationService
 
 __all__ = [

@@ -19,7 +19,7 @@ Anything that *can* change a verdict is part of the key: gate names,
 parameters, operand order, control states, classical conditions, qubit/clbit
 counts, the order of the two circuits in a pair, and the configuration
 fields listed in :data:`VERDICT_CONFIGURATION_FIELDS`.  Performance-only
-knobs (``executor``, ``max_workers``, ``gate_cache``, ``gate_cache_size``,
+knobs (``executor``, ``max_workers``, ``gate_cache_size``,
 ``batch_chunk_size``, the cache knobs themselves) are deliberately excluded:
 they are verdict-preserving by construction (and agreement-tested), so runs
 that differ only in those knobs share cache entries.

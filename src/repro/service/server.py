@@ -32,10 +32,10 @@ from repro.core.manager import EquivalenceCheckingManager
 from repro.exceptions import ReproError, ServiceError
 from repro.obs import trace
 from repro.obs.logs import fields, get_logger
+from repro.obs.metrics import _REWRITE_COUNTER_KEYS, MetricsRegistry
 from repro.resilience.breaker import STATE_VALUES
 from repro.resilience.retry import RetryPolicy
 from repro.service.fingerprint import fingerprints_sound_for, pair_fingerprint
-from repro.service.metrics import _REWRITE_COUNTER_KEYS, MetricsRegistry
 
 __all__ = ["VerificationJob", "VerificationService"]
 

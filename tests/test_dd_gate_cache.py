@@ -36,14 +36,6 @@ class TestGateCacheStatistics:
         assert statistics["gate_cache_size"] == 3
         assert statistics["gate_cache_hit_ratio"] == pytest.approx(21 / 24)
 
-    def test_no_counting_when_disabled(self):
-        package = DDPackage(3, gate_cache=False)
-        circuit_to_unitary_dd(package, _repeated_gate_circuit(8))
-        statistics = package.statistics()
-        assert statistics["gate_cache_hits"] == 0
-        assert statistics["gate_cache_misses"] == 0
-        assert statistics["gate_cache_size"] == 0
-
     def test_statistics_surface_through_equivalence_check(self):
         result = check_equivalence(
             bernstein_vazirani_static("1011"), bernstein_vazirani_dynamic("1011")
@@ -157,33 +149,56 @@ class TestGateCacheSemantics:
         assert identity.node.identity
 
 
-class TestCachedVsUncachedVerdicts:
+class TestCachedVerdictsAndStatistics:
+    """The always-on gate cache keeps the known verdicts and its counters.
+
+    Expected values are each pair's known answer and the gate-cache
+    hits/misses its circuits produce, so a cache change that alters either
+    shows up here.
+    """
+
     PAIRS = [
         ("bv", lambda: (bernstein_vazirani_static("1011"), bernstein_vazirani_dynamic("1011"))),
         ("teleport", lambda: (teleportation_static(), teleportation_dynamic())),
         ("qft", lambda: (qft_static_benchmark(4), qft_dynamic(4))),
         ("bv-broken", lambda: (bernstein_vazirani_static("101"), bernstein_vazirani_dynamic("111"))),
     ]
+    #: label -> (criterion, gate_cache_hits, gate_cache_misses); the two
+    #: Scheme-1 methods apply the same gates, so they share the counters.
+    EXPECTED = {
+        "bv": ("equivalent", 17, 9),
+        "teleport": ("equivalent", 7, 9),
+        "qft": ("equivalent", 4, 16),
+        "bv-broken": ("not_equivalent", 13, 8),
+    }
 
     @pytest.mark.parametrize("label,make", PAIRS, ids=[p[0] for p in PAIRS])
     @pytest.mark.parametrize("method", ["alternating", "construction"])
-    def test_identical_criteria_with_and_without_cache(self, label, make, method):
+    def test_cached_criteria_and_counters(self, label, make, method):
         first, second = make()
-        cached = check_equivalence(first, second, method=method, gate_cache=True)
-        uncached = check_equivalence(first, second, method=method, gate_cache=False)
-        assert cached.criterion is uncached.criterion
+        result = check_equivalence(first, second, method=method)
+        statistics = result.details["dd_statistics"]
+        observed = (
+            result.criterion.value,
+            statistics["gate_cache_hits"],
+            statistics["gate_cache_misses"],
+        )
+        assert observed == self.EXPECTED[label]
 
-    @pytest.mark.parametrize("strategy", ["naive", "one_to_one", "proportional", "lookahead"])
-    def test_identical_criteria_across_strategies(self, strategy):
+    @pytest.mark.parametrize(
+        "strategy,hits",
+        [("naive", 4), ("one_to_one", 4), ("proportional", 4), ("lookahead", 23)],
+    )
+    def test_cached_criteria_across_strategies(self, strategy, hits):
         first, second = qft_static_benchmark(4), qft_dynamic(4)
-        cached = check_equivalence(first, second, strategy=strategy, gate_cache=True)
-        uncached = check_equivalence(first, second, strategy=strategy, gate_cache=False)
-        assert cached.criterion is uncached.criterion
-        assert cached.criterion.value == "equivalent"
+        result = check_equivalence(first, second, strategy=strategy)
+        assert result.criterion.value == "equivalent"
+        statistics = result.details["dd_statistics"]
+        assert (statistics["gate_cache_hits"], statistics["gate_cache_misses"]) == (hits, 16)
 
     def test_cached_run_reports_hits_on_repetitive_pair(self):
         # The lookahead strategy re-evaluates discarded candidates, so even
         # a pair without repeated gates produces cache hits.
         first, second = qft_static_benchmark(4), qft_dynamic(4)
-        result = check_equivalence(first, second, strategy="lookahead", gate_cache=True)
+        result = check_equivalence(first, second, strategy="lookahead")
         assert result.details["dd_statistics"]["gate_cache_hits"] > 0

@@ -167,10 +167,10 @@ class TestOneKernelPath:
 
     def test_package_constructor_parameters(self):
         parameters = list(inspect.signature(DDPackage.__init__).parameters)
-        assert parameters == ["self", "num_qubits", "tolerance", "gate_cache", "gate_cache_size"]
+        assert parameters == ["self", "num_qubits", "tolerance", "gate_cache_size"]
 
     def test_configuration_field_count(self):
-        assert len(dataclasses.fields(Configuration)) == 26
+        assert len(dataclasses.fields(Configuration)) == 25
 
     @settings(max_examples=MAX_EXAMPLES, deadline=None)
     @given(
@@ -205,7 +205,7 @@ class TestOneKernelPath:
         assert bounded.criterion is unbounded.criterion
 
     def test_statistics_cover_the_published_counters_only(self):
-        from repro.service.metrics import _DD_COUNTER_KEYS
+        from repro.obs.metrics import _DD_COUNTER_KEYS
 
         statistics = DDPackage(2).statistics()
         assert set(_DD_COUNTER_KEYS) <= set(statistics)
@@ -447,6 +447,18 @@ class TestZeroBlockKernels:
 
     def test_terminal_edges_count_no_nodes(self):
         assert DDPackage.count_nodes(M_ONE) == DDPackage.count_nodes(V_ZERO) == 0
+
+    def test_identity_test_recurses_one_frame_per_level(self):
+        # One frame per level keeps 600 levels inside the default recursion
+        # limit of 1000.
+        package = DDPackage(600)
+        assert package.is_identity(package.identity())
+
+    def test_wide_ghz_self_pair_is_proved(self):
+        from repro.algorithms import ghz_ladder
+
+        result = check_equivalence(ghz_ladder(520), ghz_ladder(520))
+        assert result.criterion.value == "equivalent"
 
 
 class TestSchemeOneShapes:

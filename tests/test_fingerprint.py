@@ -230,7 +230,6 @@ class TestPairAndConfigurationFingerprints:
             {"executor": "process"},
             {"max_workers": 16},
             {"batch_chunk_size": 4},
-            {"gate_cache": False},
             {"gate_cache_size": 32},
             {"verdict_cache": True},
             {"cache_size": 2},

@@ -253,7 +253,9 @@ class TestBatch:
         def explode(first, second, **kwargs):
             raise RuntimeError("boom")
 
-        monkeypatch.setattr(manager, "run", explode)
+        # The portfolio run every batch pair goes through (batches settle
+        # pairs without calling the public run()).
+        monkeypatch.setattr(manager, "_run_uncached", explode)
         batch = manager.verify_batch([_ghz_pair()])
         entry = batch.entries[0]
         assert entry.result is None

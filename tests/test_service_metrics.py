@@ -4,12 +4,19 @@ import threading
 
 import pytest
 
-from repro.algorithms import ghz_ladder, iterative_qpe, qpe_static
+from repro.algorithms import (
+    bernstein_vazirani_dynamic,
+    bernstein_vazirani_static,
+    ghz_ladder,
+    ghz_with_bug,
+    iterative_qpe,
+    qpe_static,
+)
 from repro.compilation import rewrite_single_qubit_to_u
 from repro.core.configuration import Configuration
 from repro.core.manager import EquivalenceCheckingManager
 from repro.dd.package import DDPackage
-from repro.service.metrics import (
+from repro.obs.metrics import (
     Counter,
     Gauge,
     Histogram,
@@ -195,14 +202,14 @@ class TestIntegrationHooks:
         rendered = registry.render()
         assert "repro_dd_events_total" in rendered
 
-    def test_dd_package_publishes_into_registry(self):
+    def test_dd_package_statistics_publish_into_registry(self):
         registry = MetricsRegistry()
         package = DDPackage(2)
         key = ("h", (0,))
         assert package.gate_cache_lookup(key) is None  # miss
         package.gate_cache_store(key, package.identity())
         assert package.gate_cache_lookup(key) is not None  # hit
-        package.publish_metrics(registry, checker="unit-test")
+        publish_dd_statistics(registry, package.statistics(), checker="unit-test")
         counter = registry.get("repro_dd_events_total")
         assert counter.value(checker="unit-test", event="gate_cache_hits") >= 1
         assert counter.value(checker="unit-test", event="gate_cache_misses") >= 1
@@ -212,6 +219,85 @@ class TestIntegrationHooks:
         publish_dd_statistics(registry, {"vector_nodes": 3}, checker="partial")
         nodes = registry.get("repro_dd_last_run_nodes")
         assert nodes.value(checker="partial", kind="vector_nodes") == 3
+
+
+#: The families every settled pair writes, whichever path settled it.
+_SETTLE_FAMILIES = (
+    "repro_manager_runs_total",
+    "repro_rewrite_reductions_total",
+    "repro_dd_events_total",
+    "repro_checker_latency_seconds_count",
+)
+
+
+def _settle_counts(registry: MetricsRegistry) -> dict[str, float]:
+    """The settle families' samples (histograms by observation count only)."""
+    return {
+        series: value
+        for series, value in _parse_exposition(registry.render()).items()
+        if series.startswith(_SETTLE_FAMILIES)
+    }
+
+
+def _distinct_pairs():
+    """Four distinct pairs, none a translation of another (no canonical hits)."""
+    ghz = ghz_ladder(3)
+    return [
+        (ghz, rewrite_single_qubit_to_u(ghz)),  # the rewrite checker proves it
+        (ghz_ladder(4), ghz_with_bug(4)),  # the DD prover refutes it
+        (iterative_qpe(3), qpe_static(3)),  # dynamic: reconstructed first
+        (bernstein_vazirani_static("101"), bernstein_vazirani_dynamic("101")),
+    ]
+
+
+def _settle_manager(executor: str, cache: bool) -> EquivalenceCheckingManager:
+    manager = EquivalenceCheckingManager(
+        Configuration(
+            portfolio=("rewrite", "alternating"),
+            seed=11,
+            verdict_cache=cache,
+            executor=executor,
+            max_workers=2,
+        )
+    )
+    manager.metrics = MetricsRegistry()
+    return manager
+
+
+class TestOneSettlePath:
+    """A batch records each pair exactly as ``run()`` on that pair would."""
+
+    @pytest.mark.parametrize("cache", [False, True], ids=["uncached", "cached"])
+    @pytest.mark.parametrize("executor", ["thread", "process"])
+    def test_batch_records_what_run_records(self, executor, cache):
+        pairs = _distinct_pairs()
+        reference = _settle_manager(executor, cache)
+        for first, second in pairs:
+            reference.run(first, second)
+        expected = _settle_counts(reference.metrics)
+        assert expected['repro_manager_runs_total{outcome="executed"}'] == len(pairs)
+        assert expected[
+            'repro_rewrite_reductions_total{checker="rewrite", outcome="proved"}'
+        ] == 3
+        assert any(series.startswith("repro_dd_events_total") for series in expected)
+
+        manager = _settle_manager(executor, cache)
+        batch = manager.verify_batch(pairs)
+        assert batch.num_failed == 0
+        assert _settle_counts(manager.metrics) == expected
+        assert manager.dd_statistics() == reference.dd_statistics()
+
+    @pytest.mark.parametrize("executor", ["thread", "process"])
+    def test_second_batch_pass_counts_cache_hits(self, executor):
+        pairs = _distinct_pairs()
+        manager = _settle_manager(executor, cache=True)
+        manager.verify_batch(pairs)
+        cold = _settle_counts(manager.metrics)
+        manager.verify_batch(pairs)
+        warm = _settle_counts(manager.metrics)
+        assert warm.pop('repro_manager_runs_total{outcome="cache_hit"}') == len(pairs)
+        # A cache hit runs no checker: nothing else moves.
+        assert warm == cold
 
 
 class TestRewriteAndCanonicalMetrics:

@@ -326,6 +326,7 @@ class TestInBatchDeduplication:
         assert not batch.entries[0].result.cached
         assert batch.entries[1].result.cached
         assert batch.entries[2].result.cached
+        assert batch.entries[2].result.cached_via == "fingerprint"
 
     def test_fan_out_replicates_undecidable_pairs_without_caching(self):
         good = ghz_ladder(3)
