@@ -1,12 +1,10 @@
-"""Ablation A: application strategies of the alternating scheme.
+"""Ablation A: checking methods on the QPE and compiled-circuit workloads.
 
-DESIGN.md calls out the choice of gate-application strategy (naive /
-one-to-one / proportional / lookahead) as the central design decision of the
-functional equivalence checker.  This benchmark compares the strategies on the
-QPE and compiled-circuit workloads and records the maximum intermediate
-decision-diagram size, which explains the runtime differences: the naive
-strategy builds the full unitary of one circuit before cancelling anything,
-while the balanced strategies keep the product close to the identity.
+The alternating scheme interleaves the two circuits' gates at a rate
+proportional to their gate counts, which keeps the product close to the
+identity.  The benchmarks compare it against the construction and simulative
+checkers and record the maximum intermediate decision-diagram size where the
+checker reports one.
 """
 
 from __future__ import annotations
@@ -17,25 +15,14 @@ from repro.algorithms import iterative_qpe, qpe_static, running_example_lambda
 from repro.compilation import compile_circuit, ibmq_london
 from repro.core import check_equivalence
 
-STRATEGIES = ["naive", "one_to_one", "proportional", "lookahead"]
 QPE_BITS = 6
 
 
-@pytest.mark.parametrize("strategy", STRATEGIES)
-def test_strategy_on_qpe_pair(benchmark, strategy):
-    static = qpe_static(QPE_BITS, running_example_lambda)
-    dynamic = iterative_qpe(QPE_BITS, running_example_lambda)
-    result = benchmark(lambda: check_equivalence(static, dynamic, strategy=strategy))
-    assert result.equivalent
-    benchmark.extra_info["max_dd_nodes"] = result.details.get("max_nodes")
-
-
-@pytest.mark.parametrize("strategy", STRATEGIES)
-def test_strategy_on_compiled_circuit(benchmark, strategy):
+def test_alternating_on_compiled_circuit(benchmark):
     original = qpe_static(3, running_example_lambda)
     compiled = compile_circuit(original, ibmq_london())
     result = benchmark(
-        lambda: check_equivalence(compiled.padded_original, compiled.circuit, strategy=strategy)
+        lambda: check_equivalence(compiled.padded_original, compiled.circuit)
     )
     assert result.equivalent
     benchmark.extra_info["max_dd_nodes"] = result.details.get("max_nodes")
@@ -43,8 +30,9 @@ def test_strategy_on_compiled_circuit(benchmark, strategy):
 
 @pytest.mark.parametrize("method", ["alternating", "construction", "simulation"])
 def test_method_comparison_on_qpe_pair(benchmark, method):
-    """Secondary ablation: alternating vs. construction vs. simulative checking."""
+    """Alternating vs. construction vs. simulative checking."""
     static = qpe_static(QPE_BITS, running_example_lambda)
     dynamic = iterative_qpe(QPE_BITS, running_example_lambda)
     result = benchmark(lambda: check_equivalence(static, dynamic, method=method, seed=7))
     assert result.equivalent
+    benchmark.extra_info["max_dd_nodes"] = result.details.get("max_nodes")

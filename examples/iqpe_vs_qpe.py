@@ -42,7 +42,7 @@ def main() -> None:
 
     functional = check_equivalence(static, dynamic)
     print("Full functional verification:", functional.criterion.value)
-    print(f"  strategy = {functional.strategy}, t_ver = {functional.time_check:.6f}s")
+    print(f"  method = {functional.method}, t_ver = {functional.time_check:.6f}s")
     print()
 
     # Scheme 2: distribution extraction (Section 5 / Fig. 4).

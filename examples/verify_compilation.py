@@ -27,7 +27,7 @@ def main() -> None:
 
     result = check_equivalence(compiled.padded_original, compiled.circuit)
     print("Verification of the compilation result:", result.criterion.value)
-    print(f"  strategy = {result.strategy}, t_ver = {result.time_check:.4f}s")
+    print(f"  method = {result.method}, t_ver = {result.time_check:.4f}s")
     print(f"  peak decision-diagram size: {result.details['max_nodes']} nodes")
     print()
 

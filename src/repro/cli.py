@@ -6,7 +6,7 @@ outcome distribution of a single (dynamic) circuit.
 
 Usage (after ``pip install -e .``)::
 
-    repro-qcec verify static.qasm dynamic.qasm --method alternating --strategy proportional
+    repro-qcec verify static.qasm dynamic.qasm --method alternating --backend dense
     repro-qcec verify static.qasm dynamic.qasm --portfolio simulation,alternating
     repro-qcec verify static.qasm dynamic.qasm --scheduler adaptive
     repro-qcec batch manifest.txt --max-workers 8 --scheduler adaptive --json
@@ -110,9 +110,6 @@ def build_parser() -> argparse.ArgumentParser:
     verify.add_argument(
         "--method", default="alternating", choices=list(available_checkers())
     )
-    verify.add_argument(
-        "--strategy", default="proportional", choices=["naive", "one_to_one", "proportional", "lookahead"]
-    )
     verify.add_argument("--backend", default="dd", choices=["dd", "dense"])
     verify.add_argument("--tolerance", type=float, default=1e-7)
     verify.add_argument(
@@ -199,9 +196,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         metavar="CHECKERS",
         help="comma-separated checkers (default: simulation,alternating)",
-    )
-    batch.add_argument(
-        "--strategy", default="proportional", choices=["naive", "one_to_one", "proportional", "lookahead"]
     )
     batch.add_argument("--backend", default="dd", choices=["dd", "dense"])
     batch.add_argument("--tolerance", type=float, default=1e-7)
@@ -493,7 +487,6 @@ def _command_verify(args: argparse.Namespace) -> int:
     second = _load_circuit(args.second)
     configuration = Configuration(
         method=args.method,
-        strategy=args.strategy,
         backend=args.backend,
         tolerance=args.tolerance,
         seed=args.seed,
@@ -537,7 +530,6 @@ def _command_verify(args: argparse.Namespace) -> int:
                     "criterion": result.criterion.value,
                     "equivalent": result.equivalent,
                     "method": result.method,
-                    "strategy": result.strategy,
                     "backend": result.backend,
                     "time_transformation": result.time_transformation,
                     "time_check": result.time_check,
@@ -547,7 +539,7 @@ def _command_verify(args: argparse.Namespace) -> int:
     else:
         print(f"{first.name} vs {second.name}: {result.criterion.value}")
         print(
-            f"  method={result.method} strategy={result.strategy} backend={result.backend} "
+            f"  method={result.method} backend={result.backend} "
             f"t_trans={result.time_transformation:.6f}s t_ver={result.time_check:.6f}s"
         )
     return 0 if result.equivalent else 1
@@ -602,7 +594,6 @@ def _command_batch(args: argparse.Namespace) -> int:
                 error=f"{type(error).__name__}: {error}",
             )
     configuration = Configuration(
-        strategy=args.strategy,
         backend=args.backend,
         tolerance=args.tolerance,
         seed=args.seed,

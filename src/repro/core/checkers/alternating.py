@@ -1,9 +1,9 @@
 """The alternating (QCEC-style) equivalence checker.
 
 Keeps the product ``E = U * U'^dagger`` close to the identity by interleaving
-gate applications from both circuits according to
-``Configuration.strategy`` (``naive``, ``one_to_one``, ``proportional``,
-``lookahead``); see :mod:`repro.core.strategies`.
+gate applications from both circuits at a rate proportional to their gate
+counts; see :mod:`repro.core.strategies`.  The DD and dense backends share
+that one schedule.
 """
 
 from __future__ import annotations
@@ -39,7 +39,6 @@ class AlternatingChecker(Checker):
 
     name: ClassVar[str] = "alternating"
     role: ClassVar[str] = "prover"
-    uses_strategy: ClassVar[bool] = True
 
     def check(
         self,
@@ -59,7 +58,7 @@ class AlternatingChecker(Checker):
         *,
         interrupt: Callable[[], bool] | None = None,
     ) -> Generator[int, None, CheckerOutcome]:
-        """One step per applied gate (cost 1; 2 for a lookahead choice)."""
+        """One step per applied gate (cost 1)."""
         if configuration.backend == "dd":
             return self._steps_dd(first, second, configuration)
         return self._steps_dense(first, second, configuration)
@@ -86,55 +85,20 @@ class AlternatingChecker(Checker):
 
         product = package.identity()
         max_nodes = count_nodes(product)
-        left_index = 0
-        right_index = 0
         remaining = len(left) + len(right)
-
-        def apply_left(current):
-            nonlocal left_index
-            gate_dd = instruction_to_dd(package, left[left_index])
-            left_index += 1
-            return package.multiply_matrices(gate_dd, current)
-
-        def apply_right(current):
-            nonlocal right_index
-            gate_dd = instruction_to_dd(package, inverse_instruction(right[right_index]))
-            right_index += 1
-            return package.multiply_matrices(current, gate_dd)
-
-        if config.strategy == "lookahead":
-            while remaining:
-                if left_index >= len(left):
-                    product = apply_right(product)
-                    cost = 1
-                elif right_index >= len(right):
-                    product = apply_left(product)
-                    cost = 1
-                else:
-                    saved_left, saved_right = left_index, right_index
-                    candidate_left = apply_left(product)
-                    left_after = left_index
-                    left_index = saved_left
-                    candidate_right = apply_right(product)
-                    right_after = right_index
-                    if count_nodes(candidate_left) <= count_nodes(candidate_right):
-                        product = candidate_left
-                        left_index, right_index = left_after, saved_right
-                    else:
-                        product = candidate_right
-                        left_index, right_index = saved_left, right_after
-                    cost = 2
-                max_nodes = max(max_nodes, count_nodes(product))
-                remaining -= 1
-                if remaining:
-                    yield cost
-        else:
-            for token in alternating_schedule(len(left), len(right), config.strategy):
-                product = apply_left(product) if token == LEFT else apply_right(product)
-                max_nodes = max(max_nodes, count_nodes(product))
-                remaining -= 1
-                if remaining:
-                    yield 1
+        left_gates = iter(left)
+        right_gates = iter(right)
+        for token in alternating_schedule(len(left), len(right)):
+            if token == LEFT:
+                gate_dd = instruction_to_dd(package, next(left_gates))
+                product = package.multiply_matrices(gate_dd, product)
+            else:
+                gate_dd = instruction_to_dd(package, inverse_instruction(next(right_gates)))
+                product = package.multiply_matrices(product, gate_dd)
+            max_nodes = max(max_nodes, count_nodes(product))
+            remaining -= 1
+            if remaining:
+                yield 1
 
         scalar = package.identity_scalar(product, config.tolerance)
         details = {
@@ -162,7 +126,7 @@ class AlternatingChecker(Checker):
         right_matrices = (
             _dense_gate(inverse_instruction(inst), num_qubits) for inst in right
         )
-        for token in alternating_schedule(len(left), len(right), _dense_strategy(config)):
+        for token in alternating_schedule(len(left), len(right)):
             if token == LEFT:
                 product = next(left_matrices) @ product
             else:
@@ -173,14 +137,6 @@ class AlternatingChecker(Checker):
 
         details = {"num_gates_first": len(left), "num_gates_second": len(right)}
         return CheckerOutcome(criterion_from_matrix(product, config.tolerance), details)
-
-
-def _dense_strategy(config: "Configuration") -> str:
-    # Lookahead is a DD-size heuristic; on the dense backend it degenerates
-    # to the proportional schedule.
-    if config.strategy == "lookahead":
-        return "proportional"
-    return config.strategy
 
 
 def _dense_gate(instruction, num_qubits: int) -> np.ndarray:

@@ -1,10 +1,10 @@
 """Checker abstraction and registry of the pluggable checker subsystem.
 
-Historically every equivalence-checking strategy lived as a private method on
+Historically every equivalence-checking scheme lived as a private method on
 ``EquivalenceChecker`` and was dispatched by string comparison.  This module
 replaces that hub with first-class :class:`Checker` objects:
 
-* each strategy is a :class:`Checker` subclass in its own module
+* each method is a :class:`Checker` subclass in its own module
   (:mod:`~repro.core.checkers.alternating`,
   :mod:`~repro.core.checkers.construction`,
   :mod:`~repro.core.checkers.simulation`,
@@ -80,7 +80,7 @@ class CheckerOutcome:
 
 
 class Checker(ABC):
-    """One equivalence-checking strategy.
+    """One equivalence-checking method.
 
     Subclasses set the class attributes and implement :meth:`check`; calling
     :func:`register` on the subclass makes it resolvable by name everywhere a
@@ -90,7 +90,7 @@ class Checker(ABC):
     Attributes
     ----------
     name:
-        Registry name of the strategy (e.g. ``"alternating"``).
+        Registry name of the checker (e.g. ``"alternating"``).
     role:
         ``"prover"`` — can deliver a definitive *positive* verdict
         (``EQUIVALENT`` / ``EQUIVALENT_UP_TO_GLOBAL_PHASE``) — or
@@ -101,15 +101,11 @@ class Checker(ABC):
         the paper) and therefore handles dynamic primitives natively.  The
         calling layer skips the Scheme-1 unitary reconstruction for such
         checkers and hands them the original circuits.
-    uses_strategy:
-        Whether ``Configuration.strategy`` influences this checker (only the
-        alternating scheme); controls result reporting.
     """
 
     name: ClassVar[str]
     role: ClassVar[str] = "prover"
     scheme_two: ClassVar[bool] = False
-    uses_strategy: ClassVar[bool] = False
 
     @abstractmethod
     def check(

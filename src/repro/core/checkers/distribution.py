@@ -3,9 +3,10 @@
 Compares the complete measurement-outcome distributions of the two circuits
 for the all-zero input state via branching classical simulation
 (:func:`~repro.core.extraction.extract_distribution`).  This is the only
-checker that handles dynamic primitives *natively* — including
-classically-conditioned resets, which Scheme 1 cannot reconstruct into a
-unitary circuit — so the adaptive scheduler routes such pairs here.
+checker that handles dynamic primitives *natively* — including the
+classically-conditioned resets Scheme 1 cannot reconstruct into a unitary
+circuit (a reset conditioned on its own qubit's measurement) — so the
+adaptive scheduler routes such pairs here.
 
 Like the simulative check it is behavioural, not functional: equal
 distributions yield ``PROBABLY_EQUIVALENT``; a distribution mismatch is a

@@ -130,7 +130,6 @@ class RewriteChecker(Checker):
     name: ClassVar[str] = "rewrite"
     role: ClassVar[str] = "prover"
     scheme_two: ClassVar[bool] = False
-    uses_strategy: ClassVar[bool] = False
 
     def check(
         self,

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 
 from repro.exceptions import ConfigurationError
@@ -9,7 +10,6 @@ from repro.resilience.faults import FaultPlan
 
 __all__ = ["Configuration"]
 
-_STRATEGIES = ("naive", "one_to_one", "proportional", "lookahead")
 _BACKENDS = ("dd", "dense")
 _STIMULI = ("basis", "product")
 _EXECUTORS = ("thread", "process")
@@ -45,10 +45,6 @@ class Configuration:
         then compare), ``simulation`` (random-stimuli check), ``distribution``
         (Scheme-2 measurement-outcome comparison), or any third-party checker
         added through the registry.
-    strategy:
-        Application strategy of the alternating scheme: ``naive``,
-        ``one_to_one``, ``proportional`` (the paper's default) or
-        ``lookahead``.
     backend:
         ``dd`` (decision diagrams) or ``dense`` (numpy, exponential memory —
         only sensible for small circuits and as ground truth in tests).
@@ -57,7 +53,8 @@ class Configuration:
         (Section 4 of the paper).  When false, encountering a dynamic circuit
         raises.
     tolerance:
-        Numerical tolerance of the identity / fidelity decisions.
+        Numerical tolerance of the identity / fidelity decisions: finite and
+        strictly between 0 and 1.
     num_simulations:
         Number of random stimuli for the ``simulation`` method.
     stimuli_type:
@@ -168,7 +165,6 @@ class Configuration:
     """
 
     method: str = "alternating"
-    strategy: str = "proportional"
     backend: str = "dd"
     transform_dynamic: bool = True
     tolerance: float = 1e-7
@@ -199,10 +195,6 @@ class Configuration:
             raise ConfigurationError(
                 f"unknown method {self.method!r}; registered checkers: {known_checkers}"
             )
-        if self.strategy not in _STRATEGIES:
-            raise ConfigurationError(
-                f"unknown strategy {self.strategy!r}; choose from {_STRATEGIES}"
-            )
         if self.backend not in _BACKENDS:
             raise ConfigurationError(
                 f"unknown backend {self.backend!r}; choose from {_BACKENDS}"
@@ -211,8 +203,13 @@ class Configuration:
             raise ConfigurationError(
                 f"unknown stimuli type {self.stimuli_type!r}; choose from {_STIMULI}"
             )
-        if self.tolerance <= 0:
-            raise ConfigurationError("tolerance must be positive")
+        # A NaN tolerance fails every comparison (a circuit is then "not
+        # equivalent" to itself) and one of 1 or more accepts any unitary as
+        # the identity, so both would give wrong definitive verdicts.
+        if not (math.isfinite(self.tolerance) and 0 < self.tolerance < 1):
+            raise ConfigurationError(
+                f"tolerance must be finite and in (0, 1), got {self.tolerance!r}"
+            )
         if self.num_simulations < 1:
             raise ConfigurationError("num_simulations must be at least 1")
         if self.portfolio is not None:
@@ -236,8 +233,8 @@ class Configuration:
             )
         for name in ("timeout", "checker_timeout"):
             value = getattr(self, name)
-            if value is not None and value <= 0:
-                raise ConfigurationError(f"{name} must be positive (or None)")
+            if value is not None and not (math.isfinite(value) and value > 0):
+                raise ConfigurationError(f"{name} must be finite and positive (or None)")
         if self.max_workers < 1:
             raise ConfigurationError("max_workers must be at least 1")
         if self.executor not in _EXECUTORS:
@@ -258,8 +255,8 @@ class Configuration:
             raise ConfigurationError(
                 "breaker_threshold must be at least 1 (or None to disable)"
             )
-        if self.breaker_cooldown <= 0:
-            raise ConfigurationError("breaker_cooldown must be positive")
+        if not (math.isfinite(self.breaker_cooldown) and self.breaker_cooldown > 0):
+            raise ConfigurationError("breaker_cooldown must be finite and positive")
         if self.batch_retries < 0:
             raise ConfigurationError("batch_retries must be non-negative")
         if self.fault_plan is not None and not isinstance(self.fault_plan, FaultPlan):

@@ -7,7 +7,7 @@ same unitary ``U =? U'`` by building ``E = U * U'^dagger`` — either in one go
 circuits on random stimuli (``simulation``) or on their measurement-outcome
 distributions (``distribution``).
 
-The strategies themselves live as pluggable :class:`~repro.core.checkers.base.Checker`
+The checkers themselves live as pluggable :class:`~repro.core.checkers.base.Checker`
 classes in :mod:`repro.core.checkers` and are resolved by name through the
 checker registry — this module only orchestrates one run: Scheme-1
 transformation of dynamic circuits (skipped for Scheme-2 checkers, which
@@ -89,9 +89,7 @@ class EquivalenceChecker:
         outcome = checker_cls().check(
             first_prepared, second_prepared, self.configuration, interrupt=interrupt
         )
-        return self._result(
-            checker_cls, outcome, time_transformation, time.perf_counter() - start
-        )
+        return self._result(outcome, time_transformation, time.perf_counter() - start)
 
     def steps(
         self,
@@ -122,9 +120,7 @@ class EquivalenceChecker:
                 cost = next(steps)
             except StopIteration as stop:
                 time_check += time.perf_counter() - start
-                return self._result(
-                    checker_cls, stop.value, time_transformation, time_check
-                )
+                return self._result(stop.value, time_transformation, time_check)
             time_check += time.perf_counter() - start
             yield cost
 
@@ -170,14 +166,13 @@ class EquivalenceChecker:
         return checker_cls, first_prepared, second_prepared, time_transformation
 
     def _result(
-        self, checker_cls, outcome, time_transformation: float, time_check: float
+        self, outcome, time_transformation: float, time_check: float
     ) -> EquivalenceCheckResult:
         config = self.configuration
         return EquivalenceCheckResult(
             criterion=outcome.criterion,
             method=config.method,
             backend=config.backend,
-            strategy=config.strategy if checker_cls.uses_strategy else None,
             time_transformation=time_transformation,
             time_check=time_check,
             details=outcome.details,

@@ -20,6 +20,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.circuit.circuit import QuantumCircuit
+from repro.core.transformation import to_unitary_circuit
+from repro.exceptions import TransformationError
 
 __all__ = [
     "CircuitFeatures",
@@ -37,6 +39,16 @@ class CircuitFeatures:
     ``num_gates`` counts unitary gate instructions (conditioned or not);
     barriers are ignored throughout.  ``gate_types`` is the sorted tuple of
     distinct gate names, the basis of the diversity features.
+
+    ``needs_scheme_two`` is whether the circuit has a classically-conditioned
+    reset *and* Scheme-1 unitary reconstruction
+    (:func:`~repro.core.transformation.to_unitary_circuit`) fails on it, so
+    that only a behavioural (Scheme-2) checker can compare it.  Scheme 1
+    turns most conditioned resets into a quantum-controlled SWAP with a fresh
+    ancilla; it fails on a conditioned reset of a qubit that was measured
+    itself, such as a reset conditioned on its own qubit's measurement.
+    The reconstruction is only attempted for circuits with a conditioned
+    reset, so the flag costs nothing on every other circuit.
     """
 
     num_qubits: int
@@ -50,6 +62,7 @@ class CircuitFeatures:
     depth: int
     gate_types: tuple[str, ...]
     has_mid_circuit_measurement: bool
+    needs_scheme_two: bool
 
     @property
     def num_gate_types(self) -> int:
@@ -73,16 +86,6 @@ class CircuitFeatures:
             or self.num_classically_controlled
             or self.has_mid_circuit_measurement
         )
-
-    @property
-    def needs_scheme_two(self) -> bool:
-        """Whether Scheme-1 unitary reconstruction is impossible.
-
-        Classically-conditioned resets cannot be rewired onto fresh qubits
-        (:func:`~repro.core.transformation.substitute_resets` raises), so the
-        pair can only be compared behaviourally.
-        """
-        return self.num_conditioned_resets > 0
 
     def to_dict(self) -> dict:
         """JSON-friendly view, including the derived ratios."""
@@ -174,8 +177,18 @@ def extract_features(
         depth=circuit.depth(),
         gate_types=tuple(sorted(gate_types)),
         has_mid_circuit_measurement=mid_circuit_measurement,
+        needs_scheme_two=num_conditioned_resets > 0 and not _reconstructible(circuit),
     )
     return features, signatures
+
+
+def _reconstructible(circuit: QuantumCircuit) -> bool:
+    """Whether Scheme-1 unitary reconstruction succeeds on ``circuit``."""
+    try:
+        to_unitary_circuit(circuit)
+    except TransformationError:
+        return False
+    return True
 
 
 def circuit_features(circuit: QuantumCircuit) -> CircuitFeatures:

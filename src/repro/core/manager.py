@@ -15,9 +15,9 @@ soon as any of them is definitive:
 Which checkers run, in which order and with which budgets is decided per
 pair by a :class:`~repro.core.scheduler.PortfolioScheduler`
 (``Configuration.scheduler``): ``static`` replays the configured portfolio
-verbatim, ``adaptive`` reorders it from circuit features (and routes
-conditioned-reset pairs to the Scheme-2 ``distribution`` checker, which the
-Scheme-1 checkers cannot decide).
+verbatim, ``adaptive`` reorders it from circuit features (and routes pairs
+whose conditioned resets Scheme 1 cannot reconstruct to the Scheme-2
+``distribution`` checker, since the Scheme-1 checkers cannot decide them).
 
 :class:`EquivalenceCheckingManager` does not run that lineup one checker
 after another.  It *interleaves* the checkers step by step in the calling

@@ -66,8 +66,6 @@ class EquivalenceCheckResult:
         ``simulation`` or ``distribution``).
     backend:
         ``dd`` or ``dense``.
-    strategy:
-        Application strategy used by the alternating scheme (if any).
     time_transformation:
         Seconds spent transforming dynamic circuits into unitary ones
         (``t_trans`` in Table 1 of the paper); zero when no transformation was
@@ -81,7 +79,6 @@ class EquivalenceCheckResult:
     criterion: EquivalenceCriterion
     method: str
     backend: str = "dd"
-    strategy: str | None = None
     time_transformation: float = 0.0
     time_check: float = 0.0
     details: dict = field(default_factory=dict)
@@ -102,8 +99,6 @@ class EquivalenceCheckResult:
             f"method={self.method}",
             f"backend={self.backend}",
         ]
-        if self.strategy:
-            pieces.append(f"strategy={self.strategy}")
         pieces.append(f"t_trans={self.time_transformation:.6f}s")
         pieces.append(f"t_check={self.time_check:.6f}s")
         return "EquivalenceCheckResult(" + ", ".join(pieces) + ")"

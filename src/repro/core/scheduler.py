@@ -16,8 +16,8 @@ Two schedulers ship by default, selected by ``Configuration.scheduler``:
 
 * ``static`` — the configured portfolio, in configured order, uniform
   budgets.  Exactly the pre-scheduler behaviour.
-* ``adaptive`` — feature-driven: routes conditioned-reset pairs (which
-  Scheme 1 cannot reconstruct) to the Scheme-2 ``distribution`` checker,
+* ``adaptive`` — feature-driven: routes pairs with a conditioned reset
+  that Scheme 1 cannot reconstruct to the Scheme-2 ``distribution`` checker,
   front-loads the provers on near-identical builds (the falsifier cannot
   refute a clone, and early termination then skips it entirely), and
   front-loads the falsifier with a bounded budget share on dissimilar pairs.
@@ -184,13 +184,15 @@ class AdaptiveScheduler(PortfolioScheduler):
 
     Decision rules, in priority order:
 
-    1. *Conditioned resets* (Scheme-1 reconstruction impossible): put the
-       Scheme-2-capable checkers first; when the portfolio has none and the
-       pair's distributions are comparable (matching, non-zero classical
-       bits on both sides), append ``distribution``.  A conditioned-reset
-       pair whose distributions are *not* comparable has no decidable path
-       at all and keeps the configured lineup (failing exactly as static
-       would).
+    1. *Unreconstructible conditioned resets* (a conditioned reset on which
+       Scheme-1 reconstruction fails, e.g. one conditioned on its own
+       qubit's measurement): put the Scheme-2-capable checkers first; when
+       the portfolio has none and the pair's distributions are comparable
+       (matching, non-zero classical bits on both sides), append
+       ``distribution``.  Such a pair whose distributions are *not*
+       comparable has no decidable path at all and keeps the configured
+       lineup (failing exactly as static would).  Conditioned resets that
+       Scheme 1 does reconstruct fall through to the rules below.
     2. *Translated pairs* (gate-set signatures differ, qubit counts match,
        ``rewrite`` in the portfolio): the library-driven peephole prover
        front-loaded — a basis-translated pair reduces to identity in
@@ -232,7 +234,7 @@ class AdaptiveScheduler(PortfolioScheduler):
                 checkers=checkers,
                 scheduler=self.name,
                 rationale=(
-                    "conditioned resets defeat Scheme-1 reconstruction; "
+                    "a conditioned reset defeats Scheme-1 reconstruction; "
                     "scheme-2 checkers routed first"
                 ),
                 features=features,

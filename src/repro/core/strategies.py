@@ -1,4 +1,4 @@
-"""Application strategies for the alternating equivalence-checking scheme.
+"""The application schedule of the alternating equivalence-checking scheme.
 
 The alternating scheme builds ``E = U * U'^dagger`` by multiplying gates of
 the first circuit onto ``E`` from the left and inverted gates of the second
@@ -7,8 +7,8 @@ operations, so *any* interleaving produces the same product — but the
 interleaving determines how large the intermediate decision diagram gets.  If
 the two circuits are (close to) equivalent, applying gates from both sides at
 a rate proportional to the circuit sizes keeps the intermediate product close
-to the identity, which is exactly why the ``proportional`` strategy is the
-default of QCEC and of this reproduction.
+to the identity, which is why the proportional schedule is QCEC's default and
+the only one this reproduction implements.
 """
 
 from __future__ import annotations
@@ -23,70 +23,22 @@ LEFT = "L"
 RIGHT = "R"
 
 
-def alternating_schedule(num_left: int, num_right: int, strategy: str) -> Iterator[str]:
+def alternating_schedule(num_left: int, num_right: int) -> Iterator[str]:
     """Yield ``LEFT``/``RIGHT`` tokens describing the gate application order.
 
     ``num_left`` and ``num_right`` are the gate counts of the two circuits.
-    The ``lookahead`` strategy is data-dependent (it inspects DD sizes) and is
-    therefore scheduled by the checker itself, not by this function.
+    Gates are interleaved at a rate proportional to the two counts with an
+    error-accumulation (Bresenham-style) scheme, so that after ``k`` steps
+    roughly ``k * num_left / (num_left + num_right)`` gates of the left
+    circuit have been applied.
     """
     if num_left < 0 or num_right < 0:
         raise EquivalenceCheckingError("gate counts must be non-negative")
-
-    if strategy == "naive":
-        yield from _naive(num_left, num_right)
-    elif strategy == "one_to_one":
-        yield from _one_to_one(num_left, num_right)
-    elif strategy == "proportional":
-        yield from _proportional(num_left, num_right)
-    else:
-        raise EquivalenceCheckingError(
-            f"strategy {strategy!r} cannot be turned into a static schedule"
-        )
-
-
-def _naive(num_left: int, num_right: int) -> Iterator[str]:
-    for _ in range(num_left):
-        yield LEFT
-    for _ in range(num_right):
-        yield RIGHT
-
-
-def _one_to_one(num_left: int, num_right: int) -> Iterator[str]:
-    left_done = 0
-    right_done = 0
-    while left_done < num_left or right_done < num_right:
-        if left_done < num_left:
-            yield LEFT
-            left_done += 1
-        if right_done < num_right:
-            yield RIGHT
-            right_done += 1
-
-
-def _proportional(num_left: int, num_right: int) -> Iterator[str]:
-    """Interleave at a rate proportional to the two gate counts.
-
-    Uses an error-accumulation (Bresenham-style) scheme so that after ``k``
-    steps roughly ``k * num_left / (num_left + num_right)`` gates of the left
-    circuit have been applied.
-    """
-    if num_left == 0 or num_right == 0:
-        yield from _naive(num_left, num_right)
-        return
     left_done = 0
     right_done = 0
     error = 0
     while left_done < num_left or right_done < num_right:
-        if left_done >= num_left:
-            yield RIGHT
-            right_done += 1
-            continue
-        if right_done >= num_right:
-            yield LEFT
-            left_done += 1
-            continue
-        if error >= 0:
+        if right_done >= num_right or (left_done < num_left and error >= 0):
             yield LEFT
             left_done += 1
             error -= num_right

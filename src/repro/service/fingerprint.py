@@ -96,7 +96,6 @@ def canonical_fingerprints_sound_for(configuration: "Configuration | None") -> b
 #: outcomes time-dependent and therefore partition the cache.
 VERDICT_CONFIGURATION_FIELDS = (
     "method",
-    "strategy",
     "backend",
     "transform_dynamic",
     "tolerance",

@@ -39,8 +39,11 @@ class TestParser:
     def test_verify_defaults(self):
         args = build_parser().parse_args(["verify", "a.qasm", "b.qasm"])
         assert args.method == "alternating"
-        assert args.strategy == "proportional"
         assert args.backend == "dd"
+
+    def test_strategy_option_is_gone(self):
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["verify", "a", "b", "--strategy", "naive"])
 
     def test_invalid_choice_rejected(self):
         with pytest.raises(SystemExit):
@@ -69,7 +72,8 @@ class TestVerifyCommand:
         assert code == 0
         payload = json.loads(capsys.readouterr().out)
         assert payload["equivalent"] is True
-        assert payload["strategy"] == "proportional"
+        assert payload["method"] == "alternating"
+        assert "strategy" not in payload
 
     def test_method_distribution_runs_scheme_two(self, qasm_files, capsys):
         code = main(
@@ -84,15 +88,13 @@ class TestVerifyCommand:
         assert code == 0
         assert "probably_equivalent" in capsys.readouterr().out
 
-    def test_strategy_and_backend_options(self, qasm_files):
+    def test_backend_option(self, qasm_files):
         assert (
             main(
                 [
                     "verify",
                     qasm_files["qpe_static"],
                     qasm_files["iqpe"],
-                    "--strategy",
-                    "one_to_one",
                     "--backend",
                     "dense",
                 ]

@@ -63,11 +63,22 @@ class TestScheme1FunctionalVerification:
     def test_teleportation(self):
         assert check_equivalence(teleportation_static(), teleportation_dynamic()).equivalent
 
-    @pytest.mark.parametrize("strategy", ["naive", "one_to_one", "proportional", "lookahead"])
-    def test_strategies_on_dynamic_input(self, strategy):
-        static = qpe_static(3, running_example_lambda)
-        dynamic = iterative_qpe(3, running_example_lambda)
-        assert check_equivalence(static, dynamic, strategy=strategy).equivalent
+    @pytest.mark.parametrize("backend", ["dd", "dense"])
+    @pytest.mark.parametrize(
+        "family",
+        [
+            lambda: (qpe_static(3, running_example_lambda), iterative_qpe(3, running_example_lambda)),
+            lambda: (bernstein_vazirani_static("1011"), bernstein_vazirani_dynamic("1011")),
+            lambda: (qft_static_benchmark(4), qft_dynamic(4)),
+            lambda: (teleportation_static(), teleportation_dynamic()),
+        ],
+        ids=["qpe", "bv", "qft", "teleportation"],
+    )
+    def test_backends_agree_on_dynamic_input(self, family, backend):
+        static, dynamic = family()
+        result = check_equivalence(static, dynamic, backend=backend)
+        assert result.equivalent
+        assert result.time_transformation > 0.0
 
     def test_wrong_hidden_string_detected(self):
         static = bernstein_vazirani_static("101")

@@ -32,16 +32,27 @@ class TestConfiguration:
     def test_defaults(self):
         config = Configuration()
         assert config.method == "alternating"
-        assert config.strategy == "proportional"
         assert config.backend == "dd"
+
+    def test_has_no_strategy_option(self):
+        # The alternating scheme has one (proportional) application schedule.
+        with pytest.raises(TypeError):
+            Configuration(strategy="proportional")
 
     @pytest.mark.parametrize(
         "kwargs",
         [
             {"method": "guessing"},
-            {"strategy": "random"},
             {"backend": "gpu"},
             {"tolerance": -1.0},
+            {"tolerance": math.nan},
+            {"tolerance": math.inf},
+            {"tolerance": 1.0},
+            {"timeout": math.nan},
+            {"timeout": math.inf},
+            {"checker_timeout": math.nan},
+            {"breaker_cooldown": math.nan},
+            {"breaker_cooldown": math.inf},
             {"num_simulations": 0},
             {"stimuli_type": "stabilizer"},
         ],
@@ -52,9 +63,9 @@ class TestConfiguration:
 
     def test_updated_returns_new_configuration(self):
         config = Configuration()
-        updated = config.updated(strategy="naive")
-        assert updated.strategy == "naive"
-        assert config.strategy == "proportional"
+        updated = config.updated(backend="dense")
+        assert updated.backend == "dense"
+        assert config.backend == "dd"
 
 
 class TestPositiveCases:
@@ -90,13 +101,6 @@ class TestPositiveCases:
     def test_verify_alias(self):
         circuit = ghz_fanout(2)
         assert verify(circuit, circuit).equivalent
-
-    @pytest.mark.parametrize("strategy", ["naive", "one_to_one", "proportional", "lookahead"])
-    def test_all_strategies_agree(self, strategy):
-        direct, decomposed = two_realizations_of_swap()
-        result = check_equivalence(direct, decomposed, strategy=strategy)
-        assert result.equivalent
-        assert result.strategy == strategy
 
     @pytest.mark.parametrize("method", ["alternating", "construction", "simulation"])
     def test_all_methods_agree(self, method):
@@ -180,7 +184,7 @@ class TestResultBookkeeping:
         assert "t_check" in text
 
     def test_checker_object_reuse(self):
-        checker = EquivalenceChecker(Configuration(strategy="one_to_one"))
+        checker = EquivalenceChecker(Configuration(backend="dense"))
         direct, decomposed = two_realizations_of_swap()
         assert checker.run(direct, decomposed).equivalent
         assert checker.run(decomposed, direct).equivalent

@@ -37,11 +37,12 @@ SEED = 1234
 
 
 def _conditioned_reset_pair(equivalent: bool = True):
-    """Two builds of a circuit with a classically-conditioned reset.
+    """Two builds of a circuit with a reset conditioned on its own qubit.
 
-    Scheme 1 cannot reconstruct such circuits
-    (:func:`~repro.core.transformation.substitute_resets` raises — the PR 2
-    fix this guards), so only a Scheme-2 checker can decide the pair.
+    Scheme 1 cannot reconstruct such circuits: the conditioned SWAP that
+    replaces the reset would act on the qubit whose measurement controls it,
+    and :func:`~repro.core.transformation.to_unitary_circuit` raises.  So
+    only a Scheme-2 checker can decide the pair.
     """
     first = QuantumCircuit(1, 2)
     first.h(0)
@@ -57,6 +58,21 @@ def _conditioned_reset_pair(equivalent: bool = True):
         second.x(0)
     second.measure(0, 1)
     return first, second
+
+
+def _cross_conditioned_reset_circuit() -> QuantumCircuit:
+    """A reset of qubit 1 conditioned on qubit 0's measurement.
+
+    Scheme 1 reconstructs it (a controlled SWAP with a fresh ancilla), so
+    the Scheme-1 checkers decide it.
+    """
+    circuit = QuantumCircuit(2, 2)
+    circuit.h(0)
+    circuit.h(1)
+    circuit.measure(0, 0)
+    circuit.reset(1, condition=(0, 1))
+    circuit.measure(1, 1)
+    return circuit
 
 
 class TestCircuitFeatures:
@@ -119,6 +135,12 @@ class TestCircuitFeatures:
         assert features.num_conditioned_resets == 1
         assert features.needs_scheme_two
         assert features.is_dynamic
+
+    def test_reconstructible_conditioned_reset_stays_scheme_one(self):
+        features = circuit_features(_cross_conditioned_reset_circuit())
+        assert features.num_conditioned_resets == 1
+        assert features.is_dynamic
+        assert not features.needs_scheme_two
 
     def test_dynamic_bv_matches_circuit_properties(self):
         circuit = bernstein_vazirani_dynamic("1011")
@@ -197,10 +219,9 @@ class TestSchedulers:
         )
 
     def test_adaptive_never_selects_scheme_one_only_path_for_conditioned_reset(self):
-        # Regression guard for the PR 2 substitute_resets fix: a conditioned
-        # reset cannot be rewired onto a fresh qubit, so every Scheme-1
-        # checker is doomed; the adaptive lineup must contain a Scheme-2
-        # checker and lead with it.
+        # A reset conditioned on its own qubit's measurement has no Scheme-1
+        # reconstruction, so every Scheme-1 checker is doomed; the adaptive
+        # lineup must contain a Scheme-2 checker and lead with it.
         first, second = _conditioned_reset_pair()
         config = Configuration(scheduler="adaptive")
         schedule = resolve_scheduler("adaptive")().build(first, second, config)
@@ -234,6 +255,18 @@ class TestAdaptiveManager:
         assert adaptive.criterion is EquivalenceCriterion.PROBABLY_EQUIVALENT
         assert adaptive.schedule[0] == "distribution"
         assert adaptive.features["needs_scheme_two"] is True
+
+    def test_adaptive_keeps_scheme_one_lead_for_reconstructible_conditioned_reset(self):
+        first = _cross_conditioned_reset_circuit()
+        second = _cross_conditioned_reset_circuit()
+        result = EquivalenceCheckingManager(seed=SEED, scheduler="adaptive").run(
+            first, second
+        )
+        assert result.schedule[0] != "distribution"
+        assert "distribution" not in result.schedule
+        assert result.features["needs_scheme_two"] is False
+        assert result.criterion is EquivalenceCriterion.EQUIVALENT
+        assert result.decided_by == "alternating"
 
     def test_adaptive_refutes_non_equivalent_conditioned_reset_pair(self):
         first, second = _conditioned_reset_pair(equivalent=False)

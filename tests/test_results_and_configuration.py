@@ -40,7 +40,7 @@ class TestEquivalenceCheckResult:
 
     def test_str_contains_key_fields(self):
         result = EquivalenceCheckResult(
-            EquivalenceCriterion.NOT_EQUIVALENT, method="simulation", strategy=None
+            EquivalenceCriterion.NOT_EQUIVALENT, method="simulation"
         )
         text = str(result)
         assert "not_equivalent" in text
@@ -60,8 +60,8 @@ class TestConfiguration:
             config.method = "construction"  # type: ignore[misc]
 
     def test_updated_chains(self):
-        config = Configuration().updated(strategy="naive").updated(backend="dense")
-        assert config.strategy == "naive"
+        config = Configuration().updated(seed=3).updated(backend="dense")
+        assert config.seed == 3
         assert config.backend == "dense"
 
 

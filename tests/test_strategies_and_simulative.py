@@ -1,4 +1,4 @@
-"""Tests for the alternating-scheme strategies and the simulative checker."""
+"""Tests for the alternating-scheme schedule and the simulative checker."""
 
 import pytest
 
@@ -10,23 +10,25 @@ from repro.exceptions import EquivalenceCheckingError
 
 
 class TestSchedules:
-    @pytest.mark.parametrize("strategy", ["naive", "one_to_one", "proportional"])
-    @pytest.mark.parametrize("num_left,num_right", [(5, 5), (3, 9), (9, 3), (0, 4), (4, 0), (1, 1)])
-    def test_schedule_covers_all_gates(self, strategy, num_left, num_right):
-        tokens = list(alternating_schedule(num_left, num_right, strategy))
+    @pytest.mark.parametrize(
+        "num_left,num_right",
+        [(5, 5), (3, 9), (9, 3), (0, 4), (4, 0), (1, 1), (0, 0), (2, 7), (16, 59), (59, 16)],
+    )
+    def test_schedule_covers_all_gates(self, num_left, num_right):
+        tokens = list(alternating_schedule(num_left, num_right))
         assert tokens.count(LEFT) == num_left
         assert tokens.count(RIGHT) == num_right
 
-    def test_naive_order(self):
-        tokens = list(alternating_schedule(2, 3, "naive"))
-        assert tokens == [LEFT, LEFT, RIGHT, RIGHT, RIGHT]
-
-    def test_one_to_one_alternates(self):
-        tokens = list(alternating_schedule(3, 3, "one_to_one"))
+    def test_equal_counts_alternate(self):
+        tokens = list(alternating_schedule(3, 3))
         assert tokens == [LEFT, RIGHT] * 3
 
+    def test_one_sided_counts_run_in_order(self):
+        assert list(alternating_schedule(2, 0)) == [LEFT, LEFT]
+        assert list(alternating_schedule(0, 3)) == [RIGHT, RIGHT, RIGHT]
+
     def test_proportional_interleaving_ratio(self):
-        tokens = list(alternating_schedule(2, 6, "proportional"))
+        tokens = list(alternating_schedule(2, 6))
         # After every prefix the applied ratio should track 2:6 within one gate.
         left_seen = 0
         right_seen = 0
@@ -38,13 +40,9 @@ class TestSchedules:
             assert abs(right_seen - 3 * left_seen) <= 3
         assert left_seen == 2 and right_seen == 6
 
-    def test_unknown_strategy_raises(self):
-        with pytest.raises(EquivalenceCheckingError):
-            list(alternating_schedule(1, 1, "lookahead"))
-
     def test_negative_counts_raise(self):
         with pytest.raises(EquivalenceCheckingError):
-            list(alternating_schedule(-1, 1, "naive"))
+            list(alternating_schedule(-1, 1))
 
 
 class TestSimulativeCheck:

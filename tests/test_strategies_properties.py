@@ -1,9 +1,9 @@
-"""Property-based tests (hypothesis) for the alternating application schedules.
+"""Property-based tests (hypothesis) for the alternating application schedule.
 
-The schedules drive the alternating equivalence-checking scheme: get the token
+The schedule drives the alternating equivalence-checking scheme: get the token
 counts wrong and gates of one circuit are skipped or applied twice, silently
 corrupting the verdict.  These properties pin the schedule contract for all
-strategies and gate counts.
+gate counts.
 """
 
 import pytest
@@ -13,15 +13,13 @@ from hypothesis import strategies as st
 from repro.core.strategies import LEFT, RIGHT, alternating_schedule
 from repro.exceptions import EquivalenceCheckingError
 
-STATIC_STRATEGIES = ("naive", "one_to_one", "proportional")
-
 counts = st.integers(min_value=0, max_value=200)
 
 
 @settings(deadline=None)
-@given(num_left=counts, num_right=counts, strategy=st.sampled_from(STATIC_STRATEGIES))
-def test_every_strategy_emits_exact_token_counts(num_left, num_right, strategy):
-    tokens = list(alternating_schedule(num_left, num_right, strategy))
+@given(num_left=counts, num_right=counts)
+def test_schedule_emits_exact_token_counts(num_left, num_right):
+    tokens = list(alternating_schedule(num_left, num_right))
     assert tokens.count(LEFT) == num_left
     assert tokens.count(RIGHT) == num_right
     assert len(tokens) == num_left + num_right
@@ -29,11 +27,11 @@ def test_every_strategy_emits_exact_token_counts(num_left, num_right, strategy):
 
 
 @settings(deadline=None)
-@given(num_left=counts, num_right=counts, strategy=st.sampled_from(STATIC_STRATEGIES))
-def test_schedules_never_overrun_either_circuit(num_left, num_right, strategy):
+@given(num_left=counts, num_right=counts)
+def test_schedule_never_overruns_either_circuit(num_left, num_right):
     """Prefix counts never exceed the available gates (no index overruns)."""
     left_done = right_done = 0
-    for token in alternating_schedule(num_left, num_right, strategy):
+    for token in alternating_schedule(num_left, num_right):
         if token == LEFT:
             left_done += 1
         else:
@@ -51,42 +49,20 @@ def test_proportional_prefixes_track_the_ideal_ratio(num_left, num_right):
     """After k steps, k * num_left / (num_left + num_right) ± 1 LEFTs were emitted."""
     total = num_left + num_right
     left_done = 0
-    for step, token in enumerate(alternating_schedule(num_left, num_right, "proportional"), 1):
+    for step, token in enumerate(alternating_schedule(num_left, num_right), 1):
         if token == LEFT:
             left_done += 1
         ideal = step * num_left / total
         assert abs(left_done - ideal) <= 1.0
 
 
-@settings(deadline=None)
-@given(num_left=counts, num_right=counts)
-def test_naive_emits_all_lefts_first(num_left, num_right):
-    tokens = list(alternating_schedule(num_left, num_right, "naive"))
-    assert tokens == [LEFT] * num_left + [RIGHT] * num_right
-
-
-@settings(deadline=None)
-@given(
-    num_left=counts,
-    num_right=counts,
-    strategy=st.text(min_size=1, max_size=12).filter(
-        lambda s: s not in STATIC_STRATEGIES
-    ),
-)
-def test_unknown_strategies_raise(num_left, num_right, strategy):
+@pytest.mark.parametrize("num_left,num_right", [(-1, 3), (3, -1), (-1, -1)])
+def test_negative_counts_raise(num_left, num_right):
     with pytest.raises(EquivalenceCheckingError):
-        list(alternating_schedule(num_left, num_right, strategy))
+        list(alternating_schedule(num_left, num_right))
 
 
-@pytest.mark.parametrize("strategy", STATIC_STRATEGIES)
-def test_negative_counts_raise(strategy):
-    with pytest.raises(EquivalenceCheckingError):
-        list(alternating_schedule(-1, 3, strategy))
-    with pytest.raises(EquivalenceCheckingError):
-        list(alternating_schedule(3, -1, strategy))
-
-
-def test_lookahead_is_not_a_static_schedule():
-    """``lookahead`` is data-dependent and must be rejected here."""
-    with pytest.raises(EquivalenceCheckingError):
-        list(alternating_schedule(2, 2, "lookahead"))
+def test_schedule_takes_no_strategy_argument():
+    """The proportional interleaving is the only schedule; there is nothing to select."""
+    with pytest.raises(TypeError):
+        alternating_schedule(2, 2, "proportional")
