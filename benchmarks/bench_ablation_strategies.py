@@ -1,10 +1,10 @@
 """Ablation A: checking methods on the QPE and compiled-circuit workloads.
 
-The alternating scheme interleaves the two circuits' gates at a rate
-proportional to their gate counts, which keeps the product close to the
-identity.  The benchmarks compare it against the construction and simulative
-checkers and record the maximum intermediate decision-diagram size where the
-checker reports one.
+The alternating scheme applies identical frontier gates of the two circuits
+back to back and otherwise interleaves them at a rate proportional to their
+gate counts, which keeps the product close to the identity.  The benchmarks
+compare it against the construction and simulative checkers and record the
+maximum intermediate decision-diagram size where the checker reports one.
 """
 
 from __future__ import annotations

@@ -71,7 +71,7 @@ from repro.core.scheduler import (
     resolve_scheduler,
 )
 from repro.core.simulative import run_simulative_check
-from repro.core.strategies import alternating_schedule
+from repro.core.strategies import matched_schedule
 from repro.core.transformation import (
     TransformationResult,
     defer_measurements,
@@ -104,7 +104,6 @@ __all__ = [
     "ScheduledChecker",
     "StaticScheduler",
     "TransformationResult",
-    "alternating_schedule",
     "available_checkers",
     "available_schedulers",
     "circuit_features",
@@ -119,6 +118,7 @@ __all__ = [
     "hellinger_distance",
     "jensen_shannon_divergence",
     "kullback_leibler_divergence",
+    "matched_schedule",
     "normalize_distribution",
     "permute_qubits",
     "register_checker",

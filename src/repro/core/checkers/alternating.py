@@ -1,9 +1,10 @@
 """The alternating (QCEC-style) equivalence checker.
 
-Keeps the product ``E = U * U'^dagger`` close to the identity by interleaving
-gate applications from both circuits at a rate proportional to their gate
-counts; see :mod:`repro.core.strategies`.  The DD and dense backends share
-that one schedule.
+Keeps the product ``E = U * U'^dagger`` close to the identity by applying
+identical frontier gates of both circuits back to back and otherwise
+interleaving them at a rate proportional to their gate counts; see
+:func:`repro.core.strategies.matched_schedule`.  The DD and dense backends
+walk that one schedule.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from repro.core.checkers.base import (
     inverse_instruction,
     register,
 )
-from repro.core.strategies import LEFT, alternating_schedule
+from repro.core.strategies import LEFT, matched_schedule
 from repro.dd.circuits import instruction_to_dd
 from repro.dd.package import DDPackage
 from repro.simulators.unitary import embed_gate_matrix
@@ -86,14 +87,12 @@ class AlternatingChecker(Checker):
         product = package.identity()
         max_nodes = count_nodes(product)
         remaining = len(left) + len(right)
-        left_gates = iter(left)
-        right_gates = iter(right)
-        for token in alternating_schedule(len(left), len(right)):
-            if token == LEFT:
-                gate_dd = instruction_to_dd(package, next(left_gates))
+        for side, instruction in matched_schedule(left, right):
+            if side == LEFT:
+                gate_dd = instruction_to_dd(package, instruction)
                 product = package.multiply_matrices(gate_dd, product)
             else:
-                gate_dd = instruction_to_dd(package, inverse_instruction(next(right_gates)))
+                gate_dd = instruction_to_dd(package, inverse_instruction(instruction))
                 product = package.multiply_matrices(product, gate_dd)
             max_nodes = max(max_nodes, count_nodes(product))
             remaining -= 1
@@ -121,16 +120,11 @@ class AlternatingChecker(Checker):
         left, right = gate_lists(first, second)
         product = np.eye(dim, dtype=complex)
         remaining = len(left) + len(right)
-
-        left_matrices = (_dense_gate(inst, num_qubits) for inst in left)
-        right_matrices = (
-            _dense_gate(inverse_instruction(inst), num_qubits) for inst in right
-        )
-        for token in alternating_schedule(len(left), len(right)):
-            if token == LEFT:
-                product = next(left_matrices) @ product
+        for side, instruction in matched_schedule(left, right):
+            if side == LEFT:
+                product = _dense_gate(instruction, num_qubits) @ product
             else:
-                product = product @ next(right_matrices)
+                product = product @ _dense_gate(inverse_instruction(instruction), num_qubits)
             remaining -= 1
             if remaining:
                 yield 1

@@ -32,6 +32,7 @@ from collections.abc import Callable, Generator
 
 from repro.circuit.circuit import QuantumCircuit
 from repro.core import checkers as checker_registry
+from repro.core.checkers.base import CheckerOutcome
 from repro.core.configuration import Configuration
 from repro.core.distributions import classical_fidelity, total_variation_distance
 from repro.core.extraction import extract_distribution
@@ -86,9 +87,18 @@ class EquivalenceChecker:
             self._prepare(first, second, qubit_permutation)
         )
         start = time.perf_counter()
-        outcome = checker_cls().check(
-            first_prepared, second_prepared, self.configuration, interrupt=interrupt
-        )
+        try:
+            outcome = checker_cls().check(
+                first_prepared, second_prepared, self.configuration, interrupt=interrupt
+            )
+        except (RecursionError, MemoryError) as error:
+            # The DD kernels recurse one frame per qubit level, so a wide
+            # enough circuit exhausts the stack (or memory): no verdict is
+            # reached, which must never read as an error or a wrong answer.
+            outcome = CheckerOutcome(
+                EquivalenceCriterion.NO_INFORMATION,
+                {"error": f"{type(error).__name__}: {error}"},
+            )
         return self._result(outcome, time_transformation, time.perf_counter() - start)
 
     def steps(

@@ -40,15 +40,15 @@ class CircuitFeatures:
     barriers are ignored throughout.  ``gate_types`` is the sorted tuple of
     distinct gate names, the basis of the diversity features.
 
-    ``needs_scheme_two`` is whether the circuit has a classically-conditioned
-    reset *and* Scheme-1 unitary reconstruction
-    (:func:`~repro.core.transformation.to_unitary_circuit`) fails on it, so
-    that only a behavioural (Scheme-2) checker can compare it.  Scheme 1
-    turns most conditioned resets into a quantum-controlled SWAP with a fresh
-    ancilla; it fails on a conditioned reset of a qubit that was measured
-    itself, such as a reset conditioned on its own qubit's measurement.
-    The reconstruction is only attempted for circuits with a conditioned
-    reset, so the flag costs nothing on every other circuit.
+    ``needs_scheme_two`` is whether Scheme-1 unitary reconstruction
+    (:func:`~repro.core.transformation.to_unitary_circuit`) fails on the
+    circuit, so that only a behavioural (Scheme-2) checker can compare it.
+    Scheme 1 turns most conditioned resets into a quantum-controlled SWAP
+    with a fresh ancilla; it fails on a conditioned reset of a qubit that was
+    measured itself, and on a measured qubit used again without a reset in
+    between.  The reconstruction is only attempted for circuits with a
+    conditioned reset or a mid-circuit measurement, so the flag costs
+    nothing on every other circuit.
     """
 
     num_qubits: int
@@ -177,7 +177,8 @@ def extract_features(
         depth=circuit.depth(),
         gate_types=tuple(sorted(gate_types)),
         has_mid_circuit_measurement=mid_circuit_measurement,
-        needs_scheme_two=num_conditioned_resets > 0 and not _reconstructible(circuit),
+        needs_scheme_two=(num_conditioned_resets > 0 or mid_circuit_measurement)
+        and not _reconstructible(circuit),
     )
     return features, signatures
 

@@ -184,14 +184,14 @@ class AdaptiveScheduler(PortfolioScheduler):
 
     Decision rules, in priority order:
 
-    1. *Unreconstructible conditioned resets* (a conditioned reset on which
-       Scheme-1 reconstruction fails, e.g. one conditioned on its own
-       qubit's measurement): put the Scheme-2-capable checkers first; when
-       the portfolio has none and the pair's distributions are comparable
-       (matching, non-zero classical bits on both sides), append
+    1. *Unreconstructible circuits* (Scheme-1 reconstruction fails, e.g. on
+       a reset conditioned on its own qubit's measurement or a measured
+       qubit used again without a reset): put the Scheme-2-capable checkers
+       first; when the portfolio has none and the pair's distributions are
+       comparable (matching, non-zero classical bits on both sides), append
        ``distribution``.  Such a pair whose distributions are *not*
        comparable has no decidable path at all and keeps the configured
-       lineup (failing exactly as static would).  Conditioned resets that
+       lineup (failing exactly as static would).  Dynamic circuits that
        Scheme 1 does reconstruct fall through to the rules below.
     2. *Translated pairs* (gate-set signatures differ, qubit counts match,
        ``rewrite`` in the portfolio): the library-driven peephole prover
@@ -234,7 +234,7 @@ class AdaptiveScheduler(PortfolioScheduler):
                 checkers=checkers,
                 scheduler=self.name,
                 rationale=(
-                    "a conditioned reset defeats Scheme-1 reconstruction; "
+                    "Scheme-1 reconstruction fails on this pair; "
                     "scheme-2 checkers routed first"
                 ),
                 features=features,

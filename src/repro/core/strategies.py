@@ -3,46 +3,149 @@
 The alternating scheme builds ``E = U * U'^dagger`` by multiplying gates of
 the first circuit onto ``E`` from the left and inverted gates of the second
 circuit from the right.  Left- and right-multiplications commute as
-operations, so *any* interleaving produces the same product — but the
-interleaving determines how large the intermediate decision diagram gets.  If
-the two circuits are (close to) equivalent, applying gates from both sides at
-a rate proportional to the circuit sizes keeps the intermediate product close
-to the identity, which is why the proportional schedule is QCEC's default and
-the only one this reproduction implements.
+operations, and any topological order of a circuit's qubit-sharing DAG gives
+the same unitary, so *any* schedule that walks both circuits in such an order
+produces the same product — but the schedule determines how large the
+intermediate decision diagram gets.
+
+:func:`matched_schedule` keeps ``E`` close to the identity for (nearly)
+equivalent circuits in two ways, in the spirit of the application schemes of
+Burgholzer & Wille, "Advanced Equivalence Checking for Quantum Circuits"
+(IEEE TCAD 2021):
+
+* when a gate that heads every per-qubit queue of its qubits (a *frontier*
+  gate) in ``G`` is the same gate on the same qubits as a frontier gate of
+  ``G'``, both are applied back to back, so ``g * E * g^dagger`` stays the
+  identity where ``E`` was.  This sees through circuits that hold the same
+  gates in a commuted order, as QPE's static and reconstructed iterative
+  circuits do;
+* otherwise the two sides advance at a rate proportional to their gate counts
+  (QCEC's default, Bresenham-style), each taking its lowest-index unapplied
+  gate, which is always on its frontier.
+
+A key match is a hint for DD size, never a correctness condition: the
+verdict depends only on both sides being walked in a topological order.
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterator
+import heapq
+from collections import deque
+from collections.abc import Iterator, Sequence
 
-from repro.exceptions import EquivalenceCheckingError
+from repro.circuit.operations import Instruction
 
-__all__ = ["LEFT", "RIGHT", "alternating_schedule"]
+__all__ = ["LEFT", "RIGHT", "matched_schedule"]
 
 LEFT = "L"
 RIGHT = "R"
 
 
-def alternating_schedule(num_left: int, num_right: int) -> Iterator[str]:
-    """Yield ``LEFT``/``RIGHT`` tokens describing the gate application order.
+class _Frontier:
+    """Per-qubit gate queues of one circuit and its unpaired frontier gates.
 
-    ``num_left`` and ``num_right`` are the gate counts of the two circuits.
-    Gates are interleaved at a rate proportional to the two counts with an
-    error-accumulation (Bresenham-style) scheme, so that after ``k`` steps
-    roughly ``k * num_left / (num_left + num_right)`` gates of the left
-    circuit have been applied.
+    ``waiting[i]`` counts the queues of gate ``i``'s qubits that ``i`` does
+    not head yet; the gate is on the frontier when it reaches 0, and a
+    0-qubit gate is on the frontier from the start.  Keeping these counts
+    (instead of rescanning a ready set) makes the whole walk
+    O(gates x qubits per gate).
     """
-    if num_left < 0 or num_right < 0:
-        raise EquivalenceCheckingError("gate counts must be non-negative")
-    left_done = 0
-    right_done = 0
+
+    def __init__(self, gates: Sequence[Instruction]) -> None:
+        self.gates = gates
+        self.applied = [False] * len(gates)
+        self.waiting = [len(gate.qubits) for gate in gates]
+        self.queues: dict[int, deque[int]] = {}
+        for index, gate in enumerate(gates):
+            for qubit in gate.qubits:
+                self.queues.setdefault(qubit, deque()).append(index)
+        # Frontier gates not yet paired with the other side, by key.
+        # Entries applied by the proportional fallback are dropped lazily.
+        self.unpaired: dict[tuple, deque[int]] = {}
+        self.lowest = 0
+
+    def initial(self) -> list[int]:
+        """The gates on the frontier before anything is applied."""
+        for queue in self.queues.values():
+            self.waiting[queue[0]] -= 1
+        return [index for index, count in enumerate(self.waiting) if count == 0]
+
+    def apply(self, index: int) -> list[int]:
+        """Mark gate ``index`` applied; return the gates it brings to the frontier."""
+        self.applied[index] = True
+        arrivals = []
+        for qubit in self.gates[index].qubits:
+            queue = self.queues[qubit]
+            queue.popleft()
+            if queue:
+                head = queue[0]
+                self.waiting[head] -= 1
+                if self.waiting[head] == 0:
+                    arrivals.append(head)
+        return arrivals
+
+    def lowest_unapplied(self) -> int:
+        while self.applied[self.lowest]:
+            self.lowest += 1
+        return self.lowest
+
+    def take_partner(self, key: tuple) -> int | None:
+        """Pop an unapplied, unpaired frontier gate with this key, if any."""
+        partners = self.unpaired.get(key)
+        while partners:
+            index = partners.popleft()
+            if not self.applied[index]:
+                return index
+        return None
+
+
+def matched_schedule(
+    left: Sequence[Instruction], right: Sequence[Instruction]
+) -> Iterator[tuple[str, Instruction]]:
+    """Yield ``(side, instruction)`` for every gate of both circuits.
+
+    ``side`` is ``LEFT`` for a gate of ``left`` (to multiply onto the product
+    from the left) or ``RIGHT`` for a gate of ``right`` (whose inverse is
+    multiplied on from the right).  Each side's gates come out in a
+    topological order of its qubit-sharing DAG: per-qubit order is kept, so
+    the walked unitary is unchanged.  Identical frontier gates of the two
+    sides are emitted back to back, ``LEFT`` first; otherwise the sides
+    interleave proportionally to their gate counts.
+    """
+    sides = (_Frontier(left), _Frontier(right))
+    # Pending matches, lowest left index first: on identical circuits this
+    # emits exactly the proportional order.
+    pairs: list[tuple[int, int]] = []
+
+    def arrive(side: int, indices: list[int]) -> None:
+        mine, other = sides[side], sides[1 - side]
+        for index in indices:
+            gate = mine.gates[index]
+            key = (gate.operation, gate.qubits)
+            partner = other.take_partner(key)
+            if partner is None:
+                mine.unpaired.setdefault(key, deque()).append(index)
+            else:
+                heapq.heappush(pairs, (index, partner) if side == 0 else (partner, index))
+
+    num_left, num_right = len(left), len(right)
+    done = [0, 0]
     error = 0
-    while left_done < num_left or right_done < num_right:
-        if right_done >= num_right or (left_done < num_left and error >= 0):
-            yield LEFT
-            left_done += 1
-            error -= num_right
-        else:
-            yield RIGHT
-            right_done += 1
-            error += num_left
+
+    def emit(side: int, index: int) -> tuple[str, Instruction]:
+        nonlocal error
+        arrive(side, sides[side].apply(index))
+        done[side] += 1
+        error += num_left if side else -num_right
+        return (RIGHT if side else LEFT), sides[side].gates[index]
+
+    arrive(0, sides[0].initial())
+    arrive(1, sides[1].initial())
+    while done[0] < num_left or done[1] < num_right:
+        if pairs:
+            left_index, right_index = heapq.heappop(pairs)
+            yield emit(0, left_index)
+            yield emit(1, right_index)
+            continue
+        side = 0 if done[1] >= num_right or (done[0] < num_left and error >= 0) else 1
+        yield emit(side, sides[side].lowest_unapplied())

@@ -1,11 +1,11 @@
 """Regression tests for the gate order of the alternating DD check.
 
 The alternating check applies the gates of the first circuit from the left
-and the inverted gates of the second circuit from the right, interleaved by
-:func:`~repro.core.strategies.alternating_schedule`.  Its bookkeeping is
-simple but load-bearing: a gate skipped, built twice or taken out of order
-silently corrupts the verdict.  These tests pin the order via a spy on
-``instruction_to_dd`` plus verdict checks, and the ``max_nodes``
+and the inverted gates of the second circuit from the right, in the order
+:func:`~repro.core.strategies.matched_schedule` emits.  Its bookkeeping is
+simple but load-bearing: a gate skipped, built twice or taken out of order on
+one of its qubits silently corrupts the verdict.  These tests pin the order
+via a spy on ``instruction_to_dd`` plus verdict checks, and the ``max_nodes``
 running-maximum reporting, and pin the verdict and node counts of the
 Table-1 pairs and a compiled pair.
 """
@@ -28,7 +28,6 @@ from repro.circuit import QuantumCircuit
 from repro.compilation import compile_circuit, ibmq_london
 from repro.core import check_equivalence, to_unitary_circuit
 from repro.core.checkers.base import inverse_instruction as _inverse_instruction
-from repro.core.strategies import LEFT, RIGHT, alternating_schedule
 
 
 def _equivalent_pair() -> tuple[QuantumCircuit, QuantumCircuit]:
@@ -87,18 +86,18 @@ class TestGateOrder:
         inverse_right = [_inverse_instruction(instruction) for instruction in right_list]
         left_ids = {id(instruction): index for index, instruction in enumerate(left_list)}
 
-        tokens, left_seq, right_seq = [], [], []
+        left_seq, right_seq = [], []
         for call in build_spy:
             if id(call) in left_ids:
-                tokens.append(LEFT)
                 left_seq.append(left_ids[id(call)])
             else:
-                tokens.append(RIGHT)
                 right_seq.append(inverse_right.index(call))
 
-        assert left_seq == list(range(len(left_list)))
-        assert right_seq == list(range(len(right_list)))
-        assert tokens == list(alternating_schedule(len(left_list), len(right_list)))
+        for gates, seq in ((left_list, left_seq), (right_list, right_seq)):
+            assert sorted(seq) == list(range(len(gates)))
+            for qubit in range(left.num_qubits):
+                on_qubit = [index for index in seq if qubit in gates[index].qubits]
+                assert on_qubit == sorted(on_qubit)
 
     def test_non_equivalent_pair_is_detected(self):
         left, right = _equivalent_pair()
@@ -144,8 +143,8 @@ def _table1_pair(family: str, size: int) -> tuple[QuantumCircuit, QuantumCircuit
 class TestNodeCountsArePinned:
     """``criterion``, ``max_nodes`` and ``final_nodes`` of the default check.
 
-    The values were measured with the proportional schedule; a change to the
-    gate order or the DD kernels that moves them shows up here.
+    The values were measured with the matched schedule; a change to the gate
+    order or the DD kernels that moves them shows up here.
     """
 
     @pytest.mark.parametrize(
@@ -157,9 +156,9 @@ class TestNodeCountsArePinned:
             ("qft", 10, 19, 10),
             ("qft", 13, 25, 13),
             ("qft", 16, 31, 16),
-            ("qpe", 6, 71, 7),
-            ("qpe", 8, 271, 9),
-            ("qpe", 10, 543, 11),
+            ("qpe", 6, 13, 7),
+            ("qpe", 8, 17, 9),
+            ("qpe", 10, 21, 11),
         ],
     )
     def test_table1_pair(self, family, size, max_nodes, final_nodes):

@@ -476,9 +476,9 @@ class TestSchemeOneShapes:
         [
             ("qft", 10, (19, 10, 725, 385, 18)),
             ("qft", 14, (27, 14, 1939, 1015, 26)),
-            ("qpe", 6, (71, 7, 673, 620, 212)),
-            ("qpe", 8, (271, 9, 2435, 2472, 666)),
-            ("qpe", 10, (543, 11, 6206, 6434, 1574)),
+            ("qpe", 6, (13, 7, 224, 126, 12)),
+            ("qpe", 8, (17, 9, 453, 249, 16)),
+            ("qpe", 10, (21, 11, 814, 440, 20)),
         ],
     )
     def test_verdict_and_node_counts(self, family, n, shape):

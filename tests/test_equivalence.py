@@ -35,7 +35,7 @@ class TestConfiguration:
         assert config.backend == "dd"
 
     def test_has_no_strategy_option(self):
-        # The alternating scheme has one (proportional) application schedule.
+        # The alternating scheme has one (matched) application schedule.
         with pytest.raises(TypeError):
             Configuration(strategy="proportional")
 
@@ -197,3 +197,25 @@ class TestResultBookkeeping:
         for seed in range(4):
             circuit = random_static_circuit(4, 5, seed=seed)
             assert check_equivalence(circuit, circuit.copy()).equivalent
+
+
+class TestFailSoft:
+    """A checker that runs out of stack or memory gives no verdict, never an error."""
+
+    def test_stack_exhaustion_yields_no_information(self):
+        # The DD kernels recurse one frame per qubit level; 1,000 levels
+        # exceed Python's default recursion limit.
+        result = check_equivalence(ghz_ladder(1000), ghz_ladder(1000))
+        assert result.criterion is EquivalenceCriterion.NO_INFORMATION
+        assert result.details["error"].startswith("RecursionError")
+
+    def test_memory_exhaustion_yields_no_information(self, monkeypatch):
+        from repro.core.checkers.alternating import AlternatingChecker
+
+        def exhausted(self, *args, **kwargs):
+            raise MemoryError("unique table")
+
+        monkeypatch.setattr(AlternatingChecker, "check", exhausted)
+        result = check_equivalence(ghz_ladder(2), ghz_ladder(2))
+        assert result.criterion is EquivalenceCriterion.NO_INFORMATION
+        assert result.details["error"] == "MemoryError: unique table"

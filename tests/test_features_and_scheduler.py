@@ -60,6 +60,26 @@ def _conditioned_reset_pair(equivalent: bool = True):
     return first, second
 
 
+def _reused_qubit_pair(equivalent: bool = True):
+    """Two builds of ``h; measure; h; measure`` on one qubit, no reset.
+
+    The measured qubit is used again, so the deferred measurement principle
+    does not apply and Scheme 1 cannot reconstruct the circuit, although it
+    has no conditioned reset.  The non-equivalent build drops the second
+    ``h``, so its second bit copies the first.
+    """
+    circuits = []
+    for with_second_h in (True, equivalent):
+        circuit = QuantumCircuit(1, 2)
+        circuit.h(0)
+        circuit.measure(0, 0)
+        if with_second_h:
+            circuit.h(0)
+        circuit.measure(0, 1)
+        circuits.append(circuit)
+    return tuple(circuits)
+
+
 def _cross_conditioned_reset_circuit() -> QuantumCircuit:
     """A reset of qubit 1 conditioned on qubit 0's measurement.
 
@@ -135,6 +155,13 @@ class TestCircuitFeatures:
         assert features.num_conditioned_resets == 1
         assert features.needs_scheme_two
         assert features.is_dynamic
+
+    def test_reused_measured_qubit_needs_scheme_two(self):
+        first, _ = _reused_qubit_pair()
+        features = circuit_features(first)
+        assert features.num_conditioned_resets == 0
+        assert features.has_mid_circuit_measurement
+        assert features.needs_scheme_two
 
     def test_reconstructible_conditioned_reset_stays_scheme_one(self):
         features = circuit_features(_cross_conditioned_reset_circuit())
@@ -275,6 +302,24 @@ class TestAdaptiveManager:
         )
         assert adaptive.criterion is EquivalenceCriterion.NOT_EQUIVALENT
         assert adaptive.decided_by == "distribution"
+
+    @pytest.mark.parametrize(
+        "equivalent,criterion",
+        [
+            (True, EquivalenceCriterion.PROBABLY_EQUIVALENT),
+            (False, EquivalenceCriterion.NOT_EQUIVALENT),
+        ],
+    )
+    def test_adaptive_routes_reused_measured_qubit_to_distribution(self, equivalent, criterion):
+        first, second = _reused_qubit_pair(equivalent)
+        adaptive = EquivalenceCheckingManager(seed=SEED, scheduler="adaptive").run(
+            first, second
+        )
+        assert adaptive.schedule[0] == "distribution"
+        assert adaptive.features["needs_scheme_two"] is True
+        assert adaptive.criterion is criterion
+        attempts = {attempt.method: attempt for attempt in adaptive.attempts}
+        assert attempts["distribution"].result.criterion is criterion
 
     def test_adaptive_skips_falsifier_on_clone_pairs(self):
         result = EquivalenceCheckingManager(seed=SEED, scheduler="adaptive").run(

@@ -4,9 +4,22 @@ import pytest
 
 from repro.algorithms import ghz_fanout, ghz_ladder, ghz_with_bug
 from repro.circuit import QuantumCircuit
+from repro.circuit.gates import RZGate
+from repro.circuit.operations import Instruction
 from repro.core.simulative import run_simulative_check
-from repro.core.strategies import LEFT, RIGHT, alternating_schedule
+from repro.core.strategies import LEFT, RIGHT, matched_schedule
 from repro.exceptions import EquivalenceCheckingError
+
+
+def _distinct_gates(count: int, offset: float) -> list[Instruction]:
+    """``count`` pairwise-distinct rotations; no two offsets share a gate."""
+    return [Instruction(RZGate(offset + 0.01 * k), (k % 3,)) for k in range(count)]
+
+
+def _tokens(num_left: int, num_right: int) -> list[str]:
+    """Tokens for two gate lists that share no gate (nothing to pair)."""
+    left, right = _distinct_gates(num_left, 0.1), _distinct_gates(num_right, 5.0)
+    return [side for side, _ in matched_schedule(left, right)]
 
 
 class TestSchedules:
@@ -15,20 +28,20 @@ class TestSchedules:
         [(5, 5), (3, 9), (9, 3), (0, 4), (4, 0), (1, 1), (0, 0), (2, 7), (16, 59), (59, 16)],
     )
     def test_schedule_covers_all_gates(self, num_left, num_right):
-        tokens = list(alternating_schedule(num_left, num_right))
+        tokens = _tokens(num_left, num_right)
         assert tokens.count(LEFT) == num_left
         assert tokens.count(RIGHT) == num_right
 
     def test_equal_counts_alternate(self):
-        tokens = list(alternating_schedule(3, 3))
+        tokens = _tokens(3, 3)
         assert tokens == [LEFT, RIGHT] * 3
 
     def test_one_sided_counts_run_in_order(self):
-        assert list(alternating_schedule(2, 0)) == [LEFT, LEFT]
-        assert list(alternating_schedule(0, 3)) == [RIGHT, RIGHT, RIGHT]
+        assert _tokens(2, 0) == [LEFT, LEFT]
+        assert _tokens(0, 3) == [RIGHT, RIGHT, RIGHT]
 
     def test_proportional_interleaving_ratio(self):
-        tokens = list(alternating_schedule(2, 6))
+        tokens = _tokens(2, 6)
         # After every prefix the applied ratio should track 2:6 within one gate.
         left_seen = 0
         right_seen = 0
@@ -40,9 +53,23 @@ class TestSchedules:
             assert abs(right_seen - 3 * left_seen) <= 3
         assert left_seen == 2 and right_seen == 6
 
-    def test_negative_counts_raise(self):
-        with pytest.raises(EquivalenceCheckingError):
-            list(alternating_schedule(-1, 1))
+    def test_identical_frontier_gates_are_paired(self):
+        """Gates held in a commuted order are still applied back to back."""
+        first = QuantumCircuit(2)
+        first.h(0)
+        first.x(1)
+        first.cx(0, 1)
+        second = QuantumCircuit(2)
+        second.x(1)
+        second.h(0)
+        second.cx(0, 1)
+        emitted = [
+            (side, instruction.operation.name)
+            for side, instruction in matched_schedule(first.data, second.data)
+        ]
+        assert emitted == [
+            (LEFT, "h"), (RIGHT, "h"), (LEFT, "x"), (RIGHT, "x"), (LEFT, "cx"), (RIGHT, "cx"),
+        ]
 
 
 class TestSimulativeCheck:
