@@ -1,10 +1,19 @@
 """The alternating (QCEC-style) equivalence checker.
 
 Keeps the product ``E = U * U'^dagger`` close to the identity by applying
-identical frontier gates of both circuits back to back and otherwise
+identical frontier gates of both circuits as matched pairs and otherwise
 interleaving them at a rate proportional to their gate counts; see
 :func:`repro.core.strategies.matched_schedule`.  The DD and dense backends
 walk that one schedule.
+
+The DD backend *cancels* a matched pair ``(g, g)`` while the product is a
+scalar multiple of the identity (its root node carries the ``identity``
+flag): ``g * (w * I) * g^-1 == w * I`` holds exactly, so it builds no gate
+DD and multiplies nothing, and the product stays the same edge.  A cancelled
+pair is a step of cost 0; ``details["cancelled_pairs"]`` counts them.  On
+the paper's static vs. reconstructed BV, QFT and QPE pairs every gate
+cancels.  The dense backend applies every gate; the tests use it as ground
+truth.
 """
 
 from __future__ import annotations
@@ -23,7 +32,7 @@ from repro.core.checkers.base import (
     inverse_instruction,
     register,
 )
-from repro.core.strategies import LEFT, matched_schedule
+from repro.core.strategies import matched_schedule
 from repro.dd.circuits import instruction_to_dd
 from repro.dd.package import DDPackage
 from repro.simulators.unitary import embed_gate_matrix
@@ -59,7 +68,7 @@ class AlternatingChecker(Checker):
         *,
         interrupt: Callable[[], bool] | None = None,
     ) -> Generator[int, None, CheckerOutcome]:
-        """One step per applied gate (cost 1)."""
+        """One step per applied gate (cost 1) or cancelled pair (cost 0)."""
         if configuration.backend == "dd":
             return self._steps_dd(first, second, configuration)
         return self._steps_dense(first, second, configuration)
@@ -86,18 +95,31 @@ class AlternatingChecker(Checker):
 
         product = package.identity()
         max_nodes = count_nodes(product)
+        cancelled = 0
         remaining = len(left) + len(right)
-        for side, instruction in matched_schedule(left, right):
-            if side == LEFT:
-                gate_dd = instruction_to_dd(package, instruction)
-                product = package.multiply_matrices(gate_dd, product)
-            else:
-                gate_dd = instruction_to_dd(package, inverse_instruction(instruction))
+        for gate, partner in matched_schedule(left, right):
+            node = product.node
+            if gate is not None and partner is not None and (node is None or node.identity):
+                # g * (w * I) * g^-1 == w * I exactly (a terminal root is a
+                # scalar too): nothing to build, multiply or count.
+                cancelled += 1
+                remaining -= 2
+                if remaining:
+                    yield 0
+                continue
+            if gate is not None:
+                product = package.multiply_matrices(instruction_to_dd(package, gate), product)
+                max_nodes = max(max_nodes, count_nodes(product))
+                remaining -= 1
+                if remaining:
+                    yield 1
+            if partner is not None:
+                gate_dd = instruction_to_dd(package, inverse_instruction(partner))
                 product = package.multiply_matrices(product, gate_dd)
-            max_nodes = max(max_nodes, count_nodes(product))
-            remaining -= 1
-            if remaining:
-                yield 1
+                max_nodes = max(max_nodes, count_nodes(product))
+                remaining -= 1
+                if remaining:
+                    yield 1
 
         scalar = package.identity_scalar(product, config.tolerance)
         details = {
@@ -105,6 +127,7 @@ class AlternatingChecker(Checker):
             "final_nodes": count_nodes(product),
             "num_gates_first": len(left),
             "num_gates_second": len(right),
+            "cancelled_pairs": cancelled,
             "dd_statistics": package.statistics(),
         }
         return CheckerOutcome(criterion_from_scalar(scalar, config.tolerance), details)
@@ -120,16 +143,23 @@ class AlternatingChecker(Checker):
         left, right = gate_lists(first, second)
         product = np.eye(dim, dtype=complex)
         remaining = len(left) + len(right)
-        for side, instruction in matched_schedule(left, right):
-            if side == LEFT:
-                product = _dense_gate(instruction, num_qubits) @ product
-            else:
-                product = product @ _dense_gate(inverse_instruction(instruction), num_qubits)
-            remaining -= 1
-            if remaining:
-                yield 1
+        for gate, partner in matched_schedule(left, right):
+            if gate is not None:
+                product = _dense_gate(gate, num_qubits) @ product
+                remaining -= 1
+                if remaining:
+                    yield 1
+            if partner is not None:
+                product = product @ _dense_gate(inverse_instruction(partner), num_qubits)
+                remaining -= 1
+                if remaining:
+                    yield 1
 
-        details = {"num_gates_first": len(left), "num_gates_second": len(right)}
+        details = {
+            "num_gates_first": len(left),
+            "num_gates_second": len(right),
+            "cancelled_pairs": 0,
+        }
         return CheckerOutcome(criterion_from_matrix(product, config.tolerance), details)
 
 

@@ -139,9 +139,12 @@ class Checker(ABC):
         :class:`CheckerOutcome` instead, so a checker that decides in its
         first step yields nothing.  Cost is counted in *gate applications*
         (``G1 + G2`` is the gate count of both circuits), never in time, so
-        a schedule driven by it is deterministic.  The portfolio manager
-        always gives the turn to the checker with the least accumulated
-        cost, so when the winner decides at cost ``C`` every other checker
+        a schedule driven by it is deterministic.  A step that applies no
+        gate (a matched pair the alternating checker cancels) costs 0: it
+        still gives the caller a point to poll budgets and interrupts, and
+        keeps the turn for its checker.  The portfolio manager always gives
+        the turn to the checker with the least accumulated cost, so when
+        the winner decides at cost ``C`` every other checker
         has spent at most ``C`` plus one of its own steps: with ``k``
         checkers, a run costs at most ``k * C`` plus one step per checker,
         whatever the lineup order.

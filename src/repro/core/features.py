@@ -12,12 +12,14 @@ positional structural similarity of the two gate streams.
 All feature types are plain frozen dataclasses: picklable (they travel inside
 scheduling decisions to process-pool workers) and JSON-friendly via
 ``to_dict`` (they are recorded in
-:class:`~repro.core.results.PortfolioResult`).
+:class:`~repro.core.results.PortfolioResult`).  A circuit whose Scheme-1
+reconstruction was tried keeps it (:meth:`CircuitFeatures.reconstruction_of`),
+so the manager transforms each dynamic circuit once per run.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from repro.circuit.circuit import QuantumCircuit
 from repro.core.transformation import to_unitary_circuit
@@ -48,7 +50,10 @@ class CircuitFeatures:
     measured itself, and on a measured qubit used again without a reset in
     between.  The reconstruction is only attempted for circuits with a
     conditioned reset or a mid-circuit measurement, so the flag costs
-    nothing on every other circuit.
+    nothing on every other circuit.  A successful reconstruction is kept
+    with the circuit it was made from (``reconstruction``, ``source``);
+    they are not features, so comparisons, ``repr`` and :meth:`to_dict`
+    leave them out.
     """
 
     num_qubits: int
@@ -63,6 +68,12 @@ class CircuitFeatures:
     gate_types: tuple[str, ...]
     has_mid_circuit_measurement: bool
     needs_scheme_two: bool
+    source: QuantumCircuit | None = field(default=None, compare=False, repr=False)
+    reconstruction: QuantumCircuit | None = field(default=None, compare=False, repr=False)
+
+    def reconstruction_of(self, circuit: QuantumCircuit) -> QuantumCircuit | None:
+        """The Scheme-1 reconstruction made here if it was made from ``circuit``."""
+        return self.reconstruction if circuit is self.source else None
 
     @property
     def num_gate_types(self) -> int:
@@ -165,6 +176,13 @@ def extract_features(
         if not instruction.is_measurement and measured.intersection(instruction.qubits):
             mid_circuit_measurement = True
 
+    reconstruction = None
+    tried = bool(num_conditioned_resets or mid_circuit_measurement)
+    if tried:
+        try:
+            reconstruction = to_unitary_circuit(circuit).circuit
+        except TransformationError:
+            pass
     features = CircuitFeatures(
         num_qubits=circuit.num_qubits,
         num_clbits=circuit.num_clbits,
@@ -177,19 +195,11 @@ def extract_features(
         depth=circuit.depth(),
         gate_types=tuple(sorted(gate_types)),
         has_mid_circuit_measurement=mid_circuit_measurement,
-        needs_scheme_two=(num_conditioned_resets > 0 or mid_circuit_measurement)
-        and not _reconstructible(circuit),
+        needs_scheme_two=tried and reconstruction is None,
+        source=None if reconstruction is None else circuit,
+        reconstruction=reconstruction,
     )
     return features, signatures
-
-
-def _reconstructible(circuit: QuantumCircuit) -> bool:
-    """Whether Scheme-1 unitary reconstruction succeeds on ``circuit``."""
-    try:
-        to_unitary_circuit(circuit)
-    except TransformationError:
-        return False
-    return True
 
 
 def circuit_features(circuit: QuantumCircuit) -> CircuitFeatures:

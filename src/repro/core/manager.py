@@ -74,6 +74,7 @@ from repro.core import checkers as checker_registry
 from repro.core.checkers.base import CheckerInterrupted
 from repro.core.configuration import Configuration
 from repro.core.equivalence import EquivalenceChecker
+from repro.core.features import CircuitFeatures
 from repro.core.results import (
     BatchEntry,
     BatchResult,
@@ -533,17 +534,20 @@ class EquivalenceCheckingManager:
 
         # Transform dynamic circuits to unitary ones once (Scheme 1) and share
         # the result across all Scheme-1 checkers instead of re-transforming
-        # per method; Scheme-2 checkers receive the originals.  On failure
-        # fall back to the originals so the error surfaces per checker
-        # attempt, as it would without the shared transformation.
+        # per method; Scheme-2 checkers receive the originals.  A
+        # reconstruction the scheduler already made while extracting features
+        # is reused.  On failure fall back to the originals so the error
+        # surfaces per checker attempt, as it would without the shared
+        # transformation.
         original_first, original_second = first, second
         unitary_first, unitary_second = first, second
         if config.transform_dynamic:
+            features = schedule.features
             try:
                 if first.is_dynamic:
-                    unitary_first = to_unitary_circuit(first).circuit
+                    unitary_first = _unitary(first, features and features.first)
                 if second.is_dynamic:
-                    unitary_second = to_unitary_circuit(second).circuit
+                    unitary_second = _unitary(second, features and features.second)
             except Exception:  # noqa: BLE001 - checkers report it per attempt
                 pass
 
@@ -1148,6 +1152,18 @@ class EquivalenceCheckingManager:
             entry.error = f"{type(error).__name__}: {error}"
         entry.time_taken = time.perf_counter() - started
         return entry
+
+
+def _unitary(circuit: QuantumCircuit, features: CircuitFeatures | None) -> QuantumCircuit:
+    """The Scheme-1 reconstruction of a dynamic ``circuit``.
+
+    Reuses the one made while extracting ``features`` when it was made from
+    this very circuit (an injected schedule may describe another pair).
+    """
+    reconstruction = None if features is None else features.reconstruction_of(circuit)
+    if reconstruction is None:
+        reconstruction = to_unitary_circuit(circuit).circuit
+    return reconstruction
 
 
 def _entry(

@@ -15,10 +15,10 @@ Burgholzer & Wille, "Advanced Equivalence Checking for Quantum Circuits"
 
 * when a gate that heads every per-qubit queue of its qubits (a *frontier*
   gate) in ``G`` is the same gate on the same qubits as a frontier gate of
-  ``G'``, both are applied back to back, so ``g * E * g^dagger`` stays the
-  identity where ``E`` was.  This sees through circuits that hold the same
-  gates in a commuted order, as QPE's static and reconstructed iterative
-  circuits do;
+  ``G'``, both come out as one matched pair, so ``g * E * g^dagger`` stays
+  the identity where ``E`` was (the DD checker then skips the pair
+  outright).  This sees through circuits that hold the same gates in a
+  commuted order, as QPE's static and reconstructed iterative circuits do;
 * otherwise the two sides advance at a rate proportional to their gate counts
   (QCEC's default, Bresenham-style), each taking its lowest-index unapplied
   gate, which is always on its frontier.
@@ -35,10 +35,7 @@ from collections.abc import Iterator, Sequence
 
 from repro.circuit.operations import Instruction
 
-__all__ = ["LEFT", "RIGHT", "matched_schedule"]
-
-LEFT = "L"
-RIGHT = "R"
+__all__ = ["matched_schedule"]
 
 
 class _Frontier:
@@ -101,16 +98,17 @@ class _Frontier:
 
 def matched_schedule(
     left: Sequence[Instruction], right: Sequence[Instruction]
-) -> Iterator[tuple[str, Instruction]]:
-    """Yield ``(side, instruction)`` for every gate of both circuits.
+) -> Iterator[tuple[Instruction | None, Instruction | None]]:
+    """Yield ``(left_gate, right_gate)`` items that cover both circuits once.
 
-    ``side`` is ``LEFT`` for a gate of ``left`` (to multiply onto the product
-    from the left) or ``RIGHT`` for a gate of ``right`` (whose inverse is
-    multiplied on from the right).  Each side's gates come out in a
-    topological order of its qubit-sharing DAG: per-qubit order is kept, so
-    the walked unitary is unchanged.  Identical frontier gates of the two
-    sides are emitted back to back, ``LEFT`` first; otherwise the sides
-    interleave proportionally to their gate counts.
+    ``left_gate`` is a gate of ``left`` (to multiply onto the product from
+    the left) and ``right_gate`` a gate of ``right`` (whose inverse is
+    multiplied on from the right); an item holds one of them, or both for a
+    matched pair: identical frontier gates of the two sides, the left one to
+    apply first.  Each side's gates come out in a topological order of its
+    qubit-sharing DAG: per-qubit order is kept, so the walked unitary is
+    unchanged.  Where nothing matches, the sides interleave proportionally
+    to their gate counts.
     """
     sides = (_Frontier(left), _Frontier(right))
     # Pending matches, lowest left index first: on identical circuits this
@@ -132,20 +130,20 @@ def matched_schedule(
     done = [0, 0]
     error = 0
 
-    def emit(side: int, index: int) -> tuple[str, Instruction]:
+    def emit(side: int, index: int) -> Instruction:
         nonlocal error
         arrive(side, sides[side].apply(index))
         done[side] += 1
         error += num_left if side else -num_right
-        return (RIGHT if side else LEFT), sides[side].gates[index]
+        return sides[side].gates[index]
 
     arrive(0, sides[0].initial())
     arrive(1, sides[1].initial())
     while done[0] < num_left or done[1] < num_right:
         if pairs:
             left_index, right_index = heapq.heappop(pairs)
-            yield emit(0, left_index)
-            yield emit(1, right_index)
+            yield emit(0, left_index), emit(1, right_index)
             continue
         side = 0 if done[1] >= num_right or (done[0] < num_left and error >= 0) else 1
-        yield emit(side, sides[side].lowest_unapplied())
+        gate = emit(side, sides[side].lowest_unapplied())
+        yield (None, gate) if side else (gate, None)

@@ -37,8 +37,10 @@ class TestGateCacheStatistics:
         assert statistics["gate_cache_hit_ratio"] == pytest.approx(21 / 24)
 
     def test_statistics_surface_through_equivalence_check(self):
+        # A non-equivalent pair: on an equivalent one the alternating check
+        # cancels every matched pair and builds no gate DD at all.
         result = check_equivalence(
-            bernstein_vazirani_static("1011"), bernstein_vazirani_dynamic("1011")
+            bernstein_vazirani_static("101"), bernstein_vazirani_dynamic("111")
         )
         statistics = result.details["dd_statistics"]
         assert "gate_cache_hits" in statistics
@@ -163,13 +165,19 @@ class TestCachedVerdictsAndStatistics:
         ("qft", lambda: (qft_static_benchmark(4), qft_dynamic(4))),
         ("bv-broken", lambda: (bernstein_vazirani_static("101"), bernstein_vazirani_dynamic("111"))),
     ]
-    #: label -> (criterion, gate_cache_hits, gate_cache_misses); the two
-    #: Scheme-1 methods apply the same gates, so they share the counters.
+    #: (label, method) -> (criterion, gate_cache_hits, gate_cache_misses).
+    #: The construction method builds every gate of both circuits; the
+    #: alternating one cancels matched pairs while its product is a
+    #: multiple of the identity, so on the equivalent pairs it builds none.
     EXPECTED = {
-        "bv": ("equivalent", 17, 9),
-        "teleport": ("equivalent", 7, 9),
-        "qft": ("equivalent", 4, 16),
-        "bv-broken": ("not_equivalent", 13, 8),
+        ("bv", "construction"): ("equivalent", 17, 9),
+        ("teleport", "construction"): ("equivalent", 7, 9),
+        ("qft", "construction"): ("equivalent", 4, 16),
+        ("bv-broken", "construction"): ("not_equivalent", 13, 8),
+        ("bv", "alternating"): ("equivalent", 0, 0),
+        ("teleport", "alternating"): ("equivalent", 0, 0),
+        ("qft", "alternating"): ("equivalent", 0, 0),
+        ("bv-broken", "alternating"): ("not_equivalent", 3, 4),
     }
 
     @pytest.mark.parametrize("label,make", PAIRS, ids=[p[0] for p in PAIRS])
@@ -183,11 +191,11 @@ class TestCachedVerdictsAndStatistics:
             statistics["gate_cache_hits"],
             statistics["gate_cache_misses"],
         )
-        assert observed == self.EXPECTED[label]
+        assert observed == self.EXPECTED[label, method]
 
     def test_cached_criterion_and_counters(self):
         first, second = qft_static_benchmark(4), qft_dynamic(4)
         result = check_equivalence(first, second)
         assert result.criterion.value == "equivalent"
         statistics = result.details["dd_statistics"]
-        assert (statistics["gate_cache_hits"], statistics["gate_cache_misses"]) == (4, 16)
+        assert (statistics["gate_cache_hits"], statistics["gate_cache_misses"]) == (0, 0)

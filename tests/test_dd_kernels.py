@@ -468,20 +468,14 @@ class TestSchemeOneShapes:
     gate-construction change that alters the diagrams shows up here even
     when every verdict stays right.  The last two entries pin the compute
     work (multiply and add compute-table sizes): the zero-block short-cuts
-    skip only products and sums that were never memoized either.
+    skip only products and sums that were never memoized either.  The
+    equivalent pairs cancel every matched pair, so their product stays the
+    initial identity and builds nothing; the mutants, with an ``rz`` before
+    the first gate, are the ones that still exercise the kernels.
     """
 
-    @pytest.mark.parametrize(
-        "family, n, shape",
-        [
-            ("qft", 10, (19, 10, 725, 385, 18)),
-            ("qft", 14, (27, 14, 1939, 1015, 26)),
-            ("qpe", 6, (13, 7, 224, 126, 12)),
-            ("qpe", 8, (17, 9, 453, 249, 16)),
-            ("qpe", 10, (21, 11, 814, 440, 20)),
-        ],
-    )
-    def test_verdict_and_node_counts(self, family, n, shape):
+    @staticmethod
+    def _shape(family, n, mutant=False):
         from repro.algorithms import iterative_qpe, qft_dynamic, qft_static_benchmark, qpe_static
         from repro.core import transformation
 
@@ -489,16 +483,42 @@ class TestSchemeOneShapes:
             static, dynamic = qft_static_benchmark(n), qft_dynamic(n)
         else:
             static, dynamic = qpe_static(n), iterative_qpe(n)
+        if mutant:
+            prefix = static.copy_empty()
+            prefix.rz(1.0, 0)
+            static = prefix.compose(static)
         result = check_equivalence(static, transformation.to_unitary_circuit(dynamic).circuit)
         details = result.details
-        assert result.criterion.value == "equivalent"
-        assert (
+        return result.criterion.value, (
             details["max_nodes"],
             details["final_nodes"],
             details["dd_statistics"]["matrix_nodes"],
             details["dd_statistics"]["multiply_mm_cache"],
             details["dd_statistics"]["add_matrix_cache"],
-        ) == shape
+        )
+
+    @pytest.mark.parametrize(
+        "family, n, shape",
+        [
+            ("qft", 10, (10, 10, 10, 0, 0)),
+            ("qft", 14, (14, 14, 14, 0, 0)),
+            ("qpe", 6, (7, 7, 7, 0, 0)),
+            ("qpe", 8, (9, 9, 9, 0, 0)),
+            ("qpe", 10, (11, 11, 11, 0, 0)),
+        ],
+    )
+    def test_verdict_and_node_counts(self, family, n, shape):
+        assert self._shape(family, n) == ("equivalent", shape)
+
+    @pytest.mark.parametrize(
+        "family, n, shape",
+        [
+            ("qft", 6, (63, 63, 592, 310, 114)),
+            ("qpe", 8, (17, 9, 720, 498, 16)),
+        ],
+    )
+    def test_mutant_verdict_and_node_counts(self, family, n, shape):
+        assert self._shape(family, n, mutant=True) == ("not_equivalent", shape)
 
     def test_each_root_is_counted_once_per_check(self, monkeypatch):
         from repro.algorithms import iterative_qpe, qpe_static

@@ -11,6 +11,7 @@ from repro.algorithms import (
     bernstein_vazirani_static,
     ghz_ladder,
     ghz_with_bug,
+    iterative_qpe,
     qft_dynamic,
     qft_static_benchmark,
     teleportation_dynamic,
@@ -211,6 +212,18 @@ class TestPairFeatures:
         )
         clone = pickle.loads(pickle.dumps(pair))
         assert clone == pair
+        assert clone.to_dict() == pair.to_dict()
+
+    def test_kept_reconstruction_pickles_with_its_source(self):
+        dynamic = bernstein_vazirani_dynamic("1011")
+        pair = extract_pair_features(bernstein_vazirani_static("1011"), dynamic)
+        assert pair.second.reconstruction_of(dynamic) is not None
+        assert pair.first.source is None
+        clone, clone_dynamic = pickle.loads(pickle.dumps((pair, dynamic)))
+        assert clone == pair
+        assert clone.to_dict() == pair.to_dict()
+        assert clone.second.reconstruction_of(clone_dynamic) is not None
+        assert clone.second.reconstruction_of(bernstein_vazirani_dynamic("1011")) is None
 
 
 class TestSchedulers:
@@ -327,12 +340,61 @@ class TestAdaptiveManager:
         )
         assert result.criterion is EquivalenceCriterion.EQUIVALENT
         assert result.decided_by == "alternating"
-        # Provers first: the falsifier only gets the turn once the prover has
-        # applied a gate, and the prover proves within the turn that follows
-        # the falsifier's first stimulus, so simulation never completes.
+        # Provers first: the falsifier only gets the turn once the prover's
+        # cost passes 0, but on a clone pair the prover cancels every matched
+        # gate pair at cost 0 and proves within its first turn, so simulation
+        # never starts.
         statuses = {a.method: a.status for a in result.attempts}
-        assert statuses["simulation"] == "preempted"
+        assert statuses["simulation"] == "skipped"
         assert result.schedule == ["alternating", "simulation"]
+
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda: (bernstein_vazirani_static("1011"), bernstein_vazirani_dynamic("1011")),
+            lambda: (iterative_qpe(4), iterative_qpe(4)),
+            lambda: (teleportation_dynamic(), teleportation_dynamic()),
+        ],
+        ids=["static-vs-dynamic", "dynamic-vs-dynamic", "not-tried-by-features"],
+    )
+    def test_adaptive_run_transforms_each_dynamic_circuit_once(self, monkeypatch, make):
+        import repro.core.equivalence
+        import repro.core.features
+        import repro.core.manager
+
+        first, second = make()
+        calls = []
+        original = repro.core.features.to_unitary_circuit
+
+        def spy(circuit):
+            calls.append(circuit)
+            return original(circuit)
+
+        for module in (repro.core.features, repro.core.manager, repro.core.equivalence):
+            monkeypatch.setattr(module, "to_unitary_circuit", spy)
+        manager = EquivalenceCheckingManager(
+            seed=SEED, scheduler="adaptive", verdict_cache=False
+        )
+        for _ in range(2):
+            calls.clear()
+            result = manager.run(first, second)
+            assert result.criterion.considered_equivalent
+            assert result.features["any_dynamic"] is True
+            dynamic = [circuit for circuit in (first, second) if circuit.is_dynamic]
+            assert sorted(map(id, calls)) == sorted(map(id, dynamic))
+
+    def test_injected_schedule_of_another_pair_is_not_reused(self):
+        manager = EquivalenceCheckingManager(seed=SEED, scheduler="adaptive")
+        schedule = manager.schedule_for(
+            bernstein_vazirani_static("1011"), bernstein_vazirani_dynamic("1011")
+        )
+        assert schedule.features.second.reconstruction is not None
+        result = manager.run(
+            bernstein_vazirani_static("1011"),
+            bernstein_vazirani_dynamic("1111"),
+            schedule=schedule,
+        )
+        assert result.criterion is EquivalenceCriterion.NOT_EQUIVALENT
 
     def test_result_records_schedule_and_features(self):
         result = EquivalenceCheckingManager(seed=SEED, scheduler="adaptive").run(
@@ -453,6 +515,13 @@ class TestCheckerRegistry:
         assert result.method == "distribution"
 
 
+def _rz_first(circuit: QuantumCircuit) -> QuantumCircuit:
+    """``circuit`` with an ``rz`` before its first gate (a mutant)."""
+    mutant = circuit.copy_empty()
+    mutant.rz(1.0, 0)
+    return mutant.compose(circuit)
+
+
 class TestTimeoutStopFlag:
     @pytest.mark.parametrize("checker", ["alternating", "construction"])
     def test_timed_out_checker_leaves_no_checker_thread(self, checker, monkeypatch):
@@ -474,7 +543,10 @@ class TestTimeoutStopFlag:
         manager = EquivalenceCheckingManager(
             portfolio=(checker,), checker_timeout=0.005, seed=SEED
         )
-        result = manager.run(qft_static_benchmark(12), qft_dynamic(12))
+        # An rz before the first gate keeps the alternating product off the
+        # identity, so every gate is multiplied (the equivalent pair cancels
+        # all of them and is proved within the budget).
+        result = manager.run(_rz_first(qft_static_benchmark(12)), qft_dynamic(12))
         assert result.attempts[0].status == "timeout"
         assert not [name for name in started if name.startswith("checker-")]
         assert not [t for t in threading.enumerate() if t.name.startswith("checker-")]

@@ -23,6 +23,7 @@ from repro.algorithms import (
     qpe_static,
 )
 from repro.circuit.random_circuits import random_static_circuit
+from repro.compilation.basis import decompose_to_cx_and_single_qubit, rewrite_single_qubit_to_u
 from repro.core import (
     Configuration,
     EquivalenceCheckingManager,
@@ -240,6 +241,18 @@ class _RecordingThreads:
         monkeypatch.setattr(threading.Thread, "start", start)
 
 
+def _translated_qft_pair(n: int):
+    """Static QFT in the ``u``/``cx`` basis vs the reconstructed dynamic QFT.
+
+    Equivalent, so no falsifier decides it, but the two sides share almost
+    no gate, so the alternating check builds and multiplies nearly every
+    gate; on the untranslated pair it cancels every matched pair and proves
+    it too quickly to outrun a budget.
+    """
+    static = rewrite_single_qubit_to_u(decompose_to_cx_and_single_qubit(qft_static_benchmark(n)))
+    return static, qft_dynamic(n)
+
+
 class TestBudgetsWithoutThreads:
     @pytest.mark.parametrize("checker", ["alternating", "construction", "simulation"])
     def test_checker_timeout_times_out_on_the_calling_thread(self, monkeypatch, checker):
@@ -247,7 +260,7 @@ class TestBudgetsWithoutThreads:
         manager = EquivalenceCheckingManager(
             portfolio=(checker,), checker_timeout=0.005, seed=SEED, num_simulations=10_000
         )
-        result = manager.run(qft_static_benchmark(12), qft_dynamic(12))
+        result = manager.run(*_translated_qft_pair(12))
         assert result.attempts[0].status == "timeout"
         assert "budget" in result.attempts[0].error
         assert result.criterion is EquivalenceCriterion.NO_INFORMATION
@@ -262,7 +275,7 @@ class TestBudgetsWithoutThreads:
             timeout=0.05,
             seed=SEED,
         )
-        result = manager.run(qft_static_benchmark(14), qft_dynamic(14))
+        result = manager.run(*_translated_qft_pair(14))
         statuses = {status for _, status in _statuses(result)}
         assert statuses <= {"timeout", "skipped"}
         assert "timeout" in statuses
@@ -280,7 +293,7 @@ class TestBudgetsWithoutThreads:
             seed=SEED,
             num_simulations=10_000,
         )
-        result = manager.run(qft_static_benchmark(14), qft_dynamic(14))
+        result = manager.run(*_translated_qft_pair(14))
         assert _statuses(result) == [("simulation", "timeout"), ("alternating", "timeout")]
         for attempt in result.attempts:
             assert attempt.time_taken >= 0.005

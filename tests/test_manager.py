@@ -195,12 +195,25 @@ class TestPortfolioAgreement:
             assert not check_equivalence(first, second, method=method, seed=SEED).equivalent
 
 
+def _slow_pair(n: int = 12) -> tuple[QuantumCircuit, QuantumCircuit]:
+    """A QFT pair with an rz before the static circuit's first gate.
+
+    The rz keeps the alternating product off the identity, so every gate is
+    built and multiplied; on the equivalent pair every matched pair cancels
+    and the check is too quick to outrun a budget.
+    """
+    static = qft_static_benchmark(n)
+    mutant = static.copy_empty()
+    mutant.rz(1.0, 0)
+    return mutant.compose(static), qft_dynamic(n)
+
+
 class TestTimeouts:
     def test_checker_timeout_moves_on(self):
         manager = EquivalenceCheckingManager(
             portfolio=("alternating",), checker_timeout=0.002, seed=SEED
         )
-        result = manager.run(qft_static_benchmark(12), qft_dynamic(12))
+        result = manager.run(*_slow_pair())
         assert result.attempts[0].status == "timeout"
         assert result.criterion is EquivalenceCriterion.NO_INFORMATION
 
@@ -208,7 +221,7 @@ class TestTimeouts:
         manager = EquivalenceCheckingManager(
             portfolio=("alternating", "construction"), timeout=0.002, seed=SEED
         )
-        result = manager.run(qft_static_benchmark(12), qft_dynamic(12))
+        result = manager.run(*_slow_pair())
         statuses = [attempt.status for attempt in result.attempts]
         assert "skipped" in statuses or statuses == ["timeout", "timeout"]
         assert "timeout" in result.reason or result.decided_by is None

@@ -96,8 +96,17 @@ class TestSpanTreeParity:
 
 
 class TestWorkerDDStatistics:
+    @staticmethod
+    def _padded(circuit: QuantumCircuit) -> QuantumCircuit:
+        """``circuit`` after an ``x x`` on qubit 0: equivalent, but the
+        alternating check must build gates (nothing pairs at the start)."""
+        padded = circuit.copy_empty()
+        padded.x(0)
+        padded.x(0)
+        return padded.compose(circuit)
+
     def test_process_batch_harvests_worker_dd_statistics(self):
-        pairs = [(ghz_ladder(3), ghz_ladder(3)), (ghz_ladder(4), ghz_ladder(4))]
+        pairs = [(ghz_ladder(n), self._padded(ghz_ladder(n))) for n in (3, 4)]
         configuration = Configuration(
             executor="process", max_workers=2, verdict_cache=False
         )

@@ -7,8 +7,20 @@ from repro.circuit import QuantumCircuit
 from repro.circuit.gates import RZGate
 from repro.circuit.operations import Instruction
 from repro.core.simulative import run_simulative_check
-from repro.core.strategies import LEFT, RIGHT, matched_schedule
+from repro.core.strategies import matched_schedule
 from repro.exceptions import EquivalenceCheckingError
+
+LEFT, RIGHT = "L", "R"
+
+
+def _flatten(items) -> list[tuple[str, Instruction]]:
+    """``(side, instruction)`` per gate, a matched pair's left gate first."""
+    return [
+        (side, instruction)
+        for item in items
+        for side, instruction in zip((LEFT, RIGHT), item)
+        if instruction is not None
+    ]
 
 
 def _distinct_gates(count: int, offset: float) -> list[Instruction]:
@@ -19,7 +31,7 @@ def _distinct_gates(count: int, offset: float) -> list[Instruction]:
 def _tokens(num_left: int, num_right: int) -> list[str]:
     """Tokens for two gate lists that share no gate (nothing to pair)."""
     left, right = _distinct_gates(num_left, 0.1), _distinct_gates(num_right, 5.0)
-    return [side for side, _ in matched_schedule(left, right)]
+    return [side for side, _ in _flatten(matched_schedule(left, right))]
 
 
 class TestSchedules:
@@ -65,11 +77,25 @@ class TestSchedules:
         second.cx(0, 1)
         emitted = [
             (side, instruction.operation.name)
-            for side, instruction in matched_schedule(first.data, second.data)
+            for side, instruction in _flatten(matched_schedule(first.data, second.data))
         ]
         assert emitted == [
             (LEFT, "h"), (RIGHT, "h"), (LEFT, "x"), (RIGHT, "x"), (LEFT, "cx"), (RIGHT, "cx"),
         ]
+
+    def test_matched_gates_come_out_as_one_item(self):
+        first = QuantumCircuit(2)
+        first.h(0)
+        first.cx(0, 1)
+        second = QuantumCircuit(2)
+        second.x(1)
+        second.h(0)
+        second.cx(0, 1)
+        items = [
+            tuple(None if gate is None else gate.operation.name for gate in item)
+            for item in matched_schedule(first.data, second.data)
+        ]
+        assert items == [("h", "h"), (None, "x"), ("cx", "cx")]
 
 
 class TestSimulativeCheck:

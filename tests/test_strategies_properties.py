@@ -31,10 +31,11 @@ from repro.circuit.gates import (
 )
 from repro.circuit.operations import Instruction
 from repro.core import check_equivalence, to_unitary_circuit
-from repro.core.strategies import LEFT, RIGHT, matched_schedule
+from repro.core.strategies import matched_schedule
 from repro.simulators.unitary import circuit_unitary
 
 counts = st.integers(min_value=0, max_value=200)
+LEFT, RIGHT = "L", "R"
 
 ONE_QUBIT = [HGate(), XGate(), SGate(), TGate(), RZGate(0.3), RZGate(1.1)]
 TWO_QUBIT = [CXGate(), CZGate(), CPhaseGate(0.5), SwapGate()]
@@ -45,9 +46,19 @@ def _distinct_gates(count: int, offset: float) -> list[Instruction]:
     return [Instruction(RZGate(offset + 0.01 * k), (k % 3,)) for k in range(count)]
 
 
+def _emitted(left, right) -> list[tuple[str, Instruction]]:
+    """``(side, instruction)`` per gate, a matched pair's left gate first."""
+    return [
+        (side, instruction)
+        for item in matched_schedule(left, right)
+        for side, instruction in zip((LEFT, RIGHT), item)
+        if instruction is not None
+    ]
+
+
 def _unpaired_tokens(num_left: int, num_right: int) -> list[str]:
     left, right = _distinct_gates(num_left, 0.1), _distinct_gates(num_right, 5.0)
-    return [side for side, _ in matched_schedule(left, right)]
+    return [side for side, _ in _emitted(left, right)]
 
 
 @st.composite
@@ -58,6 +69,10 @@ def gate_lists(draw, max_qubits: int = 5, max_gates: int = 24):
     same qubits and the schedule's pairing is exercised.
     """
     num_qubits = draw(st.integers(min_value=2, max_value=max_qubits))
+    return num_qubits, _draw_gates(draw, num_qubits, max_gates)
+
+
+def _draw_gates(draw, num_qubits: int, max_gates: int) -> list[Instruction]:
     gates = []
     for _ in range(draw(st.integers(min_value=0, max_value=max_gates))):
         kind = draw(st.integers(min_value=0, max_value=9))
@@ -69,7 +84,43 @@ def gate_lists(draw, max_qubits: int = 5, max_gates: int = 24):
         else:
             pair = draw(st.permutations(range(num_qubits)))[:2]
             gates.append(Instruction(draw(st.sampled_from(TWO_QUBIT)), tuple(pair)))
-    return num_qubits, gates
+    return gates
+
+
+@st.composite
+def shared_prefix_pairs(draw):
+    """``(num_qubits, left, right)`` sharing a random prefix, then diverging.
+
+    * ``tail``: each side continues with its own random gates;
+    * ``mutant``: an ``rz`` is inserted into one side at a random position;
+    * ``detour``: one side takes a random detour ``D D^-1`` at a random
+      position, so the product leaves the identity and (up to rounding)
+      returns to it, and later matched pairs may cancel again; half the
+      time an ``rz`` after the detour makes the pair non-equivalent.
+    """
+    num_qubits = draw(st.integers(min_value=2, max_value=5))
+    prefix = _draw_gates(draw, num_qubits, 16)
+    left, right = list(prefix), list(prefix)
+    shape = draw(st.sampled_from(("tail", "mutant", "detour")))
+    if shape == "tail":
+        left += _draw_gates(draw, num_qubits, 8)
+        right += _draw_gates(draw, num_qubits, 8)
+    else:
+        side = draw(st.sampled_from((left, right)))
+        position = draw(st.integers(min_value=0, max_value=len(side)))
+        qubit = draw(st.integers(min_value=0, max_value=num_qubits - 1))
+        if shape == "mutant":
+            inserted = [Instruction(RZGate(0.5), (qubit,))]
+        else:
+            detour = _draw_gates(draw, num_qubits, 4)
+            inserted = detour + [
+                Instruction(instruction.operation.inverse(), instruction.qubits)
+                for instruction in reversed(detour)
+            ]
+            if draw(st.booleans()):
+                inserted.append(Instruction(RZGate(0.5), (qubit,)))
+        side[position:position] = inserted
+    return num_qubits, left, right
 
 
 def _random_topological_order(gates: list[Instruction], seed: int) -> list[Instruction]:
@@ -162,7 +213,7 @@ def test_each_side_is_emitted_in_a_qubit_order_preserving_permutation(first, sec
     # Half the pairs share gates in a commuted order, so that pairs form.
     right = _random_topological_order(left, seed) if seed % 2 else second[1]
     emitted = {LEFT: [], RIGHT: []}
-    for side, instruction in matched_schedule(left, right):
+    for side, instruction in _emitted(left, right):
         emitted[side].append(instruction)
     for side, gates in ((LEFT, left), (RIGHT, right)):
         positions = {id(instruction): index for index, instruction in enumerate(gates)}
@@ -198,6 +249,20 @@ def test_dd_and_dense_backends_agree_with_ground_truth(pair, mutation, seed):
     truth = _ground_truth(first, second, 1e-8)
     for backend in ("dd", "dense"):
         assert check_equivalence(first, second, backend=backend).criterion.value == truth
+
+
+@settings(deadline=None, max_examples=80)
+@given(pair=shared_prefix_pairs())
+def test_cancelled_pairs_keep_the_dd_verdict_equal_to_dense_and_ground_truth(pair):
+    """Skipping matched pairs while the product is ``w * I`` changes no verdict."""
+    num_qubits, left, right = pair
+    first, second = _circuit(num_qubits, left), _circuit(num_qubits, right)
+    truth = _ground_truth(first, second, 1e-8)
+    dd = check_equivalence(first, second, backend="dd")
+    dense = check_equivalence(first, second, backend="dense")
+    assert dd.criterion.value == dense.criterion.value == truth
+    assert dense.details["cancelled_pairs"] == 0
+    assert 0 <= dd.details["cancelled_pairs"] <= min(len(left), len(right))
 
 
 @pytest.mark.parametrize("size", [16, 24])
