@@ -9,9 +9,11 @@ modes:
 * ``canonical_hit`` — one cache-enabled manager sees the pair at level 1,
   then levels 2 and 3: the later levels must be verdict-cache hits through
   the canonical (translation-level-invariant) fingerprint.
-* ``rewrite_first`` — the adaptive scheduler front-loads the library-driven
-  ``rewrite`` prover on the translated pair, which must decide it by
-  peephole reduction alone — before any decision diagram is built.
+* ``rewrite_first`` — the portfolio ``rewrite, alternating`` under the
+  adaptive scheduler, which runs provers in configured order, so the
+  library-driven ``rewrite`` prover moves first on the translated pair and
+  must decide it by peephole reduction alone — before any decision diagram
+  is built.
 
 Gates (``RuntimeError`` → exit 1) are **semantic only**: verdict agreement
 across all modes and levels, at least one cross-level canonical cache hit,
@@ -131,8 +133,8 @@ def bench_family(name: str, build, repeats: int) -> tuple[list[dict], dict]:
         criteria_by_mode["canonical_hit"] = criteria
     times_by_mode["canonical_hit"] = times
 
-    # rewrite_first: the adaptive scheduler front-loads the peephole prover,
-    # which must decide the translated levels without building any DD.
+    # rewrite_first: the peephole prover leads the adaptive lineup and must
+    # decide the translated levels without building any DD.
     configuration = Configuration(
         portfolio=("rewrite", "alternating"),
         scheduler="adaptive",

@@ -1,25 +1,28 @@
 """Static vs adaptive portfolio scheduling on Table-1 and synthetic batches.
 
-The paper's core observation is that no single checker order wins everywhere:
-a falsifier-first lineup wastes simulation time on equivalent clone pairs,
-while a prover-first lineup burns the whole proof budget before trying the
-cheap falsifier on buggy pairs.  This benchmark times three scheduling
-configurations on three workload classes:
+This benchmark times three scheduling configurations on three workload
+classes:
 
 * ``static-sim-first``    — portfolio ``simulation,alternating`` in order
   (the shipped default);
-* ``static-prover-first`` — portfolio ``alternating,simulation`` in order
-  (optimal for clone-heavy traffic, pessimal for falsification);
-* ``adaptive``            — the feature-driven scheduler, which reorders the
-  same portfolio per pair.
+* ``static-prover-first`` — portfolio ``alternating,simulation`` in order;
+* ``adaptive``            — the adaptive scheduler on the same portfolio,
+  which runs the prover first on every pair Scheme 1 reconstructs.
 
 Workloads: the Table-1 QFT suite (static vs dynamic realizations, all
 equivalent), a clone-heavy batch (identical builds — the falsifier can never
-refute), and a falsification-heavy batch (injected bugs — the prover is
-wasted work).  The adaptive scheduler should track the *best* static order on
-every workload; each run also asserts pair-for-pair identical criteria across
-all three configurations (verdict stability fails the script, timing noise
-never does).
+refute), and a falsification-heavy batch (unrelated pairs — the prover's
+work is wasted).  The manager interleaves its checkers by accumulated cost,
+so the order only decides who moves first: on the falsification batch all
+three orders measure within noise of each other.  On the equivalent
+workloads a prover that leads cancels every matched gate pair at cost 0 and
+decides in its first turn, before the falsifier's first stimulus.
+
+Gates (exit 1), never on timing:
+
+* pair-for-pair identical criteria across all three configurations;
+* ``adaptive`` decides every ``table1_qft`` and ``clone_batch`` pair with
+  the ``simulation`` falsifier ``skipped`` (never started).
 
 Results are emitted as ``BENCH_scheduler.json`` (schema shared via
 ``bench_common.validate_bench_payload``).
@@ -57,6 +60,9 @@ QUICK_QFT_SIZES = [4, 6]
 FULL_FALSIFICATION_SIZES = [5, 6, 7]
 QUICK_FALSIFICATION_SIZES = [5, 6]
 
+#: Workloads whose every pair ``adaptive`` must decide before simulating.
+PROVER_DECIDES = ("table1_qft", "clone_batch")
+
 
 def table1_qft_pairs(sizes: list[int]):
     """The Table-1 QFT suite: static vs dynamic realization, equivalent."""
@@ -75,9 +81,10 @@ def clone_pairs(copies: int):
 def falsification_pairs(sizes: list[int]):
     """Structurally unrelated pairs — the falsifier's home turf.
 
-    Comparing a QFT against a random circuit makes the alternating product
-    diagram blow up (nothing cancels), while a single random stimulus refutes
-    the pair almost immediately: prover-first lineups pay 10-100x here.
+    Comparing a QFT against a random circuit leaves nothing for the
+    alternating prover to cancel, while a single random stimulus refutes the
+    pair.  The interleaved manager hands the falsifier its turn after the
+    prover's first gate, so prover-first lineups cost about the same here.
     """
     return [
         (qft_static_benchmark(n), random_static_circuit(n, depth=n, seed=7 + n))
@@ -86,22 +93,28 @@ def falsification_pairs(sizes: list[int]):
 
 
 def bench_workload(workload: str, pairs, repeats: int) -> list[dict]:
-    """Time every scheduling configuration on one workload, check agreement."""
+    """Time every scheduling configuration on one workload, check the gates."""
     entries = []
     criteria_by_config: dict[str, list[str]] = {}
+    unproved: list[str] = []
     for label, portfolio, scheduler in CONFIGURATIONS:
         manager = EquivalenceCheckingManager(
             seed=SEED, portfolio=portfolio, scheduler=scheduler
         )
         timings = []
-        criteria: list[str] = []
+        results = []
         for _ in range(repeats):
-            criteria = []
             start = time.perf_counter()
-            for first, second in pairs:
-                criteria.append(manager.run(first, second).criterion.value)
+            results = [manager.run(first, second) for first, second in pairs]
             timings.append((time.perf_counter() - start) * 1000.0)
-        criteria_by_config[label] = criteria
+        criteria_by_config[label] = [result.criterion.value for result in results]
+        skipped = [_simulation_skipped(result) for result in results]
+        if label == "adaptive" and workload in PROVER_DECIDES:
+            unproved = [
+                f"pair {index} ({result.criterion.value}, decided by {result.decided_by})"
+                for index, (result, ok) in enumerate(zip(results, skipped))
+                if not (ok and result.decided_by is not None)
+            ]
         entries.append(
             {
                 "name": f"{workload}/{label}",
@@ -113,6 +126,7 @@ def bench_workload(workload: str, pairs, repeats: int) -> list[dict]:
                 "repeats": repeats,
                 "mean_ms": sum(timings) / len(timings),
                 "min_ms": min(timings),
+                "simulation_skipped": sum(skipped),
             }
         )
     reference = criteria_by_config[CONFIGURATIONS[0][0]]
@@ -122,7 +136,19 @@ def bench_workload(workload: str, pairs, repeats: int) -> list[dict]:
                 f"verdict instability on {workload}: {label} disagrees with "
                 f"{CONFIGURATIONS[0][0]} ({criteria} vs {reference})"
             )
+    if unproved:
+        raise RuntimeError(
+            f"adaptive started the falsifier on {workload}: " + "; ".join(unproved)
+        )
     return entries
+
+
+def _simulation_skipped(result) -> bool:
+    """Whether the run ended before the ``simulation`` falsifier started."""
+    return any(
+        attempt.method == "simulation" and attempt.status == "skipped"
+        for attempt in result.attempts
+    )
 
 
 def _speedups(results: list[dict]) -> dict:

@@ -1,4 +1,4 @@
-"""Adaptive portfolio scheduling: checker order decided per pair by features.
+"""Adaptive portfolio scheduling: checker order decided per pair by one rule.
 
 ``Configuration.scheduler`` selects how the
 :class:`~repro.core.manager.EquivalenceCheckingManager` turns its checker
@@ -7,11 +7,11 @@ portfolio into a per-pair lineup:
 * ``static`` runs the configured portfolio in configured order — every pair
   gets ``simulation`` then ``alternating``, no matter what it looks like;
 * ``adaptive`` inspects cheap structural features of the pair
-  (:func:`~repro.core.features.extract_pair_features`) and reorders: provers
-  first on near-identical builds (the falsifier cannot refute a clone, and
-  early termination then skips it entirely), the falsifier front-loaded on
-  dissimilar pairs, and conditioned-reset pairs — which Scheme 1 cannot
-  reconstruct at all — routed to the Scheme-2 ``distribution`` checker.
+  (:func:`~repro.core.features.extract_pair_features`): pairs that Scheme 1
+  cannot reconstruct at all (a reset conditioned on its own qubit's
+  measurement) are routed to the Scheme-2 ``distribution`` checker; every
+  other pair runs its provers first, so an equivalent pair is proved in the
+  prover's first turn and the falsifier never starts.
 
 The adaptive scheduler never changes a verdict, only when (and whether) each
 checker runs.  Run with ``python examples/adaptive_scheduling.py``.
@@ -117,9 +117,7 @@ def main() -> None:
     # ------------------------------------------------------------------
     features = adaptive_result.features
     print(
-        "features: similarity="
-        f"{features['structural_similarity']:.2f} "
-        f"dynamic={features['any_dynamic']} "
+        f"features: dynamic={features['any_dynamic']} "
         f"scheme2={features['needs_scheme_two']}"
     )
 

@@ -12,8 +12,8 @@ gate rewrite rules:
    differ;
 2. **The rewrite checker** — a library-driven peephole *prover* that decides
    translated pairs by reducing G . G'^-1 toward the identity with 2x2
-   arithmetic, before any decision diagram is built; the adaptive scheduler
-   front-loads it whenever the pair's gate sets differ;
+   arithmetic, before any decision diagram is built; listed first among the
+   provers, it moves first under both schedulers;
 3. **Symbolic parameters** — a parameterized template circuit built once,
    with every numeric binding produced by substitution.
 
@@ -73,7 +73,7 @@ def main() -> None:
 
     # ------------------------------------------------------------------
     # 3. The rewrite checker proves translated pairs without any DD; the
-    #    adaptive scheduler front-loads it when the gate sets differ.
+    #    adaptive scheduler runs the provers in configured order.
     # ------------------------------------------------------------------
     prover = EquivalenceCheckingManager(
         portfolio=("rewrite", "alternating"), scheduler="adaptive", seed=42,

@@ -44,14 +44,12 @@ from repro.core import (
     EquivalenceCheckingManager,
     EquivalenceCriterion,
     PortfolioResult,
-    PortfolioScheduler,
     Schedule,
     check_behavioural_equivalence,
     check_equivalence,
     extract_distribution,
     extract_pair_features,
     register_checker,
-    register_scheduler,
     to_unitary_circuit,
     verify,
     verify_batch,
@@ -93,7 +91,6 @@ __all__ = [
     "EquivalenceCheckingManager",
     "EquivalenceCriterion",
     "PortfolioResult",
-    "PortfolioScheduler",
     "QuantumCircuit",
     "QuantumRegister",
     "Schedule",
@@ -113,7 +110,6 @@ __all__ = [
     "extract_distribution",
     "extract_pair_features",
     "register_checker",
-    "register_scheduler",
     "to_unitary_circuit",
     "verify",
     "verify_batch",

@@ -48,8 +48,8 @@ from repro.core import (
     Configuration,
     EquivalenceCheckingManager,
     EquivalenceCriterion,
+    SCHEDULERS,
     available_checkers,
-    available_schedulers,
     check_behavioural_equivalence,
     check_equivalence,
     extract_distribution,
@@ -105,8 +105,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     verify.add_argument("first", help="OpenQASM 2 file of the first circuit")
     verify.add_argument("second", help="OpenQASM 2 file of the second circuit")
-    # Checker and scheduler names come from the live registries, so
-    # registered third-party plugins are selectable without touching the CLI.
+    # Checker names come from the live registry, so registered third-party
+    # checkers are selectable without touching the CLI.
     verify.add_argument(
         "--method", default="alternating", choices=list(available_checkers())
     )
@@ -130,12 +130,13 @@ def build_parser() -> argparse.ArgumentParser:
     verify.add_argument(
         "--scheduler",
         default="static",
-        choices=list(available_schedulers()),
+        choices=SCHEDULERS,
         help=(
             "portfolio scheduling policy: 'static' runs the portfolio in the "
-            "given order, 'adaptive' orders checkers and splits budgets from "
-            "circuit features (implies a portfolio run; the default line-up "
-            "is used when --portfolio is not given)"
+            "given order, 'adaptive' leads with scheme-2 checkers on pairs "
+            "that Scheme 1 cannot reconstruct and with provers on every other "
+            "pair (implies a portfolio run; the default line-up is used when "
+            "--portfolio is not given)"
         ),
     )
     verify.add_argument(
@@ -212,7 +213,7 @@ def build_parser() -> argparse.ArgumentParser:
     batch.add_argument(
         "--scheduler",
         default="static",
-        choices=list(available_schedulers()),
+        choices=SCHEDULERS,
         help="portfolio scheduling policy (see 'verify --scheduler')",
     )
     batch.add_argument("--max-workers", type=int, default=4)
@@ -296,7 +297,7 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument(
         "--scheduler",
         default="adaptive",
-        choices=list(available_schedulers()),
+        choices=SCHEDULERS,
         help="portfolio scheduling policy (adaptive by default for mixed traffic)",
     )
     serve.add_argument("--max-workers", type=int, default=4)

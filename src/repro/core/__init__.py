@@ -10,9 +10,10 @@
 * Pluggable checker subsystem: :class:`Checker` / :class:`CheckerOutcome`
   plus the :func:`register_checker` / :func:`resolve_checker` registry
   (:mod:`repro.core.checkers`).
-* Feature-driven portfolio scheduling: :func:`extract_pair_features`,
-  :class:`PortfolioScheduler`, :class:`Schedule`
-  (:mod:`repro.core.features`, :mod:`repro.core.scheduler`).
+* Portfolio scheduling: :func:`build_schedule` turns the configured
+  portfolio into a per-pair :class:`Schedule`, statically or from
+  :func:`extract_pair_features` (:mod:`repro.core.scheduler`,
+  :mod:`repro.core.features`).
 """
 
 from repro.core.checkers import (
@@ -23,7 +24,7 @@ from repro.core.checkers import (
 from repro.core.checkers import register as register_checker
 from repro.core.checkers import resolve as resolve_checker
 from repro.core.checkers import unregister as unregister_checker
-from repro.core.configuration import Configuration
+from repro.core.configuration import SCHEDULERS, Configuration
 from repro.core.distributions import (
     classical_fidelity,
     distributions_equivalent,
@@ -43,7 +44,7 @@ from repro.core.extraction import ExtractionResult, extract_distribution
 from repro.core.features import (
     CircuitFeatures,
     PairFeatures,
-    circuit_features,
+    extract_features,
     extract_pair_features,
 )
 from repro.core.manager import (
@@ -60,16 +61,7 @@ from repro.core.results import (
     EquivalenceCriterion,
     PortfolioResult,
 )
-from repro.core.scheduler import (
-    AdaptiveScheduler,
-    PortfolioScheduler,
-    Schedule,
-    ScheduledChecker,
-    StaticScheduler,
-    available_schedulers,
-    register_scheduler,
-    resolve_scheduler,
-)
+from repro.core.scheduler import Schedule, build_schedule
 from repro.core.simulative import run_simulative_check
 from repro.core.strategies import matched_schedule
 from repro.core.transformation import (
@@ -82,7 +74,6 @@ from repro.core.transformation import (
 from repro.core.workers import BatchWorkUnit, chunk_pairs, verify_work_unit
 
 __all__ = [
-    "AdaptiveScheduler",
     "BatchEntry",
     "BatchResult",
     "BatchWorkUnit",
@@ -99,14 +90,11 @@ __all__ = [
     "ExtractionResult",
     "PairFeatures",
     "PortfolioResult",
-    "PortfolioScheduler",
+    "SCHEDULERS",
     "Schedule",
-    "ScheduledChecker",
-    "StaticScheduler",
     "TransformationResult",
     "available_checkers",
-    "available_schedulers",
-    "circuit_features",
+    "build_schedule",
     "check_behavioural_equivalence",
     "check_equivalence",
     "chunk_pairs",
@@ -114,6 +102,7 @@ __all__ = [
     "defer_measurements",
     "distributions_equivalent",
     "extract_distribution",
+    "extract_features",
     "extract_pair_features",
     "hellinger_distance",
     "jensen_shannon_divergence",
@@ -122,9 +111,7 @@ __all__ = [
     "normalize_distribution",
     "permute_qubits",
     "register_checker",
-    "register_scheduler",
     "resolve_checker",
-    "resolve_scheduler",
     "run_simulative_check",
     "substitute_resets",
     "to_unitary_circuit",

@@ -8,7 +8,10 @@ from dataclasses import dataclass, replace
 from repro.exceptions import ConfigurationError
 from repro.resilience.faults import FaultPlan
 
-__all__ = ["Configuration"]
+__all__ = ["SCHEDULERS", "Configuration"]
+
+#: Values of ``Configuration.scheduler`` (see :mod:`repro.core.scheduler`).
+SCHEDULERS = ("static", "adaptive")
 
 _BACKENDS = ("dd", "dense")
 _STIMULI = ("basis", "product")
@@ -24,12 +27,6 @@ def _registered_checkers() -> tuple[str, ...]:
     from repro.core.checkers import available_checkers
 
     return available_checkers()
-
-
-def _registered_schedulers() -> tuple[str, ...]:
-    from repro.core.scheduler import available_schedulers
-
-    return available_schedulers()
 
 
 @dataclass(frozen=True)
@@ -77,11 +74,15 @@ class Configuration:
         time.  ``None`` selects the default portfolio (simulation as a fast
         falsifier, interleaved with the alternating scheme).
     scheduler:
-        How the manager turns the portfolio into a per-pair checker lineup:
-        ``static`` (configured order, uniform budgets — the historical
-        behaviour) or ``adaptive`` (feature-driven reordering and budget
-        splits; see :mod:`repro.core.scheduler`).  Third-party schedulers
-        register under their own names.
+        How the manager turns the portfolio into a per-pair checker lineup,
+        one of :data:`SCHEDULERS`: ``static`` (configured order) or
+        ``adaptive`` (see :mod:`repro.core.scheduler`): a pair that Scheme 1
+        cannot reconstruct leads with Scheme-2 checkers, every other pair
+        with its provers, then its falsifiers.  Every checker's budget is
+        ``checker_timeout`` under both.  A prover leads even when it is the
+        one-step ``construction``, which builds both system matrices before
+        a falsifier moves: ``(simulation, construction)`` refutes mutants
+        slower under ``adaptive`` than under ``static``.
     timeout:
         Overall wall-clock budget (seconds) of one portfolio run; ``None``
         disables the limit.
@@ -225,11 +226,9 @@ class Configuration:
             if len(set(portfolio)) != len(portfolio):
                 raise ConfigurationError(f"duplicate checkers in portfolio {portfolio}")
             object.__setattr__(self, "portfolio", portfolio)
-        known_schedulers = _registered_schedulers()
-        if self.scheduler not in known_schedulers:
+        if self.scheduler not in SCHEDULERS:
             raise ConfigurationError(
-                f"unknown scheduler {self.scheduler!r}; "
-                f"registered schedulers: {known_schedulers}"
+                f"unknown scheduler {self.scheduler!r}; choose from {SCHEDULERS}"
             )
         for name in ("timeout", "checker_timeout"):
             value = getattr(self, name)

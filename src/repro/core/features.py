@@ -1,13 +1,13 @@
 """Circuit feature extraction for portfolio scheduling.
 
 The adaptive scheduler (:mod:`repro.core.scheduler`) decides checker order
-and budgets from cheap structural features of the circuit pair — never from
-simulating them.  :func:`extract_features` collects the counts, gate-type
-diversity, dynamic-primitive flags and the per-instruction signature stream
-in a single pass over the instructions (depth is delegated to
-:meth:`~repro.circuit.circuit.QuantumCircuit.depth` so the two never drift);
-:func:`extract_pair_features` adds pair-level features such as the
-positional structural similarity of the two gate streams.
+from cheap structural features of the circuit pair — never from simulating
+them.  :func:`extract_features` collects the counts, gate types and
+dynamic-primitive flags in a single pass over the instructions (depth is
+delegated to :meth:`~repro.circuit.circuit.QuantumCircuit.depth` so the two
+never drift) and tries Scheme-1 reconstruction where it can fail;
+:func:`extract_pair_features` adds whether Scheme 1 fails on either circuit
+and whether the pair's outcome distributions are comparable.
 
 All feature types are plain frozen dataclasses: picklable (they travel inside
 scheduling decisions to process-pool workers) and JSON-friendly via
@@ -28,7 +28,6 @@ from repro.exceptions import TransformationError
 __all__ = [
     "CircuitFeatures",
     "PairFeatures",
-    "circuit_features",
     "extract_features",
     "extract_pair_features",
 ]
@@ -40,7 +39,7 @@ class CircuitFeatures:
 
     ``num_gates`` counts unitary gate instructions (conditioned or not);
     barriers are ignored throughout.  ``gate_types`` is the sorted tuple of
-    distinct gate names, the basis of the diversity features.
+    distinct gate names.
 
     ``needs_scheme_two`` is whether Scheme-1 unitary reconstruction
     (:func:`~repro.core.transformation.to_unitary_circuit`) fails on the
@@ -118,29 +117,8 @@ class CircuitFeatures:
         }
 
 
-def _signature(instruction) -> tuple:
-    """Positional fingerprint of one instruction for similarity comparison."""
-    operation = instruction.operation
-    params = tuple(
-        round(p, 9) if isinstance(p, (int, float)) else str(p)
-        for p in getattr(operation, "params", ())
-    )
-    condition = instruction.condition
-    condition_key = (
-        (condition.clbits, condition.bit_values) if condition is not None else None
-    )
-    return (operation.name, params, instruction.qubits, instruction.clbits, condition_key)
-
-
-def extract_features(
-    circuit: QuantumCircuit,
-) -> tuple[CircuitFeatures, list[tuple]]:
-    """Extract :class:`CircuitFeatures` plus the signature stream, one pass.
-
-    The signature stream (one fingerprint per non-barrier instruction, in
-    order) is returned alongside so pair-level similarity never needs a
-    second scan; use :func:`circuit_features` when only the features matter.
-    """
+def extract_features(circuit: QuantumCircuit) -> CircuitFeatures:
+    """Extract the :class:`CircuitFeatures` of one circuit in one pass."""
     num_gates = 0
     num_two_qubit = 0
     num_measurements = 0
@@ -148,15 +126,12 @@ def extract_features(
     num_conditioned = 0
     num_conditioned_resets = 0
     gate_types: set[str] = set()
-    signatures: list[tuple] = []
     measured: set[int] = set()
     mid_circuit_measurement = False
 
     for instruction in circuit:
         if instruction.is_barrier:
             continue
-        signatures.append(_signature(instruction))
-
         if instruction.condition is not None:
             num_conditioned += 1
             if instruction.is_reset:
@@ -183,7 +158,7 @@ def extract_features(
             reconstruction = to_unitary_circuit(circuit).circuit
         except TransformationError:
             pass
-    features = CircuitFeatures(
+    return CircuitFeatures(
         num_qubits=circuit.num_qubits,
         num_clbits=circuit.num_clbits,
         num_gates=num_gates,
@@ -199,13 +174,6 @@ def extract_features(
         source=None if reconstruction is None else circuit,
         reconstruction=reconstruction,
     )
-    return features, signatures
-
-
-def circuit_features(circuit: QuantumCircuit) -> CircuitFeatures:
-    """The :class:`CircuitFeatures` of one circuit (signature stream dropped)."""
-    features, _ = extract_features(circuit)
-    return features
 
 
 @dataclass(frozen=True)
@@ -214,16 +182,8 @@ class PairFeatures:
 
     first: CircuitFeatures
     second: CircuitFeatures
-    structural_similarity: float
     qubit_counts_match: bool
     clbit_counts_match: bool
-
-    @property
-    def gate_count_ratio(self) -> float:
-        """min/max gate-count ratio — 1.0 for equally long circuits."""
-        low = min(self.first.num_gates, self.second.num_gates)
-        high = max(self.first.num_gates, self.second.num_gates)
-        return low / high if high else 1.0
 
     @property
     def any_dynamic(self) -> bool:
@@ -243,59 +203,24 @@ class PairFeatures:
             and self.second.num_measurements > 0
         )
 
-    @property
-    def gate_diversity(self) -> float:
-        return max(self.first.gate_diversity, self.second.gate_diversity)
-
-    @property
-    def gate_sets_match(self) -> bool:
-        """Whether both circuits use the same set of gate names.
-
-        False is the signature of a *translated* pair (same logic, different
-        basis) — exactly the workload the library-driven ``rewrite`` checker
-        reduces to identity cheaply, so the adaptive scheduler front-loads it
-        when this is False.
-        """
-        return self.first.gate_types == self.second.gate_types
-
     def to_dict(self) -> dict:
         return {
             "first": self.first.to_dict(),
             "second": self.second.to_dict(),
-            "structural_similarity": self.structural_similarity,
-            "gate_count_ratio": self.gate_count_ratio,
             "qubit_counts_match": self.qubit_counts_match,
             "clbit_counts_match": self.clbit_counts_match,
             "any_dynamic": self.any_dynamic,
             "needs_scheme_two": self.needs_scheme_two,
-            "gate_sets_match": self.gate_sets_match,
         }
 
 
 def extract_pair_features(
     first: QuantumCircuit, second: QuantumCircuit
 ) -> PairFeatures:
-    """Extract the pair-level feature vector the scheduler consumes.
-
-    ``structural_similarity`` is the fraction of positions at which the two
-    instruction streams carry an identical fingerprint (gate name, rounded
-    parameters, operand wires), over the longer stream: 1.0 for identical
-    builds, near 0 for structurally unrelated circuits.
-    """
-    features_first, signatures_first = extract_features(first)
-    features_second, signatures_second = extract_features(second)
-    longest = max(len(signatures_first), len(signatures_second))
-    if longest == 0:
-        similarity = 1.0
-    else:
-        matches = sum(
-            1 for a, b in zip(signatures_first, signatures_second) if a == b
-        )
-        similarity = matches / longest
+    """Extract the pair-level feature vector the scheduler consumes."""
     return PairFeatures(
-        first=features_first,
-        second=features_second,
-        structural_similarity=similarity,
+        first=extract_features(first),
+        second=extract_features(second),
         qubit_counts_match=first.num_qubits == second.num_qubits,
         clbit_counts_match=first.num_clbits == second.num_clbits,
     )

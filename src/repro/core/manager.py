@@ -12,12 +12,12 @@ soon as any of them is definitive:
 * ``alternating`` (and ``construction``) are *provers* — they decide
   equivalence definitively, at higher cost.
 
-Which checkers run, in which order and with which budgets is decided per
-pair by a :class:`~repro.core.scheduler.PortfolioScheduler`
-(``Configuration.scheduler``): ``static`` replays the configured portfolio
-verbatim, ``adaptive`` reorders it from circuit features (and routes pairs
-whose conditioned resets Scheme 1 cannot reconstruct to the Scheme-2
-``distribution`` checker, since the Scheme-1 checkers cannot decide them).
+Which checkers run, and in which order, is decided per pair by
+:func:`~repro.core.scheduler.build_schedule` (``Configuration.scheduler``):
+``static`` replays the configured portfolio verbatim; ``adaptive`` routes
+pairs that Scheme 1 cannot reconstruct to the Scheme-2 checkers (appending
+``distribution`` when needed, since the Scheme-1 checkers cannot decide
+them) and runs every other pair's provers before its falsifiers.
 
 :class:`EquivalenceCheckingManager` does not run that lineup one checker
 after another.  It *interleaves* the checkers step by step in the calling
@@ -33,8 +33,8 @@ equivalent pair costs one stimulus plus the proof instead of every stimulus
 plus the proof — whatever the order, no checker runs far ahead of the
 eventual winner.  Because cost is not time, the schedule is deterministic:
 the verdict, ``decided_by`` and every attempt's status repeat across runs
-and executors (absent budgets).  Per-checker budgets bound a checker's own
-active time and the overall ``timeout`` the run's wall time; both are
+and executors (absent budgets).  ``checker_timeout`` bounds each checker's
+own active time and the overall ``timeout`` the run's wall time; both are
 checked between steps, and single-step checkers get an ``interrupt`` probe
 bound to their deadline.
 
@@ -83,7 +83,7 @@ from repro.core.results import (
     EquivalenceCriterion,
     PortfolioResult,
 )
-from repro.core.scheduler import Schedule, deprioritize, resolve_scheduler
+from repro.core.scheduler import Schedule, build_schedule, deprioritize
 from repro.core.transformation import to_unitary_circuit
 from repro.core.workers import BatchWorkUnit, chunk_pairs, verify_work_unit
 from repro.obs import trace
@@ -142,7 +142,6 @@ class _Runner:
     position: int
     name: str
     tier: int  # 0 healthy, 1 deprioritized by its breaker
-    budget: float | None  # seconds of this checker's own active time
     cost: int = 0  # gate applications reported by its finished steps
     active: float = 0.0
     turns: int = 0
@@ -162,7 +161,7 @@ class EquivalenceCheckingManager:
 
     Configuration knobs (see :class:`~repro.core.configuration.Configuration`):
     ``portfolio`` selects the checkers (default :data:`DEFAULT_PORTFOLIO`),
-    ``scheduler`` decides their per-pair order and budget splits,
+    ``scheduler`` decides their per-pair order,
     ``checker_timeout`` bounds each checker's active time, ``timeout``
     bounds the whole run, and ``max_workers`` sizes the worker pool of
     :meth:`verify_batch`.
@@ -179,7 +178,6 @@ class EquivalenceCheckingManager:
         if overrides:
             configuration = configuration.updated(**overrides)
         self.configuration = configuration
-        self._scheduler = resolve_scheduler(configuration.scheduler)()
         # Fault injection (repro.resilience.faults): a no-op unless the
         # configuration carries an explicit plan (chaos tests only).  Built
         # before the cache so journal-site faults can hook its writes.
@@ -263,7 +261,9 @@ class EquivalenceCheckingManager:
         self, first: QuantumCircuit, second: QuantumCircuit
     ) -> Schedule:
         """The scheduler's lineup for one pair (without running anything)."""
-        return self._scheduler.build(first, second, self.configuration)
+        return build_schedule(
+            self.configuration.scheduler, self.portfolio, first, second
+        )
 
     def run(
         self,
@@ -512,7 +512,7 @@ class EquivalenceCheckingManager:
             with trace.span("scheduler.decide") as decide_span:
                 schedule = self.schedule_for(first, second)
                 decide_span.set_attr("scheduler", schedule.scheduler)
-                decide_span.set_attr("lineup", ",".join(schedule.checker_names))
+                decide_span.set_attr("lineup", ",".join(schedule.checkers))
                 decide_span.set_attr("rationale", schedule.rationale)
         quarantined = self.breakers.quarantined() if self.breakers else ()
         if quarantined:
@@ -527,7 +527,6 @@ class EquivalenceCheckingManager:
                 **fields(checkers=list(quarantined)),
             )
         deadline = None if config.timeout is None else start + config.timeout
-        schedule_names = list(schedule.checker_names)
         features_payload = (
             schedule.features.to_dict() if schedule.features is not None else None
         )
@@ -552,10 +551,8 @@ class EquivalenceCheckingManager:
                 pass
 
         runners = [
-            _Runner(
-                position, slot.name, int(slot.name in quarantined), slot.budget(config)
-            )
-            for position, slot in enumerate(schedule.checkers)
+            _Runner(position, name, int(name in quarantined))
+            for position, name in enumerate(schedule.checkers)
         ]
         attempts: list[CheckerAttempt | None] = [None] * len(runners)
         pending = list(runners)
@@ -581,7 +578,7 @@ class EquivalenceCheckingManager:
                     pair = (original_first, original_second)
                 else:
                     pair = (unitary_first, unitary_second)
-                bounded = runner.budget is not None or deadline is not None
+                bounded = config.checker_timeout is not None or deadline is not None
                 interrupt = runner.past_deadline if bounded else None
                 runner.steps = self._checker_steps(
                     runner.name, *pair, qubit_permutation, interrupt
@@ -662,7 +659,7 @@ class EquivalenceCheckingManager:
             reason=reason,
             attempts=attempts,
             total_time=time.perf_counter() - start,
-            schedule=schedule_names,
+            schedule=list(schedule.checkers),
             scheduler=schedule.scheduler,
             features=features_payload,
         )
@@ -698,16 +695,17 @@ class EquivalenceCheckingManager:
         if rival is not None and rival.tier == runner.tier:
             # Ties go to lineup position: keep the turn while cost < limit.
             limit = rival.cost + (runner.position < rival.position)
+        budget = self.configuration.checker_timeout
         started = time.perf_counter()
         runner.deadline = deadline
-        if runner.budget is not None:
-            own = started + runner.budget - runner.active
+        if budget is not None:
+            own = started + budget - runner.active
             runner.deadline = own if deadline is None else min(own, deadline)
         with trace.span(
             "checker.run", checker=runner.name, turn=runner.turns
         ) as checker_span:
-            if runner.turns == 0 and runner.budget is not None:
-                checker_span.set_attr("budget", round(runner.budget, 6))
+            if runner.turns == 0 and budget is not None:
+                checker_span.set_attr("budget", round(budget, 6))
             runner.turns += 1
             status, result, error = "timeout", None, None
             try:
@@ -731,8 +729,8 @@ class EquivalenceCheckingManager:
             runner.active += time.perf_counter() - started
             if status == "timeout":
                 error = (
-                    f"checker exceeded its budget of {runner.budget:.6f}s"
-                    if runner.budget is not None and runner.active >= runner.budget
+                    f"checker exceeded its budget of {budget:.6f}s"
+                    if budget is not None and runner.active >= budget
                     else f"overall timeout of {self.configuration.timeout}s exhausted"
                 )
             checker_span.set_attr("cost", runner.cost)
@@ -818,7 +816,7 @@ class EquivalenceCheckingManager:
             with trace.span("scheduler.decide", pair=index) as decide_span:
                 schedule = self.schedule_for(first, second)
                 decide_span.set_attr("scheduler", schedule.scheduler)
-                decide_span.set_attr("lineup", ",".join(schedule.checker_names))
+                decide_span.set_attr("lineup", ",".join(schedule.checkers))
             schedules[index] = schedule
         return schedules
 

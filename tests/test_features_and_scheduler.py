@@ -14,6 +14,7 @@ from repro.algorithms import (
     iterative_qpe,
     qft_dynamic,
     qft_static_benchmark,
+    qpe_static,
     teleportation_dynamic,
     teleportation_static,
 )
@@ -24,14 +25,13 @@ from repro.core import (
     Configuration,
     EquivalenceCheckingManager,
     EquivalenceCriterion,
-    ScheduledChecker,
-    circuit_features,
+    extract_features,
     extract_pair_features,
     register_checker,
     resolve_checker,
-    resolve_scheduler,
     unregister_checker,
 )
+from repro.obs import trace
 from repro.exceptions import ConfigurationError, EquivalenceCheckingError
 
 SEED = 1234
@@ -97,9 +97,9 @@ def _cross_conditioned_reset_circuit() -> QuantumCircuit:
 
 
 class TestCircuitFeatures:
-    def test_static_circuit_features(self):
+    def test_static_extract_features(self):
         circuit = ghz_ladder(4)
-        features = circuit_features(circuit)
+        features = extract_features(circuit)
         assert features.num_qubits == 4
         assert features.num_gates == circuit.size
         assert features.num_resets == 0
@@ -114,7 +114,7 @@ class TestCircuitFeatures:
         circuit = QuantumCircuit(2)
         circuit.h(0)
         circuit.reset(0)
-        features = circuit_features(circuit)
+        features = extract_features(circuit)
         assert features.num_resets == 1
         assert features.is_dynamic
         assert not features.needs_scheme_two
@@ -124,7 +124,7 @@ class TestCircuitFeatures:
         circuit.h(0)
         circuit.measure(0, 0)
         circuit.h(0)  # further op on the measured qubit
-        features = circuit_features(circuit)
+        features = extract_features(circuit)
         assert features.num_measurements == 1
         assert features.has_mid_circuit_measurement
         assert features.is_dynamic
@@ -135,7 +135,7 @@ class TestCircuitFeatures:
         circuit.cx(0, 1)
         circuit.measure(0, 0)
         circuit.measure(1, 1)
-        features = circuit_features(circuit)
+        features = extract_features(circuit)
         assert features.num_measurements == 2
         assert not features.has_mid_circuit_measurement
         assert not features.is_dynamic
@@ -145,34 +145,34 @@ class TestCircuitFeatures:
         circuit.h(0)
         circuit.measure(0, 0)
         circuit.x(1, condition=(0, 1))
-        features = circuit_features(circuit)
+        features = extract_features(circuit)
         assert features.num_classically_controlled == 1
         assert features.is_dynamic
         assert not features.needs_scheme_two  # conditioned *gate*, scheme 1 ok
 
     def test_conditioned_reset_needs_scheme_two(self):
         first, _ = _conditioned_reset_pair()
-        features = circuit_features(first)
+        features = extract_features(first)
         assert features.num_conditioned_resets == 1
         assert features.needs_scheme_two
         assert features.is_dynamic
 
     def test_reused_measured_qubit_needs_scheme_two(self):
         first, _ = _reused_qubit_pair()
-        features = circuit_features(first)
+        features = extract_features(first)
         assert features.num_conditioned_resets == 0
         assert features.has_mid_circuit_measurement
         assert features.needs_scheme_two
 
     def test_reconstructible_conditioned_reset_stays_scheme_one(self):
-        features = circuit_features(_cross_conditioned_reset_circuit())
+        features = extract_features(_cross_conditioned_reset_circuit())
         assert features.num_conditioned_resets == 1
         assert features.is_dynamic
         assert not features.needs_scheme_two
 
     def test_dynamic_bv_matches_circuit_properties(self):
         circuit = bernstein_vazirani_dynamic("1011")
-        features = circuit_features(circuit)
+        features = extract_features(circuit)
         assert features.is_dynamic == circuit.is_dynamic
         assert features.num_resets == circuit.num_resets
         assert features.num_measurements == circuit.num_measurements
@@ -184,28 +184,12 @@ class TestCircuitFeatures:
     def test_to_dict_is_json_friendly(self):
         import json
 
-        payload = circuit_features(teleportation_dynamic()).to_dict()
+        payload = extract_features(teleportation_dynamic()).to_dict()
         assert json.dumps(payload)  # serializable
         assert payload["is_dynamic"] is True
 
 
 class TestPairFeatures:
-    def test_identical_builds_have_similarity_one(self):
-        pair = extract_pair_features(ghz_ladder(4), ghz_ladder(4))
-        assert pair.structural_similarity == 1.0
-        assert pair.gate_count_ratio == 1.0
-        assert pair.qubit_counts_match
-
-    def test_bugged_pair_similarity_below_one(self):
-        pair = extract_pair_features(ghz_ladder(4), ghz_with_bug(4))
-        assert pair.structural_similarity < 1.0
-
-    def test_structurally_unrelated_pair_is_dissimilar(self):
-        pair = extract_pair_features(
-            qft_static_benchmark(4), bernstein_vazirani_static("1011")
-        )
-        assert pair.structural_similarity < 0.5
-
     def test_pair_features_pickle_roundtrip(self):
         pair = extract_pair_features(
             teleportation_static(), teleportation_dynamic()
@@ -226,61 +210,91 @@ class TestPairFeatures:
         assert clone.second.reconstruction_of(bernstein_vazirani_dynamic("1011")) is None
 
 
+def _lineup(first, second, **overrides):
+    return EquivalenceCheckingManager(**overrides).schedule_for(first, second).checkers
+
+
 class TestSchedulers:
     def test_static_replays_configured_order(self):
-        config = Configuration(portfolio=("alternating", "simulation"))
-        schedule = resolve_scheduler("static")().build(
-            ghz_ladder(3), ghz_ladder(3), config
-        )
-        assert schedule.checker_names == ("alternating", "simulation")
+        manager = EquivalenceCheckingManager(portfolio=("alternating", "simulation"))
+        schedule = manager.schedule_for(ghz_ladder(3), ghz_ladder(3))
+        assert schedule.checkers == ("alternating", "simulation")
         assert schedule.scheduler == "static"
         assert schedule.features is None
 
     def test_adaptive_puts_provers_first_on_clones(self):
-        config = Configuration(scheduler="adaptive")
-        schedule = resolve_scheduler("adaptive")().build(
-            ghz_ladder(4), ghz_ladder(4), config
-        )
-        assert schedule.checker_names == ("alternating", "simulation")
+        manager = EquivalenceCheckingManager(scheduler="adaptive")
+        schedule = manager.schedule_for(ghz_ladder(4), ghz_ladder(4))
+        assert schedule.checkers == ("alternating", "simulation")
         assert schedule.features is not None
 
-    def test_adaptive_front_loads_falsifier_on_dissimilar_pairs(self):
-        config = Configuration(
-            scheduler="adaptive", portfolio=("alternating", "simulation"), timeout=60.0
+    @pytest.mark.parametrize(
+        "portfolio,adaptive",
+        [
+            (("simulation", "construction"), ("construction", "simulation")),
+            (
+                ("simulation", "rewrite", "alternating"),
+                ("rewrite", "alternating", "simulation"),
+            ),
+        ],
+    )
+    def test_adaptive_lineup_is_provers_then_falsifiers(self, portfolio, adaptive):
+        # Dissimilar, translated and clone pairs all get the one lineup:
+        # provers in configured order, then falsifiers.
+        pairs = [
+            (qft_static_benchmark(4), bernstein_vazirani_static("1011")),
+            (ghz_ladder(4), ghz_ladder(4)),
+            (bernstein_vazirani_static("101"), bernstein_vazirani_dynamic("101")),
+        ]
+        for first, second in pairs:
+            assert _lineup(first, second, portfolio=portfolio) == portfolio
+            assert (
+                _lineup(first, second, portfolio=portfolio, scheduler="adaptive")
+                == adaptive
+            )
+
+    @pytest.mark.parametrize("checker_timeout", [None, 5.0])
+    def test_adaptive_budget_is_checker_timeout(self, checker_timeout):
+        # Under an overall timeout no checker gets a share of it: every
+        # checker's budget is checker_timeout, whatever the pair.
+        manager = EquivalenceCheckingManager(
+            scheduler="adaptive",
+            portfolio=("alternating", "simulation"),
+            timeout=60.0,
+            checker_timeout=checker_timeout,
+            seed=SEED,
         )
-        schedule = resolve_scheduler("adaptive")().build(
-            qft_static_benchmark(4), bernstein_vazirani_static("1011"), config
-        )
-        assert schedule.checker_names[0] == "simulation"
-        falsifier = schedule.checkers[0]
-        assert falsifier.budget_fraction is not None
-        assert falsifier.budget(config) == pytest.approx(
-            falsifier.budget_fraction * 60.0
-        )
+        tracer = trace.Tracer()
+        with trace.activate(tracer):
+            for first, second in [
+                (qft_static_benchmark(4), bernstein_vazirani_static("1011")),
+                (ghz_ladder(4), ghz_with_bug(4)),
+                (ghz_ladder(4), ghz_ladder(4)),
+            ]:
+                manager.run(first, second)
+        budgets = [
+            span["attrs"].get("budget")
+            for span in tracer.export()
+            if span["name"] == "checker.run" and span["attrs"]["turn"] == 0
+        ]
+        assert budgets
+        assert set(budgets) == {checker_timeout}
 
     def test_adaptive_never_selects_scheme_one_only_path_for_conditioned_reset(self):
         # A reset conditioned on its own qubit's measurement has no Scheme-1
         # reconstruction, so every Scheme-1 checker is doomed; the adaptive
         # lineup must contain a Scheme-2 checker and lead with it.
         first, second = _conditioned_reset_pair()
-        config = Configuration(scheduler="adaptive")
-        schedule = resolve_scheduler("adaptive")().build(first, second, config)
-        roles = [resolve_checker(name).scheme_two for name in schedule.checker_names]
+        lineup = _lineup(first, second, scheduler="adaptive")
+        roles = [resolve_checker(name).scheme_two for name in lineup]
         assert any(roles), "schedule is a scheme-1-only path"
         assert roles[0], "scheme-2 checker must run first for conditioned resets"
 
-    def test_scheduled_checker_budget_defaults_to_checker_timeout(self):
-        config = Configuration(checker_timeout=5.0)
-        assert ScheduledChecker("simulation").budget(config) == 5.0
-        assert ScheduledChecker("simulation").budget(Configuration()) is None
-
     def test_schedule_pickle_roundtrip(self):
-        config = Configuration(scheduler="adaptive")
-        schedule = resolve_scheduler("adaptive")().build(
-            teleportation_static(), teleportation_dynamic(), config
-        )
+        manager = EquivalenceCheckingManager(scheduler="adaptive")
+        schedule = manager.schedule_for(teleportation_static(), teleportation_dynamic())
         clone = pickle.loads(pickle.dumps(schedule))
-        assert clone.checker_names == schedule.checker_names
+        assert clone.checkers == schedule.checkers
         assert clone.features == schedule.features
 
 
@@ -333,6 +347,31 @@ class TestAdaptiveManager:
         assert adaptive.criterion is criterion
         attempts = {attempt.method: attempt for attempt in adaptive.attempts}
         assert attempts["distribution"].result.criterion is criterion
+
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda: (qft_static_benchmark(8), qft_dynamic(8)),
+            lambda: (qpe_static(8), iterative_qpe(8)),
+            lambda: (
+                bernstein_vazirani_static("10110011101001011100"),
+                bernstein_vazirani_dynamic("10110011101001011100"),
+            ),
+        ],
+        ids=["qft-8", "qpe-8", "bv-20"],
+    )
+    def test_adaptive_proves_table1_pairs_before_simulating(self, make):
+        # The prover leads and cancels every matched gate pair of the
+        # reconstructed circuit at cost 0, so it decides in its first turn
+        # and the falsifier never starts.
+        result = EquivalenceCheckingManager(
+            seed=SEED, scheduler="adaptive", verdict_cache=False
+        ).run(*make())
+        assert result.criterion.considered_equivalent
+        assert result.schedule == ["alternating", "simulation"]
+        assert result.decided_by == "alternating"
+        statuses = {a.method: a.status for a in result.attempts}
+        assert statuses["simulation"] == "skipped"
 
     def test_adaptive_skips_falsifier_on_clone_pairs(self):
         result = EquivalenceCheckingManager(seed=SEED, scheduler="adaptive").run(
@@ -415,6 +454,7 @@ def _agreement_pairs():
         (bernstein_vazirani_static("0110"), bernstein_vazirani_dynamic("0110")),
         (teleportation_static(), teleportation_dynamic()),
         (qft_static_benchmark(4), qft_dynamic(4)),
+        (qpe_static(4), iterative_qpe(4)),
         (ghz_ladder(3), ghz_with_bug(3)),
         (bernstein_vazirani_static("101"), bernstein_vazirani_dynamic("111")),
     ]
@@ -451,6 +491,8 @@ class TestSchedulerAgreement:
         for thread_entry, process_entry in zip(thread.entries, process.entries):
             assert process_entry.result.schedule == thread_entry.result.schedule
             assert process_entry.result.scheduler == "adaptive"
+            assert process_entry.result.criterion is thread_entry.result.criterion
+            assert process_entry.result.decided_by == thread_entry.result.decided_by
 
 
 class _NeverDecides(Checker):

@@ -7,7 +7,7 @@ import pytest
 
 from repro.algorithms import ghz_ladder, ghz_with_bug
 from repro.core import Configuration, EquivalenceCheckingManager, EquivalenceCriterion
-from repro.core.scheduler import Schedule, ScheduledChecker, deprioritize
+from repro.core.scheduler import Schedule, deprioritize
 from repro.resilience import (
     STATE_VALUES,
     BreakerBoard,
@@ -188,18 +188,14 @@ class TestRetryPolicy:
 class TestDeprioritize:
     def _schedule(self):
         return Schedule(
-            checkers=(
-                ScheduledChecker("simulation"),
-                ScheduledChecker("alternating"),
-                ScheduledChecker("construction"),
-            ),
+            checkers=("simulation", "alternating", "construction"),
             scheduler="static",
             rationale="fixed order",
         )
 
     def test_moves_named_checkers_last_stably(self):
         schedule = deprioritize(self._schedule(), ["simulation"])
-        assert schedule.checker_names == ("alternating", "construction", "simulation")
+        assert schedule.checkers == ("alternating", "construction", "simulation")
         assert "quarantined" in schedule.rationale
 
     def test_noop_when_no_name_matches(self):
