@@ -6,12 +6,14 @@ portfolio into a per-pair lineup:
 
 * ``static`` runs the configured portfolio in configured order — every pair
   gets ``simulation`` then ``alternating``, no matter what it looks like;
-* ``adaptive`` inspects cheap structural features of the pair
-  (:func:`~repro.core.features.extract_pair_features`): pairs that Scheme 1
-  cannot reconstruct at all (a reset conditioned on its own qubit's
+* ``adaptive`` tries Scheme 1
+  (:func:`~repro.core.transformation.to_unitary_circuit`) on each dynamic
+  circuit of the pair (:func:`~repro.core.scheduler.extract_pair_features`):
+  pairs it cannot rebuild (here, a reset conditioned on its own qubit's
   measurement) are routed to the Scheme-2 ``distribution`` checker; every
   other pair runs its provers first, so an equivalent pair is proved in the
-  prover's first turn and the falsifier never starts.
+  prover's first turn and the falsifier never starts.  The manager reuses
+  the rebuilt circuits, so each dynamic circuit is transformed once.
 
 The adaptive scheduler never changes a verdict, only when (and whether) each
 checker runs.  Run with ``python examples/adaptive_scheduling.py``.
@@ -113,7 +115,7 @@ def main() -> None:
     )
 
     # ------------------------------------------------------------------
-    # 3. The feature vector behind a decision travels with the result.
+    # 3. What the scheduler found travels with the result.
     # ------------------------------------------------------------------
     features = adaptive_result.features
     print(

@@ -11,9 +11,9 @@
   plus the :func:`register_checker` / :func:`resolve_checker` registry
   (:mod:`repro.core.checkers`).
 * Portfolio scheduling: :func:`build_schedule` turns the configured
-  portfolio into a per-pair :class:`Schedule`, statically or from
-  :func:`extract_pair_features` (:mod:`repro.core.scheduler`,
-  :mod:`repro.core.features`).
+  portfolio into a per-pair :class:`Schedule`, statically or from whether
+  Scheme 1 rebuilds the pair (:func:`extract_pair_features`,
+  :mod:`repro.core.scheduler`).
 """
 
 from repro.core.checkers import (
@@ -41,12 +41,6 @@ from repro.core.equivalence import (
     verify,
 )
 from repro.core.extraction import ExtractionResult, extract_distribution
-from repro.core.features import (
-    CircuitFeatures,
-    PairFeatures,
-    extract_features,
-    extract_pair_features,
-)
 from repro.core.manager import (
     DEFAULT_PORTFOLIO,
     EquivalenceCheckingManager,
@@ -61,7 +55,14 @@ from repro.core.results import (
     EquivalenceCriterion,
     PortfolioResult,
 )
-from repro.core.scheduler import Schedule, build_schedule
+from repro.core.scheduler import (
+    CircuitFeatures,
+    PairFeatures,
+    Schedule,
+    build_schedule,
+    extract_features,
+    extract_pair_features,
+)
 from repro.core.simulative import run_simulative_check
 from repro.core.strategies import matched_schedule
 from repro.core.transformation import (

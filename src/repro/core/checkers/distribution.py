@@ -11,7 +11,9 @@ adaptive scheduler routes such pairs here.
 Like the simulative check it is behavioural, not functional: equal
 distributions yield ``PROBABLY_EQUIVALENT``; a distribution mismatch is a
 definitive ``NOT_EQUIVALENT`` (unitarily equivalent circuits can never
-disagree behaviourally).
+disagree behaviourally).  :func:`compare_distributions` is the comparison
+itself, shared with
+:func:`~repro.core.equivalence.check_behavioural_equivalence`.
 """
 
 from __future__ import annotations
@@ -29,7 +31,57 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.circuit.circuit import QuantumCircuit
     from repro.core.configuration import Configuration
 
-__all__ = ["DistributionChecker"]
+__all__ = ["DistributionChecker", "compare_distributions"]
+
+
+def compare_distributions(
+    first: "QuantumCircuit",
+    second: "QuantumCircuit",
+    initial_state: "str | int | None" = None,
+    *,
+    backend: str,
+    tolerance: float,
+    prune_threshold: float = 1e-12,
+    interrupt: Callable[[], bool] | None = None,
+) -> tuple[EquivalenceCriterion, dict, tuple[dict, dict]]:
+    """Scheme 2 on one input state: extract and compare both outcome distributions.
+
+    Returns the criterion (``PROBABLY_EQUIVALENT`` when the total-variation
+    distance is within ``tolerance``, else ``NOT_EQUIVALENT``), the details
+    both Scheme-2 entry points report, and the two distributions.
+    """
+    if first.num_clbits != second.num_clbits:
+        raise EquivalenceCheckingError(
+            "the circuits measure different numbers of classical bits "
+            f"({first.num_clbits} vs {second.num_clbits})"
+        )
+    first_result, second_result = (
+        extract_distribution(
+            circuit,
+            initial_state,
+            backend=backend,
+            prune_threshold=prune_threshold,
+            interrupt=interrupt,
+        )
+        for circuit in (first, second)
+    )
+    Checker.check_interrupt(interrupt)
+    distributions = (first_result.distribution, second_result.distribution)
+    distance = total_variation_distance(*distributions)
+    criterion = (
+        EquivalenceCriterion.PROBABLY_EQUIVALENT
+        if distance <= tolerance
+        else EquivalenceCriterion.NOT_EQUIVALENT
+    )
+    details = {
+        "total_variation_distance": distance,
+        "classical_fidelity": classical_fidelity(*distributions),
+        "num_paths_first": first_result.num_paths,
+        "num_paths_second": second_result.num_paths,
+        "time_extract_first": first_result.time_taken,
+        "time_extract_second": second_result.time_taken,
+    }
+    return criterion, details, distributions
 
 
 class DistributionChecker(Checker):
@@ -47,44 +99,18 @@ class DistributionChecker(Checker):
         *,
         interrupt: Callable[[], bool] | None = None,
     ) -> CheckerOutcome:
-        if first.num_clbits != second.num_clbits:
-            raise EquivalenceCheckingError(
-                "the distribution checker compares measurement outcomes; the "
-                f"circuits measure different numbers of classical bits "
-                f"({first.num_clbits} vs {second.num_clbits})"
-            )
-        if first.num_clbits == 0:
+        if first.num_clbits == second.num_clbits == 0:
             raise EquivalenceCheckingError(
                 "the distribution checker needs measured classical bits; "
                 "neither circuit measures anything"
             )
-        backend = "dd" if configuration.backend == "dd" else "statevector"
-        first_result = extract_distribution(
-            first, None, backend=backend, interrupt=interrupt
+        criterion, details, _ = compare_distributions(
+            first,
+            second,
+            backend="dd" if configuration.backend == "dd" else "statevector",
+            tolerance=configuration.tolerance,
+            interrupt=interrupt,
         )
-        second_result = extract_distribution(
-            second, None, backend=backend, interrupt=interrupt
-        )
-        self.check_interrupt(interrupt)
-        distance = total_variation_distance(
-            first_result.distribution, second_result.distribution
-        )
-        fidelity = classical_fidelity(
-            first_result.distribution, second_result.distribution
-        )
-        criterion = (
-            EquivalenceCriterion.PROBABLY_EQUIVALENT
-            if distance <= configuration.tolerance
-            else EquivalenceCriterion.NOT_EQUIVALENT
-        )
-        details = {
-            "total_variation_distance": distance,
-            "classical_fidelity": fidelity,
-            "num_paths_first": first_result.num_paths,
-            "num_paths_second": second_result.num_paths,
-            "time_extract_first": first_result.time_taken,
-            "time_extract_second": second_result.time_taken,
-        }
         return CheckerOutcome(criterion, details)
 
 

@@ -45,10 +45,6 @@ class Configuration:
     backend:
         ``dd`` (decision diagrams) or ``dense`` (numpy, exponential memory —
         only sensible for small circuits and as ground truth in tests).
-    transform_dynamic:
-        Whether dynamic circuits are transformed to unitary circuits first
-        (Section 4 of the paper).  When false, encountering a dynamic circuit
-        raises.
     tolerance:
         Numerical tolerance of the identity / fidelity decisions: finite and
         strictly between 0 and 1.
@@ -167,7 +163,6 @@ class Configuration:
 
     method: str = "alternating"
     backend: str = "dd"
-    transform_dynamic: bool = True
     tolerance: float = 1e-7
     num_simulations: int = 16
     stimuli_type: str = "product"

@@ -33,9 +33,8 @@ from collections.abc import Callable, Generator
 from repro.circuit.circuit import QuantumCircuit
 from repro.core import checkers as checker_registry
 from repro.core.checkers.base import CheckerOutcome
+from repro.core.checkers.distribution import compare_distributions
 from repro.core.configuration import Configuration
-from repro.core.distributions import classical_fidelity, total_variation_distance
-from repro.core.extraction import extract_distribution
 from repro.core.results import EquivalenceCheckResult, EquivalenceCriterion
 from repro.core.transformation import permute_qubits, to_unitary_circuit
 from repro.exceptions import EquivalenceCheckingError
@@ -148,11 +147,6 @@ class EquivalenceChecker:
         first_prepared = first
         second_prepared = second
         if not checker_cls.scheme_two and (first.is_dynamic or second.is_dynamic):
-            if not config.transform_dynamic:
-                raise EquivalenceCheckingError(
-                    "the circuits contain non-unitary operations and transform_dynamic "
-                    "is disabled; enable it or use check_behavioural_equivalence"
-                )
             if first.is_dynamic:
                 transformation = to_unitary_circuit(first)
                 first_prepared = transformation.circuit
@@ -241,37 +235,19 @@ def check_behavioural_equivalence(
     function additionally exposes the initial state, extraction backend and
     pruning knobs.
     """
-    if first.num_clbits != second.num_clbits:
-        raise EquivalenceCheckingError(
-            "the circuits measure different numbers of classical bits "
-            f"({first.num_clbits} vs {second.num_clbits})"
-        )
     start = time.perf_counter()
-    first_result = extract_distribution(
-        first, initial_state, backend=backend, prune_threshold=prune_threshold
+    criterion, details, (first_distribution, second_distribution) = compare_distributions(
+        first,
+        second,
+        initial_state,
+        backend=backend,
+        tolerance=tolerance,
+        prune_threshold=prune_threshold,
     )
-    second_result = extract_distribution(
-        second, initial_state, backend=backend, prune_threshold=prune_threshold
-    )
-    distance = total_variation_distance(first_result.distribution, second_result.distribution)
-    fidelity = classical_fidelity(first_result.distribution, second_result.distribution)
     time_check = time.perf_counter() - start
-
-    criterion = (
-        EquivalenceCriterion.PROBABLY_EQUIVALENT
-        if distance <= tolerance
-        else EquivalenceCriterion.NOT_EQUIVALENT
+    details.update(
+        distribution_first=first_distribution, distribution_second=second_distribution
     )
-    details = {
-        "total_variation_distance": distance,
-        "classical_fidelity": fidelity,
-        "distribution_first": first_result.distribution,
-        "distribution_second": second_result.distribution,
-        "num_paths_first": first_result.num_paths,
-        "num_paths_second": second_result.num_paths,
-        "time_extract_first": first_result.time_taken,
-        "time_extract_second": second_result.time_taken,
-    }
     return EquivalenceCheckResult(
         criterion=criterion,
         method="distribution",

@@ -14,10 +14,11 @@ soon as any of them is definitive:
 
 Which checkers run, and in which order, is decided per pair by
 :func:`~repro.core.scheduler.build_schedule` (``Configuration.scheduler``):
-``static`` replays the configured portfolio verbatim; ``adaptive`` routes
-pairs that Scheme 1 cannot reconstruct to the Scheme-2 checkers (appending
-``distribution`` when needed, since the Scheme-1 checkers cannot decide
-them) and runs every other pair's provers before its falsifiers.
+``static`` replays the configured portfolio verbatim; ``adaptive`` tries
+Scheme 1 (:func:`~repro.core.transformation.to_unitary_circuit`) on each
+dynamic circuit, routes pairs it cannot rebuild to the Scheme-2 checkers
+(appending ``distribution`` when needed, since the Scheme-1 checkers cannot
+decide them) and runs every other pair's provers before its falsifiers.
 
 :class:`EquivalenceCheckingManager` does not run that lineup one checker
 after another.  It *interleaves* the checkers step by step in the calling
@@ -38,8 +39,9 @@ own active time and the overall ``timeout`` the run's wall time; both are
 checked between steps, and single-step checkers get an ``interrupt`` probe
 bound to their deadline.
 
-The result records the schedule, the feature vector and which checker
-decided in a :class:`~repro.core.results.PortfolioResult`.  For scale,
+The result records the schedule, what the scheduler found (which circuits
+are dynamic, which Scheme 1 cannot rebuild) and which checker decided in a
+:class:`~repro.core.results.PortfolioResult`.  For scale,
 :meth:`EquivalenceCheckingManager.verify_batch` verifies many circuit pairs
 concurrently — on a thread pool (``executor="thread"``) or, since the DD
 checkers are pure-Python CPU work and therefore GIL-bound, on a process pool
@@ -74,7 +76,6 @@ from repro.core import checkers as checker_registry
 from repro.core.checkers.base import CheckerInterrupted
 from repro.core.configuration import Configuration
 from repro.core.equivalence import EquivalenceChecker
-from repro.core.features import CircuitFeatures
 from repro.core.results import (
     BatchEntry,
     BatchResult,
@@ -83,7 +84,7 @@ from repro.core.results import (
     EquivalenceCriterion,
     PortfolioResult,
 )
-from repro.core.scheduler import Schedule, build_schedule, deprioritize
+from repro.core.scheduler import CircuitFeatures, Schedule, build_schedule, deprioritize
 from repro.core.transformation import to_unitary_circuit
 from repro.core.workers import BatchWorkUnit, chunk_pairs, verify_work_unit
 from repro.obs import trace
@@ -534,21 +535,19 @@ class EquivalenceCheckingManager:
         # Transform dynamic circuits to unitary ones once (Scheme 1) and share
         # the result across all Scheme-1 checkers instead of re-transforming
         # per method; Scheme-2 checkers receive the originals.  A
-        # reconstruction the scheduler already made while extracting features
-        # is reused.  On failure fall back to the originals so the error
-        # surfaces per checker attempt, as it would without the shared
-        # transformation.
+        # reconstruction the adaptive scheduler already made is reused.  On
+        # failure fall back to the originals so the error surfaces per
+        # checker attempt, as it would without the shared transformation.
         original_first, original_second = first, second
         unitary_first, unitary_second = first, second
-        if config.transform_dynamic:
-            features = schedule.features
-            try:
-                if first.is_dynamic:
-                    unitary_first = _unitary(first, features and features.first)
-                if second.is_dynamic:
-                    unitary_second = _unitary(second, features and features.second)
-            except Exception:  # noqa: BLE001 - checkers report it per attempt
-                pass
+        features = schedule.features
+        try:
+            if first.is_dynamic:
+                unitary_first = _unitary(first, features and features.first)
+            if second.is_dynamic:
+                unitary_second = _unitary(second, features and features.second)
+        except Exception:  # noqa: BLE001 - checkers report it per attempt
+            pass
 
         runners = [
             _Runner(position, name, int(name in quarantined))
@@ -1155,8 +1154,8 @@ class EquivalenceCheckingManager:
 def _unitary(circuit: QuantumCircuit, features: CircuitFeatures | None) -> QuantumCircuit:
     """The Scheme-1 reconstruction of a dynamic ``circuit``.
 
-    Reuses the one made while extracting ``features`` when it was made from
-    this very circuit (an injected schedule may describe another pair).
+    Reuses the one the adaptive scheduler made when it was made from this
+    very circuit (an injected schedule may describe another pair).
     """
     reconstruction = None if features is None else features.reconstruction_of(circuit)
     if reconstruction is None:

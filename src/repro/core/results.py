@@ -173,9 +173,11 @@ class PortfolioResult:
     scheduler:
         Name of the scheduler that produced the lineup.
     features:
-        JSON-friendly circuit-pair feature vector the scheduling decision was
-        based on (``None`` for schedulers that do not extract features, such
-        as ``static``).
+        What the adaptive scheduler found on the pair
+        (:meth:`~repro.core.scheduler.PairFeatures.to_dict`: per circuit
+        ``is_dynamic`` and ``needs_scheme_two``, and for the pair
+        ``any_dynamic``, ``needs_scheme_two`` and
+        ``comparable_distributions``); ``None`` under ``static``.
     cached:
         Whether this result was served from the verdict cache
         (:class:`~repro.service.cache.VerdictCache`) instead of running any

@@ -11,52 +11,131 @@ so it decides *who moves first*, not who waits for whom to finish.
 :data:`~repro.core.configuration.SCHEDULERS`:
 
 * ``static`` — the configured portfolio, in configured order.
-* ``adaptive`` — one rule from the pair's features
-  (:mod:`repro.core.features`).  A pair that Scheme 1 cannot reconstruct (a
-  reset conditioned on its own qubit's measurement, a measured qubit used
-  again without a reset) leads with its Scheme-2 checkers, and gets
-  ``distribution`` appended when it has none and the pair's outcome
-  distributions are comparable.  Every other pair runs its provers first,
-  then its falsifiers, each group in configured order: since Scheme 1
-  reconstructs the pair, a prover cancels the matched gates of an
-  equivalent pair at no cost and decides inside its first turn, so the
-  falsifier never starts.
+* ``adaptive`` — the paper's rule: Scheme 1 applies exactly when
+  :func:`~repro.core.transformation.to_unitary_circuit` rebuilds every
+  dynamic circuit of the pair (:func:`extract_pair_features`).  A pair it
+  cannot rebuild leads with its Scheme-2 checkers, plus ``distribution``
+  when it has none and the outcome distributions are comparable.  Every
+  other pair runs its provers, then its falsifiers, each group in configured
+  order: a prover cancels the matched gates of an equivalent rebuilt pair
+  at no cost and decides inside its first turn, so the falsifier never
+  starts.
 
-Both schedulers only reorder the configured lineup (adaptive appends a
-Scheme-2 checker only when every Scheme-1 path is doomed), so on any pair the
-static scheduler can decide at all, both reach the same criterion when no
-budget is set.  Budgets bound a checker's own active time
-(``Configuration.checker_timeout``) and the run's wall time
-(``Configuration.timeout``); either makes outcomes time-dependent.
+Both schedulers only reorder the lineup (adaptive appends a Scheme-2 checker
+only when every Scheme-1 path is doomed), so without budgets
+(``Configuration.checker_timeout``, ``Configuration.timeout``) both reach
+the same criterion on every pair the static scheduler can decide.
 
-Schedules and their feature payloads are plain frozen dataclasses, picklable
-by design: the process-pool batch path computes scheduling decisions once in
-the parent and ships them inside the work units.
+Schedules are picklable frozen dataclasses: the process-pool batch path
+computes them in the parent and ships them inside the work units.  A rebuilt
+circuit travels with its source (:meth:`CircuitFeatures.reconstruction_of`),
+so the manager transforms each dynamic circuit once per run.
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterable, Sequence
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from dataclasses import replace as dataclass_replace
-from typing import TYPE_CHECKING
 
+from repro.circuit.circuit import QuantumCircuit
 from repro.core.checkers import base as checker_registry
-from repro.core.features import PairFeatures, extract_pair_features
+from repro.core.transformation import to_unitary_circuit
+from repro.exceptions import TransformationError
 
-if TYPE_CHECKING:  # pragma: no cover - type-only
-    from repro.circuit.circuit import QuantumCircuit
+__all__ = [
+    "CircuitFeatures",
+    "PairFeatures",
+    "Schedule",
+    "build_schedule",
+    "deprioritize",
+    "extract_features",
+    "extract_pair_features",
+]
 
-__all__ = ["Schedule", "build_schedule", "deprioritize"]
+
+@dataclass(frozen=True)
+class CircuitFeatures:
+    """What the adaptive scheduler knows of one circuit.
+
+    ``needs_scheme_two`` is whether Scheme-1 reconstruction raised on the
+    dynamic circuit.  A successful reconstruction is kept with the circuit
+    it was made from (``reconstruction``, ``source``); comparisons, ``repr``
+    and :meth:`to_dict` leave them out.
+    """
+
+    is_dynamic: bool
+    needs_scheme_two: bool
+    source: QuantumCircuit | None = field(default=None, compare=False, repr=False)
+    reconstruction: QuantumCircuit | None = field(default=None, compare=False, repr=False)
+
+    def reconstruction_of(self, circuit: QuantumCircuit) -> QuantumCircuit | None:
+        """The Scheme-1 reconstruction made here if it was made from ``circuit``."""
+        return self.reconstruction if circuit is self.source else None
+
+    def to_dict(self) -> dict:
+        return {"is_dynamic": self.is_dynamic, "needs_scheme_two": self.needs_scheme_two}
+
+
+def extract_features(circuit: QuantumCircuit) -> CircuitFeatures:
+    """Try Scheme 1 on ``circuit`` if it is dynamic."""
+    if not circuit.is_dynamic:
+        return CircuitFeatures(is_dynamic=False, needs_scheme_two=False)
+    try:
+        reconstruction = to_unitary_circuit(circuit).circuit
+    except TransformationError:
+        return CircuitFeatures(is_dynamic=True, needs_scheme_two=True)
+    return CircuitFeatures(True, False, source=circuit, reconstruction=reconstruction)
+
+
+@dataclass(frozen=True)
+class PairFeatures:
+    """The adaptive scheduler's input for one circuit pair.
+
+    ``comparable_distributions`` is whether the Scheme-2 distribution
+    checker can run on the pair: both circuits measure, into the same
+    non-zero number of classical bits.
+    """
+
+    first: CircuitFeatures
+    second: CircuitFeatures
+    comparable_distributions: bool
+
+    @property
+    def any_dynamic(self) -> bool:
+        return self.first.is_dynamic or self.second.is_dynamic
+
+    @property
+    def needs_scheme_two(self) -> bool:
+        return self.first.needs_scheme_two or self.second.needs_scheme_two
+
+    def to_dict(self) -> dict:
+        return {
+            "first": self.first.to_dict(),
+            "second": self.second.to_dict(),
+            "any_dynamic": self.any_dynamic,
+            "needs_scheme_two": self.needs_scheme_two,
+            "comparable_distributions": self.comparable_distributions,
+        }
+
+
+def extract_pair_features(first: QuantumCircuit, second: QuantumCircuit) -> PairFeatures:
+    """The :class:`PairFeatures` of one pair (Scheme 1 tried on each dynamic circuit)."""
+    return PairFeatures(
+        first=extract_features(first),
+        second=extract_features(second),
+        comparable_distributions=(
+            first.num_clbits == second.num_clbits
+            and first.num_clbits > 0
+            and first.num_measurements > 0
+            and second.num_measurements > 0
+        ),
+    )
 
 
 @dataclass(frozen=True)
 class Schedule:
-    """An ordered checker lineup for one circuit pair.
-
-    Plain picklable data: the process-pool batch path computes schedules in
-    the parent and ships them to the workers inside the work units.
-    """
+    """An ordered checker lineup for one circuit pair (plain picklable data)."""
 
     checkers: tuple[str, ...]
     scheduler: str
@@ -67,8 +146,8 @@ class Schedule:
 def build_schedule(
     scheduler: str,
     portfolio: Sequence[str],
-    first: "QuantumCircuit",
-    second: "QuantumCircuit",
+    first: QuantumCircuit,
+    second: QuantumCircuit,
 ) -> Schedule:
     """The ``scheduler``'s lineup of ``portfolio`` for one pair."""
     if scheduler == "static":

@@ -97,7 +97,6 @@ def canonical_fingerprints_sound_for(configuration: "Configuration | None") -> b
 VERDICT_CONFIGURATION_FIELDS = (
     "method",
     "backend",
-    "transform_dynamic",
     "tolerance",
     "num_simulations",
     "stimuli_type",

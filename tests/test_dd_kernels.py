@@ -170,7 +170,7 @@ class TestOneKernelPath:
         assert parameters == ["self", "num_qubits", "tolerance", "gate_cache_size"]
 
     def test_configuration_field_count(self):
-        assert len(dataclasses.fields(Configuration)) == 24
+        assert len(dataclasses.fields(Configuration)) == 23
 
     @settings(max_examples=MAX_EXAMPLES, deadline=None)
     @given(

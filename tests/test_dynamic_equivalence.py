@@ -104,12 +104,6 @@ class TestScheme1FunctionalVerification:
             stripped.append_instruction(instruction)
         assert not check_equivalence(static, stripped).equivalent
 
-    def test_transform_disabled_raises(self):
-        with pytest.raises(EquivalenceCheckingError):
-            check_equivalence(
-                qpe_static(2), iterative_qpe(2), transform_dynamic=False
-            )
-
     def test_dynamic_vs_dynamic(self):
         first = iterative_qpe(3, running_example_lambda)
         second = iterative_qpe(3, running_example_lambda)

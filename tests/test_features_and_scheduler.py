@@ -81,6 +81,26 @@ def _reused_qubit_pair(equivalent: bool = True):
     return tuple(circuits)
 
 
+def _double_sourced_condition_pair(equivalent: bool = True):
+    """``h q0; measure q0->c0; measure q0->c1; if(c==3) x q1; measure q1->c1``.
+
+    The condition reads two measurements of the same qubit, so Scheme 1
+    cannot turn it into controls, although the circuit has no reset and
+    never reuses a measured qubit.  The non-equivalent build tests
+    ``c==1`` instead, which never holds.
+    """
+    circuits = []
+    for value in (3, 3 if equivalent else 1):
+        circuit = QuantumCircuit(2, 2)
+        circuit.h(0)
+        circuit.measure(0, 0)
+        circuit.measure(0, 1)
+        circuit.x(1, condition=(circuit.cregs[0], value))
+        circuit.measure(1, 1)
+        circuits.append(circuit)
+    return tuple(circuits)
+
+
 def _cross_conditioned_reset_circuit() -> QuantumCircuit:
     """A reset of qubit 1 conditioned on qubit 0's measurement.
 
@@ -98,24 +118,15 @@ def _cross_conditioned_reset_circuit() -> QuantumCircuit:
 
 class TestCircuitFeatures:
     def test_static_extract_features(self):
-        circuit = ghz_ladder(4)
-        features = extract_features(circuit)
-        assert features.num_qubits == 4
-        assert features.num_gates == circuit.size
-        assert features.num_resets == 0
-        assert features.num_classically_controlled == 0
+        features = extract_features(ghz_ladder(4))
         assert not features.is_dynamic
         assert not features.needs_scheme_two
-        assert features.depth == circuit.depth()
-        assert 0.0 < features.two_qubit_ratio < 1.0
-        assert set(features.gate_types) == {"h", "cx"}
 
     def test_reset_sets_dynamic_flag(self):
         circuit = QuantumCircuit(2)
         circuit.h(0)
         circuit.reset(0)
         features = extract_features(circuit)
-        assert features.num_resets == 1
         assert features.is_dynamic
         assert not features.needs_scheme_two
 
@@ -125,8 +136,6 @@ class TestCircuitFeatures:
         circuit.measure(0, 0)
         circuit.h(0)  # further op on the measured qubit
         features = extract_features(circuit)
-        assert features.num_measurements == 1
-        assert features.has_mid_circuit_measurement
         assert features.is_dynamic
 
     def test_final_measurement_stays_static(self):
@@ -136,8 +145,6 @@ class TestCircuitFeatures:
         circuit.measure(0, 0)
         circuit.measure(1, 1)
         features = extract_features(circuit)
-        assert features.num_measurements == 2
-        assert not features.has_mid_circuit_measurement
         assert not features.is_dynamic
 
     def test_classically_conditioned_op_sets_dynamic_flag(self):
@@ -146,27 +153,22 @@ class TestCircuitFeatures:
         circuit.measure(0, 0)
         circuit.x(1, condition=(0, 1))
         features = extract_features(circuit)
-        assert features.num_classically_controlled == 1
         assert features.is_dynamic
         assert not features.needs_scheme_two  # conditioned *gate*, scheme 1 ok
 
     def test_conditioned_reset_needs_scheme_two(self):
         first, _ = _conditioned_reset_pair()
         features = extract_features(first)
-        assert features.num_conditioned_resets == 1
         assert features.needs_scheme_two
         assert features.is_dynamic
 
     def test_reused_measured_qubit_needs_scheme_two(self):
         first, _ = _reused_qubit_pair()
         features = extract_features(first)
-        assert features.num_conditioned_resets == 0
-        assert features.has_mid_circuit_measurement
         assert features.needs_scheme_two
 
     def test_reconstructible_conditioned_reset_stays_scheme_one(self):
         features = extract_features(_cross_conditioned_reset_circuit())
-        assert features.num_conditioned_resets == 1
         assert features.is_dynamic
         assert not features.needs_scheme_two
 
@@ -174,12 +176,6 @@ class TestCircuitFeatures:
         circuit = bernstein_vazirani_dynamic("1011")
         features = extract_features(circuit)
         assert features.is_dynamic == circuit.is_dynamic
-        assert features.num_resets == circuit.num_resets
-        assert features.num_measurements == circuit.num_measurements
-        assert (
-            features.num_classically_controlled == circuit.num_classically_controlled
-        )
-        assert features.depth == circuit.depth()
 
     def test_to_dict_is_json_friendly(self):
         import json
@@ -331,14 +327,20 @@ class TestAdaptiveManager:
         assert adaptive.decided_by == "distribution"
 
     @pytest.mark.parametrize(
+        "make", [_reused_qubit_pair, _double_sourced_condition_pair],
+        ids=["reused-qubit", "double-sourced-condition"],
+    )
+    @pytest.mark.parametrize(
         "equivalent,criterion",
         [
             (True, EquivalenceCriterion.PROBABLY_EQUIVALENT),
             (False, EquivalenceCriterion.NOT_EQUIVALENT),
         ],
     )
-    def test_adaptive_routes_reused_measured_qubit_to_distribution(self, equivalent, criterion):
-        first, second = _reused_qubit_pair(equivalent)
+    def test_adaptive_routes_reused_measured_qubit_to_distribution(
+        self, make, equivalent, criterion
+    ):
+        first, second = make(equivalent)
         adaptive = EquivalenceCheckingManager(seed=SEED, scheduler="adaptive").run(
             first, second
         )
@@ -394,22 +396,22 @@ class TestAdaptiveManager:
             lambda: (iterative_qpe(4), iterative_qpe(4)),
             lambda: (teleportation_dynamic(), teleportation_dynamic()),
         ],
-        ids=["static-vs-dynamic", "dynamic-vs-dynamic", "not-tried-by-features"],
+        ids=["static-vs-dynamic", "dynamic-vs-dynamic", "conditioned-gates-only"],
     )
     def test_adaptive_run_transforms_each_dynamic_circuit_once(self, monkeypatch, make):
         import repro.core.equivalence
-        import repro.core.features
         import repro.core.manager
+        import repro.core.scheduler
 
         first, second = make()
         calls = []
-        original = repro.core.features.to_unitary_circuit
+        original = repro.core.scheduler.to_unitary_circuit
 
         def spy(circuit):
             calls.append(circuit)
             return original(circuit)
 
-        for module in (repro.core.features, repro.core.manager, repro.core.equivalence):
+        for module in (repro.core.scheduler, repro.core.manager, repro.core.equivalence):
             monkeypatch.setattr(module, "to_unitary_circuit", spy)
         manager = EquivalenceCheckingManager(
             seed=SEED, scheduler="adaptive", verdict_cache=False
@@ -441,8 +443,13 @@ class TestAdaptiveManager:
         )
         assert result.scheduler == "adaptive"
         assert set(result.schedule) == {"simulation", "alternating"}
-        assert result.features is not None
-        assert result.features["second"]["is_dynamic"] is True
+        assert result.features == {
+            "first": {"is_dynamic": False, "needs_scheme_two": False},
+            "second": {"is_dynamic": True, "needs_scheme_two": False},
+            "any_dynamic": True,
+            "needs_scheme_two": False,
+            "comparable_distributions": True,
+        }
 
 
 def _agreement_pairs():

@@ -116,12 +116,18 @@ class TestEarlyTermination:
         assert result.result.method == result.decided_by
 
     def test_checker_error_is_isolated(self):
-        # Dynamic circuits with transformation disabled make every functional
-        # checker raise; the portfolio must record the errors, not propagate.
+        # A reset conditioned on its own qubit's measurement has no Scheme-1
+        # reconstruction, so every functional checker raises; the portfolio
+        # must record the errors, not propagate.
+        circuit = QuantumCircuit(1, 2)
+        circuit.h(0)
+        circuit.measure(0, 0)
+        circuit.reset(0, condition=(0, 1))
+        circuit.measure(0, 1)
         manager = EquivalenceCheckingManager(
-            seed=SEED, transform_dynamic=False, portfolio=("alternating", "construction")
+            seed=SEED, portfolio=("alternating", "construction")
         )
-        result = manager.run(teleportation_static(), teleportation_dynamic())
+        result = manager.run(circuit, circuit.copy())
         assert result.criterion is EquivalenceCriterion.NO_INFORMATION
         assert all(attempt.status == "error" for attempt in result.attempts)
         assert result.decided_by is None
