@@ -37,14 +37,16 @@ def main() -> None:
     # ------------------------------------------------------------------
     manager = EquivalenceCheckingManager(seed=42)
 
-    # An equivalent pair: simulation can only say "probably", so after its
-    # first stimulus the alternating checker catches up and delivers the
-    # definitive proof, preempting the remaining stimuli.
+    # Turns go to the checker with the least DD work so far (one gate per
+    # step).  An equivalent pair: simulation can only say "probably", so
+    # after its first gate the alternating checker cancels every matched
+    # gate pair and delivers the definitive proof, preempting the falsifier.
     result = manager.run(teleportation_static(), teleportation_dynamic())
     print("teleportation static vs dynamic:", describe(result))
 
-    # A non-equivalent pair: the simulation falsifier finds a counterexample
-    # in its first stimulus and the expensive prover is skipped entirely.
+    # A non-equivalent pair: whichever checker needs less DD work decides.
+    # The bug keeps the prover's product small, so the prover refutes it
+    # while the falsifier is still on its first stimulus.
     result = manager.run(ghz_ladder(4), ghz_with_bug(4))
     print("GHZ vs buggy GHZ:            ", describe(result))
 

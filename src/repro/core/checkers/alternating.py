@@ -10,7 +10,8 @@ The DD backend *cancels* a matched pair ``(g, g)`` while the product is a
 scalar multiple of the identity (its root node carries the ``identity``
 flag): ``g * (w * I) * g^-1 == w * I`` holds exactly, so it builds no gate
 DD and multiplies nothing, and the product stays the same edge.  A cancelled
-pair is a step of cost 0; ``details["cancelled_pairs"]`` counts them.  On
+pair is a step of cost 0; ``details["cancelled_pairs"]`` counts them.  An
+applied gate costs its DD work, ``1 +`` the nodes it created.  On
 the paper's static vs. reconstructed BV, QFT and QPE pairs every gate
 cancels.  The dense backend applies every gate; the tests use it as ground
 truth.
@@ -28,6 +29,7 @@ from repro.core.checkers.base import (
     CheckerOutcome,
     criterion_from_matrix,
     criterion_from_scalar,
+    dd_work,
     gate_lists,
     inverse_instruction,
     register,
@@ -68,7 +70,13 @@ class AlternatingChecker(Checker):
         *,
         interrupt: Callable[[], bool] | None = None,
     ) -> Generator[int, None, CheckerOutcome]:
-        """One step per applied gate (cost 1) or cancelled pair (cost 0)."""
+        """One step per applied gate or cancelled pair.
+
+        On the DD backend an applied gate costs ``1 +`` the nodes the
+        package created since the previous step (its gate DD and the
+        product's new nodes; the first also pays for the identity), and a
+        cancelled pair costs 0.  On the dense backend every gate costs 1.
+        """
         if configuration.backend == "dd":
             return self._steps_dd(first, second, configuration)
         return self._steps_dense(first, second, configuration)
@@ -93,6 +101,7 @@ class AlternatingChecker(Checker):
                 count = counts[edge.node] = package.count_nodes(edge)
             return count
 
+        work = dd_work(package)
         product = package.identity()
         max_nodes = count_nodes(product)
         cancelled = 0
@@ -112,14 +121,14 @@ class AlternatingChecker(Checker):
                 max_nodes = max(max_nodes, count_nodes(product))
                 remaining -= 1
                 if remaining:
-                    yield 1
+                    yield work()
             if partner is not None:
                 gate_dd = instruction_to_dd(package, inverse_instruction(partner))
                 product = package.multiply_matrices(product, gate_dd)
                 max_nodes = max(max_nodes, count_nodes(product))
                 remaining -= 1
                 if remaining:
-                    yield 1
+                    yield work()
 
         scalar = package.identity_scalar(product, config.tolerance)
         details = {

@@ -44,6 +44,7 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard (configuration
     # at runtime)
     from repro.circuit.circuit import QuantumCircuit
     from repro.core.configuration import Configuration
+    from repro.dd.package import DDPackage
 
 __all__ = [
     "Checker",
@@ -52,6 +53,7 @@ __all__ = [
     "available_checkers",
     "criterion_from_matrix",
     "criterion_from_scalar",
+    "dd_work",
     "exact_comparison_tolerance",
     "gate_lists",
     "inverse_instruction",
@@ -137,20 +139,24 @@ class Checker(ABC):
         Each ``yield`` reports the cost of a step just finished that leaves
         work to do; the step that reaches the verdict returns the
         :class:`CheckerOutcome` instead, so a checker that decides in its
-        first step yields nothing.  Cost is counted in *gate applications*
-        (``G1 + G2`` is the gate count of both circuits), never in time, so
-        a schedule driven by it is deterministic.  A step that applies no
-        gate (a matched pair the alternating checker cancels) costs 0: it
-        still gives the caller a point to poll budgets and interrupts, and
-        keeps the turn for its checker.  The portfolio manager always gives
-        the turn to the checker with the least accumulated cost, so when
-        the winner decides at cost ``C`` every other checker
-        has spent at most ``C`` plus one of its own steps: with ``k``
-        checkers, a run costs at most ``k * C`` plus one step per checker,
-        whatever the lineup order.
+        first step yields nothing.  Cost is counted in *DD work*, never in
+        time, so a schedule driven by it is deterministic: the DD checkers
+        take one gate application per step and charge it ``1 +`` the nodes
+        their package created during it
+        (:attr:`~repro.dd.package.DDPackage.nodes_created`), so a step that
+        grows a large diagram costs accordingly.  A step that applies no gate
+        (a matched pair the alternating checker cancels) costs 0: it still
+        gives the caller a point to poll budgets and interrupts, and keeps
+        the turn for its checker.  Dense backends charge 1 per gate, or
+        ``G1 + G2`` (the gate count of both circuits) per stimulus.  The
+        portfolio manager always gives the turn to the checker with the
+        least accumulated cost, so when the winner decides at cost ``C``
+        every other checker has spent at most ``C`` plus one of its own
+        steps: with ``k`` checkers, a run costs at most ``k * C`` plus one
+        step per checker, whatever the lineup order.
 
-        This default runs :meth:`check` as a single step (notionally
-        ``G1 + G2``), forwarding ``interrupt`` so a budget can still stop it
+        This default runs :meth:`check` as a single step that reports no
+        cost, forwarding ``interrupt`` so a budget can still stop it
         mid-step.  Checkers with natural steps override it and make
         :meth:`check` :meth:`drain` their steps; the caller polls budgets
         between steps and they ignore ``interrupt``.
@@ -241,6 +247,24 @@ def available_checkers() -> tuple[str, ...]:
 # ----------------------------------------------------------------------
 # helpers shared by the concrete checkers
 # ----------------------------------------------------------------------
+
+
+def dd_work(package: "DDPackage") -> Callable[[], int]:
+    """The step-cost counter of a DD checker working in ``package``.
+
+    Each call returns the cost of the step just finished: ``1 +`` the nodes
+    the package created since the previous call
+    (:attr:`~repro.dd.package.DDPackage.nodes_created`).
+    """
+    charged = 0
+
+    def work() -> int:
+        nonlocal charged
+        created = package.nodes_created
+        cost, charged = 1 + created - charged, created
+        return cost
+
+    return work
 
 
 def inverse_instruction(instruction: Instruction) -> Instruction:

@@ -45,7 +45,12 @@ class SimulationChecker(Checker):
         *,
         interrupt: Callable[[], bool] | None = None,
     ) -> Generator[int, None, CheckerOutcome]:
-        """One step per stimulus (cost ``G1 + G2``; the first also builds)."""
+        """One step per gate application on the DD backend, costing its DD work.
+
+        See :func:`~repro.core.simulative.simulative_check_steps`: a step
+        costs ``1 +`` the nodes it created.  The dense backend takes one
+        step per stimulus instead.
+        """
         config = configuration
         passed, details = yield from simulative_check_steps(
             first,

@@ -23,18 +23,22 @@ decide them) and runs every other pair's provers before its falsifiers.
 :class:`EquivalenceCheckingManager` does not run that lineup one checker
 after another.  It *interleaves* the checkers step by step in the calling
 thread (:meth:`~repro.core.checkers.base.Checker.steps`): each turn goes to
-the unfinished checker with the least accumulated cost, counted in gate
-applications, with ties going to lineup position, and lasts until that
-checker's cost passes the next-least one.  Checkers start lazily at their
-first turn.  The first definitive verdict ends the run: a checker that had
-started is recorded as ``preempted``, one that never started as
-``skipped``.  So a falsifier-first lineup still refutes a mutant in the
-falsifier's first stimulus before the prover builds anything, while an
-equivalent pair costs one stimulus plus the proof instead of every stimulus
-plus the proof — whatever the order, no checker runs far ahead of the
-eventual winner.  Because cost is not time, the schedule is deterministic:
-the verdict, ``decided_by`` and every attempt's status repeat across runs
-and executors (absent budgets).  ``checker_timeout`` bounds each checker's
+the unfinished checker with the least accumulated cost, with ties going to
+lineup position, and lasts until that checker's cost passes the next-least
+one.  Cost is DD work: a DD checker's step is one gate application, charged
+``1 +`` the nodes its package created
+(:attr:`~repro.dd.package.DDPackage.nodes_created`), and a matched pair the
+alternating checker cancels costs 0.  Checkers start lazily at their first
+turn.  The first definitive verdict ends the run: a checker that had started
+is recorded as ``preempted``, one that never started as ``skipped``.  So
+whichever checker needs less DD work to decide wins, whatever the order: the
+prover proves an equivalent pair while the falsifier has applied a gate or
+two, and a falsifier whose stimulus stays small refutes a mutant whose
+product grows large — no checker runs far ahead of the eventual winner.
+Because cost is not time, the schedule is deterministic: the verdict,
+``decided_by`` and every attempt's status repeat across runs and executors
+(absent budgets).  Each ``checker.run`` span records the checker's cost so
+far as its ``cost`` attribute.  ``checker_timeout`` bounds each checker's
 own active time and the overall ``timeout`` the run's wall time; both are
 checked between steps, and single-step checkers get an ``interrupt`` probe
 bound to their deadline.
@@ -87,6 +91,7 @@ from repro.core.results import (
 from repro.core.scheduler import CircuitFeatures, Schedule, build_schedule, deprioritize
 from repro.core.transformation import to_unitary_circuit
 from repro.core.workers import BatchWorkUnit, chunk_pairs, verify_work_unit
+from repro.exceptions import TransformationError
 from repro.obs import trace
 from repro.obs.logs import fields, get_logger
 from repro.obs.metrics import (
@@ -143,7 +148,7 @@ class _Runner:
     position: int
     name: str
     tier: int  # 0 healthy, 1 deprioritized by its breaker
-    cost: int = 0  # gate applications reported by its finished steps
+    cost: int = 0  # DD work (1 + nodes created per gate) of its finished steps
     active: float = 0.0
     turns: int = 0
     deadline: float | None = None  # perf_counter bound of the current turn
@@ -534,18 +539,24 @@ class EquivalenceCheckingManager:
 
         # Transform dynamic circuits to unitary ones once (Scheme 1) and share
         # the result across all Scheme-1 checkers instead of re-transforming
-        # per method; Scheme-2 checkers receive the originals.  A
-        # reconstruction the adaptive scheduler already made is reused.  On
-        # failure fall back to the originals so the error surfaces per
-        # checker attempt, as it would without the shared transformation.
+        # per method; Scheme-2 checkers receive the originals.  What the
+        # adaptive scheduler already found, rebuilt circuit or failure, is
+        # reused.  A pair Scheme 1 cannot rebuild starts no Scheme-1 checker:
+        # each is recorded as an ``error`` attempt carrying the failure, which
+        # says nothing about the checker's health, so no breaker counts it.
+        # Any other failure falls back to the originals so that it surfaces
+        # per checker attempt.
         original_first, original_second = first, second
         unitary_first, unitary_second = first, second
         features = schedule.features
+        scheme_one_error = None
         try:
             if first.is_dynamic:
                 unitary_first = _unitary(first, features and features.first)
             if second.is_dynamic:
                 unitary_second = _unitary(second, features and features.second)
+        except TransformationError as error:
+            scheme_one_error = f"{type(error).__name__}: {error}"
         except Exception:  # noqa: BLE001 - checkers report it per attempt
             pass
 
@@ -561,6 +572,13 @@ class EquivalenceCheckingManager:
                 break
             runner = min(pending, key=_Runner.key)
             if runner.steps is None:
+                scheme_two = checker_registry.resolve(runner.name).scheme_two
+                if scheme_one_error is not None and not scheme_two:
+                    pending.remove(runner)
+                    attempts[runner.position] = CheckerAttempt(
+                        method=runner.name, status="error", error=scheme_one_error
+                    )
+                    continue
                 if self.breakers is not None and not self.breakers.allow(runner.name):
                     # Breaker open: refuse the call instead of paying for
                     # another crash/timeout.  The attempt is recorded so batch
@@ -573,7 +591,7 @@ class EquivalenceCheckingManager:
                         error="circuit breaker open: checker quarantined",
                     )
                     continue
-                if checker_registry.resolve(runner.name).scheme_two:
+                if scheme_two:
                     pair = (original_first, original_second)
                 else:
                     pair = (unitary_first, unitary_second)
@@ -1154,8 +1172,9 @@ class EquivalenceCheckingManager:
 def _unitary(circuit: QuantumCircuit, features: CircuitFeatures | None) -> QuantumCircuit:
     """The Scheme-1 reconstruction of a dynamic ``circuit``.
 
-    Reuses the one the adaptive scheduler made when it was made from this
-    very circuit (an injected schedule may describe another pair).
+    Reuses what the adaptive scheduler found when it tried this very circuit
+    (an injected schedule may describe another pair): its reconstruction, or
+    its :class:`~repro.exceptions.TransformationError`, raised again.
     """
     reconstruction = None if features is None else features.reconstruction_of(circuit)
     if reconstruction is None:

@@ -59,19 +59,30 @@ class CircuitFeatures:
     """What the adaptive scheduler knows of one circuit.
 
     ``needs_scheme_two`` is whether Scheme-1 reconstruction raised on the
-    dynamic circuit.  A successful reconstruction is kept with the circuit
-    it was made from (``reconstruction``, ``source``); comparisons, ``repr``
-    and :meth:`to_dict` leave them out.
+    dynamic circuit.  What the reconstruction gave is kept with the circuit
+    it was made from (``source``): the rebuilt circuit (``reconstruction``)
+    or the :class:`~repro.exceptions.TransformationError` it raised
+    (``error``), so the manager tries Scheme 1 once per circuit.
+    Comparisons, ``repr`` and :meth:`to_dict` leave them out.
     """
 
     is_dynamic: bool
     needs_scheme_two: bool
     source: QuantumCircuit | None = field(default=None, compare=False, repr=False)
     reconstruction: QuantumCircuit | None = field(default=None, compare=False, repr=False)
+    error: TransformationError | None = field(default=None, compare=False, repr=False)
 
     def reconstruction_of(self, circuit: QuantumCircuit) -> QuantumCircuit | None:
-        """The Scheme-1 reconstruction made here if it was made from ``circuit``."""
-        return self.reconstruction if circuit is self.source else None
+        """The Scheme-1 reconstruction made here if it was made from ``circuit``.
+
+        Raises the reconstruction's :class:`~repro.exceptions.TransformationError`
+        again when it failed on ``circuit``.
+        """
+        if circuit is not self.source:
+            return None
+        if self.error is not None:
+            raise self.error
+        return self.reconstruction
 
     def to_dict(self) -> dict:
         return {"is_dynamic": self.is_dynamic, "needs_scheme_two": self.needs_scheme_two}
@@ -83,8 +94,8 @@ def extract_features(circuit: QuantumCircuit) -> CircuitFeatures:
         return CircuitFeatures(is_dynamic=False, needs_scheme_two=False)
     try:
         reconstruction = to_unitary_circuit(circuit).circuit
-    except TransformationError:
-        return CircuitFeatures(is_dynamic=True, needs_scheme_two=True)
+    except TransformationError as error:
+        return CircuitFeatures(True, True, source=circuit, error=error)
     return CircuitFeatures(True, False, source=circuit, reconstruction=reconstruction)
 
 

@@ -7,15 +7,17 @@ stimuli yields the verdict ``PROBABLY_EQUIVALENT``.  This mirrors the
 simulation-based checks of QCEC and complements the functional schemes for
 circuits whose ``U * U'^dagger`` diagram would grow too large.
 
-On the DD backend the per-check work runs once: both circuits are stripped to
-their gate instructions and every gate DD is built (through
-:func:`repro.dd.circuits.instruction_to_dd`) before the first stimulus.  Each
-stimulus is then built directly as a vector DD — a basis state, or a product
-state with one node per qubit — and both prebuilt gate lists are folded over
-it with matrix-vector multiplications.  The dense backend simulates the
-stimulus-prepending circuits instead.  On both backends one stimulus is one
-step of :func:`simulative_check_steps`, the generator the portfolio manager
-interleaves with the other checkers.
+On the DD backend both circuits are stripped to their gate instructions once
+per check, and every gate DD is built (through
+:func:`repro.dd.circuits.instruction_to_dd`) once, in the step that first
+applies it, and reused by later stimuli.  Each stimulus is built directly as a
+vector DD — a basis state, or a product state with one node per qubit — and
+both gate lists are folded over it with matrix-vector multiplications.  One
+multiplication is one step of :func:`simulative_check_steps`, the generator
+the portfolio manager interleaves with the other checkers, and its cost is the
+DD work it did: ``1 +`` the nodes the package created since the previous
+step.  The dense backend simulates the stimulus-prepending circuits instead,
+one stimulus per step.
 """
 
 from __future__ import annotations
@@ -92,13 +94,18 @@ def simulative_check_steps(
     seed: int | None = None,
     gate_cache_size: int | None = None,
 ) -> Generator[int, None, tuple[bool, dict]]:
-    """:func:`run_simulative_check` as a generator of one step per stimulus.
+    """:func:`run_simulative_check` as a generator of cost-counted steps.
 
-    Yields ``G1 + G2`` (the gate counts of both circuits) after every
-    stimulus that leaves stimuli to run; the first step, which also builds
-    the gate DDs, yields twice that.  A mismatch or the last stimulus
-    returns ``(no_counterexample_found, details)``.  Validation errors
-    surface on the first step.
+    On the DD backend a step is one matrix-vector multiplication, together
+    with the gate DD it builds on first use and, at a stimulus's first
+    gate, the stimulus and the previous stimulus's fidelity.  It yields
+    ``1 + nodes created`` (the growth of :attr:`DDPackage.nodes_created`
+    since the previous step), so a schedule driven by it is deterministic
+    and charges a growing state vector for its size.  The dense backend
+    yields ``G1 + G2`` (the gate counts of both circuits) after every
+    stimulus that leaves stimuli to run, twice that after the first.  A
+    mismatch or the last stimulus returns ``(no_counterexample_found,
+    details)``.  Validation errors surface on the first step.
     """
     if first.num_qubits != second.num_qubits:
         raise EquivalenceCheckingError(
@@ -113,25 +120,26 @@ def simulative_check_steps(
         raise EquivalenceCheckingError(f"unknown stimuli type {stimuli_type!r}")
     if backend not in ("dd", "dense"):
         raise EquivalenceCheckingError(f"unknown backend {backend!r}")
+    from repro.core.checkers.base import dd_work  # the checkers import this module
+
     rng = random.Random(seed)
     num_qubits = first.num_qubits
     min_fidelity = 1.0
     details: dict = {"num_simulations": num_simulations, "stimuli_type": stimuli_type}
-    instructions_one = _gate_instructions(first)
-    instructions_two = _gate_instructions(second)
-    step_cost = len(instructions_one) + len(instructions_two)
+    instructions = (_gate_instructions(first), _gate_instructions(second))
     if backend == "dd":
         package = DDPackage(num_qubits, gate_cache_size=gate_cache_size)
         build = dd_circuits.instruction_to_dd
-        gates_one = [build(package, inst) for inst in instructions_one]
-        gates_two = [build(package, inst) for inst in instructions_two]
         multiply = package.multiply_matrix_vector
+        gates: tuple[list, list] = ([], [])  # built on first use
+        work = dd_work(package)
     else:
+        step_cost = len(instructions[0]) + len(instructions[1])
         first = first.remove_final_measurements()
         second = second.remove_final_measurements()
 
     for run in range(num_simulations):
-        if run:
+        if backend == "dense" and run:
             yield step_cost if run > 1 else 2 * step_cost
         if stimuli_type == "basis":
             stimulus = _random_basis_stimulus(num_qubits, rng)
@@ -140,13 +148,16 @@ def simulative_check_steps(
                 start = package.basis_state(int(stimulus, 2))
             else:
                 start = _product_state_dd(package, _random_product_angles(num_qubits, rng))
-            state_one = start
-            for gate in gates_one:
-                state_one = multiply(gate, state_one)
-            state_two = start
-            for gate in gates_two:
-                state_two = multiply(gate, state_two)
-            fidelity = package.fidelity(state_one, state_two)
+            states = []
+            for side, built in zip(instructions, gates):
+                state = start
+                for index, instruction in enumerate(side):
+                    if index == len(built):
+                        built.append(build(package, instruction))
+                    state = multiply(built[index], state)
+                    yield work()
+                states.append(state)
+            fidelity = package.fidelity(*states)
         else:
             if stimuli_type == "basis":
                 circuit_one, circuit_two, initial = first, second, stimulus
@@ -184,7 +195,8 @@ def run_simulative_check(
     minimum fidelity observed and, for a failing run, the offending stimulus.
     ``options`` are the keyword arguments of :func:`simulative_check_steps`.
     ``interrupt`` is an optional cancellation probe polled before every
-    stimulus — a cancelled check raises
+    step (every gate on the DD backend, every stimulus on the dense one) — a
+    cancelled check raises
     :class:`~repro.core.checkers.base.CheckerInterrupted` instead of burning
     through the remaining stimuli.
     """

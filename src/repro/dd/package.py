@@ -987,6 +987,17 @@ class DDPackage:
 
         return recurse(matrix, self.num_qubits - 1)
 
+    @property
+    def nodes_created(self) -> int:
+        """Nodes this package has created so far, vector and matrix.
+
+        The unique tables are never cleared, so this is the sum of both
+        table sizes and never decreases: the growth between two readings is
+        the DD work done in between, a deterministic measure of it (the
+        portfolio manager charges checker turns by it).
+        """
+        return len(self._vector_table) + len(self._matrix_table)
+
     @staticmethod
     def count_nodes(edge: "VEdge | MEdge") -> int:
         """Number of distinct nodes reachable from ``edge`` (excluding the terminal).

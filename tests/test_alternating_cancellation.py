@@ -139,6 +139,52 @@ class TestCancelledPairSteps:
         assert outcome.details["cancelled_pairs"] == num_gates
         assert outcome.criterion.value == "equivalent"
 
+    @pytest.mark.parametrize("family", ["bv-20", "qft-10", "qpe-8"])
+    def test_applied_gates_cost_their_dd_work(self, monkeypatch, family):
+        # A mutant: pairs cancel up to the rx inserted before a two-qubit
+        # gate in the second half, then gates are applied.  Each applied
+        # gate costs 1 + the nodes created since the previous applied gate
+        # (the first also pays for the identity); a cancelled pair costs 0
+        # and creates nothing.
+        static, reconstructed = _table1_pair(family)
+        data = list(static)
+        position = next(
+            index
+            for index in range(len(data) // 2, len(data))
+            if len(data[index].qubits) == 2
+        )
+        mutant = static.copy_empty()
+        for index, instruction in enumerate(data):
+            if index == position:
+                mutant.rx(0.7, instruction.qubits[-1])
+            mutant.append_instruction(instruction)
+        packages = []
+
+        def recording_package(*args, **kwargs):
+            packages.append(DDPackage(*args, **kwargs))
+            return packages[-1]
+
+        monkeypatch.setattr(alternating_module, "DDPackage", recording_package)
+        steps = AlternatingChecker().steps(mutant, reconstructed, Configuration())
+        costs, charged, previous = [], 0, None
+        while True:
+            try:
+                cost = next(steps)
+            except StopIteration as stop:
+                outcome = stop.value
+                break
+            created = packages[0].nodes_created
+            if cost == 0:
+                assert previous is None or created == previous
+            else:
+                assert cost == 1 + created - charged
+                charged = created
+            costs.append(cost)
+            previous = created
+        assert costs.count(0) == outcome.details["cancelled_pairs"] > 0
+        assert any(cost > 1 for cost in costs)
+        assert outcome.criterion.value == "not_equivalent"
+
     def test_budget_stops_a_long_identical_pair_between_steps(self):
         first = qft_static_benchmark(64)
         manager = EquivalenceCheckingManager(

@@ -10,7 +10,22 @@ from repro.algorithms import (
     iterative_qpe,
     qpe_static,
 )
+from repro.circuit.random_circuits import random_static_circuit
 from repro.cli import build_parser, main
+
+
+def _scrambled_mutant():
+    """A deep random circuit vs the same circuit after a leading ``rz``.
+
+    The scrambled difference grows the prover's product DD, so the falsifier
+    needs less DD work and decides.
+    """
+    circuit = random_static_circuit(4, 20, seed=0)
+    mutant = circuit.copy_empty()
+    mutant.rz(1.0, 0)
+    for instruction in circuit:
+        mutant.append_instruction(instruction)
+    return circuit, mutant
 
 
 @pytest.fixture()
@@ -24,6 +39,7 @@ def qasm_files(tmp_path):
         "qpe_static": qpe_static(3),
         "iqpe": iterative_qpe(3),
     }
+    circuits["scrambled"], circuits["scrambled_wrong"] = _scrambled_mutant()
     for name, circuit in circuits.items():
         path = tmp_path / f"{name}.qasm"
         path.write_text(circuit.to_qasm(), encoding="utf-8")
@@ -127,8 +143,8 @@ class TestPortfolioAndBatch:
         code = main(
             [
                 "verify",
-                qasm_files["bv_static"],
-                qasm_files["bv_wrong"],
+                qasm_files["scrambled"],
+                qasm_files["scrambled_wrong"],
                 "--portfolio",
                 "simulation,alternating",
                 "--json",
@@ -137,7 +153,7 @@ class TestPortfolioAndBatch:
         assert code == 1
         payload = json.loads(capsys.readouterr().out)
         assert payload["decided_by"] == "simulation"
-        assert payload["attempts"][1]["status"] == "skipped"
+        assert payload["attempts"][1]["status"] == "preempted"
 
     def test_verify_timeout_without_portfolio_uses_manager(self, qasm_files, capsys):
         code = main(

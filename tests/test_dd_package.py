@@ -255,6 +255,31 @@ class TestQueries:
         package = DDPackage(2)
         assert package.identity_scalar(package.operator_chain({0: P0})) is None
 
+    def test_nodes_created_sums_both_unique_tables_and_never_decreases(self):
+        package = DDPackage(3)
+        assert package.nodes_created == 0
+        readings = [package.nodes_created]
+
+        def read():
+            stats = package.statistics()
+            assert package.nodes_created == stats["vector_nodes"] + stats["matrix_nodes"]
+            readings.append(package.nodes_created)
+
+        state = package.basis_state(5)
+        read()
+        gate = package.operator_chain({0: H2, 2: X2})
+        read()
+        package.multiply_matrix_vector(gate, state)
+        read()
+        package.multiply_matrices(gate, package.identity())
+        read()
+        package.clear_caches()
+        read()
+        package.multiply_matrices(gate, gate)
+        read()
+        assert readings == sorted(readings)
+        assert readings[-1] > 0
+
     def test_statistics_and_cache_clear(self):
         package = DDPackage(2)
         package.multiply_matrices(package.identity(), package.operator_chain({0: H2}))

@@ -196,7 +196,7 @@ class TestDeterministicSchedule:
             for span in tracer.export()
             if span["name"] == "checker.run"
         ]
-        # Simulation's first stimulus, then the prover catches up and proves.
+        # Simulation's first gate, then the prover cancels every pair and proves.
         assert turns == [("simulation", 0), ("alternating", 0)]
         assert result.decided_by == "alternating"
 
@@ -207,14 +207,51 @@ def _flatten(shapes):
         yield from _flatten(children)
 
 
+def _scrambled_mutant(num_qubits: int = 4, seed: int = 0):
+    """A deep random circuit vs the same circuit after a leading ``rz``.
+
+    The difference comes first and the circuit scrambles it, so the
+    alternating product grows into a large matrix DD while a product
+    stimulus only ever fills a vector: the falsifier needs less DD work.
+    """
+    circuit = random_static_circuit(num_qubits, 20, seed=seed)
+    mutant = circuit.copy_empty()
+    mutant.rz(1.0, 0)
+    for instruction in circuit:
+        mutant.append_instruction(instruction)
+    return circuit, mutant
+
+
 class TestSimFirstLineup:
     @pytest.mark.parametrize("family", ["qft", "qpe", "bv"])
     def test_mutant_is_refuted_by_simulation_before_the_prover_starts(self, family):
-        result = EquivalenceCheckingManager(seed=SEED).run(*_case_pair(family, 5, False))
+        # On the dense backend a simulation step is a whole stimulus, so the
+        # falsifier's first step refutes the mutant before the prover moves.
+        result = EquivalenceCheckingManager(seed=SEED, backend="dense").run(
+            *_case_pair(family, 5, False)
+        )
         assert result.criterion is EquivalenceCriterion.NOT_EQUIVALENT
         assert result.decided_by == "simulation"
         assert _statuses(result) == [("simulation", "completed"), ("alternating", "skipped")]
         assert result.attempts[0].result.details["failed_run"] == 0
+
+    def test_scrambled_mutant_is_refuted_by_simulation_on_dd(self):
+        # On the DD backend turns are charged by DD work, one gate per step:
+        # the prover starts after the falsifier's first gate and is outrun.
+        result = EquivalenceCheckingManager(seed=SEED).run(*_scrambled_mutant())
+        assert result.criterion is EquivalenceCriterion.NOT_EQUIVALENT
+        assert result.decided_by == "simulation"
+        assert _statuses(result) == [("simulation", "completed"), ("alternating", "preempted")]
+        assert result.attempts[0].result.details["failed_run"] == 0
+
+    @pytest.mark.parametrize("family", ["qft", "qpe", "bv"])
+    def test_table1_mutant_is_decided_by_the_cheaper_prover_on_dd(self, family):
+        # A Table-1 product stays small, so the prover's DD work is less
+        # than one stimulus's and it decides with the falsifier preempted.
+        result = EquivalenceCheckingManager(seed=SEED).run(*_case_pair(family, 5, False))
+        assert result.criterion is EquivalenceCriterion.NOT_EQUIVALENT
+        assert result.decided_by == "alternating"
+        assert _statuses(result) == [("simulation", "preempted"), ("alternating", "completed")]
 
     @pytest.mark.parametrize("family", ["qft", "qpe", "bv"])
     def test_equivalent_pair_is_proved_with_simulation_preempted(self, family):

@@ -13,6 +13,7 @@ from repro.algorithms import (
     teleportation_static,
 )
 from repro.circuit import QuantumCircuit
+from repro.circuit.random_circuits import random_static_circuit
 from repro.core import (
     Configuration,
     EquivalenceCheckingManager,
@@ -27,6 +28,16 @@ from repro.core.results import EquivalenceCheckResult
 from repro.exceptions import EquivalenceCheckingError
 
 SEED = 1234
+
+
+def _scrambled_mutant():
+    """A deep random circuit vs the same circuit after a leading ``rz``."""
+    circuit = random_static_circuit(4, 20, seed=0)
+    mutant = circuit.copy_empty()
+    mutant.rz(1.0, 0)
+    for instruction in circuit:
+        mutant.append_instruction(instruction)
+    return circuit, mutant
 
 
 def _ghz_pair():
@@ -78,13 +89,16 @@ class TestConfiguration:
 
 class TestEarlyTermination:
     def test_falsifier_decides_non_equivalent_pairs(self):
+        # A scrambled early difference grows the prover's product DD, so the
+        # falsifier needs less DD work and decides; the prover, started after
+        # the falsifier's first gate, is preempted.
         manager = EquivalenceCheckingManager(seed=SEED)
-        result = manager.run(ghz_ladder(4), ghz_with_bug(4))
+        result = manager.run(*_scrambled_mutant())
         assert result.criterion is EquivalenceCriterion.NOT_EQUIVALENT
         assert result.decided_by == "simulation"
         statuses = {attempt.method: attempt.status for attempt in result.attempts}
         assert statuses["simulation"] == "completed"
-        assert statuses["alternating"] == "skipped"
+        assert statuses["alternating"] == "preempted"
 
     def test_prover_decides_equivalent_pairs(self):
         manager = EquivalenceCheckingManager(seed=SEED)

@@ -5,8 +5,11 @@ import time
 
 import pytest
 
-from repro.algorithms import ghz_ladder, ghz_with_bug
+from repro.algorithms import ghz_ladder, ghz_with_bug, qft_dynamic, qft_static_benchmark
+from repro.circuit import QuantumCircuit
+from repro.circuit.random_circuits import random_static_circuit
 from repro.core import Configuration, EquivalenceCheckingManager, EquivalenceCriterion
+from repro.core import equivalence, manager as manager_module, scheduler as scheduler_module
 from repro.core.scheduler import Schedule, deprioritize
 from repro.resilience import (
     STATE_VALUES,
@@ -16,6 +19,16 @@ from repro.resilience import (
     FaultRule,
     RetryPolicy,
 )
+
+
+def _scrambled_mutant():
+    """A deep random circuit vs the same circuit after a leading ``rz``."""
+    circuit = random_static_circuit(4, 20, seed=0)
+    mutant = circuit.copy_empty()
+    mutant.rz(1.0, 0)
+    for instruction in circuit:
+        mutant.append_instruction(instruction)
+    return circuit, mutant
 
 
 class FakeClock:
@@ -263,6 +276,49 @@ class TestManagerQuarantine:
         assert "circuit breaker" in attempt.error
         assert result.criterion is EquivalenceCriterion.NO_INFORMATION
 
+    @pytest.mark.parametrize("scheduler", ["static", "adaptive"])
+    def test_unreconstructible_pairs_never_quarantine_healthy_checkers(
+        self, monkeypatch, scheduler
+    ):
+        # h; measure; h; measure on one qubit: Scheme 1 cannot rebuild a
+        # measured qubit that is used again without a reset.
+        def reused_measured_qubit():
+            circuit = QuantumCircuit(1, 2)
+            circuit.h(0)
+            circuit.measure(0, 0)
+            circuit.h(0)
+            circuit.measure(0, 1)
+            return circuit
+
+        transformed = []
+        original = manager_module.to_unitary_circuit
+
+        def counting(circuit):
+            transformed.append(circuit)
+            return original(circuit)
+
+        for module in (manager_module, scheduler_module, equivalence):
+            monkeypatch.setattr(module, "to_unitary_circuit", counting)
+        manager = EquivalenceCheckingManager(scheduler=scheduler)
+        for _ in range(5):
+            pair = (reused_measured_qubit(), reused_measured_qubit())
+            transformed.clear()
+            result = manager.run(*pair)
+            # Scheme 1 is tried at most once per dynamic circuit.
+            assert len({id(circuit) for circuit in transformed}) == len(transformed)
+            assert set(map(id, transformed)) <= set(map(id, pair))
+            scheme_one = [a for a in result.attempts if a.method != "distribution"]
+            assert {a.method for a in scheme_one} == {"simulation", "alternating"}
+            for attempt in scheme_one:
+                assert attempt.status == "error"
+                assert attempt.error.startswith("TransformationError: ")
+        snapshot = manager.breakers.snapshot()
+        assert {entry["state"] for entry in snapshot.values()} <= {"closed"}
+        assert manager.breakers.quarantined() == ()
+        result = manager.run(qft_static_benchmark(4), qft_dynamic(4))
+        assert result.criterion is EquivalenceCriterion.EQUIVALENT
+        assert "quarantined" not in {attempt.status for attempt in result.attempts}
+
     def test_breaker_recovers_via_half_open_probe(self):
         manager = self._manager(
             breaker_threshold=1,
@@ -276,10 +332,11 @@ class TestManagerQuarantine:
         time.sleep(0.06)
         # The cooldown expired: the probe runs (fault exhausted), succeeds,
         # and the breaker closes again.  The probe pair is one the falsifier
-        # decides itself: on an equivalent pair the interleaved portfolio
-        # lets the prover decide first and preempts the probe, which neither
-        # heals nor trips the breaker.
-        result = manager.run(ghz_ladder(3), ghz_with_bug(3))
+        # decides itself (a scrambled early difference, on which it needs
+        # less DD work than the prover): on an equivalent pair the
+        # interleaved portfolio lets the prover decide first and preempts the
+        # probe, which neither heals nor trips the breaker.
+        result = manager.run(*_scrambled_mutant())
         statuses = {a.method: a.status for a in result.attempts}
         assert statuses.get("simulation") == "completed"
         assert result.decided_by == "simulation"

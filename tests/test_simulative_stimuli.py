@@ -24,6 +24,7 @@ from repro.core.simulative import (
     _random_product_angles,
     _random_product_circuit,
     run_simulative_check,
+    simulative_check_steps,
 )
 from repro.core.transformation import to_unitary_circuit
 from repro.dd import circuits as dd_circuits
@@ -188,6 +189,52 @@ class TestWideRegisters:
         assert result.criterion is not EquivalenceCriterion.NOT_EQUIVALENT
 
 
+def _bv_mutant(hidden: str, position: int, qubit: int, theta: float):
+    """Static BV with ``rz(theta)`` at ``position`` on ``qubit``, and dynamic BV."""
+    static = bernstein_vazirani_static(hidden)
+    mutant = static.copy_empty()
+    for index, instruction in enumerate(static):
+        if index == position:
+            mutant.rz(theta, qubit)
+        mutant.append_instruction(instruction)
+    return mutant, bernstein_vazirani_dynamic(hidden)
+
+
+# perfbench's ``table1-scheme1`` seed-1 BV-40 mutants (block 0 pair 8, block 1
+# pair 14).  Before turns were charged by DD work, the falsifier's first
+# product stimulus on them took a minute and over 2 GB.
+_BV40_MUTANTS = {
+    "block0-pair8": ("1011010010011011100010110111000000001100", 31, 39, 3.4868606789254306),
+    "block1-pair14": ("1100001110111011010100010010111110111101", 4, 2, 3.2312228844427646),
+}
+
+
+class TestDefaultManagerOnWidePairs:
+    """The prover decides wide pairs while the falsifier has applied a few gates."""
+
+    def test_qpe_16_is_proved_with_simulation_preempted(self, counted_products):
+        result = EquivalenceCheckingManager(seed=0, verdict_cache=False).run(
+            qpe_static(16), iterative_qpe(16)
+        )
+        assert result.criterion is EquivalenceCriterion.EQUIVALENT
+        assert result.decided_by == "alternating"
+        statuses = [(attempt.method, attempt.status) for attempt in result.attempts]
+        assert statuses == [("simulation", "preempted"), ("alternating", "completed")]
+        assert 1 <= counted_products.products <= 4
+
+    @pytest.mark.parametrize("scheduler", ["static", "adaptive"])
+    @pytest.mark.parametrize("mutant", sorted(_BV40_MUTANTS))
+    def test_bv_40_mutant_is_refuted_by_the_prover(self, counted_products, scheduler, mutant):
+        result = EquivalenceCheckingManager(
+            seed=0, verdict_cache=False, scheduler=scheduler
+        ).run(*_bv_mutant(*_BV40_MUTANTS[mutant]))
+        assert result.criterion is EquivalenceCriterion.NOT_EQUIVALENT
+        assert result.decided_by == "alternating"
+        statuses = {attempt.method: attempt.status for attempt in result.attempts}
+        assert statuses == {"simulation": "preempted", "alternating": "completed"}
+        assert 1 <= counted_products.products <= 4
+
+
 class _CountingBuild:
     def __init__(self):
         self.calls = 0
@@ -196,6 +243,44 @@ class _CountingBuild:
     def __call__(self, package, instruction):
         self.calls += 1
         return self._build(package, instruction)
+
+
+class _CountingPackage(DDPackage):
+    """A package that counts its top-level matrix-vector products."""
+
+    products = 0
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._depth = 0
+
+    def multiply_matrix_vector(self, matrix, vector):
+        # The kernel recurses through this method; count the outer call only.
+        if not self._depth:
+            _CountingPackage.products += 1
+        self._depth += 1
+        try:
+            return super().multiply_matrix_vector(matrix, vector)
+        finally:
+            self._depth -= 1
+
+
+@pytest.fixture()
+def counted_products(monkeypatch):
+    """Count the simulation falsifier's top-level matrix-vector products."""
+    monkeypatch.setattr(_CountingPackage, "products", 0)
+    monkeypatch.setattr(simulative, "DDPackage", _CountingPackage)
+    return _CountingPackage
+
+
+def _steps(generator):
+    """Drive a step generator: ``(costs, returned value)``."""
+    costs = []
+    while True:
+        try:
+            costs.append(next(generator))
+        except StopIteration as stop:
+            return costs, stop.value
 
 
 class TestPerCheckWork:
@@ -217,6 +302,59 @@ class TestPerCheckWork:
         )
         assert counter.calls == gate_count
 
+    def test_a_dd_step_is_one_matrix_vector_product(self, counted_products):
+        first, second = _table1_pair("qft", 4)
+        steps = simulative_check_steps(first, second, num_simulations=3, seed=4)
+        products = []
+        while True:
+            try:
+                cost = next(steps)
+            except StopIteration as stop:
+                passed, _ = stop.value
+                break
+            assert cost >= 1
+            products.append(counted_products.products)
+        assert passed
+        # 20 gates a stimulus, each its own step; the last step only
+        # compares the final stimulus's states.
+        assert products == list(range(1, 61))
+
+    def test_step_cost_is_one_plus_the_nodes_created(self, monkeypatch):
+        packages = []
+
+        def recording_package(*args, **kwargs):
+            packages.append(DDPackage(*args, **kwargs))
+            return packages[-1]
+
+        monkeypatch.setattr(simulative, "DDPackage", recording_package)
+        first, second = _table1_pair("bv", 8)
+        steps = simulative_check_steps(first, second, num_simulations=2, seed=4)
+        charged = 0
+        for cost in steps:
+            created = packages[0].nodes_created
+            assert cost == 1 + created - charged
+            charged = created
+
+    def test_a_mutant_refuted_in_stimulus_zero_builds_only_applied_gates(self, monkeypatch):
+        first, second = _table1_pair("qpe", 5)
+        mutant = _with_rz(first, seed=3)
+        counter = _CountingBuild()
+        monkeypatch.setattr(dd_circuits, "instruction_to_dd", counter)
+        steps = simulative_check_steps(mutant, second, seed=4)
+        for applied in range(1, 6):
+            next(steps)
+            # Gate DDs are built lazily, in the step that first applies them.
+            assert counter.calls == applied
+        costs, (passed, details) = _steps(steps)
+        assert not passed and details["failed_run"] == 0
+        gate_count = sum(
+            1
+            for circuit in (mutant, second)
+            for inst in circuit
+            if not (inst.is_barrier or inst.is_measurement)
+        )
+        assert counter.calls == gate_count == 5 + len(costs)
+
     def test_interrupt_is_polled_before_every_stimulus(self, monkeypatch):
         first, second = _table1_pair("qft", 4)
         starts = []
@@ -229,11 +367,14 @@ class TestPerCheckWork:
         monkeypatch.setattr(simulative, "_product_state_dd", recording)
         polls = []
         run_simulative_check(first, second, num_simulations=5, seed=4, interrupt=lambda: polls.append(1))
-        # One poll right before each of the five stimuli, none elsewhere.
-        assert starts == [1, 2, 3, 4, 5]
-        assert len(polls) == 5
+        # A DD step is one gate application: 20 per stimulus on QFT-4 (10
+        # gates a side), so one poll before every gate and one before the
+        # last stimulus's fidelity.  Each stimulus starts right after a poll.
+        assert starts == [1, 21, 41, 61, 81]
+        assert len(polls) == 101
 
-        for fire_at in (1, 3, 5):
+        # Firing at poll k stops the check before its k-th step.
+        for fire_at, started in ((1, 0), (2, 1), (21, 1), (22, 2), (81, 4)):
             starts.clear()
             polls.clear()
 
@@ -243,4 +384,4 @@ class TestPerCheckWork:
 
             with pytest.raises(CheckerInterrupted):
                 run_simulative_check(first, second, num_simulations=5, seed=4, interrupt=interrupt)
-            assert len(starts) == fire_at - 1
+            assert len(starts) == started
