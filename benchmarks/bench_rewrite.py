@@ -1,4 +1,4 @@
-"""Transpilation-aware verification: canonical cache hits and rewrite proving.
+"""Transpilation-aware verification: canonical cache hits and canonical matching.
 
 Table-1 circuit families are verified at three translation levels of the same
 logical pair (original, CX + single-qubit basis, U-gate rewrite) under three
@@ -9,16 +9,17 @@ modes:
 * ``canonical_hit`` — one cache-enabled manager sees the pair at level 1,
   then levels 2 and 3: the later levels must be verdict-cache hits through
   the canonical (translation-level-invariant) fingerprint.
-* ``rewrite_first`` — the portfolio ``rewrite, alternating`` under the
-  adaptive scheduler, which runs provers in configured order, so the
-  library-driven ``rewrite`` prover moves first on the translated pair and
-  must decide it by peephole reduction alone — before any decision diagram
-  is built.
+* ``provers_first`` — the default portfolio in the adaptive lineup (the one
+  ``serve`` uses: provers first), no cache.  The ``alternating`` prover
+  matches the translated gates on their canonical form and cancels every
+  pair, so it must decide each level inside its first turn, with the
+  ``simulation`` falsifier ``skipped``.
 
 Gates (``RuntimeError`` → exit 1) are **semantic only**: verdict agreement
 across all modes and levels, at least one cross-level canonical cache hit,
-and the rewrite prover actually deciding.  Timings are recorded for trend
-tooling but never gated — CI machines are noisy.
+and every ``provers_first`` level decided by ``alternating`` with
+``simulation`` skipped.  Timings are recorded for trend tooling but never
+gated — CI machines are noisy.
 
 Results are emitted as ``BENCH_rewrite.json`` (schema shared via
 ``bench_common.validate_bench_payload``).
@@ -133,14 +134,9 @@ def bench_family(name: str, build, repeats: int) -> tuple[list[dict], dict]:
         criteria_by_mode["canonical_hit"] = criteria
     times_by_mode["canonical_hit"] = times
 
-    # rewrite_first: the peephole prover leads the adaptive lineup and must
-    # decide the translated levels without building any DD.
-    configuration = Configuration(
-        portfolio=("rewrite", "alternating"),
-        scheduler="adaptive",
-        seed=SEED,
-        verdict_cache=False,
-    )
+    # provers_first: the alternating prover leads the adaptive lineup and
+    # must decide every level before the falsifier starts.
+    configuration = Configuration(scheduler="adaptive", seed=SEED, verdict_cache=False)
     times = []
     for _ in range(repeats):
         criteria = []
@@ -150,16 +146,18 @@ def bench_family(name: str, build, repeats: int) -> tuple[list[dict], dict]:
             elapsed, result = _time_ms(lambda pair=pair: manager.run(*pair))
             total += elapsed
             criteria.append(result.criterion.value)
-            if result.decided_by != "rewrite":
+            statuses = {attempt.method: attempt.status for attempt in result.attempts}
+            if result.decided_by != "alternating" or statuses.get("simulation") != "skipped":
                 raise RuntimeError(
                     f"{name}: level {position + 1} was decided by "
-                    f"{result.decided_by!r}, not the rewrite prover"
+                    f"{result.decided_by!r} with simulation "
+                    f"{statuses.get('simulation')!r}, not by alternating alone"
                 )
         times.append(total)
-        criteria_by_mode["rewrite_first"] = criteria
-    times_by_mode["rewrite_first"] = times
+        criteria_by_mode["provers_first"] = criteria
+    times_by_mode["provers_first"] = times
 
-    for mode in ("cold", "canonical_hit", "rewrite_first"):
+    for mode in ("cold", "canonical_hit", "provers_first"):
         if criteria_by_mode[mode] != criteria_by_mode["cold"]:
             raise RuntimeError(
                 f"{name}: verdict drift in mode {mode!r}: "
@@ -181,8 +179,8 @@ def bench_family(name: str, build, repeats: int) -> tuple[list[dict], dict]:
         f"{name}_canonical_hit_vs_cold": round(
             min(times_by_mode["cold"]) / min(times_by_mode["canonical_hit"]), 2
         ),
-        f"{name}_rewrite_vs_cold": round(
-            min(times_by_mode["cold"]) / min(times_by_mode["rewrite_first"]), 2
+        f"{name}_provers_first_vs_cold": round(
+            min(times_by_mode["cold"]) / min(times_by_mode["provers_first"]), 2
         ),
     }
     return entries, speedups
@@ -201,12 +199,12 @@ def run(args: argparse.Namespace) -> dict:
 
     return {
         "schema_version": BENCH_SCHEMA_VERSION,
-        "benchmark": "transpilation_aware_rewrite",
+        "benchmark": "transpilation_aware",
         "scale": SCALE,
         "python": platform.python_version(),
         "results": entries,
         "speedups": speedups,
-        "speedup_vs_baseline": speedups[f"{families[0][0]}_rewrite_vs_cold"],
+        "speedup_vs_baseline": speedups[f"{families[0][0]}_provers_first_vs_cold"],
         "baseline": {
             "source": "cold run (fresh manager per level, DD portfolio, no cache)"
         },

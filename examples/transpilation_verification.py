@@ -10,10 +10,10 @@ gate rewrite rules:
    basis translation + single-qubit merging) before hashing, so the verdict
    cache hits across translation levels even though the raw fingerprints
    differ;
-2. **The rewrite checker** — a library-driven peephole *prover* that decides
-   translated pairs by reducing G . G'^-1 toward the identity with 2x2
-   arithmetic, before any decision diagram is built; listed first among the
-   provers, it moves first under both schedulers;
+2. **Canonical matching** — the alternating DD checker puts the gates that
+   have no identical partner on the other side into the same canonical form
+   and cancels the matched pairs, so a translated pair is proved (or
+   refuted) with almost no DD work;
 3. **Symbolic parameters** — a parameterized template circuit built once,
    with every numeric binding produced by substitution.
 
@@ -72,25 +72,18 @@ def main() -> None:
     )
 
     # ------------------------------------------------------------------
-    # 3. The rewrite checker proves translated pairs without any DD; the
-    #    adaptive scheduler runs the provers in configured order.
+    # 3. Without the cache, the alternating checker matches the translated
+    #    gates on their canonical form and cancels the pairs it matched.
     # ------------------------------------------------------------------
-    prover = EquivalenceCheckingManager(
-        portfolio=("rewrite", "alternating"), scheduler="adaptive", seed=42,
-        verdict_cache=False,
-    )
+    prover = EquivalenceCheckingManager(seed=42, verdict_cache=False)
     result = prover.run(original, level_two)
-    (attempt,) = [a for a in result.attempts if a.method == "rewrite"]
-    statistics = attempt.result.details["rewrite_statistics"]
+    (attempt,) = [a for a in result.attempts if a.method == "alternating"]
+    details = attempt.result.details
+    print(f"translated pair: {result.criterion.value} decided_by={result.decided_by}")
     print(
-        f"rewrite prover: {result.criterion.value} decided_by={result.decided_by} "
-        f"schedule={list(result.schedule)}"
-    )
-    print(
-        f"  peephole: {statistics['input_gates']} gates -> "
-        f"{statistics['remaining']} remaining "
-        f"(merged {statistics['merged_single_qubit']} single-qubit runs, "
-        f"cancelled {statistics['cancelled_cx']} CX pairs)"
+        f"  {details['num_gates_first']} vs {details['num_gates_second']} gates, "
+        f"{details['cancelled_pairs']} canonical pairs cancelled, "
+        f"peak {details['max_nodes']} DD nodes"
     )
 
     # ------------------------------------------------------------------

@@ -15,7 +15,6 @@ from repro.compilation.canonical import (
     CANONICAL_ANGLE_GRID,
     canonical_angle,
     canonicalize,
-    canonicalize_with_statistics,
 )
 from repro.compilation.compiler import CompilationResult, compile_circuit
 from repro.compilation.coupling import CouplingMap, ibmq_london, linear_coupling, ring_coupling
@@ -35,7 +34,6 @@ __all__ = [
     "cancel_inverse_pairs",
     "canonical_angle",
     "canonicalize",
-    "canonicalize_with_statistics",
     "compile_circuit",
     "decompose_to_cx_and_single_qubit",
     "ibmq_london",

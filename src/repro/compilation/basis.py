@@ -40,6 +40,7 @@ from repro.exceptions import CompilationError
 __all__ = [
     "decompose_to_cx_and_single_qubit",
     "rewrite_single_qubit_to_u",
+    "translate_instruction",
     "zyz_decomposition",
 ]
 
@@ -177,15 +178,19 @@ def decompose_to_cx_and_single_qubit(circuit: QuantumCircuit) -> QuantumCircuit:
     """
     result = circuit.copy_empty(name=f"{circuit.name}_decomposed")
     for instruction in circuit:
-        if instruction.is_barrier or not instruction.is_gate:
-            result.append_instruction(instruction)
-            continue
-        expanded = _decompose_instruction(instruction.replace(drop_condition=True))
-        for piece in expanded:
-            if instruction.condition is not None:
-                piece = piece.replace(condition=instruction.condition)
+        for piece in translate_instruction(instruction):
             result.append_instruction(piece)
     return result
+
+
+def translate_instruction(instruction: Instruction) -> list[Instruction]:
+    """One instruction as CNOTs and single-qubit gates (see above)."""
+    if instruction.is_barrier or not instruction.is_gate:
+        return [instruction]
+    if instruction.condition is None:
+        return _decompose_instruction(instruction)
+    expanded = _decompose_instruction(instruction.replace(drop_condition=True))
+    return [piece.replace(condition=instruction.condition) for piece in expanded]
 
 
 def rewrite_single_qubit_to_u(circuit: QuantumCircuit) -> QuantumCircuit:

@@ -1,4 +1,4 @@
-"""Canonicalization pass for transpilation-aware fingerprinting.
+"""Canonicalization pass for transpilation-aware fingerprints and matching.
 
 Different translation levels of the same circuit (original, CX + single-qubit
 basis, U-gate rewrite) are functionally identical but fingerprint
@@ -6,8 +6,8 @@ differently, so the PR-5 verdict cache treats them as unrelated pairs.
 :func:`canonicalize` maps all levels onto one normal form:
 
 1. library-translate to the CX + single-qubit base gate set
-   (:func:`~repro.compilation.basis.decompose_to_cx_and_single_qubit`, which
-   resolves every rewrite through the
+   (:func:`~repro.compilation.basis.translate_instruction`, which resolves
+   every rewrite through the
    :data:`~repro.circuit.equivalence_library.StandardEquivalenceLibrary`);
 2. merge every run of adjacent unconditioned single-qubit gates per qubit
    into a single ``U`` gate via the existing ZYZ machinery, accumulating the
@@ -20,27 +20,31 @@ cannot collide as long as ``Configuration.tolerance`` exceeds the grid (the
 ``canonical_fingerprints_sound_for`` gate in :mod:`repro.service.fingerprint`
 enforces exactly that).  A value straddling a grid boundary merely causes a
 cache miss — never a wrong verdict.
+
+:func:`canonical_forms` produces the quantized form and an exact one (the
+merged runs unquantized) in one pass, optionally for a subset of the gates;
+the alternating checker matches translated gates on the quantized form and
+applies or cancels the exact one
+(:func:`repro.core.strategies.canonical_matching`).
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Iterable, Sequence
 
 import numpy as np
 
 from repro.circuit.circuit import QuantumCircuit
-from repro.circuit.gates import Gate, GlobalPhaseGate, UGate
+from repro.circuit.gates import CXGate, Gate, GlobalPhaseGate, Operation, UGate
 from repro.circuit.operations import Instruction
-from repro.compilation.basis import (
-    decompose_to_cx_and_single_qubit,
-    zyz_decomposition,
-)
+from repro.compilation.basis import translate_instruction, zyz_decomposition
 
 __all__ = [
     "CANONICAL_ANGLE_GRID",
     "canonical_angle",
+    "canonical_forms",
     "canonicalize",
-    "canonicalize_with_statistics",
 ]
 
 #: Quantization grid (radians) for angles of the canonical form.  Coarser
@@ -60,15 +64,17 @@ def canonical_angle(value: float) -> float:
     return quantized
 
 
-def _merged_gate(matrix: np.ndarray) -> tuple[UGate | None, float]:
-    """Collapse a merged 2x2 run into a quantized ``U`` gate plus phase.
+def _merged_gate(matrix: np.ndarray) -> tuple[UGate, Gate | None, float]:
+    """Collapse a merged 2x2 run into an exact and a quantized ``U`` gate.
 
-    Returns ``(None, phase)`` when the run is the identity up to a global
-    phase.  The phase is the *unquantized* residue ``alpha - (phi+lam)/2``
-    (the caller accumulates and quantizes once at the end, so per-run
-    rounding cannot drift the total).
+    Returns ``(exact, quantized, phase)`` with ``matrix == exp(i*phase) *
+    exact.matrix``; ``quantized`` is None when the run is the identity up to
+    a global phase on the grid.  The phase is the *unquantized* residue
+    ``alpha - (phi+lam)/2`` (the caller accumulates and quantizes once at the
+    end, so per-run rounding cannot drift the total).
     """
     alpha, theta, phi, lam = zyz_decomposition(matrix)
+    exact = UGate(theta, phi, lam)
     phase = alpha - (phi + lam) / 2.0
     q_theta = canonical_angle(theta)
     if q_theta == 0.0:
@@ -76,75 +82,118 @@ def _merged_gate(matrix: np.ndarray) -> tuple[UGate | None, float]:
         # ZYZ branches produce the same normal form.
         q_sum = canonical_angle(phi + lam)
         if q_sum == 0.0:
-            return None, phase
-        return UGate(0.0, q_sum, 0.0), phase
-    return UGate(q_theta, canonical_angle(phi), canonical_angle(lam)), phase
+            return exact, None, phase
+        return exact, UGate(0.0, q_sum, 0.0), phase
+    return exact, UGate(q_theta, canonical_angle(phi), canonical_angle(lam)), phase
 
 
-def canonicalize_with_statistics(
-    circuit: QuantumCircuit,
-) -> tuple[QuantumCircuit, dict[str, int]]:
-    """Canonical form of ``circuit`` plus merge counters (see module doc)."""
-    decomposed = decompose_to_cx_and_single_qubit(circuit)
-    result = decomposed.copy_empty(name=f"{circuit.name}_canonical")
-    statistics = {
-        "instructions_in": len(list(circuit)),
-        "single_qubit_gates_merged": 0,
-        "identity_runs_dropped": 0,
-        "instructions_out": 0,
-    }
+def _template(operation: Operation) -> list[tuple[Gate, tuple[int, ...], np.ndarray | None]]:
+    """A gate's translation on local qubits ``0..k-1``: ``(piece, qubits, matrix)``.
 
+    ``matrix`` is the matrix of a single-qubit piece (to merge), else None.
+    """
+    pieces = translate_instruction(Instruction(operation, range(operation.num_qubits)))
+    return [
+        (
+            piece.operation,
+            piece.qubits,
+            piece.operation.matrix if piece.operation.num_qubits == 1 else None,
+        )
+        for piece in pieces
+    ]
+
+
+def canonical_forms(
+    instructions: Iterable[Instruction],
+    translate: Sequence[bool] | None = None,
+) -> list[tuple[Instruction, Operation | None]]:
+    """The canonical form of an instruction stream, exact and quantized at once.
+
+    Each item is ``(exact, quantized)``: ``exact`` is an instruction of a
+    circuit that realizes the input *exactly* (merged runs as unquantized
+    ``U`` gates, their phase residues summed into one trailing ``gphase``,
+    which is always there), and ``quantized`` is the operation of the
+    canonical form on the same qubits, or None where the canonical form
+    drops the gate (an identity run, a zero phase).
+
+    ``translate[i]`` (default: all) selects the instructions that are
+    library-translated and merged; the others pass through unchanged in both
+    forms and end the runs on their qubits.
+    """
+    result: list[tuple[Instruction, Operation | None]] = []
     pending: dict[int, np.ndarray] = {}
     accumulated_phase = 0.0
-
-    def emit(instruction: Instruction) -> None:
-        statistics["instructions_out"] += 1
-        result.append_instruction(instruction)
+    # Gates outside the base set repeat, so each distinct one is translated
+    # once.
+    templates: dict[Operation, list] = {}
 
     def flush(qubit: int) -> None:
         nonlocal accumulated_phase
         matrix = pending.pop(qubit, None)
         if matrix is None:
             return
-        gate, phase = _merged_gate(matrix)
+        exact, quantized, phase = _merged_gate(matrix)
         accumulated_phase += phase
-        if gate is None:
-            statistics["identity_runs_dropped"] += 1
-            return
-        emit(Instruction(gate, (qubit,)))
+        result.append((Instruction(exact, (qubit,)), quantized))
 
-    for instruction in decomposed:
-        operation = instruction.operation
-        mergeable = (
-            instruction.is_gate
-            and not instruction.is_barrier
-            and instruction.condition is None
-            and isinstance(operation, Gate)
-        )
-        if mergeable and isinstance(operation, GlobalPhaseGate):
-            accumulated_phase += operation.phase
-            continue
-        if mergeable and operation.num_qubits == 1:
-            qubit = instruction.qubits[0]
-            statistics["single_qubit_gates_merged"] += 1
-            pending[qubit] = (
-                operation.matrix @ pending[qubit]
-                if qubit in pending
-                else operation.matrix
-            )
-            continue
+    def merge(qubit: int, matrix: np.ndarray) -> None:
+        previous = pending.get(qubit)
+        pending[qubit] = matrix if previous is None else matrix @ previous
+
+    def emit(instruction: Instruction) -> None:
         for qubit in instruction.qubits:
             flush(qubit)
-        emit(instruction)
+        result.append((instruction, instruction.operation))
+
+    for index, instruction in enumerate(instructions):
+        operation = instruction.operation
+        if translate is not None and not translate[index]:
+            emit(instruction)
+            continue
+        if not instruction.is_gate or instruction.is_barrier or instruction.condition is not None:
+            # Dynamic primitives pass through; a condition stays on every piece.
+            for piece in translate_instruction(instruction):
+                emit(piece)
+            continue
+        if isinstance(operation, GlobalPhaseGate):
+            accumulated_phase += operation.phase
+            continue
+        if operation.num_qubits == 1:
+            merge(instruction.qubits[0], operation.matrix)
+            continue
+        if isinstance(operation, CXGate) and operation.ctrl_state == 1:
+            emit(instruction)
+            continue
+        template = templates.get(operation)
+        if template is None:
+            template = templates[operation] = _template(operation)
+        qubits = instruction.qubits
+        for piece, local, matrix in template:
+            if matrix is not None:
+                merge(qubits[local[0]], matrix)
+            elif isinstance(piece, GlobalPhaseGate):
+                accumulated_phase += piece.phase
+            else:
+                emit(Instruction(piece, tuple(qubits[position] for position in local)))
 
     for qubit in sorted(pending):
         flush(qubit)
     final_phase = canonical_angle(accumulated_phase)
-    if final_phase != 0.0:
-        emit(Instruction(GlobalPhaseGate(final_phase), ()))
-    return result, statistics
+    result.append(
+        (
+            Instruction(GlobalPhaseGate(accumulated_phase), ()),
+            GlobalPhaseGate(final_phase) if final_phase != 0.0 else None,
+        )
+    )
+    return result
 
 
 def canonicalize(circuit: QuantumCircuit) -> QuantumCircuit:
-    """The canonical form alone (most callers don't need the counters)."""
-    return canonicalize_with_statistics(circuit)[0]
+    """The canonical form of ``circuit`` (see the module docstring)."""
+    result = circuit.copy_empty(name=f"{circuit.name}_canonical")
+    for exact, quantized in canonical_forms(circuit):
+        if quantized is exact.operation:
+            result.append_instruction(exact)
+        elif quantized is not None:
+            result.append_instruction(Instruction(quantized, exact.qubits))
+    return result

@@ -2,7 +2,9 @@
 
 Importing this package registers the built-in checkers — ``alternating``,
 ``construction``, ``simulation`` (Scheme 1) and ``distribution`` (Scheme 2) —
-in the :mod:`~repro.core.checkers.base` registry.  Third-party strategies
+in the :mod:`~repro.core.checkers.base` registry.  ``alternating`` is the one
+prover for translated pairs too: it matches gates that differ only in their
+gate set on their canonical form.  Third-party strategies
 subclass :class:`~repro.core.checkers.base.Checker` and call
 :func:`~repro.core.checkers.base.register`; their name then works everywhere
 a checker name is accepted (``Configuration.method``,
@@ -29,7 +31,6 @@ from repro.core.checkers.base import (
 )
 from repro.core.checkers.construction import ConstructionChecker
 from repro.core.checkers.distribution import DistributionChecker
-from repro.core.checkers.rewrite import RewriteChecker
 from repro.core.checkers.simulation import SimulationChecker
 
 __all__ = [
@@ -39,7 +40,6 @@ __all__ = [
     "CheckerOutcome",
     "ConstructionChecker",
     "DistributionChecker",
-    "RewriteChecker",
     "SimulationChecker",
     "available_checkers",
     "is_registered",

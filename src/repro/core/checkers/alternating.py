@@ -1,20 +1,29 @@
 """The alternating (QCEC-style) equivalence checker.
 
 Keeps the product ``E = U * U'^dagger`` close to the identity by applying
-identical frontier gates of both circuits as matched pairs and otherwise
-interleaving them at a rate proportional to their gate counts; see
+matched frontier gates of both circuits as pairs and otherwise interleaving
+them at a rate proportional to their gate counts; see
 :func:`repro.core.strategies.matched_schedule`.  The DD and dense backends
 walk that one schedule.
 
-The DD backend *cancels* a matched pair ``(g, g)`` while the product is a
-scalar multiple of the identity (its root node carries the ``identity``
-flag): ``g * (w * I) * g^-1 == w * I`` holds exactly, so it builds no gate
-DD and multiplies nothing, and the product stays the same edge.  A cancelled
-pair is a step of cost 0; ``details["cancelled_pairs"]`` counts them.  An
-applied gate costs its DD work, ``1 +`` the nodes it created.  On
-the paper's static vs. reconstructed BV, QFT and QPE pairs every gate
-cancels.  The dense backend applies every gate; the tests use it as ground
-truth.
+The DD backend first puts the gates without an identical partner on the
+other side into canonical form (:func:`repro.core.strategies.
+canonical_matching`), so a circuit and its translation to another gate set
+match gate by gate; pairs that share every gate walk unchanged.  It
+*cancels* a matched pair ``(g, g')`` while the product is a scalar multiple
+of the identity (its root node carries the ``identity`` flag) and the two
+unquantized gate matrices agree entry by entry within ``epsilon =
+tolerance / (16 * gates)``: ``g * (w * I) * g'^-1`` is then ``w * I``
+exactly, or within ``2 * epsilon`` (the gates that may differ are 2x2 or
+1x1), so it builds no gate DD and multiplies nothing, and the product stays
+the same edge.  Even if every pair cancelled at the bound, the skipped
+deviation stays below ``tolerance / 8``: quantization never decides a
+verdict.  A cancelled pair is a step of cost 0;
+``details["cancelled_pairs"]`` counts them.  An applied gate costs its DD
+work, ``1 +`` the nodes it created.  On the paper's static vs. reconstructed
+BV, QFT and QPE pairs every gate cancels, and so does a translation of
+either side.  The dense backend walks the raw gates and applies every one;
+the tests use it as ground truth.
 """
 
 from __future__ import annotations
@@ -34,7 +43,7 @@ from repro.core.checkers.base import (
     inverse_instruction,
     register,
 )
-from repro.core.strategies import matched_schedule
+from repro.core.strategies import canonical_matching, matched_schedule
 from repro.dd.circuits import instruction_to_dd
 from repro.dd.package import DDPackage
 from repro.simulators.unitary import embed_gate_matrix
@@ -89,7 +98,9 @@ class AlternatingChecker(Checker):
     ) -> Generator[int, None, CheckerOutcome]:
         num_qubits = first.num_qubits
         package = DDPackage(num_qubits, gate_cache_size=config.gate_cache_size)
-        left, right = gate_lists(first, second)
+        raw_left, raw_right = gate_lists(first, second)
+        left, right, keys = canonical_matching(raw_left, raw_right)
+        epsilon = config.tolerance / (16 * max(len(left), len(right), 1))
         # Node counts memoized by root node: nodes are immutable, so a
         # root's count never changes, and a product often returns to a root
         # it had before (the identity above all).
@@ -106,11 +117,16 @@ class AlternatingChecker(Checker):
         max_nodes = count_nodes(product)
         cancelled = 0
         remaining = len(left) + len(right)
-        for gate, partner in matched_schedule(left, right):
+        for gate, partner in matched_schedule(left, right, keys=keys):
             node = product.node
-            if gate is not None and partner is not None and (node is None or node.identity):
-                # g * (w * I) * g^-1 == w * I exactly (a terminal root is a
-                # scalar too): nothing to build, multiply or count.
+            if (
+                gate is not None
+                and partner is not None
+                and (node is None or node.identity)
+                and _agree(gate.operation, partner.operation, epsilon)
+            ):
+                # g * (w * I) * g'^-1 == w * I within epsilon (a terminal root
+                # is a scalar too): nothing to build, multiply or count.
                 cancelled += 1
                 remaining -= 2
                 if remaining:
@@ -134,8 +150,8 @@ class AlternatingChecker(Checker):
         details = {
             "max_nodes": max_nodes,
             "final_nodes": count_nodes(product),
-            "num_gates_first": len(left),
-            "num_gates_second": len(right),
+            "num_gates_first": len(raw_left),
+            "num_gates_second": len(raw_right),
             "cancelled_pairs": cancelled,
             "dd_statistics": package.statistics(),
         }
@@ -170,6 +186,18 @@ class AlternatingChecker(Checker):
             "cancelled_pairs": 0,
         }
         return CheckerOutcome(criterion_from_matrix(product, config.tolerance), details)
+
+
+def _agree(gate, partner, epsilon: float) -> bool:
+    """Whether two gates with the same match key may cancel.
+
+    Equal keys mean equal operations up to their parameters (a translated
+    gate's key holds its quantized form), so bitwise-equal parameters mean
+    the same gate; otherwise the matrices decide.
+    """
+    if gate.params == partner.params:
+        return True
+    return float(np.max(np.abs(gate.matrix - partner.matrix))) <= epsilon
 
 
 def _dense_gate(instruction, num_qubits: int) -> np.ndarray:

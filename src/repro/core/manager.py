@@ -94,11 +94,7 @@ from repro.core.workers import BatchWorkUnit, chunk_pairs, verify_work_unit
 from repro.exceptions import TransformationError
 from repro.obs import trace
 from repro.obs.logs import fields, get_logger
-from repro.obs.metrics import (
-    merge_dd_statistics,
-    publish_dd_statistics,
-    publish_rewrite_statistics,
-)
+from repro.obs.metrics import merge_dd_statistics, publish_dd_statistics
 from repro.resilience.breaker import BreakerBoard
 from repro.resilience.faults import FaultInjector
 from repro.resilience.retry import RetryPolicy
@@ -153,6 +149,7 @@ class _Runner:
     turns: int = 0
     deadline: float | None = None  # perf_counter bound of the current turn
     steps: Generator | None = None  # the step generator, once started
+    exhausted: bool = False  # it ran out of stack or memory
 
     def key(self) -> tuple[int, int, int]:
         """Turn order: healthy tier first, then least cost, then lineup."""
@@ -210,9 +207,9 @@ class EquivalenceCheckingManager:
         else:
             self.verdict_cache = None
         # Optional MetricsRegistry (repro.obs.metrics): when set, _record
-        # writes the run-outcome, checker-latency, DD and rewrite series into
-        # it.  The verification service wires its registry in; plain
-        # in-process managers run unmetered.
+        # writes the run-outcome, checker-latency and DD series into it.  The
+        # verification service wires its registry in; plain in-process
+        # managers run unmetered.
         self.metrics = None
         # Per-checker circuit breakers (repro.resilience.breaker): a checker
         # that keeps crashing or timing out is quarantined and the portfolio
@@ -390,9 +387,9 @@ class EquivalenceCheckingManager:
         registry and the journal (process-batch workers record nothing).
         Everything is derived from ``result`` and the ``keys`` of
         :meth:`_lookup`: the run outcome from ``cached_via``; for executed
-        runs, the latency of every attempt that started and the DD and
-        rewrite counters from the attempt details (a cache hit ran nothing,
-        so it contributes none of those); then one telemetry record.
+        runs, the latency of every attempt that started and the DD counters
+        from the attempt details (a cache hit ran nothing, so it contributes
+        none of those); then one telemetry record.
         """
         metrics = self.metrics
         if metrics is not None:
@@ -427,10 +424,6 @@ class EquivalenceCheckingManager:
             )
             if dd_statistics is not None:
                 publish_dd_statistics(metrics, dd_statistics, checker=attempt.method)
-            if "rewrite_statistics" in details:
-                publish_rewrite_statistics(
-                    metrics, details["rewrite_statistics"], checker=attempt.method
-                )
         if self.telemetry is not None:
             from repro.obs.telemetry import run_record
 
@@ -609,9 +602,15 @@ class EquivalenceCheckingManager:
             pending.remove(runner)
             attempts[runner.position] = attempt
             if self.breakers is not None:
-                # Crashes and blown budgets both count against the breaker;
-                # any completed run (whatever it concluded) heals it.
-                self.breakers.record(runner.name, attempt.status == "completed")
+                if runner.exhausted:
+                    # Running out of stack or memory is the input's size, not
+                    # the checker's health: no breaker counts it.
+                    self.breakers.release(runner.name)
+                else:
+                    # Crashes and blown budgets both count against the
+                    # breaker; any completed run (whatever it concluded)
+                    # heals it.
+                    self.breakers.record(runner.name, attempt.status == "completed")
             if attempt.result is not None and attempt.result.criterion in _DEFINITIVE:
                 decider = runner
 
@@ -741,6 +740,9 @@ class EquivalenceCheckingManager:
                 status, result = "completed", stop.value
             except CheckerInterrupted:
                 pass
+            except (RecursionError, MemoryError) as error_:
+                runner.exhausted = True
+                status, error = "error", f"{type(error_).__name__}: {error_}"
             except Exception as error_:  # noqa: BLE001 - isolate checker failures
                 status, error = "error", f"{type(error_).__name__}: {error_}"
             runner.active += time.perf_counter() - started

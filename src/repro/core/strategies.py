@@ -25,17 +25,89 @@ Burgholzer & Wille, "Advanced Equivalence Checking for Quantum Circuits"
 
 A key match is a hint for DD size, never a correctness condition: the
 verdict depends only on both sides being walked in a topological order.
+
+:func:`canonical_matching` widens the match to translated pairs (the same
+circuit in another gate set): a gate whose key has no partner among the
+other circuit's gates is replaced by its canonical form (library translation
+to CX plus single-qubit gates, runs merged; see
+:func:`repro.compilation.canonical.canonical_forms`) and matched on the
+quantized key of that form.  Pairs with no such gate walk unchanged.
 """
 
 from __future__ import annotations
 
 import heapq
-from collections import deque
-from collections.abc import Iterator, Sequence
+from collections import Counter, deque
+from collections.abc import Hashable, Iterator, Sequence
 
 from repro.circuit.operations import Instruction
+from repro.exceptions import CompilationError
 
-__all__ = ["matched_schedule"]
+__all__ = ["canonical_matching", "matched_schedule"]
+
+#: Per-side match keys, parallel to the gate lists: small ints, equal for
+#: gates that may pair.
+Keys = Sequence[int]
+
+
+def _interned(*sides: Sequence[Hashable]) -> tuple[list[int], ...]:
+    """Each side's keys as ints shared across sides (one hash per key)."""
+    ids: dict = {}
+    return tuple([ids.setdefault(key, len(ids)) for key in side] for side in sides)
+
+
+def _exact_keys(
+    left: Sequence[Instruction], right: Sequence[Instruction]
+) -> tuple[list[int], ...]:
+    """Keys equal exactly for the same gate on the same qubits."""
+    return _interned(
+        [(gate.operation, gate.qubits) for gate in left],
+        [(gate.operation, gate.qubits) for gate in right],
+    )
+
+
+def _unpartnered(keys: Keys, other: Keys) -> list[bool]:
+    """Which entries of ``keys`` the multiset ``other`` leaves without a partner."""
+    partners = Counter(other)
+    flags = []
+    for key in keys:
+        flags.append(partners[key] <= 0)
+        partners[key] -= 1
+    return flags
+
+
+def canonical_matching(
+    left: Sequence[Instruction], right: Sequence[Instruction]
+) -> tuple[Sequence[Instruction], Sequence[Instruction], tuple[Keys, ...]]:
+    """Both gate lists with their unpartnered gates in canonical form, plus keys.
+
+    When both sides have gates whose exact key has no partner among the
+    other side's gates, those gates are translated; the rest keep their own
+    gate and key.  A translated gate's key is its quantized canonical form
+    on its qubits (``None`` where the canonical form drops it).  The
+    returned gates realize each circuit *exactly*, so a key match is still
+    only a hint: whoever cancels a matched pair must compare the gates
+    themselves.  Circuits the library cannot translate keep their exact
+    keys.
+    """
+    keys = _exact_keys(left, right)
+    flags = (_unpartnered(keys[0], keys[1]), _unpartnered(keys[1], keys[0]))
+    if not (any(flags[0]) and any(flags[1])):
+        # One side's gates all have partners: the other side's extra gates
+        # (a mutant's inserted rz, say) have nothing left to match.
+        return left, right, keys
+    # Imported here: pairs that share every gate never load the compiler.
+    from repro.compilation.canonical import canonical_forms
+
+    try:
+        forms = [canonical_forms(gates, only) for gates, only in zip((left, right), flags)]
+    except CompilationError:
+        return left, right, keys
+    gates = tuple([exact for exact, _ in side] for side in forms)
+    keys = _interned(
+        *([(quantized, exact.qubits) for exact, quantized in side] for side in forms)
+    )
+    return gates[0], gates[1], keys
 
 
 class _Frontier:
@@ -48,8 +120,9 @@ class _Frontier:
     O(gates x qubits per gate).
     """
 
-    def __init__(self, gates: Sequence[Instruction]) -> None:
+    def __init__(self, gates: Sequence[Instruction], keys: Keys) -> None:
         self.gates = gates
+        self.keys = keys
         self.applied = [False] * len(gates)
         self.waiting = [len(gate.qubits) for gate in gates]
         self.queues: dict[int, deque[int]] = {}
@@ -58,7 +131,7 @@ class _Frontier:
                 self.queues.setdefault(qubit, deque()).append(index)
         # Frontier gates not yet paired with the other side, by key.
         # Entries applied by the proportional fallback are dropped lazily.
-        self.unpaired: dict[tuple, deque[int]] = {}
+        self.unpaired: dict[int, deque[int]] = {}
         self.lowest = 0
 
     def initial(self) -> list[int]:
@@ -86,7 +159,7 @@ class _Frontier:
             self.lowest += 1
         return self.lowest
 
-    def take_partner(self, key: tuple) -> int | None:
+    def take_partner(self, key: int) -> int | None:
         """Pop an unapplied, unpaired frontier gate with this key, if any."""
         partners = self.unpaired.get(key)
         while partners:
@@ -97,20 +170,26 @@ class _Frontier:
 
 
 def matched_schedule(
-    left: Sequence[Instruction], right: Sequence[Instruction]
+    left: Sequence[Instruction],
+    right: Sequence[Instruction],
+    *,
+    keys: tuple[Keys, ...] | None = None,
 ) -> Iterator[tuple[Instruction | None, Instruction | None]]:
     """Yield ``(left_gate, right_gate)`` items that cover both circuits once.
 
     ``left_gate`` is a gate of ``left`` (to multiply onto the product from
     the left) and ``right_gate`` a gate of ``right`` (whose inverse is
     multiplied on from the right); an item holds one of them, or both for a
-    matched pair: identical frontier gates of the two sides, the left one to
-    apply first.  Each side's gates come out in a topological order of its
-    qubit-sharing DAG: per-qubit order is kept, so the walked unitary is
-    unchanged.  Where nothing matches, the sides interleave proportionally
-    to their gate counts.
+    matched pair: frontier gates of the two sides with the same key, the
+    left one to apply first.  Each side's gates come out in a topological
+    order of its qubit-sharing DAG: per-qubit order is kept, so the walked
+    unitary is unchanged.  Where nothing matches, the sides interleave
+    proportionally to their gate counts.  ``keys`` (by default equal for the
+    same gate on the same qubits) decides which gates match.
     """
-    sides = (_Frontier(left), _Frontier(right))
+    if keys is None:
+        keys = _exact_keys(left, right)
+    sides = (_Frontier(left, keys[0]), _Frontier(right, keys[1]))
     # Pending matches, lowest left index first: on identical circuits this
     # emits exactly the proportional order.
     pairs: list[tuple[int, int]] = []
@@ -118,8 +197,7 @@ def matched_schedule(
     def arrive(side: int, indices: list[int]) -> None:
         mine, other = sides[side], sides[1 - side]
         for index in indices:
-            gate = mine.gates[index]
-            key = (gate.operation, gate.qubits)
+            key = mine.keys[index]
             partner = other.take_partner(key)
             if partner is None:
                 mine.unpaired.setdefault(key, deque()).append(index)

@@ -19,8 +19,8 @@ crash-safe journal, which itself only uses :mod:`repro.obs.logs`):
   configuration the stack stays library-quiet (no handlers installed).
 * :mod:`repro.obs.metrics` — the unified :class:`~repro.obs.metrics.
   MetricsRegistry` (counters, gauges, histograms) rendered as Prometheus
-  text.  The manager's single recorder writes its run, checker-latency, DD
-  and rewrite series there, and the service exports the registry at
+  text.  The manager's single recorder writes its run, checker-latency and
+  DD series there, and the service exports the registry at
   ``GET /metrics``.
 * :mod:`repro.obs.telemetry` — a run-telemetry journal: one crash-safe
   record per settled verification (fingerprint, features, schedule,

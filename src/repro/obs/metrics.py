@@ -5,8 +5,8 @@
 unifies them behind one :class:`MetricsRegistry` of counters, gauges and
 histograms that the HTTP front end (:mod:`repro.service.aserver`) exports at
 ``GET /metrics`` in the Prometheus text exposition format (version 0.0.4).
-The portfolio manager writes its run, checker-latency, DD and rewrite series
-into the same registry (``EquivalenceCheckingManager.metrics``).
+The portfolio manager writes its run, checker-latency and DD series into the
+same registry (``EquivalenceCheckingManager.metrics``).
 
 Design notes
 ------------
@@ -37,7 +37,6 @@ __all__ = [
     "MetricsRegistry",
     "merge_dd_statistics",
     "publish_dd_statistics",
-    "publish_rewrite_statistics",
 ]
 
 #: Latency buckets (seconds) sized for equivalence-check workloads: cache
@@ -404,45 +403,3 @@ def merge_dd_statistics(accumulator: dict, statistics: dict) -> dict:
         if kind in statistics:
             accumulator[kind] = statistics[kind]
     return accumulator
-
-
-#: ``rewrite_statistics`` keys that accumulate as counters (events per run).
-_REWRITE_COUNTER_KEYS = (
-    "input_gates",
-    "merged_single_qubit",
-    "cancelled_cx",
-)
-
-
-def publish_rewrite_statistics(
-    registry: MetricsRegistry, statistics: dict, checker: str = "rewrite"
-) -> None:
-    """Accumulate one rewrite-checker statistics payload into ``registry``.
-
-    Harvested by the manager from the ``rewrite_statistics`` detail the
-    :class:`~repro.core.checkers.rewrite.RewriteChecker` leaves in its
-    outcome, mirroring how ``dd_statistics`` flows into the DD metrics.
-    """
-    counter = registry.counter(
-        "repro_rewrite_events_total",
-        "Peephole rewrite-checker events accumulated across runs.",
-        labelnames=("checker", "event"),
-    )
-    for key in _REWRITE_COUNTER_KEYS:
-        value = statistics.get(key)
-        if value:
-            counter.inc(float(value), checker=checker, event=key)
-    registry.counter(
-        "repro_rewrite_reductions_total",
-        "Rewrite-checker reduction outcomes (proved identity vs. residual).",
-        labelnames=("checker", "outcome"),
-    ).inc(
-        checker=checker,
-        outcome="proved" if statistics.get("proved") else "residual",
-    )
-    if "remaining" in statistics:
-        registry.gauge(
-            "repro_rewrite_last_run_remaining",
-            "Residual gates after the most recent rewrite reduction.",
-            labelnames=("checker",),
-        ).set(float(statistics["remaining"]), checker=checker)

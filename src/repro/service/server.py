@@ -32,7 +32,7 @@ from repro.core.manager import EquivalenceCheckingManager
 from repro.exceptions import ReproError, ServiceError
 from repro.obs import trace
 from repro.obs.logs import fields, get_logger
-from repro.obs.metrics import _REWRITE_COUNTER_KEYS, MetricsRegistry
+from repro.obs.metrics import MetricsRegistry
 from repro.resilience.breaker import STATE_VALUES
 from repro.resilience.retry import RetryPolicy
 from repro.service.fingerprint import fingerprints_sound_for, pair_fingerprint
@@ -235,10 +235,10 @@ class VerificationService:
 
         registry.add_collector(_collect_cache)
 
-        # Pre-create the canonicalization and rewrite instruments (idempotent
-        # with the manager's and checker's own constructors) so both series
-        # appear on ``GET /metrics`` from the very first scrape, and so
-        # ``stats()`` can read them back without existence checks.
+        # Pre-create the run and canonicalization instruments (idempotent
+        # with the manager's own constructors) so both series appear on
+        # ``GET /metrics`` from the very first scrape, and so ``stats()`` can
+        # read them back without existence checks.
         self._m_runs = registry.counter(
             "repro_manager_runs_total",
             "Pair checks by outcome (cache hit vs. executed portfolio run).",
@@ -248,16 +248,6 @@ class VerificationService:
             "repro_canonical_fingerprints_total",
             "Canonical (translation-level-invariant) fingerprint computations.",
             labelnames=("status",),
-        )
-        self._m_rewrite_reductions = registry.counter(
-            "repro_rewrite_reductions_total",
-            "Rewrite-checker reduction outcomes (proved identity vs. residual).",
-            labelnames=("checker", "outcome"),
-        )
-        self._m_rewrite_events = registry.counter(
-            "repro_rewrite_events_total",
-            "Peephole rewrite-checker events accumulated across runs.",
-            labelnames=("checker", "event"),
         )
 
         # --- resilience instruments (PR 8) -----------------------------
@@ -309,7 +299,7 @@ class VerificationService:
             labelnames=("event",),
         )
         # Pre-touch one series per family so every resilience family renders
-        # on the very first scrape (matching the canonicalization/rewrite
+        # on the very first scrape (matching the canonicalization
         # behaviour the dashboards rely on).
         journal_events.set(0.0, event="write_errors")
 
@@ -833,24 +823,6 @@ class VerificationService:
                     "fingerprints_unavailable": int(
                         self._m_canonical.value(status="unavailable")
                     ),
-                },
-                "rewrite": {
-                    "proved": int(
-                        self._m_rewrite_reductions.value(
-                            checker="rewrite", outcome="proved"
-                        )
-                    ),
-                    "residual": int(
-                        self._m_rewrite_reductions.value(
-                            checker="rewrite", outcome="residual"
-                        )
-                    ),
-                    "events": {
-                        key: int(
-                            self._m_rewrite_events.value(checker="rewrite", event=key)
-                        )
-                        for key in _REWRITE_COUNTER_KEYS
-                    },
                 },
                 "resilience": {
                     "draining": self._draining,

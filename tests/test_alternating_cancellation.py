@@ -4,8 +4,12 @@ While the product ``E`` is a multiple of the identity (its root node carries
 the ``identity`` flag), a matched pair ``(g, g)`` leaves it unchanged:
 ``g * (w * I) * g^-1 == w * I``.  The DD backend then skips the pair — no
 gate DD, no multiplication, a step of cost 0 — and counts it in
-``details["cancelled_pairs"]``.  The dense backend applies every gate.
+``details["cancelled_pairs"]``.  Gates without an identical partner on the
+other side are matched on their canonical form and cancel only when their
+exact matrices agree.  The dense backend applies every gate.
 """
+
+import math
 
 import pytest
 
@@ -19,7 +23,9 @@ from repro.algorithms import (
     qpe_static,
     running_example_lambda,
 )
+from repro.algorithms import ghz_ladder
 from repro.circuit import QuantumCircuit
+from repro.compilation import decompose_to_cx_and_single_qubit, rewrite_single_qubit_to_u
 from repro.core import (
     Configuration,
     EquivalenceCheckingManager,
@@ -27,6 +33,7 @@ from repro.core import (
     to_unitary_circuit,
 )
 from repro.core.checkers.alternating import AlternatingChecker
+from repro.compilation import canonical
 from repro.core.checkers.base import CheckerInterrupted
 from repro.dd.package import DDPackage
 
@@ -102,8 +109,11 @@ class TestCancelledPairs:
         first, second = _detour_pair(0.2)
         result = check_equivalence(first, second)
         assert result.criterion.value == "equivalent"
-        # h and cx before the detours, then cx, h and t after them.
-        assert result.details["cancelled_pairs"] == 5
+        # h and cx before the detours, then cx, h and t after them.  The
+        # detours have no partner on the other side, so each side's merges
+        # into one identity run, and these runs and the two sides' phase
+        # residues cancel as two more pairs.
+        assert result.details["cancelled_pairs"] == 5 + 2
         assert check_equivalence(first, second, backend="dense").criterion.value == "equivalent"
 
     def test_product_that_stays_off_the_identity_applies_every_gate(self, dd_work):
@@ -207,3 +217,150 @@ class TestCancelledPairSteps:
         with pytest.raises(CheckerInterrupted):
             AlternatingChecker().check(first, first.copy(), Configuration(), interrupt=interrupt)
         assert len(polls) == 4
+
+
+def _translated(circuit: QuantumCircuit) -> QuantumCircuit:
+    """``circuit`` in the ``u``/``cx`` basis."""
+    return rewrite_single_qubit_to_u(decompose_to_cx_and_single_qubit(circuit))
+
+
+def _both_backends(first, second, **overrides):
+    return (
+        check_equivalence(first, second, **overrides),
+        check_equivalence(first, second, backend="dense", **overrides),
+    )
+
+
+@pytest.fixture()
+def translations(monkeypatch):
+    """Count the canonical passes the alternating check runs."""
+    calls = []
+    original = canonical.canonical_forms
+
+    def counting(gates, translate=None):
+        calls.append(sum(translate))
+        return original(gates, translate)
+
+    monkeypatch.setattr(canonical, "canonical_forms", counting)
+    return calls
+
+
+class TestTranslatedPairs:
+    @pytest.mark.parametrize("family", ["bv-20", "qft-10", "qpe-8"])
+    def test_translated_table1_pair_cancels_every_canonical_pair(self, dd_work, family):
+        static, reconstructed = _table1_pair(family)
+        result = check_equivalence(_translated(static), reconstructed)
+        assert result.criterion.value == "equivalent"
+        assert result.details["cancelled_pairs"] > 0
+        assert dd_work == {"builds": 0, "multiplies": 0}
+
+    @pytest.mark.parametrize("family", ["bv-20", "qft-10", "qpe-8"])
+    def test_table1_pairs_pay_no_canonicalization(self, translations, family):
+        assert check_equivalence(*_table1_pair(family)).criterion.value == "equivalent"
+        assert translations == []
+
+    def test_a_gate_only_one_side_has_is_not_translated(self, translations):
+        # A mutant's extra gate has nothing to match on the other side.
+        static, reconstructed = _table1_pair("qft-10")
+        mutant = static.copy_empty()
+        mutant.rz(1.0, 0)
+        mutant = mutant.compose(static)
+        result = check_equivalence(mutant, reconstructed)
+        assert result.criterion.value == "not_equivalent"
+        assert translations == []
+
+    def test_only_unpartnered_gates_are_translated(self, translations):
+        first = ghz_ladder(3)
+        first.rz(0.4, 1)
+        second = ghz_ladder(3)
+        second.p(0.4, 1)
+        result = check_equivalence(first, second)
+        assert result.criterion.value == "equivalent_up_to_global_phase"
+        assert translations == [1, 1]
+        # Every gate pairs; the phase residue of rz is applied.
+        assert result.details["cancelled_pairs"] == len(first)
+
+    def test_global_phase_difference_is_classified(self):
+        # rz and p differ by a phase: their U forms cancel, the phases do not.
+        first = QuantumCircuit(2)
+        first.h(0)
+        first.rz(0.7, 0)
+        first.cx(0, 1)
+        second = QuantumCircuit(2)
+        second.h(0)
+        second.p(0.7, 0)
+        second.cx(0, 1)
+        for result in _both_backends(first, second):
+            assert result.criterion.value == "equivalent_up_to_global_phase"
+
+    def test_commuted_cx_pair_is_proved(self):
+        first = QuantumCircuit(4)
+        first.cx(0, 1)
+        first.cx(2, 3)
+        second = QuantumCircuit(4)
+        second.cx(2, 3)
+        second.cx(0, 1)
+        dd, dense = _both_backends(first, second)
+        assert dd.criterion.value == dense.criterion.value == "equivalent"
+        assert dd.details["cancelled_pairs"] == 2
+
+    def test_inequivalent_translated_pair_is_refuted(self):
+        first = ghz_ladder(3)
+        second = _translated(ghz_ladder(3))
+        second.x(0)
+        for result in _both_backends(first, second):
+            assert result.criterion.value == "not_equivalent"
+
+    def test_dense_backend_walks_the_raw_gates(self):
+        first = qft_static_benchmark(4)
+        result = check_equivalence(first, _translated(first), backend="dense")
+        assert result.criterion.value == "equivalent"
+        assert result.details["cancelled_pairs"] == 0
+
+
+def _rz_ladder(angles) -> QuantumCircuit:
+    """``rz`` rotations on qubit 0, separated by CNOTs so that none merge."""
+    circuit = QuantumCircuit(2)
+    for angle in angles:
+        circuit.rz(angle, 0)
+        circuit.cx(0, 1)
+    return circuit
+
+
+class TestQuantizationNeverDecides:
+    """Canonical keys are quantized to 1e-9; cancellation needs exact agreement."""
+
+    def test_drift_below_the_grid_is_applied_and_refuted(self):
+        # Each angle differs by 3e-10, inside one grid cell, so every pair
+        # matches; together they leave rz(-3e-8) on qubit 0, whose diagonal
+        # is 1.5e-8 off the identity: past a 1e-8 tolerance, within 1e-7.
+        angles = [0.25 + index / 64 for index in range(100)]
+        first = _rz_ladder(angles)
+        second = _rz_ladder([angle + 3e-10 for angle in angles])
+        tight = check_equivalence(first, second, tolerance=1e-8)
+        assert tight.criterion.value == "not_equivalent"
+        # The first rz pair disagrees, so nothing after it cancels.
+        assert tight.details["cancelled_pairs"] == 0
+        loose = check_equivalence(first, second, tolerance=1e-7)
+        assert loose.criterion.value == "equivalent"
+
+    def test_exact_angles_cancel_every_pair(self):
+        angles = [0.25 + index / 64 for index in range(100)]
+        first = _rz_ladder(angles)
+        second = _rz_ladder(angles)
+        # Equal gates: no translation, every pair cancels.
+        assert check_equivalence(first, second).details["cancelled_pairs"] == 200
+
+    def test_float_noise_between_translations_still_cancels(self):
+        # rz(a) rz(b) vs rz(a + b): merged runs differ by float noise only.
+        first = QuantumCircuit(1)
+        second = QuantumCircuit(1)
+        for index in range(20):
+            first.rz(math.pi / (3 + index), 0)
+            first.rz(math.e / (5 + index), 0)
+            first.h(0)
+            second.rz(math.pi / (3 + index) + math.e / (5 + index), 0)
+            second.h(0)
+        result = check_equivalence(first, second)
+        assert result.criterion.value == "equivalent"
+        assert result.details["cancelled_pairs"] == 2 * 20 + 1

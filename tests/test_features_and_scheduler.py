@@ -229,8 +229,8 @@ class TestSchedulers:
         [
             (("simulation", "construction"), ("construction", "simulation")),
             (
-                ("simulation", "rewrite", "alternating"),
-                ("rewrite", "alternating", "simulation"),
+                ("simulation", "construction", "alternating"),
+                ("construction", "alternating", "simulation"),
             ),
         ],
     )

@@ -279,15 +279,46 @@ class _RecordingThreads:
 
 
 def _translated_qft_pair(n: int):
-    """Static QFT in the ``u``/``cx`` basis vs the reconstructed dynamic QFT.
-
-    Equivalent, so no falsifier decides it, but the two sides share almost
-    no gate, so the alternating check builds and multiplies nearly every
-    gate; on the untranslated pair it cancels every matched pair and proves
-    it too quickly to outrun a budget.
-    """
+    """Static QFT in the ``u``/``cx`` basis vs the reconstructed dynamic QFT."""
     static = rewrite_single_qubit_to_u(decompose_to_cx_and_single_qubit(qft_static_benchmark(n)))
     return static, qft_dynamic(n)
+
+
+def _reversed_cx_qft_pair(n: int):
+    """The static QFT in the ``cx`` basis, every CNOT reversed, vs the dynamic QFT.
+
+    ``cx(a, b) == h(a) h(b) cx(b, a) h(a) h(b)``.  Equivalent, so no
+    falsifier decides it.  The reversed CNOTs and the Hadamards merged into
+    the single-qubit runs leave the two sides almost no common canonical
+    gate, so the alternating check builds and multiplies nearly every gate:
+    slow enough to outrun a budget, unlike the translated pair, which it
+    matches and cancels pair by pair.
+    """
+    basis = decompose_to_cx_and_single_qubit(qft_static_benchmark(n))
+    static = basis.copy_empty()
+    for instruction in basis:
+        if instruction.operation.name == "cx":
+            control, target = instruction.qubits
+            static.h(control)
+            static.h(target)
+            static.cx(target, control)
+            static.h(control)
+            static.h(target)
+        else:
+            static.append_instruction(instruction)
+    return static, qft_dynamic(n)
+
+
+class TestTranslatedPair:
+    @pytest.mark.parametrize("n", [8, 16])
+    def test_prover_cancels_it_before_the_falsifier_starts(self, n):
+        # Canonical matching cancels every pair of the translated QFT, so
+        # the prover decides inside its first turn.
+        manager = EquivalenceCheckingManager(scheduler="adaptive", seed=SEED)
+        result = manager.run(*_translated_qft_pair(n))
+        assert result.criterion is EquivalenceCriterion.EQUIVALENT
+        assert _statuses(result) == [("alternating", "completed"), ("simulation", "skipped")]
+        assert result.attempts[0].result.details["cancelled_pairs"] > 0
 
 
 class TestBudgetsWithoutThreads:
@@ -297,7 +328,7 @@ class TestBudgetsWithoutThreads:
         manager = EquivalenceCheckingManager(
             portfolio=(checker,), checker_timeout=0.005, seed=SEED, num_simulations=10_000
         )
-        result = manager.run(*_translated_qft_pair(12))
+        result = manager.run(*_reversed_cx_qft_pair(12))
         assert result.attempts[0].status == "timeout"
         assert "budget" in result.attempts[0].error
         assert result.criterion is EquivalenceCriterion.NO_INFORMATION
@@ -312,7 +343,7 @@ class TestBudgetsWithoutThreads:
             timeout=0.05,
             seed=SEED,
         )
-        result = manager.run(*_translated_qft_pair(14))
+        result = manager.run(*_reversed_cx_qft_pair(14))
         statuses = {status for _, status in _statuses(result)}
         assert statuses <= {"timeout", "skipped"}
         assert "timeout" in statuses
@@ -330,7 +361,7 @@ class TestBudgetsWithoutThreads:
             seed=SEED,
             num_simulations=10_000,
         )
-        result = manager.run(*_translated_qft_pair(14))
+        result = manager.run(*_reversed_cx_qft_pair(14))
         assert _statuses(result) == [("simulation", "timeout"), ("alternating", "timeout")]
         for attempt in result.attempts:
             assert attempt.time_taken >= 0.005

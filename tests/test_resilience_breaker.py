@@ -319,6 +319,41 @@ class TestManagerQuarantine:
         assert result.criterion is EquivalenceCriterion.EQUIVALENT
         assert "quarantined" not in {attempt.status for attempt in result.attempts}
 
+    @pytest.mark.parametrize("exhaustion", ["RecursionError", "MemoryError"])
+    def test_resource_exhaustion_never_quarantines_healthy_checkers(
+        self, monkeypatch, exhaustion
+    ):
+        # A 1500-qubit ladder is deeper than the DD kernels' recursion
+        # allows; a MemoryError is injected into every checker attempt.
+        n = 1500
+        if exhaustion == "MemoryError":
+            n = 3
+
+            def out_of_memory(self, *args):
+                raise MemoryError("injected")
+                yield  # pragma: no cover - makes this a generator
+
+            monkeypatch.setattr(
+                manager_module.EquivalenceCheckingManager, "_checker_steps", out_of_memory
+            )
+        manager = EquivalenceCheckingManager()
+        for _ in range(5):
+            mutant = ghz_ladder(n)
+            mutant.x(n - 1)
+            result = manager.run(ghz_ladder(n), mutant)
+            assert result.criterion is EquivalenceCriterion.NO_INFORMATION
+            assert {a.method for a in result.attempts} == {"simulation", "alternating"}
+            for attempt in result.attempts:
+                assert attempt.status == "error"
+                assert attempt.error.startswith(f"{exhaustion}: ")
+        monkeypatch.undo()
+        snapshot = manager.breakers.snapshot()
+        assert {entry["state"] for entry in snapshot.values()} == {"closed"}
+        assert all(entry["failures"] == 0 for entry in snapshot.values())
+        result = manager.run(qft_static_benchmark(4), qft_dynamic(4))
+        assert result.criterion is EquivalenceCriterion.EQUIVALENT
+        assert "quarantined" not in {attempt.status for attempt in result.attempts}
+
     def test_breaker_recovers_via_half_open_probe(self):
         manager = self._manager(
             breaker_threshold=1,

@@ -510,8 +510,6 @@ class TestMetricsEndpoint:
         "repro_verdict_cache_hit_ratio",
         "repro_checker_latency_seconds",
         "repro_canonical_fingerprints_total",
-        "repro_rewrite_reductions_total",
-        "repro_rewrite_events_total",
     )
 
     @staticmethod

@@ -22,7 +22,6 @@ from repro.obs.metrics import (
     Histogram,
     MetricsRegistry,
     publish_dd_statistics,
-    publish_rewrite_statistics,
 )
 from repro.service.server import VerificationService
 
@@ -224,7 +223,6 @@ class TestIntegrationHooks:
 #: The families every settled pair writes, whichever path settled it.
 _SETTLE_FAMILIES = (
     "repro_manager_runs_total",
-    "repro_rewrite_reductions_total",
     "repro_dd_events_total",
     "repro_checker_latency_seconds_count",
 )
@@ -243,7 +241,7 @@ def _distinct_pairs():
     """Four distinct pairs, none a translation of another (no canonical hits)."""
     ghz = ghz_ladder(3)
     return [
-        (ghz, rewrite_single_qubit_to_u(ghz)),  # the rewrite checker proves it
+        (ghz, rewrite_single_qubit_to_u(ghz)),  # a translated pair, proved
         (ghz_ladder(4), ghz_with_bug(4)),  # the DD prover refutes it
         (iterative_qpe(3), qpe_static(3)),  # dynamic: reconstructed first
         (bernstein_vazirani_static("101"), bernstein_vazirani_dynamic("101")),
@@ -253,7 +251,7 @@ def _distinct_pairs():
 def _settle_manager(executor: str, cache: bool) -> EquivalenceCheckingManager:
     manager = EquivalenceCheckingManager(
         Configuration(
-            portfolio=("rewrite", "alternating"),
+            portfolio=("alternating",),
             seed=11,
             verdict_cache=cache,
             executor=executor,
@@ -277,8 +275,8 @@ class TestOneSettlePath:
         expected = _settle_counts(reference.metrics)
         assert expected['repro_manager_runs_total{outcome="executed"}'] == len(pairs)
         assert expected[
-            'repro_rewrite_reductions_total{checker="rewrite", outcome="proved"}'
-        ] == 3
+            'repro_checker_latency_seconds_count{checker="alternating", status="completed"}'
+        ] == len(pairs)
         assert any(series.startswith("repro_dd_events_total") for series in expected)
 
         manager = _settle_manager(executor, cache)
@@ -300,46 +298,7 @@ class TestOneSettlePath:
         assert warm == cold
 
 
-class TestRewriteAndCanonicalMetrics:
-    def test_publish_rewrite_statistics_accumulates(self):
-        registry = MetricsRegistry()
-        publish_rewrite_statistics(
-            registry,
-            {
-                "input_gates": 10,
-                "merged_single_qubit": 4,
-                "cancelled_cx": 2,
-                "remaining": 0,
-                "proved": True,
-            },
-        )
-        publish_rewrite_statistics(registry, {"proved": False, "remaining": 3})
-        events = registry.get("repro_rewrite_events_total")
-        assert events.value(checker="rewrite", event="input_gates") == 10
-        assert events.value(checker="rewrite", event="merged_single_qubit") == 4
-        assert events.value(checker="rewrite", event="cancelled_cx") == 2
-        reductions = registry.get("repro_rewrite_reductions_total")
-        assert reductions.value(checker="rewrite", outcome="proved") == 1
-        assert reductions.value(checker="rewrite", outcome="residual") == 1
-        remaining = registry.get("repro_rewrite_last_run_remaining")
-        assert remaining.value(checker="rewrite") == 3
-
-    def test_manager_harvests_rewrite_statistics_from_attempts(self):
-        registry = MetricsRegistry()
-        manager = EquivalenceCheckingManager(
-            Configuration(portfolio=("rewrite",), seed=11, verdict_cache=False)
-        )
-        manager.metrics = registry
-        first = ghz_ladder(3)
-        second = rewrite_single_qubit_to_u(first)
-        result = manager.run(first, second)
-        assert result.equivalent is True
-        assert result.decided_by == "rewrite"
-        reductions = registry.get("repro_rewrite_reductions_total")
-        assert reductions.value(checker="rewrite", outcome="proved") == 1
-        events = registry.get("repro_rewrite_events_total")
-        assert events.value(checker="rewrite", event="input_gates") > 0
-
+class TestCanonicalMetrics:
     def test_canonical_cache_hit_counts_and_fans_out(self):
         registry = MetricsRegistry()
         manager = EquivalenceCheckingManager(
@@ -380,7 +339,7 @@ class TestRewriteAndCanonicalMetrics:
         canonical = registry.get("repro_canonical_fingerprints_total")
         assert canonical is None or canonical.value(status="computed") == 0
 
-    def test_service_stats_expose_canonicalization_and_rewrite_sections(self):
+    def test_service_stats_expose_the_canonicalization_section(self):
         service = VerificationService(Configuration(seed=11))
         try:
             stats = service.stats()
@@ -390,21 +349,12 @@ class TestRewriteAndCanonicalMetrics:
                 "fingerprints_computed": 0,
                 "fingerprints_unavailable": 0,
             }
-            assert stats["rewrite"]["proved"] == 0
-            assert set(stats["rewrite"]["events"]) == {
-                "input_gates",
-                "merged_single_qubit",
-                "cancelled_cx",
-            }
-            # Instruments are pre-registered: the families render on the
-            # first scrape, before any run populates them.
+            assert "rewrite" not in stats
+            # Instruments are pre-registered: the family renders on the
+            # first scrape, before any run populates it.
             rendered = service.metrics.render()
-            for family in (
-                "repro_canonical_fingerprints_total",
-                "repro_rewrite_reductions_total",
-                "repro_rewrite_events_total",
-            ):
-                assert f"# TYPE {family} counter" in rendered
+            assert "# TYPE repro_canonical_fingerprints_total counter" in rendered
+            assert "repro_rewrite_" not in rendered
             first = ghz_ladder(3)
             service.manager.run(first, first.copy())
             translated = rewrite_single_qubit_to_u(first)
