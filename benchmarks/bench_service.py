@@ -15,8 +15,9 @@ Two workloads measure what the verdict cache buys a long-running service:
   by concurrent clients against ``VerificationServer`` (long-poll
   collection).  Every HTTP verdict must equal an in-process
   ``EquivalenceCheckingManager(seed=SEED)`` run on the same pair (drift fails
-  the script); throughput is recorded, never gated — timing noise must not
-  fail CI.
+  the script), and a warm-cache verdict must cost one HTTP request, counted
+  by the server's ``repro_http_requests_total``; throughput is recorded,
+  never gated — timing noise must not fail CI.
 
 Results are emitted as ``BENCH_service.json`` (schema shared via
 ``bench_common.validate_bench_payload``).
@@ -58,6 +59,9 @@ REQUIRED_WARM_SPEEDUP = 10.0
 
 #: In-batch hits the duplicate-heavy batch must produce (20 pairs, 4 distinct).
 REQUIRED_DEDUP_HITS = 16
+
+#: HTTP requests a warm-cache verdict may cost (``POST /jobs?wait=N``).
+MAX_WARM_REQUESTS_PER_VERDICT = 1.0
 
 
 def _time_ms(callable_) -> tuple[float, object]:
@@ -174,8 +178,11 @@ def bench_server_throughput(
     ``num_requests`` verifications (duplicate-heavy mix) across
     ``num_clients`` client threads, and waits for every verdict.  The gate is
     agreement with an in-process manager on the same pairs; throughput is
-    informational.
+    informational.  After the timed drive, each distinct pair is verified
+    once more through the warm cache, and the HTTP requests the server
+    answered for those verdicts are counted: more than one per verdict fails.
     """
+    distinct = duplicate_heavy_pairs()[:4]
     pairs = [duplicate_heavy_pairs()[index % 20] for index in range(num_requests)]
     reference = EquivalenceCheckingManager(seed=SEED)
     expected = [reference.run(first, second).criterion.value for first, second in pairs]
@@ -208,8 +215,14 @@ def bench_server_throughput(
             for thread in threads:
                 thread.join()
             times.append((time.perf_counter() - start) * 1000.0)
+            requests_per_verdict = _warm_requests_per_verdict(server, distinct)
         finally:
             server.close()
+        if requests_per_verdict > MAX_WARM_REQUESTS_PER_VERDICT:
+            raise RuntimeError(
+                f"a warm-cache verdict took {requests_per_verdict:g} HTTP requests "
+                f"(allowed: {MAX_WARM_REQUESTS_PER_VERDICT:g})"
+            )
         if verdicts != expected:
             raise RuntimeError(
                 "verdict drift between the HTTP server and an in-process "
@@ -225,8 +238,30 @@ def bench_server_throughput(
             "mean_ms": sum(times) / len(times),
             "min_ms": min(times),
             "requests_per_second": round(num_requests / (min(times) / 1000.0), 1),
+            "requests_per_verdict": requests_per_verdict,
         }
     ]
+
+
+def _http_requests(server: VerificationServer) -> float:
+    """HTTP requests the server has answered, summed over every label set."""
+    counter = server.service.metrics.get("repro_http_requests_total")
+    return sum(
+        float(line.rsplit(" ", 1)[1])
+        for line in counter.render()
+        if not line.startswith("#")
+    )
+
+
+def _warm_requests_per_verdict(server: VerificationServer, pairs) -> float:
+    """HTTP requests per verdict when every pair is already in the verdict cache."""
+    client = VerificationClient(server.url, timeout=30.0)
+    before = _http_requests(server)
+    for first, second in pairs:
+        if not client.verify(first, second, timeout=120.0)["cached"]:
+            raise RuntimeError("a repeated pair missed the server's verdict cache")
+    client.close()
+    return (_http_requests(server) - before) / len(pairs)
 
 
 def run(args: argparse.Namespace) -> dict:

@@ -103,8 +103,9 @@ def main() -> None:
         client = VerificationClient(server.url)
         print("server health:", client.health())
 
-        # `verify` long-polls GET /jobs/<id>/result?wait=N, so the whole
-        # verification takes two HTTP requests instead of a polling loop.
+        # `verify` submits with POST /jobs?wait=N on a kept-alive
+        # connection: the server answers once the verdict is in, so the
+        # whole verification is one HTTP request instead of a polling loop.
         payload = client.verify(ghz_ladder(4), ghz_ladder(4))
         print(f"server verdict: {payload['criterion']} (cached={payload['cached']})")
 

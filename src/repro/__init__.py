@@ -61,7 +61,7 @@ __version__ = "1.1.0"
 
 #: Service-layer names re-exported lazily (PEP 562): ``import repro`` — and
 #: hence every plain CLI invocation — must not pay for ``asyncio`` /
-#: ``urllib`` until the service layer is actually touched.
+#: ``http.client`` until the service layer is actually touched.
 _SERVICE_EXPORTS = (
     "VerdictCache",
     "VerificationClient",

@@ -300,11 +300,13 @@ def criterion_from_matrix(matrix: np.ndarray, tolerance: float) -> EquivalenceCr
     """Verdict from the dense product matrix (dense backends)."""
     dim = matrix.shape[0]
     identity = np.eye(dim, dtype=complex)
-    if np.allclose(matrix, identity, atol=tolerance):
+    # rtol=0: numpy's default relative term (1e-5 of an entry of modulus 1)
+    # would swamp any tolerance below it.
+    if np.allclose(matrix, identity, rtol=0, atol=tolerance):
         return EquivalenceCriterion.EQUIVALENT
     scalar = np.trace(matrix) / dim
     if abs(abs(scalar) - 1.0) <= tolerance and np.allclose(
-        matrix, scalar * identity, atol=tolerance * 10
+        matrix, scalar * identity, rtol=0, atol=tolerance * 10
     ):
         return EquivalenceCriterion.EQUIVALENT_UP_TO_GLOBAL_PHASE
     return EquivalenceCriterion.NOT_EQUIVALENT

@@ -76,6 +76,7 @@ class ConstructionChecker(Checker):
             phase_free = np.allclose(
                 unitary_first,
                 unitary_second,
+                rtol=0,
                 atol=exact_comparison_tolerance(config.tolerance),
             )
             criterion = (

@@ -21,8 +21,9 @@ same pairs are re-verified over and over as toolchains iterate:
   submit/status/result/trace/stats/metrics/healthz endpoints, long-poll
   result delivery, 429 + ``Retry-After`` backpressure and per-client
   token-bucket rate limiting;
-* :mod:`repro.service.client` — the matching :class:`VerificationClient`,
-  long-polling for results.
+* :mod:`repro.service.client` — the matching :class:`VerificationClient`:
+  one kept-alive connection per thread, one long-polling submission per
+  warm verdict.
 
 The cache is also consulted by
 :class:`~repro.core.manager.EquivalenceCheckingManager` itself

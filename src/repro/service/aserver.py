@@ -15,6 +15,10 @@ Endpoints (all JSON unless noted):
   returns the *existing* job id (``"coalesced": true``).  A ``Traceparent``
   request header makes the job's spans part of the client's distributed
   trace.
+* ``POST /jobs?wait=N``    — submit and long-poll in one request: ``200``
+  with the verdict payload of ``GET /jobs/<id>/result`` plus ``job_id`` if
+  the job settles within ``N`` seconds (``500`` if it failed), otherwise
+  the ``202`` submission payload.  A warm-cache verdict is one request.
 * ``GET /jobs/<id>``        — job status (``queued|running|done|failed``).
 * ``GET /jobs/<id>/result`` — the verdict payload (``409`` while pending,
   ``410`` once pruned and no longer cached).  ``?wait=N`` long-polls: the
@@ -167,6 +171,8 @@ class VerificationServer:
         self._buckets: dict[str, _TokenBucket] = {}
         self._loop: asyncio.AbstractEventLoop | None = None
         self._stop: asyncio.Event | None = None
+        #: The tasks of the open connections (event-loop thread only).
+        self._connections: set[asyncio.Task] = set()
         self._thread: threading.Thread | None = None
         self._bound_port: int | None = None
         self._ready = threading.Event()
@@ -206,6 +212,16 @@ class VerificationServer:
         try:
             async with server:
                 await self._stop.wait()
+                # Leaving ``async with server`` waits (from Python 3.12.1)
+                # until every connection has closed, so end the open ones
+                # here: idle keep-alive connections would otherwise hold
+                # shutdown for up to ``_KEEPALIVE_TIMEOUT``.  A handler that
+                # starts after this point sees ``_stop`` set and returns.
+                server.close()
+                connections = list(self._connections)
+                for task in connections:
+                    task.cancel()
+                await asyncio.gather(*connections, return_exceptions=True)
         finally:
             self._ready.clear()
 
@@ -265,8 +281,10 @@ class VerificationServer:
     ) -> None:
         peername = writer.get_extra_info("peername")
         peer = peername[0] if isinstance(peername, tuple) else "unknown"
+        task = asyncio.current_task()
+        self._connections.add(task)
         try:
-            while True:
+            while not self._stop.is_set():
                 try:
                     header_block = await asyncio.wait_for(
                         reader.readuntil(b"\r\n\r\n"), timeout=_KEEPALIVE_TIMEOUT
@@ -295,7 +313,15 @@ class VerificationServer:
                     return
         except (ConnectionError, OSError):
             return  # client went away mid-exchange; nothing left to say
+        except asyncio.CancelledError:
+            # The server is shutting down with this connection open (idle
+            # between keep-alive requests, or parked on a long-poll).  This
+            # coroutine is the whole connection task, so returning ends the
+            # task; re-raising would make asyncio's stream callback (before
+            # Python 3.12) log the cancelled task as an unhandled error.
+            return
         finally:
+            self._connections.discard(task)
             try:
                 writer.close()
                 await writer.wait_closed()
@@ -445,6 +471,7 @@ class VerificationServer:
         if method == "POST":
             if parts != ["jobs"]:
                 raise ServiceError(f"unknown endpoint {target!r}", status=404)
+            wait = parse_wait_seconds(query) if "wait" in query else None
             self._check_rate_limit(peer)
             try:
                 payload = json.loads(body or b"{}")
@@ -461,7 +488,7 @@ class VerificationServer:
             # QASM parsing + canonical fingerprinting is CPU work; keep it
             # off the event loop so slow submissions cannot stall long-poll
             # wakeups and health checks.
-            result = await loop.run_in_executor(
+            submission = await loop.run_in_executor(
                 None,
                 functools.partial(
                     self.service.submit_qasm,
@@ -470,7 +497,18 @@ class VerificationServer:
                     traceparent=headers.get("traceparent"),
                 ),
             )
-            return 202, result, {}, False
+            if wait is None:
+                return 202, submission, {}, False
+            job_id = submission["job_id"]
+            if wait > 0:
+                await self._await_settled(job_id, wait, loop)
+            try:
+                verdict = self.service.job_result(job_id)
+            except ServiceError as error:
+                if error.status != 409:
+                    raise
+                return 202, submission, {}, False  # still pending: collect later
+            return 200, {**verdict, "job_id": job_id}, {}, False
 
         raise ServiceError(f"method {method} not allowed", status=405)
 
@@ -490,7 +528,7 @@ class VerificationServer:
         try:
             await asyncio.wait_for(event.wait(), timeout=wait)
         except TimeoutError:
-            pass  # long-poll budget exhausted; fall through to 409
+            pass  # long-poll budget exhausted; the caller answers "pending"
 
     def _check_rate_limit(self, peer: str) -> None:
         if self.rate_limit is None:

@@ -6,11 +6,17 @@ would otherwise rewrite.
 Accepts circuits as :class:`~repro.circuit.circuit.QuantumCircuit` objects
 (exported to QASM on the wire) or as raw OpenQASM 2 strings.
 
-:meth:`VerificationClient.wait` *long-polls*: it asks the server to block
-the result request until the job settles (``GET /jobs/<id>/result?wait=N``),
-so a warm-cache verification completes in two HTTP requests — one submit,
-one result — instead of a 50 ms poll loop.  Against a server that ignores
-``?wait=`` the client degrades gracefully to sleeping between polls.
+Each calling thread keeps one HTTP/1.1 keep-alive connection to the server
+(``http.client``), so consecutive requests pay for no new TCP connection.
+A connection the server closed while it sat idle is replaced, and the
+request re-sent, once and transparently.
+
+:meth:`VerificationClient.verify` submits with ``POST /jobs?wait=N``: the
+server holds the request until the job settles, so a warm-cache
+verification is one HTTP request.  A job still pending when that wait ends
+is collected by :meth:`VerificationClient.wait`, which long-polls
+``GET /jobs/<id>/result?wait=N`` and, against a server that ignores
+``?wait=``, degrades to sleeping between polls.
 
 With ``retries=N`` the client transparently retries requests the server
 refused with 429/503 — or could not answer at all (connection errors) —
@@ -34,11 +40,11 @@ Example
 
 from __future__ import annotations
 
+import http.client
 import json
 import random
+import threading
 import time
-import urllib.error
-import urllib.request
 
 from repro.exceptions import ServiceError
 from repro.obs import trace
@@ -59,6 +65,22 @@ _MAX_WAIT_PER_REQUEST = 30.0
 #: the HTTP timeout fires only when the server is genuinely unresponsive.
 _WAIT_GRACE = 10.0
 
+#: How a kept-alive connection the server closed while it sat idle fails on
+#: its next use.
+_IDLE_CLOSE_ERRORS = (
+    http.client.RemoteDisconnected,
+    ConnectionResetError,
+    BrokenPipeError,
+)
+
+
+class _Connection(http.client.HTTPConnection):
+    """A kept-alive connection that closes its socket once it is collected,
+    e.g. when the thread that used it ends."""
+
+    def __del__(self) -> None:
+        self.close()
+
 
 def _as_qasm(circuit) -> str:
     if isinstance(circuit, str):
@@ -66,8 +88,8 @@ def _as_qasm(circuit) -> str:
     return circuit.to_qasm()
 
 
-def _retry_after_from(error: urllib.error.HTTPError) -> float | None:
-    value = error.headers.get("Retry-After") if error.headers else None
+def _retry_after_from(headers: http.client.HTTPMessage) -> float | None:
+    value = headers.get("Retry-After")
     if value is None:
         return None
     try:
@@ -77,8 +99,9 @@ def _retry_after_from(error: urllib.error.HTTPError) -> float | None:
 
 
 class VerificationClient:
-    """HTTP client for a thread or asyncio verification server.
+    """HTTP client for :class:`~repro.service.aserver.VerificationServer`.
 
+    One instance may be shared by threads: each uses its own connection.
     ``retries`` bounds how many times one logical request is re-issued after
     a retryable failure (429/503/connection error); ``retry_base`` /
     ``retry_cap`` shape the jittered backoff between tries.  ``retry_rng``
@@ -105,6 +128,15 @@ class VerificationClient:
         self._retry_sleep = retry_sleep
         #: Lifetime count of retried requests (observability / tests).
         self.retries_performed = 0
+        scheme, _, rest = self.base_url.partition("://")
+        if scheme != "http":
+            raise ValueError(
+                f"unsupported URL {base_url!r}: the verification server speaks plain HTTP"
+            )
+        self._netloc, slash, prefix = rest.partition("/")
+        self._path_prefix = slash + prefix
+        #: One kept-alive connection per calling thread.
+        self._local = threading.local()
 
     # ------------------------------------------------------------------
     # transport
@@ -156,51 +188,108 @@ class VerificationClient:
             headers["Content-Type"] = "application/json"
         if extra_headers:
             headers.update(extra_headers)
-        request = urllib.request.Request(
-            f"{self.base_url}{path}", data=body, headers=headers, method=method
+        status, response_headers, data = self._send(
+            method, path, body, headers, timeout
         )
-        try:
-            with urllib.request.urlopen(
-                request, timeout=self.timeout if timeout is None else timeout
-            ) as response:
-                return json.loads(response.read().decode("utf-8"))
-        except urllib.error.HTTPError as error:
+        if status >= 400:
             try:
-                detail = json.loads(error.read().decode("utf-8")).get("error", "")
+                detail = json.loads(data.decode("utf-8")).get("error", "")
             except ValueError:
                 detail = ""
             raise ServiceError(
-                detail or f"{method} {path} failed with HTTP {error.code}",
-                status=error.code,
-                retry_after=_retry_after_from(error),
-            ) from error
-        except urllib.error.URLError as error:
-            raise ServiceError(
-                f"cannot reach verification server at {self.base_url}: {error.reason}",
-                status=503,
-            ) from error
+                detail or f"{method} {path} failed with HTTP {status}",
+                status=status,
+                retry_after=_retry_after_from(response_headers),
+            )
+        return json.loads(data.decode("utf-8"))
 
     def _request_text(self, path: str) -> str:
-        request = urllib.request.Request(f"{self.base_url}{path}", method="GET")
-        try:
-            with urllib.request.urlopen(request, timeout=self.timeout) as response:
-                return response.read().decode("utf-8")
-        except urllib.error.HTTPError as error:
+        status, _, data = self._send("GET", path)
+        if status >= 400:
+            raise ServiceError(f"GET {path} failed with HTTP {status}", status=status)
+        return data.decode("utf-8")
+
+    def _send(
+        self,
+        method: str,
+        path: str,
+        body: bytes | None = None,
+        headers: dict | None = None,
+        timeout: float | None = None,
+    ) -> tuple[int, http.client.HTTPMessage, bytes]:
+        """One exchange on the calling thread's kept-alive connection.
+
+        Returns the status, headers and body of the response.  If the
+        server closed the connection while it sat idle, the request is
+        re-sent once on a fresh connection; any other transport failure
+        raises :class:`ServiceError` 503.
+        """
+        timeout = self.timeout if timeout is None else timeout
+        connection = getattr(self._local, "connection", None)
+        if connection is None:
+            connection = _Connection(self._netloc)
+            self._local.connection = connection
+        # Only a connection that already carried a request can have been
+        # closed by the server while it sat idle.
+        reconnects = 1 if connection.sock is not None else 0
+        while True:
+            connection.timeout = timeout
+            if connection.sock is not None:
+                connection.sock.settimeout(timeout)
+            try:
+                connection.request(
+                    method, self._path_prefix + path, body=body, headers=headers or {}
+                )
+                response = connection.getresponse()
+                return response.status, response.headers, response.read()
+            except _IDLE_CLOSE_ERRORS as error:
+                connection.close()
+                if reconnects:
+                    reconnects -= 1
+                    continue
+                failure = error
+            except (OSError, http.client.HTTPException) as error:
+                connection.close()
+                failure = error
             raise ServiceError(
-                f"GET {path} failed with HTTP {error.code}", status=error.code
-            ) from error
-        except urllib.error.URLError as error:
-            raise ServiceError(
-                f"cannot reach verification server at {self.base_url}: {error.reason}",
+                f"cannot reach verification server at {self.base_url}: {failure}",
                 status=503,
-            ) from error
+            ) from failure
+
+    def close(self) -> None:
+        """Close the calling thread's connection (the next request reopens it)."""
+        connection = getattr(self._local, "connection", None)
+        if connection is not None:
+            connection.close()
+
+    def _long_poll(self, wait: float) -> tuple[str, float]:
+        """The ``?wait=`` query and HTTP timeout of one long-poll request.
+
+        ``wait`` is clamped to the server's per-request cap, and the
+        timeout leaves room for the server to answer after waiting it out.
+        """
+        wait = min(max(0.0, wait), _MAX_WAIT_PER_REQUEST)
+        return f"?wait={wait:g}", wait + max(self.timeout, _WAIT_GRACE)
 
     # ------------------------------------------------------------------
     # endpoints
     # ------------------------------------------------------------------
 
-    def submit(self, first, second, *, traceparent: str | None = None) -> dict:
+    def submit(
+        self,
+        first,
+        second,
+        *,
+        traceparent: str | None = None,
+        wait: float | None = None,
+    ) -> dict:
         """Submit a pair; returns ``{"job_id", "fingerprint", "coalesced"}``.
+
+        With ``wait`` the server holds the request until the job settles or
+        ``wait`` seconds pass (``POST /jobs?wait=N``): a settled job returns
+        its verdict payload (as :meth:`result`) plus ``job_id``, a pending
+        one the submission payload, and a failed one raises the server's
+        500.
 
         A server shedding load answers 429; the raised :class:`ServiceError`
         then carries the server's ``Retry-After`` hint in ``retry_after``.
@@ -213,10 +302,12 @@ class VerificationClient:
         """
         if traceparent is None:
             traceparent = trace.current_traceparent()
+        query, timeout = ("", None) if wait is None else self._long_poll(wait)
         return self._request(
             "POST",
-            "/jobs",
+            "/jobs" + query,
             {"first": _as_qasm(first), "second": _as_qasm(second)},
+            timeout=timeout,
             headers={"Traceparent": traceparent} if traceparent else None,
         )
 
@@ -231,12 +322,8 @@ class VerificationClient:
         """
         if wait is None:
             return self._request("GET", f"/jobs/{job_id}/result")
-        wait = min(max(0.0, wait), _MAX_WAIT_PER_REQUEST)
-        return self._request(
-            "GET",
-            f"/jobs/{job_id}/result?wait={wait:g}",
-            timeout=wait + max(self.timeout, _WAIT_GRACE),
-        )
+        query, timeout = self._long_poll(wait)
+        return self._request("GET", f"/jobs/{job_id}/result{query}", timeout=timeout)
 
     def trace(self, job_id: str) -> dict:
         """The span tree of a settled job (``GET /jobs/<id>/trace``)."""
@@ -294,6 +381,13 @@ class VerificationClient:
                     time.sleep(min(poll_interval, max(0.0, deadline - time.monotonic())))
 
     def verify(self, first, second, timeout: float = 60.0) -> dict:
-        """Submit one pair and block until its verdict is available."""
-        submission = self.submit(first, second)
-        return self.wait(submission["job_id"], timeout=timeout)
+        """Submit one pair and block until its verdict is available.
+
+        One ``POST /jobs?wait=N`` request; a job still pending after it is
+        collected with :meth:`wait` for the rest of ``timeout``.
+        """
+        deadline = time.monotonic() + timeout
+        payload = self.submit(first, second, wait=timeout)
+        if "criterion" in payload:
+            return payload
+        return self.wait(payload["job_id"], timeout=max(0.0, deadline - time.monotonic()))

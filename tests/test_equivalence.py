@@ -157,6 +157,17 @@ class TestNegativeCases:
         second = QuantumCircuit(2)
         assert not check_equivalence(first, second, backend="dense").equivalent
 
+    @pytest.mark.parametrize("backend", ["dense", "dd"])
+    def test_deviation_below_numpy_rtol_is_not_equivalent(self, backend):
+        # rz(1e-5) moves the product ~5e-6 away from the identity: far above
+        # tolerance=1e-7, but inside numpy's default allclose rtol of 1e-5.
+        first = QuantumCircuit(1)
+        first.h(0)
+        second = first.copy()
+        second.rz(1e-5, 0)
+        result = check_equivalence(first, second, backend=backend, tolerance=1e-7)
+        assert result.criterion is EquivalenceCriterion.NOT_EQUIVALENT
+
     def test_qubit_count_mismatch_raises(self):
         with pytest.raises(EquivalenceCheckingError):
             check_equivalence(QuantumCircuit(2), QuantumCircuit(3))

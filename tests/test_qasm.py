@@ -19,6 +19,7 @@ from repro.circuit import (
     circuit_to_qasm,
     random_static_circuit,
 )
+from repro.circuit.qasm import _MEMO_MAX_CHARS, _eval_param, _memo_numeric_param
 from repro.exceptions import QasmError
 from repro.simulators.unitary import circuit_unitary, matrices_equal_up_to_global_phase
 
@@ -137,6 +138,40 @@ class TestImport:
     def test_malformed_parameter_raises(self):
         with pytest.raises(QasmError):
             circuit_from_qasm("OPENQASM 2.0; qreg q[1]; rz(import) q[0];")
+
+    @pytest.mark.parametrize("expression", ["1/0", "(1", "pi.real", "1e400", "1e400-1e400"])
+    def test_rejected_parameter_raises_again_on_the_second_call(self, expression):
+        # Numeric parameter values are memoized; errors must never be.
+        for _ in range(2):
+            with pytest.raises(QasmError):
+                circuit_from_qasm(f"OPENQASM 2.0; qreg q[1]; rz({expression}) q[0];")
+
+    def test_repeated_numeric_parameters_are_memoized(self):
+        _memo_numeric_param.cache_clear()
+        circuit = circuit_from_qasm(
+            "OPENQASM 2.0; qreg q[1]; rz(3*pi/4) q[0]; rz(3*pi/4) q[0]; rz(0.5) q[0];"
+        )
+        assert [instruction.operation.params[0] for instruction in circuit.data] == [
+            pytest.approx(3 * math.pi / 4),
+            pytest.approx(3 * math.pi / 4),
+            0.5,
+        ]
+        info = _memo_numeric_param.cache_info()
+        assert (info.hits, info.misses) == (1, 2)
+
+    def test_long_parameter_texts_are_not_memoized(self):
+        _memo_numeric_param.cache_clear()
+        long_text = "0." + "1" * _MEMO_MAX_CHARS
+        circuit = circuit_from_qasm(
+            f"OPENQASM 2.0; qreg q[1]; rz({long_text}) q[0]; rz({long_text}) q[0];"
+        )
+        assert circuit.data[0].operation.params[0] == pytest.approx(0.1111111111111111)
+        assert _memo_numeric_param.cache_info().currsize == 0
+
+    def test_symbolic_parameters_are_built_afresh(self):
+        first, second = _eval_param("2*theta + pi"), _eval_param("2*theta + pi")
+        assert first is not second
+        assert str(first) == str(second)
 
 
 class TestConditionedNonUnitaries:

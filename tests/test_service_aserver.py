@@ -3,15 +3,19 @@
 ``tests/test_service_server.py`` covers the round-trip basics and request
 deduplication; this module covers connection handling on raw sockets,
 bounded-queue backpressure (429 + ``Retry-After``), per-client token-bucket
-rate limiting, long-poll wakeup ordering, pruned jobs, the access log and
-the ``/metrics`` exposition.
+rate limiting, long-poll wakeup ordering, ``POST /jobs?wait=``, the client's
+kept-alive connections, pruned jobs, the access log and the ``/metrics``
+exposition.
 """
 
+import asyncio
 import contextlib
+import http.client
 import io
 import json
 import logging
 import socket
+import sys
 import threading
 import time
 
@@ -22,7 +26,7 @@ from repro.core import Configuration
 from repro.exceptions import ServiceError
 from repro.obs.logs import configure_logging
 from repro.resilience import FaultPlan, FaultRule
-from repro.service import VerificationClient, VerificationServer
+from repro.service import VerificationClient, VerificationServer, aserver
 
 SEED = 5
 
@@ -43,6 +47,28 @@ def server():
 @pytest.fixture()
 def client(server):
     return VerificationClient(server.url, timeout=10.0)
+
+
+@pytest.fixture()
+def wait_closed_waits_for_connections(monkeypatch):
+    """Give ``asyncio.Server.wait_closed`` its Python 3.12.1 behaviour.
+
+    From 3.12.1 it returns only once every connection has closed; before,
+    it returned as soon as the server stopped listening.  Leaving
+    ``async with server`` calls it, so shutdown tests see the newer
+    behaviour on every interpreter.
+    """
+    if sys.version_info >= (3, 12, 1):
+        return
+
+    async def wait_closed(self):
+        if self._waiters is None:
+            return
+        waiter = self._loop.create_future()
+        self._waiters.append(waiter)
+        await waiter
+
+    monkeypatch.setattr(asyncio.base_events.Server, "wait_closed", wait_closed)
 
 
 def _hold_worker(service):
@@ -78,6 +104,45 @@ def _read_response(reader) -> tuple[int, dict[str, str], bytes]:
         name, _, value = line.decode("latin-1").partition(":")
         headers[name.strip().lower()] = value.strip()
     return status, headers, reader.read(int(headers["content-length"]))
+
+
+def _http_requests(server) -> float:
+    """HTTP requests the server has answered so far, over every label set."""
+    counter = server.service.metrics.get("repro_http_requests_total")
+    return sum(
+        float(line.rsplit(" ", 1)[1])
+        for line in counter.render()
+        if not line.startswith("#")
+    )
+
+
+def _post_jobs(server, query: str) -> tuple[int, dict]:
+    """``POST /jobs<query>`` of a GHZ-3 self pair on a raw connection."""
+    body = json.dumps({"first": ghz_ladder(3).to_qasm(), "second": ghz_ladder(3).to_qasm()})
+    connection = http.client.HTTPConnection("127.0.0.1", server.port, timeout=30)
+    try:
+        connection.request("POST", f"/jobs{query}", body=body)
+        response = connection.getresponse()
+        return response.status, json.loads(response.read())
+    finally:
+        connection.close()
+
+
+def _server_counting_connections() -> tuple[VerificationServer, list]:
+    """A started server that records the peer of every accepted connection."""
+    server = VerificationServer(
+        port=0, configuration=Configuration(seed=SEED, max_workers=2)
+    )
+    accepted: list = []
+    handle = server._handle_connection
+
+    async def counting(reader, writer):
+        accepted.append(writer.get_extra_info("peername"))
+        await handle(reader, writer)
+
+    server._handle_connection = counting
+    server.start_background()
+    return server, accepted
 
 
 @contextlib.contextmanager
@@ -270,7 +335,7 @@ class TestHttpTransport:
 
 
 class TestLongPoll:
-    def test_warm_cache_verify_takes_two_requests(self, client, monkeypatch):
+    def test_warm_cache_verify_takes_one_request(self, server, client, monkeypatch):
         first, second = ghz_ladder(3), ghz_ladder(3)
         client.verify(first, second, timeout=30.0)  # warm the verdict cache
         calls = []
@@ -281,11 +346,11 @@ class TestLongPoll:
             return original(method, path, payload, timeout, headers=headers)
 
         monkeypatch.setattr(client, "_request", counting)
+        before = _http_requests(server)
         payload = client.verify(first, second, timeout=30.0)
         assert payload["cached"] is True
-        assert len(calls) == 2, f"expected submit+result, got {calls}"
-        assert calls[0][0] == "POST"
-        assert "wait=" in calls[1][1]
+        assert calls == [("POST", "/jobs?wait=30")]
+        assert _http_requests(server) - before == 1
 
     def test_long_poll_blocks_until_settlement_and_wakes_all_waiters(
         self, server, client
@@ -332,6 +397,167 @@ class TestLongPoll:
         with pytest.raises(ServiceError) as excinfo:
             client._request("GET", f"/jobs/{submission['job_id']}/result?wait=banana")
         assert excinfo.value.status == 400
+
+
+class TestSubmitAndWait:
+    """``POST /jobs?wait=N``: submit and long-poll in one request."""
+
+    def test_settled_job_answers_200_with_the_verdict(self, server):
+        status, payload = _post_jobs(server, "?wait=20")
+        assert status == 200
+        assert payload["criterion"] == "equivalent"
+        job_id = payload.pop("job_id")
+        assert payload == server.service.job_result(job_id)
+
+    def test_expired_wait_answers_202_with_the_job_id(self, server, client):
+        release = _hold_worker(server.service)
+        try:
+            started = time.monotonic()
+            status, payload = _post_jobs(server, "?wait=0.3")
+            assert time.monotonic() - started >= 0.3
+            assert status == 202
+            assert set(payload) == {"job_id", "fingerprint", "coalesced"}
+            assert payload["coalesced"] is False
+        finally:
+            release.set()
+        verdict = client.wait(payload["job_id"], timeout=30.0)
+        assert verdict["criterion"] == "equivalent"
+
+    @pytest.mark.parametrize("wait", ["banana", "-1", "nan"])
+    def test_invalid_wait_is_400_and_queues_nothing(self, server, wait):
+        status, payload = _post_jobs(server, f"?wait={wait}")
+        assert status == 400
+        assert "invalid wait value" in payload["error"]
+        assert server.service.stats()["submitted"] == 0
+
+    def test_failed_job_answers_500(self):
+        server = VerificationServer(
+            port=0, configuration=Configuration(seed=SEED, max_workers=1), job_retries=0
+        )
+
+        def crash(first, second, **kwargs):
+            raise RuntimeError("checker crashed")
+
+        server.service.manager.run = crash
+        server.start_background()
+        try:
+            status, payload = _post_jobs(server, "?wait=20")
+            assert status == 500
+            assert "failed: RuntimeError: checker crashed" in payload["error"]
+        finally:
+            server.close()
+
+    def test_plain_post_still_answers_202_for_a_cached_pair(self, server, client):
+        client.verify(ghz_ladder(2), ghz_ladder(2), timeout=30.0)
+        status, payload = _post_jobs(server, "")
+        assert status == 202
+        assert set(payload) == {"job_id", "fingerprint", "coalesced"}
+
+
+class TestKeepAlive:
+    def test_verifies_from_one_thread_share_one_connection(self):
+        server, accepted = _server_counting_connections()
+        try:
+            client = VerificationClient(server.url, timeout=10.0)
+            for size in (2, 3, 2, 3, 2):
+                client.verify(ghz_ladder(size), ghz_ladder(size), timeout=30.0)
+            client.health()
+            assert len(accepted) == 1
+            # Each thread has its own connection.
+            worker = threading.Thread(target=client.health)
+            worker.start()
+            worker.join(timeout=10.0)
+            assert not worker.is_alive()
+            assert len(accepted) == 2
+        finally:
+            server.close()
+
+    def test_client_reconnects_after_the_server_drops_an_idle_connection(
+        self, monkeypatch
+    ):
+        monkeypatch.setattr(aserver, "_KEEPALIVE_TIMEOUT", 0.2)
+        server, accepted = _server_counting_connections()
+        try:
+            client = VerificationClient(server.url, timeout=10.0)
+            client.health()
+            time.sleep(0.6)  # the server closes the idle connection
+            payload = client.verify(ghz_ladder(3), ghz_ladder(3), timeout=30.0)
+            assert payload["criterion"] == "equivalent"
+            assert len(accepted) == 2
+            assert client.retries_performed == 0
+        finally:
+            server.close()
+
+    def test_only_plain_http_urls_are_accepted(self):
+        with pytest.raises(ValueError, match="plain HTTP"):
+            VerificationClient("https://127.0.0.1:8111")
+
+    def test_unreachable_server_is_503(self):
+        with socket.socket() as placeholder:
+            placeholder.bind(("127.0.0.1", 0))
+            port = placeholder.getsockname()[1]
+        client = VerificationClient(f"http://127.0.0.1:{port}", timeout=2.0)
+        with pytest.raises(ServiceError) as excinfo:
+            client.health()
+        assert excinfo.value.status == 503
+        assert "cannot reach verification server" in str(excinfo.value)
+
+    @pytest.mark.usefixtures("wait_closed_waits_for_connections")
+    def test_shutdown_with_idle_connections_logs_no_error(self, caplog):
+        server = VerificationServer(
+            port=0, configuration=Configuration(seed=SEED, max_workers=1)
+        )
+        server.start_background()
+        client = VerificationClient(server.url, timeout=10.0)
+        client.verify(ghz_ladder(3), ghz_ladder(3), timeout=30.0)
+        idle = threading.Thread(target=client.health)
+        idle.start()
+        idle.join(timeout=10.0)
+        assert not idle.is_alive()
+        started = time.monotonic()
+        with caplog.at_level(logging.ERROR, logger="asyncio"):
+            server.close()
+        # The client's connection is still open: shutdown must end it, not
+        # wait out the keep-alive timeout.
+        assert time.monotonic() - started < 5.0
+        assert not server._thread.is_alive()
+        assert [
+            record.getMessage()
+            for record in caplog.records
+            if record.name == "asyncio" and record.levelno >= logging.ERROR
+        ] == []
+
+
+    @pytest.mark.usefixtures("wait_closed_waits_for_connections")
+    def test_shutdown_ends_a_parked_long_poll(self):
+        server = VerificationServer(
+            port=0, configuration=Configuration(seed=SEED, max_workers=1)
+        )
+        server.start_background()
+        release = _hold_worker(server.service)
+        try:
+            outcome = []
+            client = VerificationClient(server.url, timeout=10.0)
+
+            def parked():
+                try:
+                    outcome.append(client.submit(ghz_ladder(3), ghz_ladder(3), wait=30.0))
+                except ServiceError as error:
+                    outcome.append(error.status)
+
+            thread = threading.Thread(target=parked)
+            thread.start()
+            deadline = time.monotonic() + 10.0
+            while not server._connections and time.monotonic() < deadline:
+                time.sleep(0.01)
+            started = time.monotonic()
+            server.close()
+            assert time.monotonic() - started < 5.0
+            assert not server._thread.is_alive()
+            thread.join(timeout=10.0)
+            assert outcome == [503]
+        finally:
+            release.set()
 
 
 class TestBackpressure:
