@@ -1,25 +1,23 @@
 """Transpilation-aware verification: canonical cache hits and canonical matching.
 
 Table-1 circuit families are verified at three translation levels of the same
-logical pair (original, CX + single-qubit basis, U-gate rewrite) under three
+logical pair (original, CX + single-qubit basis, U-gate rewrite) under two
 modes:
 
-* ``cold``          — fresh manager, empty cache, DD portfolio: the PR-5
-  baseline, which treats every translation level as an unrelated pair.
+* ``cold``          — fresh manager per level, no cache, default portfolio
+  (provers first).  The ``alternating`` prover matches the translated gates
+  on their canonical form and cancels every pair, so it must decide each
+  level inside its first turn, with the ``simulation`` falsifier
+  ``skipped``.
 * ``canonical_hit`` — one cache-enabled manager sees the pair at level 1,
   then levels 2 and 3: the later levels must be verdict-cache hits through
   the canonical (translation-level-invariant) fingerprint.
-* ``provers_first`` — the default portfolio in the adaptive lineup (the one
-  ``serve`` uses: provers first), no cache.  The ``alternating`` prover
-  matches the translated gates on their canonical form and cancels every
-  pair, so it must decide each level inside its first turn, with the
-  ``simulation`` falsifier ``skipped``.
 
 Gates (``RuntimeError`` → exit 1) are **semantic only**: verdict agreement
-across all modes and levels, at least one cross-level canonical cache hit,
-and every ``provers_first`` level decided by ``alternating`` with
-``simulation`` skipped.  Timings are recorded for trend tooling but never
-gated — CI machines are noisy.
+across both modes and all levels, at least one cross-level canonical cache
+hit, and every ``cold`` level decided by ``alternating`` with ``simulation``
+skipped.  Timings are recorded for trend tooling but never gated — CI
+machines are noisy.
 
 Results are emitted as ``BENCH_rewrite.json`` (schema shared via
 ``bench_common.validate_bench_payload``).
@@ -48,7 +46,7 @@ from repro.compilation import (
     decompose_to_cx_and_single_qubit,
     rewrite_single_qubit_to_u,
 )
-from repro.core import Configuration, EquivalenceCheckingManager
+from repro.core import EquivalenceCheckingManager
 
 SEED = 42
 
@@ -84,23 +82,31 @@ def translation_levels(circuit):
 
 
 def bench_family(name: str, build, repeats: int) -> tuple[list[dict], dict]:
-    """All three modes over one Table-1 family; returns entries + speedups."""
+    """Both modes over one Table-1 family; returns entries + speedups."""
     circuit = build()
     levels = translation_levels(circuit)
     entries = []
     criteria_by_mode: dict[str, list[str]] = {}
     times_by_mode: dict[str, list[float]] = {}
 
-    # cold: every level pays a full DD-portfolio verification.
+    # cold: every level pays a verification; the alternating prover leads
+    # and must decide each level before the falsifier starts.
     times = []
     for _ in range(repeats):
         criteria = []
         total = 0.0
-        for pair in levels:
+        for position, pair in enumerate(levels):
             manager = EquivalenceCheckingManager(seed=SEED, verdict_cache=False)
             elapsed, result = _time_ms(lambda pair=pair: manager.run(*pair))
             total += elapsed
             criteria.append(result.criterion.value)
+            statuses = {attempt.method: attempt.status for attempt in result.attempts}
+            if result.decided_by != "alternating" or statuses.get("simulation") != "skipped":
+                raise RuntimeError(
+                    f"{name}: level {position + 1} was decided by "
+                    f"{result.decided_by!r} with simulation "
+                    f"{statuses.get('simulation')!r}, not by alternating alone"
+                )
         times.append(total)
         criteria_by_mode["cold"] = criteria
     times_by_mode["cold"] = times
@@ -134,30 +140,7 @@ def bench_family(name: str, build, repeats: int) -> tuple[list[dict], dict]:
         criteria_by_mode["canonical_hit"] = criteria
     times_by_mode["canonical_hit"] = times
 
-    # provers_first: the alternating prover leads the adaptive lineup and
-    # must decide every level before the falsifier starts.
-    configuration = Configuration(scheduler="adaptive", seed=SEED, verdict_cache=False)
-    times = []
-    for _ in range(repeats):
-        criteria = []
-        total = 0.0
-        for position, pair in enumerate(levels):
-            manager = EquivalenceCheckingManager(configuration)
-            elapsed, result = _time_ms(lambda pair=pair: manager.run(*pair))
-            total += elapsed
-            criteria.append(result.criterion.value)
-            statuses = {attempt.method: attempt.status for attempt in result.attempts}
-            if result.decided_by != "alternating" or statuses.get("simulation") != "skipped":
-                raise RuntimeError(
-                    f"{name}: level {position + 1} was decided by "
-                    f"{result.decided_by!r} with simulation "
-                    f"{statuses.get('simulation')!r}, not by alternating alone"
-                )
-        times.append(total)
-        criteria_by_mode["provers_first"] = criteria
-    times_by_mode["provers_first"] = times
-
-    for mode in ("cold", "canonical_hit", "provers_first"):
+    for mode in ("cold", "canonical_hit"):
         if criteria_by_mode[mode] != criteria_by_mode["cold"]:
             raise RuntimeError(
                 f"{name}: verdict drift in mode {mode!r}: "
@@ -178,9 +161,6 @@ def bench_family(name: str, build, repeats: int) -> tuple[list[dict], dict]:
     speedups = {
         f"{name}_canonical_hit_vs_cold": round(
             min(times_by_mode["cold"]) / min(times_by_mode["canonical_hit"]), 2
-        ),
-        f"{name}_provers_first_vs_cold": round(
-            min(times_by_mode["cold"]) / min(times_by_mode["provers_first"]), 2
         ),
     }
     return entries, speedups
@@ -204,9 +184,9 @@ def run(args: argparse.Namespace) -> dict:
         "python": platform.python_version(),
         "results": entries,
         "speedups": speedups,
-        "speedup_vs_baseline": speedups[f"{families[0][0]}_provers_first_vs_cold"],
+        "speedup_vs_baseline": speedups[f"{families[0][0]}_canonical_hit_vs_cold"],
         "baseline": {
-            "source": "cold run (fresh manager per level, DD portfolio, no cache)"
+            "source": "cold run (fresh manager per level, default portfolio, no cache)"
         },
     }
 

@@ -33,10 +33,11 @@ def breaker_quarantine() -> None:
     print("=" * 72)
     print("1. circuit breakers: quarantine a crashing checker")
     print("=" * 72)
-    from repro.algorithms import ghz_ladder
+    from repro.algorithms import ghz_ladder, ghz_with_bug
 
+    # The prover moves first on every pair Scheme 1 rebuilds; make it crash.
     plan = FaultPlan(
-        rules=(FaultRule(site="checker", target="simulation", times=0),)
+        rules=(FaultRule(site="checker", target="alternating", times=0),)
     )
     manager = EquivalenceCheckingManager(
         Configuration(
@@ -49,15 +50,15 @@ def breaker_quarantine() -> None:
         )
     )
     for round_number in range(1, 4):
-        result = manager.run(ghz_ladder(3), ghz_ladder(3))
+        result = manager.run(ghz_ladder(3), ghz_with_bug(3))
         statuses = {a.method: a.status for a in result.attempts}
         print(
-            f"  run {round_number}: criterion={result.criterion.value:<12} "
-            f"decided_by={result.decided_by:<12} simulation={statuses['simulation']}"
+            f"  run {round_number}: criterion={result.criterion.value:<14} "
+            f"decided_by={result.decided_by:<12} alternating={statuses['alternating']}"
         )
-    snapshot = manager.breakers.snapshot()["simulation"]
+    snapshot = manager.breakers.snapshot()["alternating"]
     print(
-        f"  breaker[simulation]: state={snapshot['state']} "
+        f"  breaker[alternating]: state={snapshot['state']} "
         f"failures={snapshot['failures']} opens={snapshot['opens']}"
     )
     print(f"  quarantined checkers: {manager.breakers.quarantined()}")

@@ -1,17 +1,23 @@
-"""Portfolio verification: early termination, timeouts, batch checking.
+"""Portfolio verification: per-pair lineups, early termination, batches.
 
 The :class:`~repro.core.manager.EquivalenceCheckingManager` interleaves a
 portfolio of complementary checkers per circuit pair, step by step in one
 thread — simulation falsifies fast, the alternating scheme proves
-equivalence — and stops at the first definitive verdict.  ``verify_batch`` scales this to many pairs, either on a thread pool
-(``executor="thread"``) or, since the DD checkers are CPU-bound pure Python
-and therefore GIL-bound under threads, on a process pool
-(``executor="process"``) that ships pickled work units to worker processes.
+equivalence — and stops at the first definitive verdict.  Which checker
+moves first is decided per pair by one rule: Scheme 1
+(:func:`~repro.core.transformation.to_unitary_circuit`) is tried on each
+dynamic circuit; a pair it cannot rebuild (here, a reset conditioned on its
+own qubit's measurement) leads with the Scheme-2 ``distribution`` checker,
+every other pair with its provers.  ``verify_batch`` scales this to many
+pairs, either on a thread pool (``executor="thread"``) or, since the DD
+checkers are CPU-bound pure Python and therefore GIL-bound under threads, on
+a process pool (``executor="process"``) that ships pickled work units to
+worker processes.
 
 Run with ``python examples/portfolio_verification.py``.
 """
 
-from repro import EquivalenceCheckingManager
+from repro import EquivalenceCheckingManager, QuantumCircuit
 from repro.algorithms import (
     bernstein_vazirani_dynamic,
     bernstein_vazirani_static,
@@ -29,18 +35,30 @@ def describe(result) -> str:
     return f"{result.criterion.value} (decided_by={result.decided_by}; {attempts})"
 
 
+def conditioned_reset_circuit(flip: bool = False) -> QuantumCircuit:
+    """A dynamic circuit whose self-conditioned reset defeats Scheme 1."""
+    circuit = QuantumCircuit(1, 2)
+    circuit.h(0)
+    circuit.measure(0, 0)
+    circuit.reset(0, condition=(0, 1))
+    if flip:
+        circuit.x(0)
+    circuit.measure(0, 1)
+    return circuit
+
+
 def main() -> None:
     # ------------------------------------------------------------------
     # 1. One manager, fixed seed for reproducible stimuli.
-    #    Default portfolio: simulation (falsifier) leads, interleaved with
-    #    alternating (prover).
+    #    Default portfolio: simulation (falsifier) and alternating (prover);
+    #    the prover moves first on every pair Scheme 1 rebuilds.
     # ------------------------------------------------------------------
     manager = EquivalenceCheckingManager(seed=42)
 
     # Turns go to the checker with the least DD work so far (one gate per
-    # step).  An equivalent pair: simulation can only say "probably", so
-    # after its first gate the alternating checker cancels every matched
-    # gate pair and delivers the definitive proof, preempting the falsifier.
+    # step).  An equivalent pair: the alternating checker cancels every
+    # matched gate pair at no cost and proves it in its first turn, so the
+    # falsifier, which could only say "probably", never starts.
     result = manager.run(teleportation_static(), teleportation_dynamic())
     print("teleportation static vs dynamic:", describe(result))
 
@@ -49,6 +67,16 @@ def main() -> None:
     # while the falsifier is still on its first stimulus.
     result = manager.run(ghz_ladder(4), ghz_with_bug(4))
     print("GHZ vs buggy GHZ:            ", describe(result))
+
+    # A self-conditioned reset has no Scheme-1 reconstruction: the lineup
+    # leads with the Scheme-2 distribution checker (added to the portfolio
+    # for this pair), and the Scheme-1 checkers record the failure.
+    for label, flip in (("conditioned reset, same:    ", False),
+                        ("conditioned reset, flipped: ", True)):
+        result = manager.run(conditioned_reset_circuit(), conditioned_reset_circuit(flip))
+        print(label, describe(result))
+        print("   schedule:", " > ".join(result.schedule),
+              f"(needs Scheme 2: {result.features['needs_scheme_two']})")
 
     # ------------------------------------------------------------------
     # 2. Time budgets: bound each checker and the whole portfolio run.

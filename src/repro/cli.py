@@ -8,8 +8,7 @@ Usage (after ``pip install -e .``)::
 
     repro-qcec verify static.qasm dynamic.qasm --method alternating --backend dense
     repro-qcec verify static.qasm dynamic.qasm --portfolio simulation,alternating
-    repro-qcec verify static.qasm dynamic.qasm --scheduler adaptive
-    repro-qcec batch manifest.txt --max-workers 8 --scheduler adaptive --json
+    repro-qcec batch manifest.txt --max-workers 8 --json
     repro-qcec batch manifest.txt --executor process --chunk-size 4 --max-workers 8
     repro-qcec batch manifest.txt --cache-path verdicts.jsonl      # warm re-runs
     repro-qcec serve --port 8111 --cache-path verdicts.jsonl       # job-queue server
@@ -48,7 +47,6 @@ from repro.core import (
     Configuration,
     EquivalenceCheckingManager,
     EquivalenceCriterion,
-    SCHEDULERS,
     available_checkers,
     check_behavioural_equivalence,
     check_equivalence,
@@ -124,19 +122,9 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="CHECKERS",
         help=(
             "run a comma-separated portfolio of checkers with early termination "
-            "instead of a single --method (e.g. 'simulation,alternating')"
-        ),
-    )
-    verify.add_argument(
-        "--scheduler",
-        default="static",
-        choices=SCHEDULERS,
-        help=(
-            "portfolio scheduling policy: 'static' runs the portfolio in the "
-            "given order, 'adaptive' leads with scheme-2 checkers on pairs "
-            "that Scheme 1 cannot reconstruct and with provers on every other "
-            "pair (implies a portfolio run; the default line-up is used when "
-            "--portfolio is not given)"
+            "instead of a single --method (e.g. 'simulation,alternating'); each "
+            "pair runs its provers first, or its scheme-2 checkers first when "
+            "Scheme 1 cannot reconstruct it"
         ),
     )
     verify.add_argument(
@@ -209,12 +197,6 @@ def build_parser() -> argparse.ArgumentParser:
             "PROBABLY_EQUIVALENT verdicts are never persisted to --cache-path "
             "(fresh stimuli could still falsify them)"
         ),
-    )
-    batch.add_argument(
-        "--scheduler",
-        default="static",
-        choices=SCHEDULERS,
-        help="portfolio scheduling policy (see 'verify --scheduler')",
     )
     batch.add_argument("--max-workers", type=int, default=4)
     batch.add_argument(
@@ -293,12 +275,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         metavar="CHECKERS",
         help="comma-separated checkers (default: simulation,alternating)",
-    )
-    serve.add_argument(
-        "--scheduler",
-        default="adaptive",
-        choices=SCHEDULERS,
-        help="portfolio scheduling policy (adaptive by default for mixed traffic)",
     )
     serve.add_argument("--max-workers", type=int, default=4)
     serve.add_argument("--seed", type=int, default=0, help="stimuli seed (fixed so identical submissions are cacheable)")
@@ -492,7 +468,6 @@ def _command_verify(args: argparse.Namespace) -> int:
         tolerance=args.tolerance,
         seed=args.seed,
         portfolio=_parse_portfolio(args.portfolio),
-        scheduler=args.scheduler,
         timeout=args.timeout,
         checker_timeout=args.checker_timeout,
         verdict_cache=args.verdict_cache,
@@ -505,14 +480,7 @@ def _command_verify(args: argparse.Namespace) -> int:
         if args.portfolio is None and args.method != "alternating":
             configuration = configuration.updated(portfolio=(args.method,))
         return _verify_with_portfolio(first, second, configuration, args)
-    if args.portfolio is not None or args.scheduler != "static":
-        # An explicit portfolio, or any non-static scheduling policy, runs
-        # through the manager.  Without --portfolio the scheduler orders the
-        # default line-up — unless the user explicitly picked a --method, in
-        # which case that single checker is the portfolio (an explicit
-        # --method is never silently replaced by the default line-up).
-        if args.portfolio is None and args.method != "alternating":
-            configuration = configuration.updated(portfolio=(args.method,))
+    if args.portfolio is not None:
         return _verify_with_portfolio(first, second, configuration, args)
     if (
         args.timeout is not None
@@ -558,7 +526,7 @@ def _verify_with_portfolio(first, second, configuration: Configuration, args) ->
     else:
         print(f"{first.name} vs {second.name}: {result.criterion.value}")
         print(
-            f"  scheduler={result.scheduler} schedule={','.join(result.schedule)} "
+            f"  schedule={','.join(result.schedule)} "
             f"decided_by={result.decided_by}"
         )
         if result.cached:
@@ -599,7 +567,6 @@ def _command_batch(args: argparse.Namespace) -> int:
         tolerance=args.tolerance,
         seed=args.seed,
         portfolio=_parse_portfolio(args.portfolio),
-        scheduler=args.scheduler,
         timeout=args.timeout,
         checker_timeout=args.checker_timeout,
         max_workers=args.max_workers,
@@ -643,7 +610,6 @@ def _command_batch(args: argparse.Namespace) -> int:
                 "criterion": entry.result.criterion.value if entry.result else None,
                 "equivalent": entry.equivalent,
                 "decided_by": entry.result.decided_by if entry.result else None,
-                "scheduler": entry.result.scheduler if entry.result else None,
                 "schedule": entry.result.schedule if entry.result else None,
                 "cached": entry.result.cached if entry.result else None,
                 "cached_via": entry.result.cached_via if entry.result else None,
@@ -702,7 +668,6 @@ def _command_serve(args: argparse.Namespace) -> int:
     use_cache = not args.no_cache
     configuration = Configuration(
         portfolio=_parse_portfolio(args.portfolio),
-        scheduler=args.scheduler,
         max_workers=args.max_workers,
         seed=args.seed,
         tolerance=args.tolerance,
@@ -729,7 +694,7 @@ def _command_serve(args: argparse.Namespace) -> int:
     queue_limit = server.service.queue_limit
     print(
         f"repro-qcec {__version__} serving on {server.url} "
-        f"(workers={args.max_workers}, scheduler={args.scheduler}, cache={cache}, "
+        f"(workers={args.max_workers}, cache={cache}, "
         f"queue_limit={queue_limit if queue_limit is not None else 'unbounded'})",
         flush=True,
     )
@@ -885,7 +850,6 @@ def _command_telemetry(args: argparse.Namespace) -> int:
     print(f"runs: {summary['runs']} (total {summary['total_time']:.6f}s)")
     for title, counts in (
         ("verdicts", summary["verdicts"]),
-        ("schedulers", summary["schedulers"]),
         ("cache", summary["cache"]),
     ):
         if counts:

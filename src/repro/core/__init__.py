@@ -11,9 +11,8 @@
   plus the :func:`register_checker` / :func:`resolve_checker` registry
   (:mod:`repro.core.checkers`).
 * Portfolio scheduling: :func:`build_schedule` turns the configured
-  portfolio into a per-pair :class:`Schedule`, statically or from whether
-  Scheme 1 rebuilds the pair (:func:`extract_pair_features`,
-  :mod:`repro.core.scheduler`).
+  portfolio into a per-pair :class:`Schedule` from whether Scheme 1 rebuilds
+  the pair (:func:`extract_pair_features`, :mod:`repro.core.scheduler`).
 """
 
 from repro.core.checkers import (
@@ -24,7 +23,7 @@ from repro.core.checkers import (
 from repro.core.checkers import register as register_checker
 from repro.core.checkers import resolve as resolve_checker
 from repro.core.checkers import unregister as unregister_checker
-from repro.core.configuration import SCHEDULERS, Configuration
+from repro.core.configuration import Configuration
 from repro.core.distributions import (
     classical_fidelity,
     distributions_equivalent,
@@ -91,7 +90,6 @@ __all__ = [
     "ExtractionResult",
     "PairFeatures",
     "PortfolioResult",
-    "SCHEDULERS",
     "Schedule",
     "TransformationResult",
     "available_checkers",

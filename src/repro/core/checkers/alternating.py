@@ -19,8 +19,11 @@ exactly, or within ``2 * epsilon`` (the gates that may differ are 2x2 or
 the same edge.  Even if every pair cancelled at the bound, the skipped
 deviation stays below ``tolerance / 8``: quantization never decides a
 verdict.  A cancelled pair is a step of cost 0;
-``details["cancelled_pairs"]`` counts them.  An applied gate costs its DD
-work, ``1 +`` the nodes it created.  On the paper's static vs. reconstructed
+``details["cancelled_pairs"]`` counts them.  They pair the gates the walk
+matched, ``details["num_walked_first"]`` and ``["num_walked_second"]`` per
+side: a translated gate walks as its canonical gates, so a translated pair
+may cancel more pairs than either circuit has gates.  An applied gate costs
+its DD work, ``1 +`` the nodes it created.  On the paper's static vs. reconstructed
 BV, QFT and QPE pairs every gate cancels, and so does a translation of
 either side.  The dense backend walks the raw gates and applies every one;
 the tests use it as ground truth.
@@ -152,6 +155,8 @@ class AlternatingChecker(Checker):
             "final_nodes": count_nodes(product),
             "num_gates_first": len(raw_left),
             "num_gates_second": len(raw_right),
+            "num_walked_first": len(left),
+            "num_walked_second": len(right),
             "cancelled_pairs": cancelled,
             "dd_statistics": package.statistics(),
         }
@@ -183,6 +188,8 @@ class AlternatingChecker(Checker):
         details = {
             "num_gates_first": len(left),
             "num_gates_second": len(right),
+            "num_walked_first": len(left),
+            "num_walked_second": len(right),
             "cancelled_pairs": 0,
         }
         return CheckerOutcome(criterion_from_matrix(product, config.tolerance), details)

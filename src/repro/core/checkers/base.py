@@ -54,7 +54,6 @@ __all__ = [
     "criterion_from_matrix",
     "criterion_from_scalar",
     "dd_work",
-    "exact_comparison_tolerance",
     "gate_lists",
     "inverse_instruction",
     "is_registered",
@@ -310,8 +309,3 @@ def criterion_from_matrix(matrix: np.ndarray, tolerance: float) -> EquivalenceCr
     ):
         return EquivalenceCriterion.EQUIVALENT_UP_TO_GLOBAL_PHASE
     return EquivalenceCriterion.NOT_EQUIVALENT
-
-
-def exact_comparison_tolerance(tolerance: float) -> float:
-    """Absolute tolerance used for exact (phase-sensitive) matrix comparisons."""
-    return max(tolerance, 1e-9)

@@ -11,18 +11,15 @@ from __future__ import annotations
 from collections.abc import Callable
 from typing import TYPE_CHECKING, ClassVar
 
-import numpy as np
-
 from repro.core.checkers.base import (
     Checker,
     CheckerOutcome,
+    criterion_from_matrix,
     criterion_from_scalar,
-    exact_comparison_tolerance,
     register,
 )
-from repro.core.results import EquivalenceCriterion
 from repro.dd.package import DDPackage
-from repro.simulators.unitary import circuit_unitary, process_fidelity
+from repro.simulators.unitary import circuit_unitary
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.circuit.circuit import QuantumCircuit
@@ -70,22 +67,8 @@ class ConstructionChecker(Checker):
         unitary_first = circuit_unitary(first, interrupt=interrupt)
         unitary_second = circuit_unitary(second, interrupt=interrupt)
         self.check_interrupt(interrupt)
-        fidelity = process_fidelity(unitary_first, unitary_second)
-        details = {"process_fidelity": fidelity}
-        if fidelity > 1.0 - config.tolerance:
-            phase_free = np.allclose(
-                unitary_first,
-                unitary_second,
-                rtol=0,
-                atol=exact_comparison_tolerance(config.tolerance),
-            )
-            criterion = (
-                EquivalenceCriterion.EQUIVALENT
-                if phase_free
-                else EquivalenceCriterion.EQUIVALENT_UP_TO_GLOBAL_PHASE
-            )
-            return CheckerOutcome(criterion, details)
-        return CheckerOutcome(EquivalenceCriterion.NOT_EQUIVALENT, details)
+        product = unitary_first @ unitary_second.conj().T
+        return CheckerOutcome(criterion_from_matrix(product, config.tolerance))
 
 
 register(ConstructionChecker)

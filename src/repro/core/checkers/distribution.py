@@ -6,7 +6,7 @@ for the all-zero input state via branching classical simulation
 checker that handles dynamic primitives *natively* — including the
 classically-conditioned resets Scheme 1 cannot reconstruct into a unitary
 circuit (a reset conditioned on its own qubit's measurement) — so the
-adaptive scheduler routes such pairs here.
+scheduler routes such pairs here.
 
 Like the simulative check it is behavioural, not functional: equal
 distributions yield ``PROBABLY_EQUIVALENT``; a distribution mismatch is a

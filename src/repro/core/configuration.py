@@ -8,10 +8,7 @@ from dataclasses import dataclass, replace
 from repro.exceptions import ConfigurationError
 from repro.resilience.faults import FaultPlan
 
-__all__ = ["SCHEDULERS", "Configuration"]
-
-#: Values of ``Configuration.scheduler`` (see :mod:`repro.core.scheduler`).
-SCHEDULERS = ("static", "adaptive")
+__all__ = ["Configuration"]
 
 _BACKENDS = ("dd", "dense")
 _STIMULI = ("basis", "product")
@@ -70,15 +67,13 @@ class Configuration:
         time.  ``None`` selects the default portfolio (simulation as a fast
         falsifier, interleaved with the alternating scheme).
     scheduler:
-        How the manager turns the portfolio into a per-pair checker lineup,
-        one of :data:`SCHEDULERS`: ``static`` (configured order) or
-        ``adaptive`` (see :mod:`repro.core.scheduler`): a pair that Scheme 1
-        cannot reconstruct leads with Scheme-2 checkers, every other pair
-        with its provers, then its falsifiers.  Every checker's budget is
-        ``checker_timeout`` under both.  A prover leads even when it is the
-        one-step ``construction``, which builds both system matrices before
-        a falsifier moves: ``(simulation, construction)`` refutes mutants
-        slower under ``adaptive`` than under ``static``.
+        Kept only so that callers passing ``scheduler="adaptive"`` keep
+        working; ``"adaptive"`` is the only value.  Every manager orders its
+        portfolio by one rule (see :mod:`repro.core.scheduler`), and nothing
+        reads this field except the verdict fingerprint, so stored verdicts
+        keep their keys.  A prover leads even when it is the one-step
+        ``construction``, which builds both system matrices before a
+        falsifier moves.
     timeout:
         Overall wall-clock budget (seconds) of one portfolio run; ``None``
         disables the limit.
@@ -169,7 +164,7 @@ class Configuration:
     seed: int | None = None
     gate_cache_size: int | None = None
     portfolio: tuple[str, ...] | None = None
-    scheduler: str = "static"
+    scheduler: str = "adaptive"
     timeout: float | None = None
     checker_timeout: float | None = None
     max_workers: int = 4
@@ -221,9 +216,9 @@ class Configuration:
             if len(set(portfolio)) != len(portfolio):
                 raise ConfigurationError(f"duplicate checkers in portfolio {portfolio}")
             object.__setattr__(self, "portfolio", portfolio)
-        if self.scheduler not in SCHEDULERS:
+        if self.scheduler != "adaptive":
             raise ConfigurationError(
-                f"unknown scheduler {self.scheduler!r}; choose from {SCHEDULERS}"
+                f"unknown scheduler {self.scheduler!r}; the only one is 'adaptive'"
             )
         for name in ("timeout", "checker_timeout"):
             value = getattr(self, name)

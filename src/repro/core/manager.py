@@ -13,12 +13,11 @@ soon as any of them is definitive:
   equivalence definitively, at higher cost.
 
 Which checkers run, and in which order, is decided per pair by
-:func:`~repro.core.scheduler.build_schedule` (``Configuration.scheduler``):
-``static`` replays the configured portfolio verbatim; ``adaptive`` tries
-Scheme 1 (:func:`~repro.core.transformation.to_unitary_circuit`) on each
-dynamic circuit, routes pairs it cannot rebuild to the Scheme-2 checkers
-(appending ``distribution`` when needed, since the Scheme-1 checkers cannot
-decide them) and runs every other pair's provers before its falsifiers.
+:func:`~repro.core.scheduler.build_schedule`: it tries Scheme 1
+(:func:`~repro.core.transformation.to_unitary_circuit`) on each dynamic
+circuit, routes pairs it cannot rebuild to the Scheme-2 checkers (appending
+``distribution`` when needed, since the Scheme-1 checkers cannot decide
+them) and runs every other pair's provers before its falsifiers.
 
 :class:`EquivalenceCheckingManager` does not run that lineup one checker
 after another.  It *interleaves* the checkers step by step in the calling
@@ -108,7 +107,7 @@ __all__ = [
     "verify_portfolio",
 ]
 
-#: Default checker line-up: the falsifier leads, interleaved with the prover.
+#: Default checker pool: a falsifier interleaved with a prover.
 DEFAULT_PORTFOLIO: tuple[str, ...] = ("simulation", "alternating")
 
 #: Criteria that terminate the portfolio regardless of which checker produced
@@ -164,7 +163,7 @@ class EquivalenceCheckingManager:
 
     Configuration knobs (see :class:`~repro.core.configuration.Configuration`):
     ``portfolio`` selects the checkers (default :data:`DEFAULT_PORTFOLIO`),
-    ``scheduler`` decides their per-pair order,
+    which :func:`~repro.core.scheduler.build_schedule` orders per pair,
     ``checker_timeout`` bounds each checker's active time, ``timeout``
     bounds the whole run, and ``max_workers`` sizes the worker pool of
     :meth:`verify_batch`.
@@ -264,9 +263,7 @@ class EquivalenceCheckingManager:
         self, first: QuantumCircuit, second: QuantumCircuit
     ) -> Schedule:
         """The scheduler's lineup for one pair (without running anything)."""
-        return build_schedule(
-            self.configuration.scheduler, self.portfolio, first, second
-        )
+        return build_schedule(self.portfolio, first, second)
 
     def run(
         self,
@@ -292,7 +289,7 @@ class EquivalenceCheckingManager:
 
         ``schedule`` injects a precomputed scheduling decision (the
         process-pool batch path ships pickled schedules so workers and parent
-        agree); by default the configured scheduler decides here.
+        agree); by default :meth:`schedule_for` decides here.
 
         With the verdict cache enabled (``Configuration.verdict_cache`` /
         ``cache_path``), the pair's fingerprint is consulted *before* any
@@ -510,7 +507,6 @@ class EquivalenceCheckingManager:
         if schedule is None:
             with trace.span("scheduler.decide") as decide_span:
                 schedule = self.schedule_for(first, second)
-                decide_span.set_attr("scheduler", schedule.scheduler)
                 decide_span.set_attr("lineup", ",".join(schedule.checkers))
                 decide_span.set_attr("rationale", schedule.rationale)
         quarantined = self.breakers.quarantined() if self.breakers else ()
@@ -533,12 +529,12 @@ class EquivalenceCheckingManager:
         # Transform dynamic circuits to unitary ones once (Scheme 1) and share
         # the result across all Scheme-1 checkers instead of re-transforming
         # per method; Scheme-2 checkers receive the originals.  What the
-        # adaptive scheduler already found, rebuilt circuit or failure, is
-        # reused.  A pair Scheme 1 cannot rebuild starts no Scheme-1 checker:
-        # each is recorded as an ``error`` attempt carrying the failure, which
-        # says nothing about the checker's health, so no breaker counts it.
-        # Any other failure falls back to the originals so that it surfaces
-        # per checker attempt.
+        # scheduler already found, rebuilt circuit or failure, is reused.  A
+        # pair Scheme 1 cannot rebuild starts no Scheme-1 checker: each is
+        # recorded as an ``error`` attempt carrying the failure, which says
+        # nothing about the checker's health, so no breaker counts it.  Any
+        # other failure falls back to the originals so that it surfaces per
+        # checker attempt.
         original_first, original_second = first, second
         unitary_first, unitary_second = first, second
         features = schedule.features
@@ -676,7 +672,6 @@ class EquivalenceCheckingManager:
             attempts=attempts,
             total_time=time.perf_counter() - start,
             schedule=list(schedule.checkers),
-            scheduler=schedule.scheduler,
             features=features_payload,
         )
 
@@ -834,7 +829,6 @@ class EquivalenceCheckingManager:
         for index, (first, second) in enumerate(pairs):
             with trace.span("scheduler.decide", pair=index) as decide_span:
                 schedule = self.schedule_for(first, second)
-                decide_span.set_attr("scheduler", schedule.scheduler)
                 decide_span.set_attr("lineup", ",".join(schedule.checkers))
             schedules[index] = schedule
         return schedules
@@ -1174,7 +1168,7 @@ class EquivalenceCheckingManager:
 def _unitary(circuit: QuantumCircuit, features: CircuitFeatures | None) -> QuantumCircuit:
     """The Scheme-1 reconstruction of a dynamic ``circuit``.
 
-    Reuses what the adaptive scheduler found when it tried this very circuit
+    Reuses what the scheduler found when it tried this very circuit
     (an injected schedule may describe another pair): its reconstruction, or
     its :class:`~repro.exceptions.TransformationError`, raised again.
     """

@@ -166,18 +166,17 @@ class PortfolioResult:
     total_time:
         Wall-clock seconds of the whole portfolio run.
     schedule:
-        Checker names in the order the scheduler lined them up (may differ
-        from the configured portfolio order under the adaptive scheduler, and
-        may include checkers the scheduler added, e.g. ``distribution`` for
-        conditioned-reset pairs).
-    scheduler:
-        Name of the scheduler that produced the lineup.
+        Checker names in the order the scheduler lined them up (provers
+        before falsifiers, or Scheme-2 checkers first on a pair Scheme 1
+        cannot rebuild, so it may differ from the configured portfolio
+        order), including checkers the scheduler added, e.g.
+        ``distribution`` for conditioned-reset pairs.
     features:
-        What the adaptive scheduler found on the pair
+        What the scheduler found on the pair
         (:meth:`~repro.core.scheduler.PairFeatures.to_dict`: per circuit
         ``is_dynamic`` and ``needs_scheme_two``, and for the pair
         ``any_dynamic``, ``needs_scheme_two`` and
-        ``comparable_distributions``); ``None`` under ``static``.
+        ``comparable_distributions``); ``None`` on cached results.
     cached:
         Whether this result was served from the verdict cache
         (:class:`~repro.service.cache.VerdictCache`) instead of running any
@@ -197,7 +196,6 @@ class PortfolioResult:
     attempts: list[CheckerAttempt] = field(default_factory=list)
     total_time: float = 0.0
     schedule: list[str] = field(default_factory=list)
-    scheduler: str = "static"
     features: dict | None = None
     cached: bool = False
     cached_via: str | None = None
@@ -222,7 +220,6 @@ class PortfolioResult:
             "equivalent": self.equivalent,
             "decided_by": self.decided_by,
             "reason": self.reason,
-            "scheduler": self.scheduler,
             "schedule": list(self.schedule),
             "cached": self.cached,
             "cached_via": self.cached_via,

@@ -7,24 +7,19 @@ by step until the first definitive verdict.  The lineup order only breaks
 ties between equal accumulated costs (and starts the first checker first),
 so it decides *who moves first*, not who waits for whom to finish.
 
-``Configuration.scheduler`` selects one of
-:data:`~repro.core.configuration.SCHEDULERS`:
+Every manager uses the same rule, the paper's: Scheme 1 applies exactly when
+:func:`~repro.core.transformation.to_unitary_circuit` rebuilds every dynamic
+circuit of the pair (:func:`extract_pair_features`).  A pair it cannot
+rebuild leads with its Scheme-2 checkers, plus ``distribution`` when it has
+none and the outcome distributions are comparable.  Every other pair runs
+its provers, then its falsifiers, each group in configured order: a prover
+cancels the matched gates of an equivalent rebuilt pair at no cost and
+decides inside its first turn, so the falsifier never starts.
 
-* ``static`` — the configured portfolio, in configured order.
-* ``adaptive`` — the paper's rule: Scheme 1 applies exactly when
-  :func:`~repro.core.transformation.to_unitary_circuit` rebuilds every
-  dynamic circuit of the pair (:func:`extract_pair_features`).  A pair it
-  cannot rebuild leads with its Scheme-2 checkers, plus ``distribution``
-  when it has none and the outcome distributions are comparable.  Every
-  other pair runs its provers, then its falsifiers, each group in configured
-  order: a prover cancels the matched gates of an equivalent rebuilt pair
-  at no cost and decides inside its first turn, so the falsifier never
-  starts.
-
-Both schedulers only reorder the lineup (adaptive appends a Scheme-2 checker
-only when every Scheme-1 path is doomed), so without budgets
-(``Configuration.checker_timeout``, ``Configuration.timeout``) both reach
-the same criterion on every pair the static scheduler can decide.
+The rule only reorders the lineup (it appends a Scheme-2 checker only when
+every Scheme-1 path is doomed), so without budgets
+(``Configuration.checker_timeout``, ``Configuration.timeout``) every pair a
+lineup in configured order decides gets the same criterion.
 
 Schedules are picklable frozen dataclasses: the process-pool batch path
 computes them in the parent and ships them inside the work units.  A rebuilt
@@ -39,8 +34,8 @@ from dataclasses import dataclass, field
 from dataclasses import replace as dataclass_replace
 
 from repro.circuit.circuit import QuantumCircuit
+from repro.core import transformation
 from repro.core.checkers import base as checker_registry
-from repro.core.transformation import to_unitary_circuit
 from repro.exceptions import TransformationError
 
 __all__ = [
@@ -56,7 +51,7 @@ __all__ = [
 
 @dataclass(frozen=True)
 class CircuitFeatures:
-    """What the adaptive scheduler knows of one circuit.
+    """What the scheduler knows of one circuit.
 
     ``needs_scheme_two`` is whether Scheme-1 reconstruction raised on the
     dynamic circuit.  What the reconstruction gave is kept with the circuit
@@ -93,7 +88,7 @@ def extract_features(circuit: QuantumCircuit) -> CircuitFeatures:
     if not circuit.is_dynamic:
         return CircuitFeatures(is_dynamic=False, needs_scheme_two=False)
     try:
-        reconstruction = to_unitary_circuit(circuit).circuit
+        reconstruction = transformation.to_unitary_circuit(circuit).circuit
     except TransformationError as error:
         return CircuitFeatures(True, True, source=circuit, error=error)
     return CircuitFeatures(True, False, source=circuit, reconstruction=reconstruction)
@@ -101,7 +96,7 @@ def extract_features(circuit: QuantumCircuit) -> CircuitFeatures:
 
 @dataclass(frozen=True)
 class PairFeatures:
-    """The adaptive scheduler's input for one circuit pair.
+    """The scheduler's input for one circuit pair.
 
     ``comparable_distributions`` is whether the Scheme-2 distribution
     checker can run on the pair: both circuits measure, into the same
@@ -149,20 +144,14 @@ class Schedule:
     """An ordered checker lineup for one circuit pair (plain picklable data)."""
 
     checkers: tuple[str, ...]
-    scheduler: str
     rationale: str
     features: PairFeatures | None = None
 
 
 def build_schedule(
-    scheduler: str,
-    portfolio: Sequence[str],
-    first: QuantumCircuit,
-    second: QuantumCircuit,
+    portfolio: Sequence[str], first: QuantumCircuit, second: QuantumCircuit
 ) -> Schedule:
-    """The ``scheduler``'s lineup of ``portfolio`` for one pair."""
-    if scheduler == "static":
-        return Schedule(tuple(portfolio), scheduler, "configured portfolio order")
+    """The lineup of ``portfolio`` for one pair (see the module docstring)."""
     features = extract_pair_features(first, second)
     checker = checker_registry.resolve
     if features.needs_scheme_two:
@@ -172,7 +161,6 @@ def build_schedule(
             scheme_two = ["distribution"]
         return Schedule(
             tuple(scheme_two + scheme_one),
-            scheduler,
             "Scheme-1 reconstruction fails on this pair; scheme-2 checkers routed first",
             features,
         )
@@ -180,7 +168,6 @@ def build_schedule(
     falsifiers = [name for name in portfolio if name not in provers]
     return Schedule(
         tuple(provers + falsifiers),
-        scheduler,
         "Scheme 1 applies: provers first, then falsifiers",
         features,
     )

@@ -11,7 +11,7 @@ history, not a cache.
 One record per settled run (see :func:`run_record`)::
 
     {"v": 1, "kind": "run", "time": ..., "fingerprint": ..., "verdict": ...,
-     "decided_by": ..., "total_time": ..., "scheduler": ..., "schedule": [...],
+     "decided_by": ..., "total_time": ..., "schedule": [...],
      "features": {...}, "cached": ..., "cached_via": ..., "trace_id": ...,
      "attempts": [{"checker": ..., "status": ..., "time": ..., "criterion": ...}],
      "breakers": {"alternating": "closed", ...}}
@@ -20,7 +20,7 @@ Recording is deliberately non-fatal: a full disk degrades telemetry to
 counted, logged errors — it never fails the verification that produced the
 record.  :func:`summarize_records` aggregates a replayed journal into the
 per-checker outcome/latency table served by ``repro-qcec telemetry
-summarize`` and the service ``/stats`` section.
+summarize``; the service ``/stats`` reports only the journal's counters.
 """
 
 from __future__ import annotations
@@ -62,7 +62,6 @@ def run_record(
         "verdict": getattr(criterion, "value", str(criterion)),
         "decided_by": getattr(result, "decided_by", None),
         "total_time": round(float(getattr(result, "total_time", 0.0)), 9),
-        "scheduler": getattr(result, "scheduler", None),
         "schedule": list(getattr(result, "schedule", None) or []),
         "features": getattr(result, "features", None),
         "cached": bool(getattr(result, "cached", False)),
@@ -157,7 +156,7 @@ def summarize_records(records: Iterable[dict]) -> dict:
     """Aggregate telemetry records into the summary table.
 
     Per-checker attempt counts by status, decision counts, and total/mean
-    attempt latency; plus run-level verdict, scheduler and cache-provenance
+    attempt latency; plus run-level verdict and cache-provenance
     tallies — enough to answer "which checker decides what, how fast" (the
     scheduling question) straight from the journal.
     """
@@ -167,7 +166,6 @@ def summarize_records(records: Iterable[dict]) -> dict:
 
     runs = 0
     verdicts: dict[str, int] = {}
-    schedulers: dict[str, int] = {}
     cache: dict[str, int] = {"fresh": 0}
     checkers: dict[str, dict] = {}
     total_time = 0.0
@@ -177,9 +175,6 @@ def summarize_records(records: Iterable[dict]) -> dict:
         runs += 1
         verdict = str(record.get("verdict"))
         verdicts[verdict] = verdicts.get(verdict, 0) + 1
-        scheduler = record.get("scheduler")
-        if scheduler:
-            schedulers[scheduler] = schedulers.get(scheduler, 0) + 1
         if record.get("cached"):
             via = str(record.get("cached_via") or "unknown")
             cache[via] = cache.get(via, 0) + 1
@@ -209,7 +204,6 @@ def summarize_records(records: Iterable[dict]) -> dict:
         "runs": runs,
         "total_time": round(total_time, 9),
         "verdicts": sorted_counts(verdicts),
-        "schedulers": sorted_counts(schedulers),
         "cache": sorted_counts(cache),
         "checkers": {name: checkers[name] for name in sorted(checkers)},
     }

@@ -71,7 +71,6 @@ class CachedVerdict:
     decided_by: str | None
     reason: str
     schedule: tuple[str, ...]
-    scheduler: str
     total_time: float
     attempts: tuple[CachedAttempt, ...] = ()
 
@@ -83,7 +82,6 @@ class CachedVerdict:
             decided_by=result.decided_by,
             reason=result.reason,
             schedule=tuple(result.schedule),
-            scheduler=result.scheduler,
             total_time=result.total_time,
             attempts=tuple(
                 CachedAttempt(
@@ -134,7 +132,6 @@ class CachedVerdict:
             attempts=attempts,
             total_time=self.total_time,
             schedule=list(self.schedule),
-            scheduler=self.scheduler,
             cached=True,
         )
 
@@ -152,7 +149,6 @@ class CachedVerdict:
             decided_by=payload.get("decided_by"),
             reason=payload.get("reason", ""),
             schedule=tuple(payload.get("schedule", ())),
-            scheduler=payload.get("scheduler", "static"),
             total_time=payload.get("total_time", 0.0),
             attempts=attempts,
         )

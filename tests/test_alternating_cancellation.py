@@ -304,6 +304,31 @@ class TestTranslatedPairs:
         assert dd.criterion.value == dense.criterion.value == "equivalent"
         assert dd.details["cancelled_pairs"] == 2
 
+    def test_translated_gates_walk_and_cancel_as_their_canonical_gates(self):
+        # Neither cp has a partner, so both sides walk in canonical form: the
+        # count of cancelled pairs is bounded by the walked gates and exceeds
+        # the single raw gate of the second circuit.
+        first = QuantumCircuit(3)
+        first.cp(0.5, 0, 1)
+        for _ in range(3):
+            first.h(0)
+        second = QuantumCircuit(3)
+        second.cp(0.5, 0, 2)
+        dd, dense = _both_backends(first, second)
+        assert dd.criterion.value == dense.criterion.value == "not_equivalent"
+        assert (dd.details["num_gates_first"], dd.details["num_gates_second"]) == (4, 1)
+        walked = (dd.details["num_walked_first"], dd.details["num_walked_second"])
+        assert dd.details["num_gates_second"] < dd.details["cancelled_pairs"] <= min(walked)
+
+    def test_pair_sharing_every_gate_walks_its_raw_gates(self):
+        first = ghz_ladder(4)
+        second = ghz_ladder(4)
+        second.x(3)
+        for result in _both_backends(first, second):
+            assert result.criterion.value == "not_equivalent"
+            walked = (result.details["num_walked_first"], result.details["num_walked_second"])
+            assert walked == (len(first), len(second))
+
     def test_inequivalent_translated_pair_is_refuted(self):
         first = ghz_ladder(3)
         second = _translated(ghz_ladder(3))

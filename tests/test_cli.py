@@ -153,7 +153,10 @@ class TestPortfolioAndBatch:
         assert code == 1
         payload = json.loads(capsys.readouterr().out)
         assert payload["decided_by"] == "simulation"
-        assert payload["attempts"][1]["status"] == "preempted"
+        assert [(a["method"], a["status"]) for a in payload["attempts"]] == [
+            ("alternating", "preempted"),
+            ("simulation", "completed"),
+        ]
 
     def test_verify_timeout_without_portfolio_uses_manager(self, qasm_files, capsys):
         code = main(
@@ -175,14 +178,14 @@ class TestPortfolioAndBatch:
         )
         assert code == 0
         payload = json.loads(capsys.readouterr().out)
-        assert payload["scheduler"] == "static"
-        assert payload["schedule"] == ["simulation", "alternating"]
+        assert "scheduler" not in payload
+        assert payload["schedule"] == ["alternating", "simulation"]
         completed = [a for a in payload["attempts"] if a["status"] == "completed"]
         assert completed and all(a["time"] > 0.0 for a in completed)
 
-    def test_verify_explicit_method_respected_under_scheduler(self, qasm_files, capsys):
-        # Regression: --method construction --scheduler adaptive used to
-        # silently run the default simulation,alternating lineup instead.
+    def test_verify_explicit_method_respected_through_the_manager(self, qasm_files, capsys):
+        # Regression: an explicit --method routed through the manager (here
+        # by the verdict cache) used to run the default lineup instead.
         code = main(
             [
                 "verify",
@@ -190,8 +193,7 @@ class TestPortfolioAndBatch:
                 qasm_files["bv_dynamic"],
                 "--method",
                 "construction",
-                "--scheduler",
-                "adaptive",
+                "--verdict-cache",
                 "--json",
             ]
         )
@@ -200,22 +202,15 @@ class TestPortfolioAndBatch:
         assert payload["schedule"] == ["construction"]
         assert payload["decided_by"] == "construction"
 
-    def test_verify_adaptive_scheduler_runs_portfolio(self, qasm_files, capsys):
-        code = main(
-            [
-                "verify",
-                qasm_files["bv_static"],
-                qasm_files["bv_dynamic"],
-                "--scheduler",
-                "adaptive",
-                "--json",
-            ]
+    @pytest.mark.parametrize("command", ["verify", "batch"])
+    def test_there_is_no_scheduler_flag(self, qasm_files, command):
+        operands = (
+            [qasm_files["bv_static"], qasm_files["bv_dynamic"]]
+            if command == "verify"
+            else [qasm_files["bv_static"]]
         )
-        assert code == 0
-        payload = json.loads(capsys.readouterr().out)
-        assert payload["scheduler"] == "adaptive"
-        assert set(payload["schedule"]) == {"simulation", "alternating"}
-        assert payload["equivalent"] is True
+        with pytest.raises(SystemExit):
+            main([command, *operands, "--scheduler", "adaptive"])
 
     def test_invalid_portfolio_checker_errors(self, qasm_files, capsys):
         code = main(
@@ -240,8 +235,7 @@ class TestPortfolioAndBatch:
         # Regression: batch --json used to drop all checker-level detail.
         for entry in payload["entries"]:
             assert entry["decided_by"] is not None
-            assert entry["schedule"] == ["simulation", "alternating"]
-            assert entry["scheduler"] == "static"
+            assert entry["schedule"] == ["alternating", "simulation"]
             statuses = {a["method"]: a["status"] for a in entry["checkers"]}
             assert statuses[entry["decided_by"]] == "completed"
             decided = next(

@@ -25,6 +25,7 @@ from repro.core import (
     Configuration,
     EquivalenceCheckingManager,
     EquivalenceCriterion,
+    check_equivalence,
     extract_features,
     extract_pair_features,
     register_checker,
@@ -210,22 +211,14 @@ def _lineup(first, second, **overrides):
     return EquivalenceCheckingManager(**overrides).schedule_for(first, second).checkers
 
 
-class TestSchedulers:
-    def test_static_replays_configured_order(self):
-        manager = EquivalenceCheckingManager(portfolio=("alternating", "simulation"))
-        schedule = manager.schedule_for(ghz_ladder(3), ghz_ladder(3))
-        assert schedule.checkers == ("alternating", "simulation")
-        assert schedule.scheduler == "static"
-        assert schedule.features is None
-
-    def test_adaptive_puts_provers_first_on_clones(self):
-        manager = EquivalenceCheckingManager(scheduler="adaptive")
-        schedule = manager.schedule_for(ghz_ladder(4), ghz_ladder(4))
+class TestSchedule:
+    def test_default_lineup_puts_provers_first_on_clones(self):
+        schedule = EquivalenceCheckingManager().schedule_for(ghz_ladder(4), ghz_ladder(4))
         assert schedule.checkers == ("alternating", "simulation")
         assert schedule.features is not None
 
     @pytest.mark.parametrize(
-        "portfolio,adaptive",
+        "portfolio,lineup",
         [
             (("simulation", "construction"), ("construction", "simulation")),
             (
@@ -234,7 +227,7 @@ class TestSchedulers:
             ),
         ],
     )
-    def test_adaptive_lineup_is_provers_then_falsifiers(self, portfolio, adaptive):
+    def test_lineup_is_provers_then_falsifiers(self, portfolio, lineup):
         # Dissimilar, translated and clone pairs all get the one lineup:
         # provers in configured order, then falsifiers.
         pairs = [
@@ -243,18 +236,13 @@ class TestSchedulers:
             (bernstein_vazirani_static("101"), bernstein_vazirani_dynamic("101")),
         ]
         for first, second in pairs:
-            assert _lineup(first, second, portfolio=portfolio) == portfolio
-            assert (
-                _lineup(first, second, portfolio=portfolio, scheduler="adaptive")
-                == adaptive
-            )
+            assert _lineup(first, second, portfolio=portfolio) == lineup
 
     @pytest.mark.parametrize("checker_timeout", [None, 5.0])
-    def test_adaptive_budget_is_checker_timeout(self, checker_timeout):
+    def test_budget_is_checker_timeout(self, checker_timeout):
         # Under an overall timeout no checker gets a share of it: every
         # checker's budget is checker_timeout, whatever the pair.
         manager = EquivalenceCheckingManager(
-            scheduler="adaptive",
             portfolio=("alternating", "simulation"),
             timeout=60.0,
             checker_timeout=checker_timeout,
@@ -276,79 +264,66 @@ class TestSchedulers:
         assert budgets
         assert set(budgets) == {checker_timeout}
 
-    def test_adaptive_never_selects_scheme_one_only_path_for_conditioned_reset(self):
+    def test_never_selects_scheme_one_only_path_for_conditioned_reset(self):
         # A reset conditioned on its own qubit's measurement has no Scheme-1
-        # reconstruction, so every Scheme-1 checker is doomed; the adaptive
-        # lineup must contain a Scheme-2 checker and lead with it.
+        # reconstruction, so every Scheme-1 checker is doomed; the lineup
+        # must contain a Scheme-2 checker and lead with it.
         first, second = _conditioned_reset_pair()
-        lineup = _lineup(first, second, scheduler="adaptive")
+        lineup = _lineup(first, second)
         roles = [resolve_checker(name).scheme_two for name in lineup]
         assert any(roles), "schedule is a scheme-1-only path"
         assert roles[0], "scheme-2 checker must run first for conditioned resets"
 
     def test_schedule_pickle_roundtrip(self):
-        manager = EquivalenceCheckingManager(scheduler="adaptive")
+        manager = EquivalenceCheckingManager()
         schedule = manager.schedule_for(teleportation_static(), teleportation_dynamic())
         clone = pickle.loads(pickle.dumps(schedule))
         assert clone.checkers == schedule.checkers
         assert clone.features == schedule.features
 
 
-class TestAdaptiveManager:
-    def test_adaptive_rescues_equivalent_conditioned_reset_pair(self):
-        first, second = _conditioned_reset_pair(equivalent=True)
-        static = EquivalenceCheckingManager(seed=SEED).run(first, second)
-        assert static.criterion is EquivalenceCriterion.NO_INFORMATION
-        adaptive = EquivalenceCheckingManager(seed=SEED, scheduler="adaptive").run(
-            first, second
-        )
-        assert adaptive.criterion is EquivalenceCriterion.PROBABLY_EQUIVALENT
-        assert adaptive.schedule[0] == "distribution"
-        assert adaptive.features["needs_scheme_two"] is True
-
-    def test_adaptive_keeps_scheme_one_lead_for_reconstructible_conditioned_reset(self):
+class TestLineupManager:
+    def test_keeps_scheme_one_lead_for_reconstructible_conditioned_reset(self):
         first = _cross_conditioned_reset_circuit()
         second = _cross_conditioned_reset_circuit()
-        result = EquivalenceCheckingManager(seed=SEED, scheduler="adaptive").run(
-            first, second
-        )
+        result = EquivalenceCheckingManager(seed=SEED).run(first, second)
         assert result.schedule[0] != "distribution"
         assert "distribution" not in result.schedule
         assert result.features["needs_scheme_two"] is False
         assert result.criterion is EquivalenceCriterion.EQUIVALENT
         assert result.decided_by == "alternating"
 
-    def test_adaptive_refutes_non_equivalent_conditioned_reset_pair(self):
-        first, second = _conditioned_reset_pair(equivalent=False)
-        adaptive = EquivalenceCheckingManager(seed=SEED, scheduler="adaptive").run(
-            first, second
-        )
-        assert adaptive.criterion is EquivalenceCriterion.NOT_EQUIVALENT
-        assert adaptive.decided_by == "distribution"
-
     @pytest.mark.parametrize(
-        "make", [_reused_qubit_pair, _double_sourced_condition_pair],
-        ids=["reused-qubit", "double-sourced-condition"],
+        "make",
+        [_conditioned_reset_pair, _reused_qubit_pair, _double_sourced_condition_pair],
+        ids=["conditioned-reset", "reused-qubit", "double-sourced-condition"],
     )
     @pytest.mark.parametrize(
-        "equivalent,criterion",
+        ("equivalent", "criterion"),
         [
             (True, EquivalenceCriterion.PROBABLY_EQUIVALENT),
             (False, EquivalenceCriterion.NOT_EQUIVALENT),
         ],
+        ids=["equivalent", "mutant"],
     )
-    def test_adaptive_routes_reused_measured_qubit_to_distribution(
+    def test_default_manager_decides_unreconstructible_pairs_through_distribution(
         self, make, equivalent, criterion
     ):
-        first, second = make(equivalent)
-        adaptive = EquivalenceCheckingManager(seed=SEED, scheduler="adaptive").run(
-            first, second
-        )
-        assert adaptive.schedule[0] == "distribution"
-        assert adaptive.features["needs_scheme_two"] is True
-        assert adaptive.criterion is criterion
-        attempts = {attempt.method: attempt for attempt in adaptive.attempts}
+        # Scheme 1 rebuilds none of these circuits, so only the appended
+        # Scheme-2 checker can answer: it refutes each mutant and finds no
+        # difference on each equivalent pair.
+        result = EquivalenceCheckingManager(seed=0).run(*make(equivalent))
+        assert result.schedule == ["distribution", "simulation", "alternating"]
+        assert result.features["needs_scheme_two"] is True
+        assert result.criterion is criterion
+        assert result.decided_by == (None if equivalent else "distribution")
+        attempts = {attempt.method: attempt for attempt in result.attempts}
         assert attempts["distribution"].result.criterion is criterion
+        for method in ("simulation", "alternating"):
+            if equivalent:  # the Scheme-1 checkers run and fail
+                assert attempts[method].error.startswith("TransformationError: ")
+            else:  # the mutant is refuted before they start
+                assert attempts[method].status == "skipped"
 
     @pytest.mark.parametrize(
         "make",
@@ -362,23 +337,19 @@ class TestAdaptiveManager:
         ],
         ids=["qft-8", "qpe-8", "bv-20"],
     )
-    def test_adaptive_proves_table1_pairs_before_simulating(self, make):
+    def test_proves_table1_pairs_before_simulating(self, make):
         # The prover leads and cancels every matched gate pair of the
         # reconstructed circuit at cost 0, so it decides in its first turn
         # and the falsifier never starts.
-        result = EquivalenceCheckingManager(
-            seed=SEED, scheduler="adaptive", verdict_cache=False
-        ).run(*make())
+        result = EquivalenceCheckingManager(seed=SEED, verdict_cache=False).run(*make())
         assert result.criterion.considered_equivalent
         assert result.schedule == ["alternating", "simulation"]
         assert result.decided_by == "alternating"
         statuses = {a.method: a.status for a in result.attempts}
         assert statuses["simulation"] == "skipped"
 
-    def test_adaptive_skips_falsifier_on_clone_pairs(self):
-        result = EquivalenceCheckingManager(seed=SEED, scheduler="adaptive").run(
-            ghz_ladder(4), ghz_ladder(4)
-        )
+    def test_skips_falsifier_on_clone_pairs(self):
+        result = EquivalenceCheckingManager(seed=SEED).run(ghz_ladder(4), ghz_ladder(4))
         assert result.criterion is EquivalenceCriterion.EQUIVALENT
         assert result.decided_by == "alternating"
         # Provers first: the falsifier only gets the turn once the prover's
@@ -398,24 +369,26 @@ class TestAdaptiveManager:
         ],
         ids=["static-vs-dynamic", "dynamic-vs-dynamic", "conditioned-gates-only"],
     )
-    def test_adaptive_run_transforms_each_dynamic_circuit_once(self, monkeypatch, make):
+    def test_run_transforms_each_dynamic_circuit_once(self, monkeypatch, make):
         import repro.core.equivalence
         import repro.core.manager
-        import repro.core.scheduler
+        import repro.core.transformation
 
         first, second = make()
         calls = []
-        original = repro.core.scheduler.to_unitary_circuit
+        original = repro.core.transformation.to_unitary_circuit
 
         def spy(circuit):
             calls.append(circuit)
             return original(circuit)
 
-        for module in (repro.core.scheduler, repro.core.manager, repro.core.equivalence):
+        for module in (
+            repro.core.transformation,
+            repro.core.manager,
+            repro.core.equivalence,
+        ):
             monkeypatch.setattr(module, "to_unitary_circuit", spy)
-        manager = EquivalenceCheckingManager(
-            seed=SEED, scheduler="adaptive", verdict_cache=False
-        )
+        manager = EquivalenceCheckingManager(seed=SEED, verdict_cache=False)
         for _ in range(2):
             calls.clear()
             result = manager.run(first, second)
@@ -425,7 +398,7 @@ class TestAdaptiveManager:
             assert sorted(map(id, calls)) == sorted(map(id, dynamic))
 
     def test_injected_schedule_of_another_pair_is_not_reused(self):
-        manager = EquivalenceCheckingManager(seed=SEED, scheduler="adaptive")
+        manager = EquivalenceCheckingManager(seed=SEED)
         schedule = manager.schedule_for(
             bernstein_vazirani_static("1011"), bernstein_vazirani_dynamic("1011")
         )
@@ -438,11 +411,10 @@ class TestAdaptiveManager:
         assert result.criterion is EquivalenceCriterion.NOT_EQUIVALENT
 
     def test_result_records_schedule_and_features(self):
-        result = EquivalenceCheckingManager(seed=SEED, scheduler="adaptive").run(
+        result = EquivalenceCheckingManager(seed=SEED).run(
             bernstein_vazirani_static("101"), bernstein_vazirani_dynamic("101")
         )
-        assert result.scheduler == "adaptive"
-        assert set(result.schedule) == {"simulation", "alternating"}
+        assert result.schedule == ["alternating", "simulation"]
         assert result.features == {
             "first": {"is_dynamic": False, "needs_scheme_two": False},
             "second": {"is_dynamic": True, "needs_scheme_two": False},
@@ -468,36 +440,31 @@ def _agreement_pairs():
     return pairs
 
 
-class TestSchedulerAgreement:
+class TestLineupAgreement:
     @pytest.mark.parametrize("executor", ["thread", "process"])
-    def test_adaptive_never_changes_a_verdict(self, executor):
-        # Acceptance criterion: entry-for-entry identical criteria between
-        # scheduler="static" and scheduler="adaptive", on both executors.
+    def test_lineup_agrees_with_the_single_prover(self, executor):
+        # Entry-for-entry the criterion the alternating checker reaches on
+        # its own, on both executors: the lineup only decides who moves first.
         pairs = _agreement_pairs()
-        static = EquivalenceCheckingManager(
-            seed=SEED, scheduler="static", executor=executor, max_workers=2
+        batch = EquivalenceCheckingManager(
+            seed=SEED, executor=executor, max_workers=2
         ).verify_batch(pairs)
-        adaptive = EquivalenceCheckingManager(
-            seed=SEED, scheduler="adaptive", executor=executor, max_workers=2
-        ).verify_batch(pairs)
-        assert static.num_pairs == adaptive.num_pairs == len(pairs)
-        for static_entry, adaptive_entry in zip(static.entries, adaptive.entries):
-            assert static_entry.error is None and adaptive_entry.error is None
-            assert (
-                adaptive_entry.result.criterion is static_entry.result.criterion
-            ), adaptive_entry.index
+        assert batch.num_pairs == len(pairs)
+        for entry, (first, second) in zip(batch.entries, pairs):
+            assert entry.error is None
+            single = check_equivalence(first, second, method="alternating")
+            assert entry.result.criterion is single.criterion, entry.index
 
     def test_process_workers_replay_parent_schedules(self):
         pairs = _agreement_pairs()
         thread = EquivalenceCheckingManager(
-            seed=SEED, scheduler="adaptive", executor="thread", max_workers=2
+            seed=SEED, executor="thread", max_workers=2
         ).verify_batch(pairs)
         process = EquivalenceCheckingManager(
-            seed=SEED, scheduler="adaptive", executor="process", max_workers=2
+            seed=SEED, executor="process", max_workers=2
         ).verify_batch(pairs)
         for thread_entry, process_entry in zip(thread.entries, process.entries):
             assert process_entry.result.schedule == thread_entry.result.schedule
-            assert process_entry.result.scheduler == "adaptive"
             assert process_entry.result.criterion is thread_entry.result.criterion
             assert process_entry.result.decided_by == thread_entry.result.decided_by
 
@@ -516,11 +483,13 @@ class TestCheckerRegistry:
     def test_third_party_checker_plugs_in_by_name(self):
         register_checker(_NeverDecides)
         try:
-            config = Configuration(portfolio=("never-decides", "alternating"))
+            # Two falsifiers keep their configured order, so it runs first.
+            config = Configuration(portfolio=("never-decides", "simulation"), seed=SEED)
             result = EquivalenceCheckingManager(config).run(
                 ghz_ladder(3), ghz_ladder(3)
             )
-            assert result.criterion is EquivalenceCriterion.EQUIVALENT
+            assert result.schedule == ["never-decides", "simulation"]
+            assert result.criterion is EquivalenceCriterion.PROBABLY_EQUIVALENT
             custom = result.attempts[0]
             assert custom.method == "never-decides"
             assert custom.result.details == {"custom": True}
@@ -544,17 +513,19 @@ class TestCheckerRegistry:
             Configuration(portfolio=("alternating", "never-decides"))
         with pytest.raises(ConfigurationError):
             Configuration(method="never-decides")
-        with pytest.raises(ConfigurationError):
-            Configuration(scheduler="magic")
         register_checker(_NeverDecides)
         try:
             Configuration(portfolio=("alternating", "never-decides"))  # now valid
         finally:
             unregister_checker("never-decides")
 
-    def test_distribution_is_a_first_class_method(self):
-        from repro.core import check_equivalence
+    @pytest.mark.parametrize("scheduler", ["magic", "static"])
+    def test_scheduler_admits_only_the_one_lineup(self, scheduler):
+        assert Configuration().scheduler == "adaptive"
+        with pytest.raises(ConfigurationError):
+            Configuration(scheduler=scheduler)
 
+    def test_distribution_is_a_first_class_method(self):
         result = check_equivalence(
             bernstein_vazirani_static("101"),
             bernstein_vazirani_dynamic("101"),

@@ -214,7 +214,6 @@ class TestPairAndConfigurationFingerprints:
             {"seed": 2},
             {"tolerance": 1e-5},
             {"num_simulations": 8},
-            {"scheduler": "adaptive"},
             {"portfolio": ("alternating",)},
             {"timeout": 30.0},
         ):

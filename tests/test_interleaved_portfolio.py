@@ -1,9 +1,9 @@
 """The interleaved portfolio: checkers stepped in one thread by least cost.
 
-Covers verdict agreement with every single checker, a deterministic schedule
-(repeat runs and both batch executors), the sim-first behaviour on Table-1
-pairs and mutants, budgets without checker threads, and third-party checkers
-that only implement ``check``.
+Covers verdict agreement with every single checker and every portfolio
+order, a deterministic schedule (repeat runs and both batch executors), the
+prover-first lineup on Table-1 pairs and mutants, budgets without checker
+threads, and third-party checkers that only implement ``check``.
 """
 
 import random
@@ -82,8 +82,8 @@ def _case_pair(family, n, equivalent):
     return static, dynamic
 
 
-def _scheduler_families():
-    """The three pair families of ``benchmarks/bench_scheduler.py`` (quick sizes)."""
+def _lineup_families():
+    """Table-1 QFT pairs, clone pairs and unrelated pairs (falsifier's home turf)."""
     return {
         "table1_qft": [(qft_static_benchmark(n), qft_dynamic(n)) for n in (4, 6)],
         "clone_batch": [
@@ -97,11 +97,7 @@ def _scheduler_families():
     }
 
 
-LINEUPS = [
-    (("simulation", "alternating"), "static"),
-    (("alternating", "simulation"), "static"),
-    (("simulation", "alternating"), "adaptive"),
-]
+PORTFOLIO_ORDERS = [("simulation", "alternating"), ("alternating", "simulation")]
 
 
 def _statuses(result):
@@ -122,19 +118,35 @@ class TestVerdictAgreement:
             assert single.equivalent is equivalent, method
 
     @pytest.mark.parametrize("family", ["table1_qft", "clone_batch", "falsification_batch"])
-    def test_every_lineup_agrees_on_the_scheduler_families(self, family):
-        for first, second in _scheduler_families()[family]:
+    def test_every_portfolio_order_agrees_on_the_lineup_families(self, family):
+        for first, second in _lineup_families()[family]:
             verdicts = set()
-            for portfolio, scheduler in LINEUPS:
-                result = EquivalenceCheckingManager(
-                    seed=SEED, portfolio=portfolio, scheduler=scheduler
-                ).run(first, second)
+            for portfolio in PORTFOLIO_ORDERS:
+                result = EquivalenceCheckingManager(seed=SEED, portfolio=portfolio).run(
+                    first, second
+                )
                 verdicts.add(result.criterion)
             assert len(verdicts) == 1
             (verdict,) = verdicts
             for method in ("alternating", "construction"):
                 single = check_equivalence(first, second, method=method, seed=SEED)
                 assert single.criterion.considered_equivalent is verdict.considered_equivalent
+
+    @pytest.mark.parametrize("family", ["table1_qft", "clone_batch"])
+    def test_prover_decides_equivalent_families_before_the_falsifier_starts(self, family):
+        # The prover cancels every matched pair at cost 0 and decides inside
+        # its first turn, whichever order the portfolio is configured in.
+        for first, second in _lineup_families()[family]:
+            for portfolio in PORTFOLIO_ORDERS:
+                result = EquivalenceCheckingManager(seed=SEED, portfolio=portfolio).run(
+                    first, second
+                )
+                assert result.criterion.considered_equivalent
+                assert result.decided_by == "alternating"
+                assert _statuses(result) == [
+                    ("alternating", "completed"),
+                    ("simulation", "skipped"),
+                ]
 
 
 def _shape(node: dict):
@@ -190,14 +202,19 @@ class TestDeterministicSchedule:
     def test_checker_runs_are_traced_per_turn(self):
         tracer = trace.Tracer()
         with trace.activate(tracer):
-            result = EquivalenceCheckingManager(seed=SEED).run(*_case_pair("qft", 4, True))
+            result = EquivalenceCheckingManager(seed=SEED).run(*_case_pair("qft", 5, False))
         turns = [
             (span["attrs"]["checker"], span["attrs"]["turn"])
             for span in tracer.export()
             if span["name"] == "checker.run"
         ]
-        # Simulation's first gate, then the prover cancels every pair and proves.
-        assert turns == [("simulation", 0), ("alternating", 0)]
+        # The prover moves first; the two then trade turns by DD work until
+        # the prover refutes the mutant.
+        assert turns[:3] == [("alternating", 0), ("simulation", 0), ("alternating", 1)]
+        assert turns[-1][0] == "alternating"
+        for checker in ("alternating", "simulation"):
+            numbers = [turn for name, turn in turns if name == checker]
+            assert numbers == list(range(len(numbers)))
         assert result.decided_by == "alternating"
 
 
@@ -222,45 +239,51 @@ def _scrambled_mutant(num_qubits: int = 4, seed: int = 0):
     return circuit, mutant
 
 
-class TestSimFirstLineup:
+class TestProverFirstLineup:
     @pytest.mark.parametrize("family", ["qft", "qpe", "bv"])
-    def test_mutant_is_refuted_by_simulation_before_the_prover_starts(self, family):
-        # On the dense backend a simulation step is a whole stimulus, so the
-        # falsifier's first step refutes the mutant before the prover moves.
+    def test_mutant_is_refuted_by_the_falsifiers_first_stimulus_on_dense(self, family):
+        # On the dense backend a simulation step is a whole stimulus: the
+        # prover's first gate hands the falsifier its turn, and that single
+        # step refutes the mutant.
         result = EquivalenceCheckingManager(seed=SEED, backend="dense").run(
             *_case_pair(family, 5, False)
         )
         assert result.criterion is EquivalenceCriterion.NOT_EQUIVALENT
         assert result.decided_by == "simulation"
-        assert _statuses(result) == [("simulation", "completed"), ("alternating", "skipped")]
-        assert result.attempts[0].result.details["failed_run"] == 0
+        assert _statuses(result) == [("alternating", "preempted"), ("simulation", "completed")]
+        assert result.attempts[1].result.details["failed_run"] == 0
 
     def test_scrambled_mutant_is_refuted_by_simulation_on_dd(self):
         # On the DD backend turns are charged by DD work, one gate per step:
-        # the prover starts after the falsifier's first gate and is outrun.
+        # the prover moves first, its product outgrows the stimulus and the
+        # falsifier outruns it.
         result = EquivalenceCheckingManager(seed=SEED).run(*_scrambled_mutant())
         assert result.criterion is EquivalenceCriterion.NOT_EQUIVALENT
         assert result.decided_by == "simulation"
-        assert _statuses(result) == [("simulation", "completed"), ("alternating", "preempted")]
-        assert result.attempts[0].result.details["failed_run"] == 0
+        assert _statuses(result) == [("alternating", "preempted"), ("simulation", "completed")]
+        assert result.attempts[1].result.details["failed_run"] == 0
 
-    @pytest.mark.parametrize("family", ["qft", "qpe", "bv"])
-    def test_table1_mutant_is_decided_by_the_cheaper_prover_on_dd(self, family):
-        # A Table-1 product stays small, so the prover's DD work is less
-        # than one stimulus's and it decides with the falsifier preempted.
+    @pytest.mark.parametrize(
+        "family, falsifier",
+        [("qft", "preempted"), ("qpe", "skipped"), ("bv", "skipped")],
+    )
+    def test_table1_mutant_is_decided_by_the_cheaper_prover_on_dd(self, family, falsifier):
+        # A Table-1 product stays small, so the prover's DD work stays below
+        # one stimulus's: it refutes the mutant with the falsifier preempted
+        # (or, where the prover needs one turn, never started).
         result = EquivalenceCheckingManager(seed=SEED).run(*_case_pair(family, 5, False))
         assert result.criterion is EquivalenceCriterion.NOT_EQUIVALENT
         assert result.decided_by == "alternating"
-        assert _statuses(result) == [("simulation", "preempted"), ("alternating", "completed")]
+        assert _statuses(result) == [("alternating", "completed"), ("simulation", falsifier)]
 
     @pytest.mark.parametrize("family", ["qft", "qpe", "bv"])
-    def test_equivalent_pair_is_proved_with_simulation_preempted(self, family):
+    def test_equivalent_pair_is_proved_with_simulation_skipped(self, family):
         result = EquivalenceCheckingManager(seed=SEED).run(*_case_pair(family, 5, True))
         assert result.criterion.considered_equivalent
         assert result.decided_by == "alternating"
-        assert _statuses(result) == [("simulation", "preempted"), ("alternating", "completed")]
-        simulation = result.attempts[0]
-        assert simulation.result is None and simulation.time_taken > 0
+        assert _statuses(result) == [("alternating", "completed"), ("simulation", "skipped")]
+        simulation = result.attempts[1]
+        assert simulation.result is None and simulation.time_taken == 0
 
 
 class _RecordingThreads:
@@ -314,8 +337,7 @@ class TestTranslatedPair:
     def test_prover_cancels_it_before_the_falsifier_starts(self, n):
         # Canonical matching cancels every pair of the translated QFT, so
         # the prover decides inside its first turn.
-        manager = EquivalenceCheckingManager(scheduler="adaptive", seed=SEED)
-        result = manager.run(*_translated_qft_pair(n))
+        result = EquivalenceCheckingManager(seed=SEED).run(*_translated_qft_pair(n))
         assert result.criterion is EquivalenceCriterion.EQUIVALENT
         assert _statuses(result) == [("alternating", "completed"), ("simulation", "skipped")]
         assert result.attempts[0].result.details["cancelled_pairs"] > 0
@@ -362,7 +384,7 @@ class TestBudgetsWithoutThreads:
             num_simulations=10_000,
         )
         result = manager.run(*_reversed_cx_qft_pair(14))
-        assert _statuses(result) == [("simulation", "timeout"), ("alternating", "timeout")]
+        assert _statuses(result) == [("alternating", "timeout"), ("simulation", "timeout")]
         for attempt in result.attempts:
             assert attempt.time_taken >= 0.005
         assert result.total_time >= sum(a.time_taken for a in result.attempts)

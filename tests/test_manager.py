@@ -90,8 +90,8 @@ class TestConfiguration:
 class TestEarlyTermination:
     def test_falsifier_decides_non_equivalent_pairs(self):
         # A scrambled early difference grows the prover's product DD, so the
-        # falsifier needs less DD work and decides; the prover, started after
-        # the falsifier's first gate, is preempted.
+        # falsifier needs less DD work and decides; the prover, which moves
+        # first, is outrun and preempted.
         manager = EquivalenceCheckingManager(seed=SEED)
         result = manager.run(*_scrambled_mutant())
         assert result.criterion is EquivalenceCriterion.NOT_EQUIVALENT
@@ -107,14 +107,13 @@ class TestEarlyTermination:
         # must deliver the definitive verdict.
         assert result.decided_by == "alternating"
         assert result.criterion is EquivalenceCriterion.EQUIVALENT
-        # The interleaved portfolio gives simulation its first stimulus, then
-        # the alternating checker catches up and proves before the falsifier
-        # runs out of stimuli: simulation is preempted, without a result.
-        simulation = result.attempts[0]
+        # The prover moves first, cancels every matched pair and proves in
+        # its first turn: simulation never starts.
+        simulation = result.attempts[1]
         assert simulation.method == "simulation"
-        assert simulation.status == "preempted"
+        assert simulation.status == "skipped"
         assert simulation.result is None
-        assert simulation.time_taken > 0
+        assert simulation.time_taken == 0
 
     def test_simulation_only_portfolio_stays_indicative(self):
         manager = EquivalenceCheckingManager(seed=SEED, portfolio=("simulation",))
@@ -132,7 +131,8 @@ class TestEarlyTermination:
     def test_checker_error_is_isolated(self):
         # A reset conditioned on its own qubit's measurement has no Scheme-1
         # reconstruction, so every functional checker raises; the portfolio
-        # must record the errors, not propagate.
+        # must record the errors, not propagate, and let the distribution
+        # checker the scheduler appends answer.
         circuit = QuantumCircuit(1, 2)
         circuit.h(0)
         circuit.measure(0, 0)
@@ -142,8 +142,13 @@ class TestEarlyTermination:
             seed=SEED, portfolio=("alternating", "construction")
         )
         result = manager.run(circuit, circuit.copy())
-        assert result.criterion is EquivalenceCriterion.NO_INFORMATION
-        assert all(attempt.status == "error" for attempt in result.attempts)
+        assert result.schedule == ["distribution", "alternating", "construction"]
+        assert result.criterion is EquivalenceCriterion.PROBABLY_EQUIVALENT
+        assert [attempt.status for attempt in result.attempts] == [
+            "completed",
+            "error",
+            "error",
+        ]
         assert result.decided_by is None
 
 

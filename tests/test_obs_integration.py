@@ -232,8 +232,8 @@ class TestCliTraceExport:
                     "verify",
                     str(first),
                     str(second),
-                    "--scheduler",
-                    "adaptive",
+                    "--portfolio",
+                    "simulation,alternating",
                     "--json",
                 ]
             )

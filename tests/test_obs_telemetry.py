@@ -24,10 +24,10 @@ class TestRunRecording:
         assert records[0]["verdict"] != records[1]["verdict"]
 
     def test_record_shape(self, tmp_path):
-        manager = _manager(tmp_path, scheduler="adaptive")
+        manager = _manager(tmp_path)
         manager.run(ghz_ladder(3), ghz_ladder(3))
         (record,) = manager.telemetry.replay()
-        assert record["scheduler"] == "adaptive"
+        assert "scheduler" not in record
         assert record["schedule"]
         assert record["decided_by"] in record["schedule"]
         assert record["total_time"] >= 0.0
@@ -71,6 +71,7 @@ class TestRunRecording:
 
 class TestSummaries:
     def test_summarize_records(self):
+        # Records written before the one lineup still carry "scheduler".
         records = [
             {
                 "kind": "run",
@@ -95,6 +96,7 @@ class TestSummaries:
             },
         ]
         summary = summarize_records(records)
+        assert "schedulers" not in summary
         assert summary["runs"] == 2
         assert summary["verdicts"] == {"equivalent": 2}
         assert summary["cache"]["fresh"] == 1
@@ -121,7 +123,7 @@ class TestSummaries:
 class TestCliVerifyRouting:
     def test_plain_verify_with_telemetry_records_a_run(self, tmp_path, capsys):
         """--telemetry routes through the manager even with no portfolio,
-        scheduler, timeout or cache flag — a record always lands."""
+        timeout or cache flag — a record always lands."""
         from repro.cli import main
 
         qasm = ghz_ladder(3).to_qasm()

@@ -9,7 +9,7 @@ from repro.algorithms import ghz_ladder, ghz_with_bug, qft_dynamic, qft_static_b
 from repro.circuit import QuantumCircuit
 from repro.circuit.random_circuits import random_static_circuit
 from repro.core import Configuration, EquivalenceCheckingManager, EquivalenceCriterion
-from repro.core import equivalence, manager as manager_module, scheduler as scheduler_module
+from repro.core import equivalence, manager as manager_module, transformation
 from repro.core.scheduler import Schedule, deprioritize
 from repro.resilience import (
     STATE_VALUES,
@@ -202,7 +202,6 @@ class TestDeprioritize:
     def _schedule(self):
         return Schedule(
             checkers=("simulation", "alternating", "construction"),
-            scheduler="static",
             rationale="fixed order",
         )
 
@@ -235,24 +234,26 @@ class TestManagerQuarantine:
             breaker_threshold=2,
             breaker_cooldown=1000.0,
             fault_plan=FaultPlan(
-                rules=(FaultRule(site="checker", target="simulation", times=0),)
+                rules=(FaultRule(site="checker", target="alternating", times=0),)
             ),
         )
-        results = [manager.run(ghz_ladder(3), ghz_ladder(3)) for _ in range(3)]
-        # Every run still decides (the alternating checker is healthy).
+        results = [manager.run(*_scrambled_mutant()) for _ in range(3)]
+        # Every run still decides (the simulation checker is healthy).
         for result in results:
-            assert result.criterion is EquivalenceCriterion.EQUIVALENT
-            assert result.decided_by == "alternating"
-        # Third run: simulation is deprioritized last, so the healthy
-        # alternating checker decides first and simulation is skipped —
+            assert result.criterion is EquivalenceCriterion.NOT_EQUIVALENT
+            assert result.decided_by == "simulation"
+        # The prover moves first and fails until its breaker opens.
+        assert [a.status for a in results[0].attempts] == ["error", "completed"]
+        # Third run: alternating is deprioritized last, so the healthy
+        # simulation checker decides first and alternating is skipped —
         # the portfolio degrades gracefully instead of paying for it.
         statuses = {a.method: a.status for a in results[-1].attempts}
-        assert statuses["simulation"] == "skipped"
-        assert results[-1].schedule[-1] == "simulation"
+        assert statuses["alternating"] == "skipped"
+        assert results[-1].schedule == ["simulation", "alternating"]
         board = manager.breakers.snapshot()
-        assert board["simulation"]["state"] == "open"
-        assert board["simulation"]["opens"] >= 1
-        assert manager.breakers.quarantined() == ("simulation",)
+        assert board["alternating"]["state"] == "open"
+        assert board["alternating"]["opens"] >= 1
+        assert manager.breakers.quarantined() == ("alternating",)
 
     def test_quarantined_attempt_records_reason(self):
         # Single-checker portfolio: with its only checker quarantined the
@@ -276,10 +277,7 @@ class TestManagerQuarantine:
         assert "circuit breaker" in attempt.error
         assert result.criterion is EquivalenceCriterion.NO_INFORMATION
 
-    @pytest.mark.parametrize("scheduler", ["static", "adaptive"])
-    def test_unreconstructible_pairs_never_quarantine_healthy_checkers(
-        self, monkeypatch, scheduler
-    ):
+    def test_unreconstructible_pairs_never_quarantine_healthy_checkers(self, monkeypatch):
         # h; measure; h; measure on one qubit: Scheme 1 cannot rebuild a
         # measured qubit that is used again without a reset.
         def reused_measured_qubit():
@@ -297,13 +295,15 @@ class TestManagerQuarantine:
             transformed.append(circuit)
             return original(circuit)
 
-        for module in (manager_module, scheduler_module, equivalence):
+        for module in (manager_module, transformation, equivalence):
             monkeypatch.setattr(module, "to_unitary_circuit", counting)
-        manager = EquivalenceCheckingManager(scheduler=scheduler)
+        manager = EquivalenceCheckingManager()
         for _ in range(5):
             pair = (reused_measured_qubit(), reused_measured_qubit())
             transformed.clear()
             result = manager.run(*pair)
+            assert result.decided_by is None
+            assert result.criterion is EquivalenceCriterion.PROBABLY_EQUIVALENT
             # Scheme 1 is tried at most once per dynamic circuit.
             assert len({id(circuit) for circuit in transformed}) == len(transformed)
             assert set(map(id, transformed)) <= set(map(id, pair))
@@ -359,30 +359,29 @@ class TestManagerQuarantine:
             breaker_threshold=1,
             breaker_cooldown=0.05,
             fault_plan=FaultPlan(
-                rules=(FaultRule(site="checker", target="simulation", times=1),)
+                rules=(FaultRule(site="checker", target="alternating", times=1),)
             ),
         )
         manager.run(ghz_ladder(3), ghz_ladder(3))
-        assert manager.breakers.quarantined() == ("simulation",)
+        assert manager.breakers.quarantined() == ("alternating",)
         time.sleep(0.06)
         # The cooldown expired: the probe runs (fault exhausted), succeeds,
-        # and the breaker closes again.  The probe pair is one the falsifier
-        # decides itself (a scrambled early difference, on which it needs
-        # less DD work than the prover): on an equivalent pair the
-        # interleaved portfolio lets the prover decide first and preempts the
-        # probe, which neither heals nor trips the breaker.
-        result = manager.run(*_scrambled_mutant())
+        # and the breaker closes again.  The probe pair is one the prover
+        # decides itself (a clone, which it cancels in its first turn): on a
+        # scrambled mutant the falsifier needs less DD work, decides first
+        # and preempts the probe, which neither heals nor trips the breaker.
+        result = manager.run(ghz_ladder(3), ghz_ladder(3))
         statuses = {a.method: a.status for a in result.attempts}
-        assert statuses.get("simulation") == "completed"
-        assert result.decided_by == "simulation"
-        assert manager.breakers.breaker("simulation").state == "closed"
+        assert statuses == {"alternating": "completed", "simulation": "skipped"}
+        assert result.decided_by == "alternating"
+        assert manager.breakers.breaker("alternating").state == "closed"
 
     def test_preempted_probe_leaves_breaker_half_open(self):
         manager = self._manager(
             breaker_threshold=1,
             breaker_cooldown=0.05,
             fault_plan=FaultPlan(
-                rules=(FaultRule(site="checker", target="simulation", times=1),)
+                rules=(FaultRule(site="checker", target="alternating", times=1),)
             ),
         )
         manager.run(ghz_ladder(3), ghz_ladder(3))
@@ -390,8 +389,8 @@ class TestManagerQuarantine:
         for _ in range(2):
             # Each run admits a fresh probe: a preempted probe hands its slot
             # back instead of leaving the breaker stuck on a probe in flight.
-            result = manager.run(ghz_ladder(3), ghz_ladder(3))
+            result = manager.run(*_scrambled_mutant())
             statuses = {a.method: a.status for a in result.attempts}
-            assert statuses == {"simulation": "preempted", "alternating": "completed"}
-            assert manager.breakers.breaker("simulation").state == "half_open"
-        assert manager.breakers.snapshot()["simulation"]["rejections"] == 0
+            assert statuses == {"alternating": "preempted", "simulation": "completed"}
+            assert manager.breakers.breaker("alternating").state == "half_open"
+        assert manager.breakers.snapshot()["alternating"]["rejections"] == 0

@@ -437,7 +437,7 @@ class TestServeCli:
     def test_serve_parser_defaults(self):
         args = build_parser().parse_args(["serve"])
         assert args.port == 8111
-        assert args.scheduler == "adaptive"
+        assert not hasattr(args, "scheduler")
         assert args.cache_path is None
         assert args.gate_cache_size == 256
 

@@ -48,7 +48,6 @@ class TestVerdictCacheUnit:
         assert restored.criterion is original.criterion
         assert restored.decided_by == original.decided_by
         assert restored.schedule == original.schedule
-        assert restored.scheduler == original.scheduler
         assert [a.method for a in restored.attempts] == [
             a.method for a in original.attempts
         ]
@@ -85,6 +84,9 @@ class TestVerdictCacheUnit:
         verdict = CachedVerdict.from_result("fp", _result())
         rebuilt = CachedVerdict.from_json(verdict.to_json())
         assert rebuilt == verdict
+        assert "scheduler" not in verdict.to_json()
+        # Journal lines written before the one lineup carry a scheduler key.
+        assert CachedVerdict.from_json({**verdict.to_json(), "scheduler": "static"}) == verdict
 
 
 class TestVerdictCachePersistence:
