@@ -98,6 +98,10 @@ class QuantumCircuit:
         self._qubit_indices: dict[Qubit, int] = {}
         self._clbit_indices: dict[Clbit, int] = {}
         self._data: list[Instruction] = []
+        # The answer of is_dynamic, computed on first use.  Every write to
+        # the _data of an existing circuit resets it to None; a new circuit
+        # starts at None.
+        self._dynamic: bool | None = None
 
         int_count = 0
         for reg in regs:
@@ -270,8 +274,14 @@ class QuantumCircuit:
         dynamic: a trailing measurement layer is the conventional read-out of
         a static circuit.  Everything else — resets, classically-controlled
         operations, or measurements followed by further quantum operations on
-        the measured qubit — makes the circuit dynamic.
+        the measured qubit — makes the circuit dynamic.  The answer is
+        computed once and kept until the instruction list changes.
         """
+        if self._dynamic is None:
+            self._dynamic = self._scan_dynamic()
+        return self._dynamic
+
+    def _scan_dynamic(self) -> bool:
         measured: set[int] = set()
         for inst in self._data:
             if inst.is_barrier:
@@ -329,6 +339,7 @@ class QuantumCircuit:
             operation, qubit_indices, clbit_indices, self._resolve_condition(condition)
         )
         self._data.append(instruction)
+        self._dynamic = None
         return instruction
 
     def append_instruction(self, instruction: Instruction) -> Instruction:
@@ -341,6 +352,7 @@ class QuantumCircuit:
             for c in instruction.condition.clbits:
                 self.clbit_index(c)
         self._data.append(instruction)
+        self._dynamic = None
         return instruction
 
     # -- single-qubit gates -------------------------------------------------

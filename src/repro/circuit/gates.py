@@ -572,7 +572,9 @@ class ControlledGate(Gate):
             )
         if name is None:
             name = "c" * num_ctrl_qubits + base_gate.name
-        super().__init__(name, num_ctrl_qubits + base_gate.num_qubits, base_gate.params)
+        super().__init__(name, num_ctrl_qubits + base_gate.num_qubits)
+        # The base gate's constructor has coerced its parameters already.
+        self.params = base_gate.params
         self.base_gate = base_gate
         self.num_ctrl_qubits = num_ctrl_qubits
         self.ctrl_state = ctrl_state

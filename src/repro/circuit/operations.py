@@ -106,6 +106,28 @@ class Instruction:
         self.clbits = clbits
         self.condition = condition
 
+    @classmethod
+    def prevalidated(
+        cls,
+        operation: Operation,
+        qubits: tuple[int, ...],
+        clbits: tuple[int, ...] = (),
+        condition: ClassicalCondition | None = None,
+    ) -> "Instruction":
+        """An instruction built without the checks of ``__init__``.
+
+        Only for operands derived from validated instructions (qubits rewired
+        through an injective map, controls already checked for conflicts):
+        ``qubits`` and ``clbits`` must be int tuples of the operation's arity
+        without duplicates, and ``condition`` one ``__init__`` would accept.
+        """
+        instruction = object.__new__(cls)
+        instruction.operation = operation
+        instruction.qubits = qubits
+        instruction.clbits = clbits
+        instruction.condition = condition
+        return instruction
+
     # -- classification helpers used throughout the core package ------------
 
     @property

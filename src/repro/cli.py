@@ -475,21 +475,18 @@ def _command_verify(args: argparse.Namespace) -> int:
         canonicalize=True if args.canonicalize is None else args.canonicalize,
         telemetry_path=args.telemetry,
     )
-    if configuration.cache_enabled:
-        # Cache consultation happens in the manager; route through it.
-        if args.portfolio is None and args.method != "alternating":
-            configuration = configuration.updated(portfolio=(args.method,))
-        return _verify_with_portfolio(first, second, configuration, args)
-    if args.portfolio is not None:
-        return _verify_with_portfolio(first, second, configuration, args)
     if (
-        args.timeout is not None
+        args.portfolio is not None
+        or configuration.cache_enabled
+        or args.timeout is not None
         or args.checker_timeout is not None
         or args.telemetry is not None
     ):
-        # Timeouts and run telemetry are enforced by the manager; run the
-        # single method as a one-checker portfolio so they actually apply.
-        configuration = configuration.updated(portfolio=(args.method,))
+        # The verdict cache, budgets and run telemetry live in the manager.
+        # One rule decides its lineup: --portfolio when given, otherwise
+        # --method as a one-checker portfolio.
+        if args.portfolio is None:
+            configuration = configuration.updated(portfolio=(args.method,))
         return _verify_with_portfolio(first, second, configuration, args)
     result = check_equivalence(first, second, configuration)
     if args.json:

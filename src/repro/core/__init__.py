@@ -1,7 +1,9 @@
 """Core of the reproduction: the paper's two schemes and the equivalence checker.
 
-* Scheme 1 — unitary reconstruction: :func:`to_unitary_circuit`,
-  :func:`substitute_resets`, :func:`defer_measurements`.
+* Scheme 1 — unitary reconstruction: :func:`to_unitary_circuit` rewires
+  resets onto fresh qubits and defers measurements in one walk;
+  :func:`substitute_resets` and :func:`defer_measurements` are its two
+  halves on their own.
 * Scheme 2 — distribution extraction: :func:`extract_distribution`,
   :func:`check_behavioural_equivalence`.
 * Equivalence checking engine: :func:`check_equivalence` / :func:`verify`,

@@ -277,9 +277,35 @@ def gate_lists(
     first: "QuantumCircuit", second: "QuantumCircuit"
 ) -> tuple[list[Instruction], list[Instruction]]:
     """Unitary gate streams of both circuits, read-out measurements stripped."""
-    left = list(first.remove_final_measurements().gate_instructions())
-    right = list(second.remove_final_measurements().gate_instructions())
-    return left, right
+    return _gate_stream(first), _gate_stream(second)
+
+
+def _gate_stream(circuit: "QuantumCircuit") -> list[Instruction]:
+    """``circuit.remove_final_measurements().gate_instructions()`` as a list,
+    in one backward walk that builds no intermediate circuit.
+
+    Walking backwards, a measurement is a read-out one when no later
+    instruction other than a barrier acts on its qubit.
+    """
+    gates: list[Instruction] = []
+    used_later: set[int] = set()
+    unitary = True
+    for instruction in reversed(circuit.data):
+        if instruction.is_barrier:
+            continue
+        if instruction.is_measurement and instruction.qubits[0] not in used_later:
+            used_later.add(instruction.qubits[0])
+            continue
+        used_later.update(instruction.qubits)
+        if instruction.is_gate and instruction.condition is None:
+            gates.append(instruction)
+        else:
+            unitary = False
+    if not unitary:
+        # Raises gate_instructions' error on the first non-unitary instruction.
+        list(circuit.remove_final_measurements().gate_instructions())
+    gates.reverse()
+    return gates
 
 
 def criterion_from_scalar(

@@ -1,22 +1,28 @@
 """Scheme 1: unitary reconstruction through circuit transformation (Section 4).
 
 Dynamic circuits contain three non-unitary primitives: resets, mid-circuit
-measurements and classically-controlled operations.  This module removes them
-in two steps:
+measurements and classically-controlled operations.
+:func:`to_unitary_circuit` removes all three in one walk over the
+instructions, keeping two maps:
 
-1. :func:`substitute_resets` replaces every reset by a *fresh* qubit — all
-   subsequent operations on the reset qubit are rewired to the new qubit, so
-   an ``n``-qubit circuit with ``r`` resets becomes an ``(n + r)``-qubit
-   circuit without resets (qubit re-use is eliminated).
-2. :func:`defer_measurements` applies the deferred measurement principle:
-   every mid-circuit measurement is delayed to the very end of the circuit and
-   every operation classically controlled on its outcome is replaced by the
-   same operation *quantum-controlled* on the measured qubit.
+* a *wire map* sends each original qubit to the wire that currently plays
+  its role.  A reset of a qubit that has been acted on moves the qubit to a
+  fresh wire, appended after the original ones, so an ``n``-qubit circuit
+  with ``r`` effective resets becomes an ``(n + r)``-qubit circuit without
+  qubit re-use;
+* a *clbit map* records the wire each measurement wrote.  By the deferred
+  measurement principle every measurement moves to a final measurement
+  layer, and every operation classically controlled on a measured bit
+  becomes the same operation *quantum-controlled* on that wire.
 
-The composition of the two steps, :func:`to_unitary_circuit`, turns any
-dynamic circuit into a circuit containing only unitary gates followed by a
-final measurement layer, so that *any* existing equivalence-checking flow can
-be applied (``U =? U'``).
+The result holds only unitary gates followed by that measurement layer, so
+*any* existing equivalence-checking flow applies (``U =? U'``).  The two
+halves stay public as views of the same walk: :func:`substitute_resets`
+follows the wire map only, and :func:`defer_measurements` the clbit map only
+(on a reset-free circuit).  An instruction whose wires did not move is
+re-emitted as the same object; the others are built from validated parts
+without running :class:`~repro.circuit.operations.Instruction`'s checks
+again.
 """
 
 from __future__ import annotations
@@ -25,8 +31,8 @@ import time
 from dataclasses import dataclass, field
 
 from repro.circuit.circuit import QuantumCircuit
-from repro.circuit.gates import Gate, SwapGate
-from repro.circuit.operations import ClassicalCondition, Instruction
+from repro.circuit.gates import Barrier, Gate, Measure, Reset, SwapGate
+from repro.circuit.operations import Instruction
 from repro.circuit.registers import ClassicalRegister, QuantumRegister
 from repro.exceptions import TransformationError
 
@@ -49,8 +55,9 @@ class TransformationResult:
         The reconstructed, purely unitary circuit (with a trailing measurement
         layer so that the classical outputs remain observable).
     num_original_qubits / num_added_qubits:
-        Qubit bookkeeping: ``num_added_qubits`` equals the number of resets of
-        the original circuit.
+        Qubit bookkeeping: ``num_added_qubits`` counts the fresh wires, one
+        per effective reset (a reset of a qubit still in |0> is dropped)
+        and one ancilla per conditioned reset.
     measurement_sources:
         Maps each classical bit to the qubit that is measured into it at the
         end of the reconstructed circuit (classical bits that are never
@@ -65,6 +72,18 @@ class TransformationResult:
     measurement_sources: dict[int, int] = field(default_factory=dict)
     time_taken: float = 0.0
 
+    @property
+    def fresh_qubits(self) -> tuple[int, ...]:
+        """The wires the rebuild added, in order: reset wires and
+        conditioned-reset ancillas, which follow the original qubits.
+
+        Every one of them starts in |0> in the dynamic circuit, so an input
+        of the rebuilt circuit that a dynamic circuit can receive sets them
+        to |0>.
+        """
+        start = self.num_original_qubits
+        return tuple(range(start, start + self.num_added_qubits))
+
 
 def _fresh_register_name(circuit: QuantumCircuit, base: str) -> str:
     existing = {reg.name for reg in circuit.qregs} | {reg.name for reg in circuit.cregs}
@@ -76,13 +95,110 @@ def _fresh_register_name(circuit: QuantumCircuit, base: str) -> str:
     return f"{base}{suffix}"
 
 
+def _rebuild(
+    circuit: QuantumCircuit, *, defer: bool
+) -> tuple[QuantumCircuit, dict[int, int], int]:
+    """The one walk behind this module.
+
+    Rewires every reset onto a fresh wire and, with ``defer``, also defers
+    every measurement.  Returns the rebuilt circuit, the ``clbit -> wire``
+    map of its final measurement layer and the number of fresh wires.
+    """
+    num_qubits = circuit.num_qubits
+    wire = list(range(num_qubits))  # wire[q]: the wire playing original qubit q
+    rewired = False
+    touched: set[int] = set()  # wires acted on; any other wire is still |0>
+    source: dict[int, int] = {}  # clbit -> wire its last measurement wrote
+    measured: set[int] = set()
+    next_fresh = num_qubits
+    saw_reset = False
+    emitted: list[Instruction] = []
+
+    for instruction in circuit:
+        operation = instruction.operation
+        wires = tuple([wire[q] for q in instruction.qubits]) if rewired else instruction.qubits
+        if isinstance(operation, Barrier):
+            emitted.append(_rewired(instruction, wires))
+            continue
+        if isinstance(operation, Reset):
+            saw_reset = True
+            if wires[0] not in touched:
+                # The qubit is still in |0>; the reset has no effect whether
+                # or not a classical condition would have fired.
+                continue
+            fresh = next_fresh
+            next_fresh += 1
+            if instruction.condition is None:
+                wire[instruction.qubits[0]] = fresh
+                rewired = True
+                continue
+            # A conditioned reset: rewiring would make it unconditional, so
+            # the role stays on its wire, which conditionally swaps its state
+            # into a fresh |0> ancilla (see substitute_resets).
+            touched.add(fresh)
+            instruction = Instruction.prevalidated(
+                SwapGate(), (wires[0], fresh), (), instruction.condition
+            )
+            operation, wires = instruction.operation, instruction.qubits
+        touched.update(wires)
+        if not defer:
+            emitted.append(_rewired(instruction, wires))
+            continue
+        if isinstance(operation, Measure):
+            source[instruction.clbits[0]] = wires[0]
+            measured.add(wires[0])
+            continue
+        if not measured.isdisjoint(wires):
+            raise TransformationError(
+                f"qubit(s) {sorted(measured.intersection(wires))} are used after being "
+                "measured; the deferred measurement principle does not apply (did you "
+                "forget substitute_resets?)"
+            )
+        if instruction.condition is None:
+            emitted.append(_rewired(instruction, wires))
+        else:
+            emitted.extend(_classical_to_quantum_control(instruction, wires, source))
+
+    num_fresh = next_fresh - num_qubits
+    name = circuit.name + ("_no_reset" if saw_reset else "") + ("_deferred" if defer else "")
+    result = QuantumCircuit(name=name)
+    for register in circuit.qregs:
+        result.add_register(register)
+    if num_fresh:
+        result.add_register(
+            QuantumRegister(num_fresh, _fresh_register_name(circuit, "reset_anc"))
+        )
+    for register in circuit.cregs:
+        result.add_register(register)
+    if defer:
+        measure = Measure()
+        emitted.extend(
+            Instruction.prevalidated(measure, (qubit,), (clbit,))
+            for clbit, qubit in sorted(source.items())
+        )
+        # Unitary gates then one measurement layer: static by construction.
+        result._dynamic = False
+    result._data = emitted
+    return result, source, num_fresh
+
+
+def _rewired(instruction: Instruction, wires: tuple[int, ...]) -> Instruction:
+    """``instruction`` on ``wires``: the same object when its wires did not move."""
+    if wires == instruction.qubits:
+        return instruction
+    return Instruction.prevalidated(
+        instruction.operation, wires, instruction.clbits, instruction.condition
+    )
+
+
 def substitute_resets(circuit: QuantumCircuit) -> QuantumCircuit:
     """Eliminate qubit re-use by giving every reset a fresh qubit.
 
-    The fresh qubits are appended after the original ones, in the order in
-    which the resets appear in the circuit.  Resetting a qubit that is still
-    in its initial |0> state (i.e. was never operated on) is a no-op and does
-    not consume a fresh qubit.
+    The wire-map half of :func:`to_unitary_circuit`'s walk: measurements
+    and classical conditions stay in place.  The fresh qubits are appended
+    after the original ones, in the order in which the resets appear in the
+    circuit.  Resetting a qubit that is still in its initial |0> state (i.e.
+    was never operated on) is a no-op and does not consume a fresh qubit.
 
     A *classically-conditioned* reset cannot be rewired statically (whether
     the role moves to the fresh qubit depends on a run-time value).  It is
@@ -96,76 +212,13 @@ def substitute_resets(circuit: QuantumCircuit) -> QuantumCircuit:
     control and the swap target would coincide, and
     :func:`defer_measurements` reports that.)
     """
-    if circuit.num_resets == 0:
-        return circuit.copy()
-
-    # First pass: rewrite the instruction stream onto a (possibly) larger
-    # qubit index space.  current[q] is the qubit currently playing the role
-    # of original qubit q; every *effective* reset (one whose qubit has been
-    # touched before) advances it to the next fresh index.
-    current = list(range(circuit.num_qubits))
-    touched: set[int] = set()
-    next_fresh = circuit.num_qubits
-    rewritten: list[Instruction] = []
-
-    for instruction in circuit:
-        if instruction.is_reset:
-            original = instruction.qubits[0]
-            if current[original] not in touched:
-                # The qubit is still in |0>; the reset has no effect whether
-                # or not a classical condition would have fired.
-                continue
-            if instruction.condition is not None:
-                # Whether the role qubit is |0> afterwards depends on a
-                # run-time classical value, so plain rewiring would
-                # miscompile the conditional reset into an unconditional
-                # one.  The faithful reconstruction keeps the role on the
-                # current qubit and conditionally swaps its state out into a
-                # fresh |0> ancilla: if the condition fires, the role qubit
-                # ends in |0> and the ancilla carries the discarded state
-                # away; if not, nothing happens.  defer_measurements later
-                # turns this into a quantum-controlled SWAP on the
-                # measurement-source qubits (Fredkin-style rewiring).
-                fresh = next_fresh
-                next_fresh += 1
-                touched.add(fresh)
-                rewritten.append(
-                    Instruction(
-                        SwapGate(),
-                        (current[original], fresh),
-                        (),
-                        instruction.condition,
-                    )
-                )
-                continue
-            current[original] = next_fresh
-            next_fresh += 1
-            continue
-        mapped_qubits = tuple(current[q] for q in instruction.qubits)
-        if not instruction.is_barrier:
-            touched.update(mapped_qubits)
-        rewritten.append(
-            Instruction(instruction.operation, mapped_qubits, instruction.clbits, instruction.condition)
-        )
-
-    num_fresh = next_fresh - circuit.num_qubits
-    result = QuantumCircuit(name=f"{circuit.name}_no_reset")
-    for register in circuit.qregs:
-        result.add_register(register)
-    if num_fresh:
-        result.add_register(
-            QuantumRegister(num_fresh, _fresh_register_name(circuit, "reset_anc"))
-        )
-    for register in circuit.cregs:
-        result.add_register(register)
-    for instruction in rewritten:
-        result.append_instruction(instruction)
-    return result
+    return _rebuild(circuit, defer=False)[0]
 
 
 def defer_measurements(circuit: QuantumCircuit) -> tuple[QuantumCircuit, dict[int, int]]:
     """Delay all measurements to the end of the circuit.
 
+    The clbit-map half of :func:`to_unitary_circuit`'s walk.
     Classically-controlled operations are replaced by quantum-controlled
     operations on the qubits that source the respective classical bits.  The
     circuit must not contain resets (run :func:`substitute_resets` first) and
@@ -179,50 +232,20 @@ def defer_measurements(circuit: QuantumCircuit) -> tuple[QuantumCircuit, dict[in
         raise TransformationError(
             "defer_measurements requires a reset-free circuit; run substitute_resets first"
         )
-
-    result = circuit.copy_empty(name=f"{circuit.name}_deferred")
-
-    # source[c] = qubit whose (pending) measurement defines classical bit c.
-    source: dict[int, int] = {}
-    measured_qubits: set[int] = set()
-
-    for instruction in circuit:
-        if instruction.is_barrier:
-            result.append_instruction(instruction)
-            continue
-        if instruction.is_measurement:
-            qubit = instruction.qubits[0]
-            clbit = instruction.clbits[0]
-            source[clbit] = qubit
-            measured_qubits.add(qubit)
-            continue
-        overlap = measured_qubits.intersection(instruction.qubits)
-        if overlap:
-            raise TransformationError(
-                f"qubit(s) {sorted(overlap)} are used after being measured; the deferred "
-                "measurement principle does not apply (did you forget substitute_resets?)"
-            )
-        if instruction.condition is None:
-            result.append_instruction(instruction)
-            continue
-
-        for converted in _classical_to_quantum_control(instruction, source):
-            result.append_instruction(converted)
-
-    for clbit, qubit in sorted(source.items()):
-        result.measure(qubit, clbit)
-    return result, dict(source)
+    deferred, sources, _ = _rebuild(circuit, defer=True)
+    return deferred, sources
 
 
 def _classical_to_quantum_control(
-    instruction: Instruction, source: dict[int, int]
+    instruction: Instruction, wires: tuple[int, ...], source: dict[int, int]
 ) -> list[Instruction]:
-    """Convert one classically-controlled instruction into quantum-controlled ones.
+    """Convert one classically-controlled instruction, on ``wires``, into
+    quantum-controlled ones.
 
     Returns an empty list when the condition can never be satisfied (it
     requires a classical bit that has not been written to be 1).  A
     controlled *composite* (multi-qubit base gate, e.g. the conditioned SWAP
-    emitted by :func:`substitute_resets`) is factored through the
+    of a conditioned reset) is factored through the
     :data:`~repro.circuit.equivalence_library.StandardEquivalenceLibrary`
     into controlled single-qubit gates every backend accepts natively.
     """
@@ -234,61 +257,63 @@ def _classical_to_quantum_control(
             f"cannot defer the non-gate conditioned operation {instruction!r}"
         )
 
-    control_qubits: list[int] = []
-    control_values: list[int] = []
-    for clbit, required in zip(condition.clbits, condition.bit_values):
-        if clbit in source:
-            control_qubits.append(source[clbit])
-            control_values.append(required)
-        elif required == 1:
-            # The classical bit is still 0 and the condition requires 1: the
-            # operation is never executed.
-            return []
-        # required == 0 on an unwritten bit is trivially satisfied.
+    # Bit k of ctrl_state is the value control k must hold.
+    controls: list[int] = []
+    ctrl_state = 0
+    for position, clbit in enumerate(condition.clbits):
+        required = (condition.value >> position) & 1
+        control = source.get(clbit)
+        if control is None:
+            if required:
+                # The classical bit is still 0 and the condition requires 1:
+                # the operation is never executed.
+                return []
+            # required == 0 on an unwritten bit is trivially satisfied.
+            continue
+        ctrl_state |= required << len(controls)
+        controls.append(control)
 
-    if not control_qubits:
-        return [Instruction(gate, instruction.qubits, instruction.clbits)]
+    if not controls:
+        return [Instruction.prevalidated(gate, wires, instruction.clbits)]
 
-    conflict = set(control_qubits).intersection(instruction.qubits)
+    conflict = set(controls).intersection(wires)
     if conflict:
         raise TransformationError(
             f"cannot convert condition into controls: qubit(s) {sorted(conflict)} would be "
             "both control and target"
         )
-    if len(set(control_qubits)) != len(control_qubits):
+    if len(set(controls)) != len(controls):
         raise TransformationError(
             "condition references the same source qubit twice; cannot convert to controls"
         )
 
-    ctrl_state = 0
-    for position, value in enumerate(control_values):
-        ctrl_state |= value << position
-    controlled = gate.control(len(control_qubits), ctrl_state)
-    operands = tuple(control_qubits) + instruction.qubits
+    controlled = gate.control(len(controls), ctrl_state)
+    operands = tuple(controls) + wires
     if controlled.base_gate.num_qubits > 1:
         from repro.circuit.equivalence_library import StandardEquivalenceLibrary
 
         factored = StandardEquivalenceLibrary.controlled_factoring(controlled)
         if factored is not None:
             return [
-                Instruction(sub_gate, tuple(operands[index] for index in local))
+                Instruction.prevalidated(
+                    sub_gate, tuple([operands[index] for index in local])
+                )
                 for sub_gate, local in factored
             ]
-    return [Instruction(controlled, operands)]
+    return [Instruction.prevalidated(controlled, operands)]
 
 
 def to_unitary_circuit(circuit: QuantumCircuit) -> TransformationResult:
-    """Full unitary reconstruction: reset substitution + deferred measurements."""
+    """Full unitary reconstruction: resets rewired and measurements deferred
+    in one walk over ``circuit``."""
     start = time.perf_counter()
-    without_resets = substitute_resets(circuit)
-    deferred, sources = defer_measurements(without_resets)
-    elapsed = time.perf_counter() - start
+    rebuilt, sources, num_added = _rebuild(circuit, defer=True)
     return TransformationResult(
-        circuit=deferred,
+        circuit=rebuilt,
         num_original_qubits=circuit.num_qubits,
-        num_added_qubits=without_resets.num_qubits - circuit.num_qubits,
+        num_added_qubits=num_added,
         measurement_sources=sources,
-        time_taken=elapsed,
+        time_taken=time.perf_counter() - start,
     )
 
 

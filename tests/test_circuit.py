@@ -143,6 +143,36 @@ class TestDynamicClassification:
         assert circuit.is_dynamic
         assert circuit.num_classically_controlled == 1
 
+    def test_cached_answer_flips_on_append(self):
+        circuit = bell_pair()
+        assert not circuit.is_dynamic
+        circuit.reset(1)
+        assert circuit.is_dynamic
+
+    def test_cached_answer_flips_on_append_instruction(self):
+        circuit = bell_pair()
+        circuit.measure(0, 0)
+        assert not circuit.is_dynamic
+        circuit.append_instruction(circuit.data[0])  # h on the measured qubit
+        assert circuit.is_dynamic
+
+    def test_derived_circuits_answer_for_their_own_instructions(self):
+        import pickle
+
+        dynamic = QuantumCircuit(1, 1)
+        dynamic.h(0)
+        dynamic.measure(0, 0)
+        assert not dynamic.is_dynamic
+        dynamic.reset(0)
+        assert dynamic.is_dynamic
+        assert dynamic.copy().is_dynamic
+        assert pickle.loads(pickle.dumps(dynamic)).is_dynamic
+        assert not dynamic.copy_empty().is_dynamic
+        static = bell_pair()
+        assert not static.is_dynamic
+        static.measure(0, 0)
+        assert not static.remove_final_measurements().is_dynamic
+
     def test_counts(self):
         circuit = QuantumCircuit(2, 2)
         circuit.measure(0, 0)

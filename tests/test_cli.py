@@ -202,6 +202,19 @@ class TestPortfolioAndBatch:
         assert payload["schedule"] == ["construction"]
         assert payload["decided_by"] == "construction"
 
+    def test_manager_flags_do_not_change_the_lineup(self, qasm_files, capsys):
+        # Regression: --verdict-cache ran the default alternating,simulation
+        # lineup for the default --method while --timeout ran alternating
+        # alone.  --method is now the lineup whenever --portfolio is absent.
+        schedules = []
+        for flags in (["--verdict-cache"], ["--timeout", "30"]):
+            code = main(
+                ["verify", qasm_files["bv_static"], qasm_files["bv_dynamic"], *flags, "--json"]
+            )
+            assert code == 0
+            schedules.append(json.loads(capsys.readouterr().out)["schedule"])
+        assert schedules == [["alternating"], ["alternating"]]
+
     @pytest.mark.parametrize("command", ["verify", "batch"])
     def test_there_is_no_scheduler_flag(self, qasm_files, command):
         operands = (

@@ -356,19 +356,24 @@ class TestBudgetsWithoutThreads:
         assert result.criterion is EquivalenceCriterion.NO_INFORMATION
         assert threads.names == []
 
-    def test_overall_timeout_times_out_started_and_skips_the_rest(self, monkeypatch):
+    def test_overall_timeout_times_out_started_and_skips_the_rest(
+        self, monkeypatch, deadline_stepper
+    ):
         threads = _RecordingThreads(monkeypatch)
-        # The construction checker's single step cannot build a 14-qubit
-        # QFT unitary before the deadline, so its interrupt probe fires.
+        # The stub's first step lasts until the run's deadline has passed, on
+        # a static pair that needs no Scheme-1 rebuild, so the first turn
+        # always starts in time and always ends past the deadline.
         manager = EquivalenceCheckingManager(
-            portfolio=("alternating", "construction", "simulation"),
-            timeout=0.05,
+            portfolio=(deadline_stepper.name, "alternating", "simulation"),
+            timeout=0.5,
             seed=SEED,
         )
-        result = manager.run(*_reversed_cx_qft_pair(14))
-        statuses = {status for _, status in _statuses(result)}
-        assert statuses <= {"timeout", "skipped"}
-        assert "timeout" in statuses
+        result = manager.run(ghz_ladder(3), ghz_ladder(3))
+        assert _statuses(result) == [
+            (deadline_stepper.name, "timeout"),
+            ("alternating", "skipped"),
+            ("simulation", "skipped"),
+        ]
         assert result.decided_by is None
         assert "overall timeout" in result.reason
         assert threads.names == []
@@ -388,6 +393,31 @@ class TestBudgetsWithoutThreads:
         for attempt in result.attempts:
             assert attempt.time_taken >= 0.005
         assert result.total_time >= sum(a.time_taken for a in result.attempts)
+
+
+class _DeadlineStepper(Checker):
+    """A prover whose first step waits until its interrupt probe fires."""
+
+    name = "deadline-test"
+
+    def check(self, first, second, configuration, *, interrupt=None):
+        return self.drain(self.steps(first, second, configuration, interrupt=interrupt))
+
+    def steps(self, first, second, configuration, *, interrupt=None):
+        cap = time.perf_counter() + 5.0
+        while interrupt is not None and not interrupt() and time.perf_counter() < cap:
+            time.sleep(0.001)
+        yield 1
+        return CheckerOutcome(EquivalenceCriterion.EQUIVALENT)
+
+
+@pytest.fixture
+def deadline_stepper():
+    register(_DeadlineStepper)
+    try:
+        yield _DeadlineStepper
+    finally:
+        unregister(_DeadlineStepper.name)
 
 
 class _PatientChecker(Checker):

@@ -1,21 +1,31 @@
 """Tests for Scheme 1: unitary reconstruction through circuit transformation."""
 
 import random
+import re
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from repro.algorithms import iterative_qpe, qpe_static, running_example_lambda
-from repro.circuit import QuantumCircuit
+from repro.algorithms import (
+    bernstein_vazirani_dynamic,
+    iterative_qpe,
+    qft_dynamic,
+    qpe_static,
+    running_example_lambda,
+)
+from repro.circuit import ClassicalRegister, QuantumCircuit, QuantumRegister
+from repro.circuit.operations import Instruction
+from repro.core.checkers.base import gate_lists
 from repro.core.transformation import (
     defer_measurements,
     permute_qubits,
     substitute_resets,
     to_unitary_circuit,
 )
-from repro.exceptions import TransformationError
+from repro.exceptions import CircuitError, TransformationError
+from repro.service.fingerprint import circuit_fingerprint
 from repro.simulators.unitary import circuit_unitary, matrices_equal_up_to_global_phase
 
 
@@ -71,12 +81,15 @@ class TestConditionedResets:
         with pytest.raises(TransformationError, match="used after being measured"):
             to_unitary_circuit(self._conditioned_reset_circuit())
 
-    def test_conditioned_reset_on_untouched_qubit_is_dropped(self):
+    def _untouched_conditioned_reset_circuit(self):
         circuit = QuantumCircuit(2, 2)
         circuit.h(0)
         circuit.measure(0, 0)
         circuit.reset(1, condition=(0, 1))  # qubit 1 still |0>: no-op either way
-        substituted = substitute_resets(circuit)
+        return circuit
+
+    def test_conditioned_reset_on_untouched_qubit_is_dropped(self):
+        substituted = substitute_resets(self._untouched_conditioned_reset_circuit())
         assert substituted.num_qubits == 2
         assert all(inst.operation.name != "swap" for inst in substituted)
 
@@ -317,6 +330,217 @@ class TestToUnitaryCircuit:
         assert np.allclose(
             circuit_unitary(result.circuit), circuit_unitary(circuit), atol=1e-12
         )
+
+
+def _value_zero_conditioned_reset_circuit():
+    """A reset that fires on outcome 0, after which its qubit is used again."""
+    circuit = QuantumCircuit(2, 2)
+    circuit.h(0)
+    circuit.h(1)
+    circuit.measure(0, 0)
+    circuit.reset(1, condition=(0, 0))
+    circuit.h(1)
+    circuit.measure(1, 1)
+    return circuit
+
+
+class TestPinnedRebuilds:
+    """The rebuilt circuits are pinned by their structural fingerprint.
+
+    The digests, fresh-wire counts and measurement sources were computed
+    with the two-pass rebuild (``substitute_resets`` then a separate
+    ``defer_measurements`` pass) that the one-pass walk replaced, so any
+    change to the emitted instructions shows here.  A change of
+    ``repro.service.fingerprint``'s canonical form also changes them.
+    """
+
+    @pytest.mark.parametrize(
+        "build,digest,added,sources",
+        [
+            (
+                lambda: qft_dynamic(128),
+                "106da337e986f33e422a3d3f87f5d27927b6521109ba39f4d4fc84013a5e483e",
+                127,
+                {k: k for k in range(128)},
+            ),
+            (
+                lambda: iterative_qpe(50, running_example_lambda),
+                "70a77ee5f619cdeb294d436ae9e41fe040abdd4946fd696ed42463df6eb23b73",
+                49,
+                {k: k + 1 for k in range(50)},
+            ),
+            (
+                lambda: bernstein_vazirani_dynamic("1101" * 32),
+                "96cc811d8e641ac36f7101de993ef65f29cb98e709928064a34adc8daad5a650",
+                127,
+                {k: k + 1 for k in range(128)},
+            ),
+            (
+                TestConditionedResets()._cross_qubit_conditioned_reset_circuit,
+                "880fe38ae5a6ebbbde2df95dd0cf6f2be4093d2cd521c14b6503a3321542c57b",
+                1,
+                {0: 0, 1: 1},
+            ),
+            (
+                TestConditionedResets()._untouched_conditioned_reset_circuit,
+                "2bb98f233c65b301d511a35901c569df22dc445c1d3762b61bf9f3514965b681",
+                0,
+                {0: 0},
+            ),
+            (
+                _value_zero_conditioned_reset_circuit,
+                "82233840398a1b5551624fc267a213825752ba647a51f19f69bdd101efa4f7e8",
+                1,
+                {0: 0, 1: 1},
+            ),
+        ],
+        ids=["qft_128", "qpe_50", "bv_128", "cross_qubit", "untouched", "value_zero"],
+    )
+    def test_rebuild_is_pinned(self, build, digest, added, sources):
+        result = to_unitary_circuit(build())
+        assert circuit_fingerprint(result.circuit) == digest
+        assert result.num_added_qubits == added
+        assert result.measurement_sources == sources
+        assert result.fresh_qubits == tuple(
+            range(result.num_original_qubits, result.num_original_qubits + added)
+        )
+        assert not result.circuit.is_dynamic
+
+
+_CONDITIONABLE = ("h", "x", "s", "t", "sx")
+
+
+@st.composite
+def _dynamic_circuits(draw):
+    """Small dynamic circuits: resets, mid-circuit measurements, conditions
+    on one or several bits, barriers and multi-qubit gates, including the
+    shapes the rebuild rejects (a measured qubit reused, a condition that
+    controls its own target)."""
+    num_qubits = draw(st.integers(1, 3))
+    num_clbits = draw(st.integers(1, 3))
+    if draw(st.booleans()):
+        circuit = QuantumCircuit(num_qubits, num_clbits)
+    else:
+        circuit = QuantumCircuit(
+            QuantumRegister(num_qubits, "q"),
+            *[ClassicalRegister(1, f"c{k}") for k in range(num_clbits)],
+        )
+    qubit = st.integers(0, num_qubits - 1)
+    for _ in range(draw(st.integers(1, 10))):
+        condition = None
+        if draw(st.integers(0, 2)) == 0:
+            bits = draw(st.lists(st.integers(0, num_clbits - 1), min_size=1, unique=True))
+            condition = (bits, draw(st.integers(0, (1 << len(bits)) - 1)))
+        kind = draw(st.sampled_from(("gate", "two", "measure", "reset", "barrier")))
+        if kind == "gate":
+            getattr(circuit, draw(st.sampled_from(_CONDITIONABLE)))(
+                draw(qubit), condition=condition
+            )
+        elif kind == "two" and num_qubits >= 2:
+            first, second = draw(st.permutations(range(num_qubits)))[:2]
+            name = draw(st.sampled_from(("cx", "swap")))
+            getattr(circuit, name)(first, second, condition=condition)
+        elif kind == "measure":
+            circuit.measure(draw(qubit), draw(st.integers(0, num_clbits - 1)))
+        elif kind == "reset":
+            circuit.reset(draw(qubit), condition=condition)
+        elif kind == "barrier":
+            circuit.barrier(draw(qubit))
+    return circuit
+
+
+def _outcome(function, circuit):
+    try:
+        return function(circuit)
+    except TransformationError as error:
+        return str(error)
+
+
+def _layout(circuit):
+    return [(reg.name, reg.size) for reg in circuit.qregs + circuit.cregs]
+
+
+def _same_source_twice_circuit():
+    """A condition on two bits that one qubit wrote: no controlled form."""
+    circuit = QuantumCircuit(2, 2)
+    circuit.h(0)
+    circuit.measure(0, 0)
+    circuit.measure(0, 1)
+    circuit.x(1, condition=([0, 1], 3))
+    return circuit
+
+
+class TestOnePassRebuild:
+    @settings(max_examples=200, deadline=None)
+    @given(circuit=_dynamic_circuits())
+    @example(circuit=_same_source_twice_circuit())
+    def test_one_pass_equals_its_two_views_composed(self, circuit):
+        one_pass = _outcome(to_unitary_circuit, circuit)
+        composed = _outcome(lambda c: defer_measurements(substitute_resets(c)), circuit)
+        if isinstance(one_pass, str) or isinstance(composed, str):
+            assert one_pass == composed
+            return
+        deferred, sources = composed
+        assert list(one_pass.circuit) == list(deferred)
+        assert one_pass.circuit.name == deferred.name
+        assert _layout(one_pass.circuit) == _layout(deferred)
+        assert one_pass.measurement_sources == sources
+        assert one_pass.num_added_qubits == deferred.num_qubits - circuit.num_qubits
+        assert len(one_pass.fresh_qubits) == one_pass.num_added_qubits
+        assert not one_pass.circuit.is_dynamic
+
+    @settings(max_examples=200, deadline=None)
+    @given(circuit=_dynamic_circuits())
+    def test_rebuilt_instructions_pass_validation(self, circuit):
+        rebuilt = [substitute_resets(circuit)]
+        unitary = _outcome(to_unitary_circuit, circuit)
+        if not isinstance(unitary, str):
+            rebuilt.append(unitary.circuit)
+        for result in rebuilt:
+            checked = result.copy_empty()
+            for instruction in result:
+                assert all(type(q) is int for q in instruction.qubits + instruction.clbits)
+                again = Instruction(
+                    instruction.operation,
+                    instruction.qubits,
+                    instruction.clbits,
+                    instruction.condition,
+                )
+                checked.append_instruction(again)
+                assert again == instruction
+            assert checked.num_qubits == result.num_qubits
+
+    @settings(max_examples=100, deadline=None)
+    @given(circuit=_dynamic_circuits())
+    def test_gate_lists_strip_what_remove_final_measurements_strips(self, circuit):
+        # The checkers' one-walk gate streams against the two-step reference.
+        rebuilt = _outcome(to_unitary_circuit, circuit)
+        circuits = [circuit] if isinstance(rebuilt, str) else [circuit, rebuilt.circuit]
+        for candidate in circuits:
+            try:
+                expected = list(candidate.remove_final_measurements().gate_instructions())
+            except CircuitError as error:
+                with pytest.raises(CircuitError, match=re.escape(str(error))):
+                    gate_lists(candidate, candidate)
+                continue
+            left, right = gate_lists(candidate, candidate)
+            assert left == right == expected
+            assert all(a is b for a, b in zip(left, expected))
+
+    def test_same_source_twice_raises(self):
+        with pytest.raises(TransformationError, match="same source qubit twice"):
+            to_unitary_circuit(_same_source_twice_circuit())
+
+    def test_unmoved_instructions_are_reused(self):
+        circuit = QuantumCircuit(2, 2)
+        circuit.h(0)
+        circuit.measure(0, 0)
+        circuit.reset(0)
+        circuit.cx(1, 0)
+        rebuilt = to_unitary_circuit(circuit).circuit
+        assert rebuilt[0] is circuit[0]
+        assert rebuilt[1] == Instruction(circuit[3].operation, (1, 2))
+        assert rebuilt[1] is not circuit[3]
 
 
 class TestPermuteQubits:
