@@ -82,9 +82,13 @@ def translation_levels(circuit):
 
 
 def bench_family(name: str, build, repeats: int) -> tuple[list[dict], dict]:
-    """Both modes over one Table-1 family; returns entries + speedups."""
-    circuit = build()
-    levels = translation_levels(circuit)
+    """Both modes over one Table-1 family; returns entries + speedups.
+
+    Every repeat builds its circuits afresh: circuits keep their fingerprint
+    forms, so reused ones would carry them into the next repeat.  Within a
+    canonical-hit walk, the levels share the first circuit, as a caller
+    re-verifying one circuit against its translations does.
+    """
     entries = []
     criteria_by_mode: dict[str, list[str]] = {}
     times_by_mode: dict[str, list[float]] = {}
@@ -93,6 +97,7 @@ def bench_family(name: str, build, repeats: int) -> tuple[list[dict], dict]:
     # and must decide each level before the falsifier starts.
     times = []
     for _ in range(repeats):
+        levels = translation_levels(build())
         criteria = []
         total = 0.0
         for position, pair in enumerate(levels):
@@ -115,6 +120,7 @@ def bench_family(name: str, build, repeats: int) -> tuple[list[dict], dict]:
     # levels must hit through the canonical fingerprint tier.
     times = []
     for _ in range(repeats):
+        levels = translation_levels(build())
         manager = EquivalenceCheckingManager(seed=SEED, verdict_cache=True)
         criteria = []
         canonical_hits = 0

@@ -3,10 +3,11 @@
 Two workloads measure what the verdict cache buys a long-running service:
 
 * ``qft_rerun``  — cold vs warm verification of the Table-1 QFT pair (static
-  vs dynamic realization).  Cold builds a fresh manager per repeat; warm
-  re-runs through a primed cache.  The warm path must be **>= 10x** faster —
-  a cache hit skips scheduling and every checker — and must return the same
-  criterion (verdict stability fails the script, timing noise never does).
+  vs dynamic realization).  Cold builds a fresh manager and a fresh pair
+  per repeat; warm re-runs the same pair through the primed cache.  The
+  warm path must be **>= 10x** faster — a cache hit skips scheduling and
+  every checker — and must return the same criterion (verdict stability
+  fails the script, timing noise never does).
 * ``dedup_batch`` — a duplicate-heavy batch (20 pairs, 4 distinct, the shape
   of CI re-runs) through ``verify_batch`` with and without the cache.  The
   deduped run must agree entry-for-entry with the plain run and must show at
@@ -15,9 +16,10 @@ Two workloads measure what the verdict cache buys a long-running service:
   by concurrent clients against ``VerificationServer`` (long-poll
   collection).  Every HTTP verdict must equal an in-process
   ``EquivalenceCheckingManager(seed=SEED)`` run on the same pair (drift fails
-  the script), and a warm-cache verdict must cost one HTTP request, counted
-  by the server's ``repro_http_requests_total``; throughput is recorded,
-  never gated — timing noise must not fail CI.
+  the script), a warm-cache verdict must cost one HTTP request, counted
+  by the server's ``repro_http_requests_total``, and both of its QASM texts
+  must be parse-memo hits (``/stats`` ``parse_memo``); throughput is
+  recorded, never gated — timing noise must not fail CI.
 
 Results are emitted as ``BENCH_service.json`` (schema shared via
 ``bench_common.validate_bench_payload``).
@@ -75,10 +77,13 @@ def bench_qft_rerun(sizes: list[int], repeats: int) -> tuple[list[dict], dict]:
     entries = []
     speedups: dict[str, float] = {}
     for size in sizes:
-        pair = (qft_static_benchmark(size), qft_dynamic(size))
         cold_times, warm_times = [], []
         criteria = set()
         for _ in range(repeats):
+            # A fresh pair per cold run: circuits keep their fingerprint
+            # forms, so a reused pair would carry them into the next "cold"
+            # run.  The warm rerun keeps the same objects, as a caller does.
+            pair = (qft_static_benchmark(size), qft_dynamic(size))
             manager = EquivalenceCheckingManager(seed=SEED, verdict_cache=True)
             elapsed, result = _time_ms(lambda: manager.run(*pair))
             cold_times.append(elapsed)
@@ -180,7 +185,8 @@ def bench_server_throughput(
     agreement with an in-process manager on the same pairs; throughput is
     informational.  After the timed drive, each distinct pair is verified
     once more through the warm cache, and the HTTP requests the server
-    answered for those verdicts are counted: more than one per verdict fails.
+    answered for those verdicts are counted: more than one per verdict fails,
+    and so does a QASM text that the server parses again.
     """
     distinct = duplicate_heavy_pairs()[:4]
     pairs = [duplicate_heavy_pairs()[index % 20] for index in range(num_requests)]
@@ -215,13 +221,23 @@ def bench_server_throughput(
             for thread in threads:
                 thread.join()
             times.append((time.perf_counter() - start) * 1000.0)
+            memo_before = server.service.stats()["parse_memo"]
             requests_per_verdict = _warm_requests_per_verdict(server, distinct)
+            memo_after = server.service.stats()["parse_memo"]
         finally:
             server.close()
         if requests_per_verdict > MAX_WARM_REQUESTS_PER_VERDICT:
             raise RuntimeError(
                 f"a warm-cache verdict took {requests_per_verdict:g} HTTP requests "
                 f"(allowed: {MAX_WARM_REQUESTS_PER_VERDICT:g})"
+            )
+        memo_hits = memo_after["hits"] - memo_before["hits"]
+        memo_misses = memo_after["misses"] - memo_before["misses"]
+        if memo_misses or memo_hits != 2 * len(distinct):
+            raise RuntimeError(
+                f"warm re-verification parsed {memo_misses} QASM text(s) again "
+                f"({memo_hits} parse-memo hits for {len(distinct)} pairs; every "
+                "text must be a hit)"
             )
         if verdicts != expected:
             raise RuntimeError(

@@ -102,6 +102,11 @@ class QuantumCircuit:
         # the _data of an existing circuit resets it to None; a new circuit
         # starts at None.
         self._dynamic: bool | None = None
+        # Fingerprint form texts by kind, filled by repro.service.fingerprint
+        # on first use.  Cleared wherever _dynamic is reset and by
+        # add_register (the bit counts are part of every form); never
+        # pickled.
+        self._forms: dict[str, str | None] = {}
 
         int_count = 0
         for reg in regs:
@@ -129,6 +134,7 @@ class QuantumCircuit:
 
     def add_register(self, register: QuantumRegister | ClassicalRegister) -> None:
         """Add a register (its bits are appended to the flat bit lists)."""
+        self._forms.clear()
         if isinstance(register, QuantumRegister):
             if any(r.name == register.name for r in self._qregs):
                 raise CircuitError(f"duplicate quantum register name {register.name!r}")
@@ -340,6 +346,7 @@ class QuantumCircuit:
         )
         self._data.append(instruction)
         self._dynamic = None
+        self._forms.clear()
         return instruction
 
     def append_instruction(self, instruction: Instruction) -> Instruction:
@@ -353,6 +360,7 @@ class QuantumCircuit:
                 self.clbit_index(c)
         self._data.append(instruction)
         self._dynamic = None
+        self._forms.clear()
         return instruction
 
     # -- single-qubit gates -------------------------------------------------
@@ -644,17 +652,18 @@ class QuantumCircuit:
         """Return a copy without the trailing measurement layer.
 
         Only measurements that are not followed by any further operation on
-        the measured qubit are removed (i.e. genuine read-out measurements).
+        the measured qubit other than measurements are removed (i.e. genuine
+        read-out measurements, including a qubit read into several bits).
         """
         keep: list[Instruction] = []
         last_use: dict[int, int] = {}
         for position, inst in enumerate(self._data):
-            if inst.is_barrier:
+            if inst.is_barrier or inst.is_measurement:
                 continue
             for q in inst.qubits:
                 last_use[q] = position
         for position, inst in enumerate(self._data):
-            if inst.is_measurement and last_use.get(inst.qubits[0]) == position:
+            if inst.is_measurement and last_use.get(inst.qubits[0], -1) < position:
                 continue
             keep.append(inst)
         other = self.copy_empty()

@@ -138,14 +138,14 @@ def route_circuit(
     instructions = list(circuit)
     last_use: dict[int, int] = {}
     for position, instruction in enumerate(instructions):
-        if instruction.is_barrier:
+        if instruction.is_barrier or instruction.is_measurement:
             continue
         for qubit in instruction.qubits:
             last_use[qubit] = position
     tail_positions = {
         position
         for position, instruction in enumerate(instructions)
-        if instruction.is_measurement and last_use.get(instruction.qubits[0]) == position
+        if instruction.is_measurement and last_use.get(instruction.qubits[0], -1) < position
     }
     body = [inst for position, inst in enumerate(instructions) if position not in tail_positions]
     tail = [inst for position, inst in enumerate(instructions) if position in tail_positions]

@@ -285,7 +285,8 @@ def _gate_stream(circuit: "QuantumCircuit") -> list[Instruction]:
     in one backward walk that builds no intermediate circuit.
 
     Walking backwards, a measurement is a read-out one when no later
-    instruction other than a barrier acts on its qubit.
+    instruction other than a barrier or a measurement acts on its qubit, so
+    a qubit measured into several bits at the end loses all of them.
     """
     gates: list[Instruction] = []
     used_later: set[int] = set()
@@ -294,7 +295,6 @@ def _gate_stream(circuit: "QuantumCircuit") -> list[Instruction]:
         if instruction.is_barrier:
             continue
         if instruction.is_measurement and instruction.qubits[0] not in used_later:
-            used_later.add(instruction.qubits[0])
             continue
         used_later.update(instruction.qubits)
         if instruction.is_gate and instruction.condition is None:

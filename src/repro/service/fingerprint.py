@@ -15,6 +15,13 @@ a verdict:
   ``pi/2`` and re-imports as ``math.pi / 2`` fingerprints identically;
 * barriers, which are semantically inert and are skipped.
 
+A circuit keeps the ``repr`` text of its canonical form, and of the form of
+its canonicalized circuit, once computed (``QuantumCircuit._forms``, cleared
+by every ``append``, ``append_instruction`` and ``add_register``).  A pair
+digest is assembled from those texts as exactly the ``repr`` of the form
+tuple, so a circuit fingerprinted twice is walked once and every digest is
+byte-identical to one hashed from the tuple itself.
+
 Anything that *can* change a verdict is part of the key: gate names,
 parameters, operand order, control states, classical conditions, qubit/clbit
 counts, the order of the two circuits in a pair, and the configuration
@@ -168,12 +175,59 @@ def _digest(form: tuple) -> str:
     # repr() of the canonical form is deterministic across processes and
     # interpreter runs: it only ever contains str/int/bool/None/float leaves
     # inside tuples, and floats round-trip exactly through repr.
-    return hashlib.sha256(repr(form).encode("utf-8")).hexdigest()
+    return _sha256(repr(form))
+
+
+def _sha256(text: str) -> str:
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
+def _form_text(circuit: "QuantumCircuit") -> str:
+    """``repr(canonical_circuit_form(circuit))``, kept on the circuit."""
+    forms = circuit._forms
+    text = forms.get("raw")
+    if text is None:
+        text = forms["raw"] = repr(canonical_circuit_form(circuit))
+    return text
+
+
+def _canonicalized_form_text(circuit: "QuantumCircuit") -> str | None:
+    """The form text of ``canonicalize(circuit)``, kept on the circuit.
+
+    None when the circuit cannot be canonicalized (remembered too).
+    """
+    forms = circuit._forms
+    if "canonical" in forms:
+        return forms["canonical"]
+    from repro.compilation.canonical import canonicalize
+
+    try:
+        text = repr(canonical_circuit_form(canonicalize(circuit)))
+    except Exception:  # noqa: BLE001 - canonical tier is best-effort
+        text = None
+    forms["canonical"] = text
+    return text
+
+
+def _pair_digest(
+    tag: str, first: str, second: str, configuration: "Configuration | None"
+) -> str:
+    """``_digest((_FORM_VERSION, tag, form1, form2, configuration form))``
+    from the two circuits' form texts: the joined text is exactly that
+    tuple's ``repr``."""
+    parts = (
+        repr(_FORM_VERSION),
+        repr(tag),
+        first,
+        second,
+        repr(canonical_configuration_form(configuration)),
+    )
+    return _sha256("(" + ", ".join(parts) + ")")
 
 
 def circuit_fingerprint(circuit: "QuantumCircuit") -> str:
     """SHA-256 hex digest of a circuit's canonical structural form."""
-    return _digest(canonical_circuit_form(circuit))
+    return _sha256(_form_text(circuit))
 
 
 def configuration_fingerprint(configuration: "Configuration | None") -> str:
@@ -192,15 +246,7 @@ def pair_fingerprint(
     their order (swapping the operands is a different check), and every
     configuration field that can influence the criterion.
     """
-    return _digest(
-        (
-            _FORM_VERSION,
-            "pair",
-            canonical_circuit_form(first),
-            canonical_circuit_form(second),
-            canonical_configuration_form(configuration),
-        )
-    )
+    return _pair_digest("pair", _form_text(first), _form_text(second), configuration)
 
 
 def canonical_pair_fingerprint(
@@ -225,19 +271,10 @@ def canonical_pair_fingerprint(
     """
     if not canonical_fingerprints_sound_for(configuration):
         return None
-    from repro.compilation.canonical import canonicalize
-
-    try:
-        canonical_first = canonicalize(first)
-        canonical_second = canonicalize(second)
-    except Exception:  # noqa: BLE001 - canonical tier is best-effort
+    first_text = _canonicalized_form_text(first)
+    if first_text is None:
         return None
-    return _digest(
-        (
-            _FORM_VERSION,
-            "canonical-pair",
-            canonical_circuit_form(canonical_first),
-            canonical_circuit_form(canonical_second),
-            canonical_configuration_form(configuration),
-        )
-    )
+    second_text = _canonicalized_form_text(second)
+    if second_text is None:
+        return None
+    return _pair_digest("canonical-pair", first_text, second_text, configuration)

@@ -17,15 +17,17 @@ service directly.
 
 from __future__ import annotations
 
+import hashlib
 import math
 import random
 import threading
 import time
-from collections import deque
+from collections import OrderedDict, deque
 from dataclasses import dataclass, field
 from concurrent.futures import ThreadPoolExecutor
 from typing import Callable
 
+from repro.circuit.circuit import QuantumCircuit
 from repro.circuit.qasm import circuit_from_qasm
 from repro.core.configuration import Configuration
 from repro.core.manager import EquivalenceCheckingManager
@@ -37,7 +39,7 @@ from repro.resilience.breaker import STATE_VALUES
 from repro.resilience.retry import RetryPolicy
 from repro.service.fingerprint import fingerprints_sound_for, pair_fingerprint
 
-__all__ = ["VerificationJob", "VerificationService"]
+__all__ = ["ParseMemo", "VerificationJob", "VerificationService"]
 
 _log = get_logger("service.server")
 
@@ -46,10 +48,63 @@ _log = get_logger("service.server")
 #: misbehaving client from making the server buffer arbitrary data.
 _MAX_BODY_BYTES = 32 * 1024 * 1024
 
+#: Bounds of the service's parse memo: the total characters of the QASM
+#: texts whose circuits it holds, and the longest text it memoizes (a longer
+#: one is parsed on every submission).  The sender chooses the texts, so
+#: these constants, not the body limit, bound the memo's memory.
+PARSE_MEMO_CHARS = 32 * 1024
+PARSE_MEMO_MAX_TEXT = 8 * 1024
+
 #: Cap on ``?wait=`` long-polls: a client asking for more still gets its
 #: (possibly 409) answer after this many seconds and may simply re-issue the
 #: request.  Bounds how long one request can hold its connection.
 MAX_LONG_POLL_SECONDS = 30.0
+
+
+class ParseMemo:
+    """Parsed circuits of recently submitted QASM texts, in LRU order.
+
+    Keyed by the SHA-256 of the text, so the memo holds no text.  The
+    entries' texts total at most ``max_chars`` characters; a text longer
+    than ``max_text`` and a text that fails to parse are never memoized.
+    A memoized circuit is shared by every job that sends its text, so
+    nothing downstream may mutate it.
+    """
+
+    def __init__(self, max_chars: int = PARSE_MEMO_CHARS, max_text: int = PARSE_MEMO_MAX_TEXT):
+        self.max_chars = max_chars
+        self.max_text = max_text
+        self._entries: OrderedDict[bytes, tuple[QuantumCircuit, int]] = OrderedDict()
+        self._lock = threading.Lock()
+        self.chars = 0
+
+    def lookup(self, text: str) -> tuple[bytes, QuantumCircuit | None]:
+        """The memo key of ``text`` and its circuit, None when not held."""
+        # surrogatepass: a lone surrogate from a JSON body must reach the
+        # parser (and its 400), not fail here.
+        key = hashlib.sha256(text.encode("utf-8", "surrogatepass")).digest()
+        with self._lock:
+            entry = self._entries.get(key)
+            if entry is None:
+                return key, None
+            self._entries.move_to_end(key)
+            return key, entry[0]
+
+    def store(self, key: bytes, circuit: QuantumCircuit, size: int) -> None:
+        """Hold the circuit parsed from a text of ``size`` characters."""
+        if size > self.max_text:
+            return
+        with self._lock:
+            if key in self._entries:
+                return
+            self._entries[key] = (circuit, size)
+            self.chars += size
+            while self.chars > self.max_chars:
+                _, (_, evicted) = self._entries.popitem(last=False)
+                self.chars -= evicted
+
+    def __len__(self) -> int:
+        return len(self._entries)
 
 
 @dataclass
@@ -173,6 +228,7 @@ class VerificationService:
         self.job_retries = job_retries
         self.job_retries_performed = 0
         self._draining = False
+        self.parse_memo = ParseMemo()
         self.metrics = metrics if metrics is not None else MetricsRegistry()
         self._register_metrics()
         # The manager observes per-checker latency histograms and cache-hit
@@ -184,6 +240,11 @@ class VerificationService:
         self._m_submitted = registry.counter(
             "repro_service_submissions_total",
             "Circuit-pair submissions accepted by the job queue.",
+        )
+        self._m_parse_memo = registry.counter(
+            "repro_qasm_parse_memo_total",
+            "QASM texts of submissions, by whether the parse memo held them.",
+            labelnames=("result",),
         )
         self._m_coalesced = registry.counter(
             "repro_service_coalesced_total",
@@ -356,16 +417,29 @@ class VerificationService:
     ) -> dict:
         """Parse and queue a pair given as OpenQASM 2 text.
 
-        Returns the ``POST /jobs`` payload.  A malformed circuit raises
-        :class:`ServiceError` with status 400 — submission errors belong to
-        the submitter, not to the job queue.
+        Returns the ``POST /jobs`` payload.  Each text is parsed once while
+        the :class:`ParseMemo` holds it: a resent text reuses its circuit,
+        and with it the fingerprint forms the circuit keeps.  A malformed
+        circuit raises :class:`ServiceError` with status 400 on every
+        submission — submission errors belong to the submitter, not to the
+        job queue.
         """
         try:
-            first = circuit_from_qasm(first_qasm)
-            second = circuit_from_qasm(second_qasm)
+            first = self._parse(first_qasm)
+            second = self._parse(second_qasm)
         except ReproError as error:
             raise ServiceError(f"invalid circuit payload: {error}", status=400) from error
         return self.submit(first, second, traceparent=traceparent)
+
+    def _parse(self, text: str) -> QuantumCircuit:
+        key, circuit = self.parse_memo.lookup(text)
+        if circuit is not None:
+            self._m_parse_memo.inc(result="hit")
+            return circuit
+        self._m_parse_memo.inc(result="miss")
+        circuit = circuit_from_qasm(text)
+        self.parse_memo.store(key, circuit, len(text))
+        return circuit
 
     def submit(self, first, second, *, traceparent: str | None = None) -> dict:
         """Queue one circuit pair; identical in-flight submissions coalesce.
@@ -812,6 +886,12 @@ class VerificationService:
                 "pruned": len(self._pruned),
                 "jobs": by_status,
                 "cache": cache_stats,
+                "parse_memo": {
+                    "hits": int(self._m_parse_memo.value(result="hit")),
+                    "misses": int(self._m_parse_memo.value(result="miss")),
+                    "entries": len(self.parse_memo),
+                    "chars": self.parse_memo.chars,
+                },
                 "canonicalization": {
                     "enabled": self.configuration.canonicalize,
                     "cache_hits": int(

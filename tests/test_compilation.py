@@ -239,6 +239,18 @@ class TestRouting:
         result = route_circuit(circuit, linear_coupling(3))
         assert_equivalent(circuit, result.circuit)
 
+    def test_a_qubit_read_into_two_bits_stays_read_out(self):
+        circuit = QuantumCircuit(3, 2)
+        circuit.h(0)
+        circuit.cx(0, 2)
+        circuit.measure(0, 0)
+        circuit.measure(0, 1)
+        result = route_circuit(circuit, linear_coupling(3))
+        assert result.num_swaps >= 1
+        assert not result.circuit.is_dynamic
+        assert [inst.operation.name for inst in result.circuit][-2:] == ["measure"] * 2
+        assert_equivalent(circuit, result.circuit)
+
     def test_too_many_logical_qubits_raises(self):
         with pytest.raises(CompilationError):
             route_circuit(QuantumCircuit(6), ibmq_london())

@@ -115,6 +115,66 @@ class TestScheme1FunctionalVerification:
             check_equivalence(qpe_static(3), iterative_qpe(2))
 
 
+def _read_twice(mutant: bool = False) -> QuantumCircuit:
+    """``h q0`` read into two bits at the end (an ``x`` first for the mutant)."""
+    circuit = QuantumCircuit(1, 2)
+    circuit.h(0)
+    if mutant:
+        circuit.x(0)
+    circuit.measure(0, 0)
+    circuit.measure(0, 1)
+    return circuit
+
+
+class TestQubitReadIntoSeveralBits:
+    """Every measurement after a qubit's last other instruction is read-out."""
+
+    def test_equivalent_pair(self):
+        result = check_equivalence(_read_twice(), _read_twice())
+        assert result.criterion is EquivalenceCriterion.EQUIVALENT
+
+    def test_mutant_is_refuted(self):
+        result = check_equivalence(_read_twice(), _read_twice(mutant=True))
+        assert result.criterion is EquivalenceCriterion.NOT_EQUIVALENT
+
+    def test_default_manager_proves_it_through_alternating(self):
+        from repro.core import EquivalenceCheckingManager
+
+        result = EquivalenceCheckingManager(seed=0).run(_read_twice(), _read_twice())
+        assert result.criterion is EquivalenceCriterion.EQUIVALENT
+        assert result.decided_by == "alternating"
+
+    def test_remove_final_measurements_strips_every_read(self):
+        circuit = _read_twice()
+        assert [inst.operation.name for inst in circuit.remove_final_measurements()] == ["h"]
+        # A measurement followed by a gate on its qubit stays.
+        circuit.x(0)
+        assert [
+            inst.operation.name for inst in circuit.remove_final_measurements()
+        ] == ["h", "measure", "measure", "x"]
+
+    def test_rebuild_that_emits_a_double_read(self):
+        # The condition reads c0, so the rebuild defers both measurements of
+        # q0 to its end: q0 is read into c0 and c1 there.
+        dynamic = QuantumCircuit(2, 2)
+        dynamic.h(0)
+        dynamic.measure(0, 0)
+        dynamic.measure(0, 1)
+        dynamic.x(1, condition=(0, 1))
+        rebuilt = to_unitary_circuit(dynamic).circuit
+        tail = [(inst.operation.name, inst.qubits) for inst in rebuilt][-2:]
+        assert tail == [("measure", (0,)), ("measure", (0,))]
+        static = QuantumCircuit(2, 2)
+        static.h(0)
+        static.cx(0, 1)
+        static.measure(0, 0)
+        static.measure(0, 1)
+        assert check_equivalence(static, dynamic).criterion is EquivalenceCriterion.EQUIVALENT
+        wrong = static.copy()
+        wrong.x(1)
+        assert check_equivalence(wrong, dynamic).criterion is EquivalenceCriterion.NOT_EQUIVALENT
+
+
 class TestScheme2BehaviouralVerification:
     @pytest.mark.parametrize("hidden", ["1", "101", "1101"])
     def test_bernstein_vazirani(self, hidden):

@@ -433,6 +433,143 @@ class TestServiceInProcess:
             service.shutdown()
 
 
+class TestParseMemo:
+    """The service parses each distinct QASM text once while it holds it."""
+
+    @staticmethod
+    def _count_parses(monkeypatch) -> list[str]:
+        from repro.service import server as server_module
+
+        parsed: list[str] = []
+        original = server_module.circuit_from_qasm
+
+        def counting(text):
+            parsed.append(text)
+            return original(text)
+
+        monkeypatch.setattr(server_module, "circuit_from_qasm", counting)
+        return parsed
+
+    def test_a_resent_text_is_parsed_once(self, monkeypatch):
+        parsed = self._count_parses(monkeypatch)
+        first, second = ghz_ladder(3).to_qasm(), ghz_with_bug(3).to_qasm()
+        service = VerificationService(Configuration(seed=SEED, max_workers=1))
+        try:
+            for _ in range(3):
+                job = service.submit_qasm(first, second)["job_id"]
+                assert service.wait_settled(job, 30.0)
+                assert service.job_result(job)["criterion"] == "not_equivalent"
+            assert parsed == [first, second]
+            assert service.stats()["parse_memo"] == {
+                "hits": 4,
+                "misses": 2,
+                "entries": 2,
+                "chars": len(first) + len(second),
+            }
+            rendered = service.metrics.render()
+            assert 'repro_qasm_parse_memo_total{result="hit"} 4' in rendered
+            assert 'repro_qasm_parse_memo_total{result="miss"} 2' in rendered
+        finally:
+            service.shutdown()
+
+    def test_the_memo_never_holds_more_than_its_bound(self):
+        from repro.service.server import ParseMemo, circuit_from_qasm
+
+        memo = ParseMemo(max_chars=600, max_text=300)
+        texts = [ghz_ladder(size).to_qasm() for size in range(2, 12)]
+        assert all(len(text) <= 300 for text in texts)
+        for text in texts * 2:
+            key, circuit = memo.lookup(text)
+            if circuit is None:
+                memo.store(key, circuit_from_qasm(text), len(text))
+            assert memo.chars <= 600
+            assert memo.lookup(text)[1] is not None  # the newest is kept
+        held = [text for text in texts if memo.lookup(text)[1] is not None]
+        assert memo.chars == sum(len(text) for text in held)
+        assert len(memo) == len(held) < len(texts)
+
+    def test_concurrent_lookups_and_stores_keep_the_bound(self):
+        import sys
+
+        from repro.service.server import ParseMemo, circuit_from_qasm
+
+        memo = ParseMemo(max_chars=700, max_text=300)
+        texts = [ghz_ladder(size).to_qasm() for size in range(2, 12)]
+        circuits = {text: circuit_from_qasm(text) for text in texts}
+        wrong: list[str] = []
+
+        def hammer(offset):
+            for step in range(300):
+                text = texts[(offset + step) % len(texts)]
+                key, held = memo.lookup(text)
+                if held is None:
+                    memo.store(key, circuits[text], len(text))
+                elif held is not circuits[text]:
+                    wrong.append(text)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [
+                threading.Thread(target=hammer, args=(offset,)) for offset in range(8)
+            ]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60.0)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert wrong == []
+        held = [text for text in texts if memo.lookup(text)[1] is not None]
+        assert memo.chars == sum(len(text) for text in held) <= 700
+        assert len(memo) == len(held)
+
+    def test_an_oversized_text_is_parsed_every_time(self, monkeypatch):
+        from repro.service.server import ParseMemo
+
+        parsed = self._count_parses(monkeypatch)
+        small, large = ghz_ladder(2).to_qasm(), ghz_ladder(12).to_qasm()
+        service = VerificationService(Configuration(seed=SEED, max_workers=1))
+        service.parse_memo = ParseMemo(max_chars=4 * len(large), max_text=len(large) - 1)
+        try:
+            for _ in range(3):
+                job = service.submit_qasm(large, large)["job_id"]
+                assert service.wait_settled(job, 30.0)
+                service.submit_qasm(small, small)
+            assert parsed.count(large) == 6
+            assert parsed.count(small) == 1
+            assert len(service.parse_memo) == 1
+        finally:
+            service.shutdown()
+
+    def test_a_malformed_text_is_400_every_time_and_never_held(self, monkeypatch):
+        parsed = self._count_parses(monkeypatch)
+        bad, good = "OPENQASM 2.0; nonsense", ghz_ladder(2).to_qasm()
+        service = VerificationService(Configuration(seed=SEED, max_workers=1))
+        try:
+            for _ in range(3):
+                with pytest.raises(ServiceError) as excinfo:
+                    service.submit_qasm(good, bad)
+                assert excinfo.value.status == 400
+            assert parsed.count(bad) == 3
+            assert parsed.count(good) == 1
+            assert len(service.parse_memo) == 1
+            assert service.stats()["parse_memo"]["misses"] == 4
+        finally:
+            service.shutdown()
+
+    def test_stats_endpoint_reports_the_memo(self, client):
+        first, second = ghz_ladder(3), ghz_ladder(3)
+        client.verify(first, second, timeout=30.0)
+        client.verify(first, second, timeout=30.0)
+        memo = client.stats()["parse_memo"]
+        assert memo["misses"] == 1  # both sides send the same text
+        assert memo["hits"] == 3
+        assert memo["entries"] == 1
+        assert memo["chars"] == len(first.to_qasm())
+
+
 class TestServeCli:
     def test_serve_parser_defaults(self):
         args = build_parser().parse_args(["serve"])
