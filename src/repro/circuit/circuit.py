@@ -648,26 +648,39 @@ class QuantumCircuit:
         ]
         return other
 
-    def remove_final_measurements(self) -> "QuantumCircuit":
-        """Return a copy without the trailing measurement layer.
+    def readout_positions(self) -> set[int]:
+        """Positions in :attr:`data` of the read-out measurements.
 
-        Only measurements that are not followed by any further operation on
-        the measured qubit other than measurements are removed (i.e. genuine
-        read-out measurements, including a qubit read into several bits).
+        A measurement is a read-out one when no later instruction other than
+        a barrier or a measurement acts on its qubit and no later classical
+        condition reads its bit.  Every measurement of a qubit read into
+        several bits at the end is one; a measurement whose bit a later
+        condition reads is not.  This is the one place the rule lives:
+        :meth:`remove_final_measurements`, Scheme 1's gate streams and
+        routing's read-out tail all use it.
         """
-        keep: list[Instruction] = []
-        last_use: dict[int, int] = {}
-        for position, inst in enumerate(self._data):
-            if inst.is_barrier or inst.is_measurement:
+        positions: set[int] = set()
+        used_later: set[int] = set()
+        read_later: set[int] = set()
+        for position in range(len(self._data) - 1, -1, -1):
+            inst = self._data[position]
+            if inst.is_barrier:
                 continue
-            for q in inst.qubits:
-                last_use[q] = position
-        for position, inst in enumerate(self._data):
-            if inst.is_measurement and last_use.get(inst.qubits[0], -1) < position:
+            if inst.is_measurement:
+                if inst.qubits[0] not in used_later and inst.clbits[0] not in read_later:
+                    positions.add(position)
                 continue
-            keep.append(inst)
+            used_later.update(inst.qubits)
+            if inst.condition is not None:
+                read_later.update(inst.condition.clbits)
+        return positions
+
+    def remove_final_measurements(self) -> "QuantumCircuit":
+        """Return a copy without its read-out measurements
+        (see :meth:`readout_positions`)."""
+        readout = self.readout_positions()
         other = self.copy_empty()
-        other._data = keep
+        other._data = [inst for position, inst in enumerate(self._data) if position not in readout]
         return other
 
     def gate_instructions(self) -> Iterator[Instruction]:

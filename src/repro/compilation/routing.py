@@ -132,23 +132,14 @@ def route_circuit(
         layout.swap_physical(a, b)
         num_swaps += 1
 
-    # Split off the trailing read-out measurements: the layout is restored
-    # *before* them, so that the routed circuit never operates on a qubit
-    # after it has been measured (which would make it dynamic).
+    # Split off the read-out measurements: the layout is restored *before*
+    # them, so that the routed circuit never operates on a qubit after it
+    # has been measured (which would make it dynamic).  A measurement whose
+    # bit a later condition reads stays in the body.
     instructions = list(circuit)
-    last_use: dict[int, int] = {}
-    for position, instruction in enumerate(instructions):
-        if instruction.is_barrier or instruction.is_measurement:
-            continue
-        for qubit in instruction.qubits:
-            last_use[qubit] = position
-    tail_positions = {
-        position
-        for position, instruction in enumerate(instructions)
-        if instruction.is_measurement and last_use.get(instruction.qubits[0], -1) < position
-    }
-    body = [inst for position, inst in enumerate(instructions) if position not in tail_positions]
-    tail = [inst for position, inst in enumerate(instructions) if position in tail_positions]
+    readout = circuit.readout_positions()
+    body = [inst for position, inst in enumerate(instructions) if position not in readout]
+    tail = [inst for position, inst in enumerate(instructions) if position in readout]
 
     for instruction in body:
         if instruction.is_barrier:

@@ -282,21 +282,13 @@ def gate_lists(
 
 def _gate_stream(circuit: "QuantumCircuit") -> list[Instruction]:
     """``circuit.remove_final_measurements().gate_instructions()`` as a list,
-    in one backward walk that builds no intermediate circuit.
-
-    Walking backwards, a measurement is a read-out one when no later
-    instruction other than a barrier or a measurement acts on its qubit, so
-    a qubit measured into several bits at the end loses all of them.
-    """
+    built without an intermediate circuit."""
+    readout = circuit.readout_positions()
     gates: list[Instruction] = []
-    used_later: set[int] = set()
     unitary = True
-    for instruction in reversed(circuit.data):
-        if instruction.is_barrier:
+    for position, instruction in enumerate(circuit):
+        if instruction.is_barrier or position in readout:
             continue
-        if instruction.is_measurement and instruction.qubits[0] not in used_later:
-            continue
-        used_later.update(instruction.qubits)
         if instruction.is_gate and instruction.condition is None:
             gates.append(instruction)
         else:
@@ -304,7 +296,6 @@ def _gate_stream(circuit: "QuantumCircuit") -> list[Instruction]:
     if not unitary:
         # Raises gate_instructions' error on the first non-unitary instruction.
         list(circuit.remove_final_measurements().gate_instructions())
-    gates.reverse()
     return gates
 
 

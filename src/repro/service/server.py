@@ -48,12 +48,17 @@ _log = get_logger("service.server")
 #: misbehaving client from making the server buffer arbitrary data.
 _MAX_BODY_BYTES = 32 * 1024 * 1024
 
-#: Bounds of the service's parse memo: the total characters of the QASM
-#: texts whose circuits it holds, and the longest text it memoizes (a longer
-#: one is parsed on every submission).  The sender chooses the texts, so
-#: these constants, not the body limit, bound the memo's memory.
+#: Bounds of the service's parse memo, in charged characters: the total over
+#: its entries, and the most one entry may be charged (a larger one is parsed
+#: on every submission).  An entry is charged its text's characters plus one
+#: per qubit, clbit and instruction of its circuit, so a short text that
+#: declares a wide register or expands into many instructions pays for what
+#: it builds.  The sender chooses the texts, so these constants, not the body
+#: limit, bound the memo's memory: a charged character costs at most about
+#: 220 bytes (a bit of a wide register; ordinary QASM, fingerprint forms
+#: included, costs about 40), so the memo keeps at most about 7 MB alive.
 PARSE_MEMO_CHARS = 32 * 1024
-PARSE_MEMO_MAX_TEXT = 8 * 1024
+PARSE_MEMO_MAX_ENTRY = 8 * 1024
 
 #: Cap on ``?wait=`` long-polls: a client asking for more still gets its
 #: (possibly 409) answer after this many seconds and may simply re-issue the
@@ -64,19 +69,28 @@ MAX_LONG_POLL_SECONDS = 30.0
 class ParseMemo:
     """Parsed circuits of recently submitted QASM texts, in LRU order.
 
-    Keyed by the SHA-256 of the text, so the memo holds no text.  The
-    entries' texts total at most ``max_chars`` characters; a text longer
-    than ``max_text`` and a text that fails to parse are never memoized.
-    A memoized circuit is shared by every job that sends its text, so
-    nothing downstream may mutate it.
+    Keyed by the SHA-256 of the text, so the memo holds no text.  An entry
+    is charged its text's characters plus its circuit's bits and
+    instructions (see :data:`PARSE_MEMO_CHARS`); the entries total at most
+    ``max_chars``, and an entry charged more than ``max_entry`` or a text
+    that fails to parse is never memoized.  A memoized circuit is shared by
+    every job that sends its text, so nothing downstream may mutate it.
     """
 
-    def __init__(self, max_chars: int = PARSE_MEMO_CHARS, max_text: int = PARSE_MEMO_MAX_TEXT):
+    def __init__(
+        self, max_chars: int = PARSE_MEMO_CHARS, max_entry: int = PARSE_MEMO_MAX_ENTRY
+    ):
         self.max_chars = max_chars
-        self.max_text = max_text
+        self.max_entry = max_entry
         self._entries: OrderedDict[bytes, tuple[QuantumCircuit, int]] = OrderedDict()
         self._lock = threading.Lock()
         self.chars = 0
+
+    @staticmethod
+    def charge(circuit: QuantumCircuit, text_chars: int) -> int:
+        """What an entry for ``circuit``, parsed from ``text_chars``
+        characters, counts against the memo's bounds."""
+        return text_chars + circuit.num_qubits + circuit.num_clbits + len(circuit)
 
     def lookup(self, text: str) -> tuple[bytes, QuantumCircuit | None]:
         """The memo key of ``text`` and its circuit, None when not held."""
@@ -90,9 +104,10 @@ class ParseMemo:
             self._entries.move_to_end(key)
             return key, entry[0]
 
-    def store(self, key: bytes, circuit: QuantumCircuit, size: int) -> None:
-        """Hold the circuit parsed from a text of ``size`` characters."""
-        if size > self.max_text:
+    def store(self, key: bytes, circuit: QuantumCircuit, text_chars: int) -> None:
+        """Hold the circuit parsed from a text of ``text_chars`` characters."""
+        size = self.charge(circuit, text_chars)
+        if size > self.max_entry:
             return
         with self._lock:
             if key in self._entries:

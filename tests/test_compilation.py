@@ -251,6 +251,24 @@ class TestRouting:
         assert [inst.operation.name for inst in result.circuit][-2:] == ["measure"] * 2
         assert_equivalent(circuit, result.circuit)
 
+    def test_a_measurement_a_condition_reads_stays_in_the_body(self):
+        # h q0; measure q0->c0; if(c0==1) x q1; measure q0->c1: the first
+        # measurement must still write c0 before the conditioned x reads it.
+        from repro.core import extract_distribution
+
+        circuit = QuantumCircuit(2, 3)
+        circuit.h(0)
+        circuit.measure(0, 0)
+        circuit.x(1, condition=(0, 1))
+        circuit.measure(0, 1)
+        circuit.measure(1, 2)
+        routed = route_circuit(circuit, linear_coupling(2)).circuit
+        names = [inst.operation.name for inst in routed]
+        assert names.index("measure") < names.index("x")
+        assert [inst.clbits for inst in routed if inst.is_measurement] == [(0,), (1,), (2,)]
+        original = extract_distribution(circuit).distribution
+        assert extract_distribution(routed).distribution == pytest.approx(original)
+
     def test_too_many_logical_qubits_raises(self):
         with pytest.raises(CompilationError):
             route_circuit(QuantumCircuit(6), ibmq_london())

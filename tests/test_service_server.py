@@ -6,11 +6,13 @@ import time
 import pytest
 
 from repro.algorithms import ghz_ladder, ghz_with_bug, qft_dynamic, qft_static_benchmark
+from repro.circuit.qasm import circuit_from_qasm
 from repro.cli import build_parser, main
 from repro.core import Configuration, EquivalenceCheckingManager
 from repro.exceptions import ServiceError
 from repro.resilience import FaultPlan, FaultRule
 from repro.service import VerificationClient, VerificationServer, VerificationService
+from repro.service.server import ParseMemo
 
 SEED = 5
 
@@ -464,7 +466,10 @@ class TestParseMemo:
                 "hits": 4,
                 "misses": 2,
                 "entries": 2,
-                "chars": len(first) + len(second),
+                "chars": sum(
+                    ParseMemo.charge(circuit_from_qasm(text), len(text))
+                    for text in (first, second)
+                ),
             }
             rendered = service.metrics.render()
             assert 'repro_qasm_parse_memo_total{result="hit"} 4' in rendered
@@ -473,29 +478,27 @@ class TestParseMemo:
             service.shutdown()
 
     def test_the_memo_never_holds_more_than_its_bound(self):
-        from repro.service.server import ParseMemo, circuit_from_qasm
-
-        memo = ParseMemo(max_chars=600, max_text=300)
+        memo = ParseMemo(max_chars=700, max_entry=350)
         texts = [ghz_ladder(size).to_qasm() for size in range(2, 12)]
-        assert all(len(text) <= 300 for text in texts)
+        charges = {text: ParseMemo.charge(circuit_from_qasm(text), len(text)) for text in texts}
+        assert all(charges[text] <= 350 for text in texts)
         for text in texts * 2:
             key, circuit = memo.lookup(text)
             if circuit is None:
                 memo.store(key, circuit_from_qasm(text), len(text))
-            assert memo.chars <= 600
+            assert memo.chars <= 700
             assert memo.lookup(text)[1] is not None  # the newest is kept
         held = [text for text in texts if memo.lookup(text)[1] is not None]
-        assert memo.chars == sum(len(text) for text in held)
+        assert memo.chars == sum(charges[text] for text in held)
         assert len(memo) == len(held) < len(texts)
 
     def test_concurrent_lookups_and_stores_keep_the_bound(self):
         import sys
 
-        from repro.service.server import ParseMemo, circuit_from_qasm
-
-        memo = ParseMemo(max_chars=700, max_text=300)
+        memo = ParseMemo(max_chars=800, max_entry=350)
         texts = [ghz_ladder(size).to_qasm() for size in range(2, 12)]
         circuits = {text: circuit_from_qasm(text) for text in texts}
+        charges = {text: ParseMemo.charge(circuits[text], len(text)) for text in texts}
         wrong: list[str] = []
 
         def hammer(offset):
@@ -522,16 +525,14 @@ class TestParseMemo:
         assert not any(thread.is_alive() for thread in threads)
         assert wrong == []
         held = [text for text in texts if memo.lookup(text)[1] is not None]
-        assert memo.chars == sum(len(text) for text in held) <= 700
+        assert memo.chars == sum(charges[text] for text in held) <= 800
         assert len(memo) == len(held)
 
     def test_an_oversized_text_is_parsed_every_time(self, monkeypatch):
-        from repro.service.server import ParseMemo
-
         parsed = self._count_parses(monkeypatch)
         small, large = ghz_ladder(2).to_qasm(), ghz_ladder(12).to_qasm()
         service = VerificationService(Configuration(seed=SEED, max_workers=1))
-        service.parse_memo = ParseMemo(max_chars=4 * len(large), max_text=len(large) - 1)
+        service.parse_memo = ParseMemo(max_chars=4 * len(large), max_entry=len(large))
         try:
             for _ in range(3):
                 job = service.submit_qasm(large, large)["job_id"]
@@ -567,7 +568,33 @@ class TestParseMemo:
         assert memo["misses"] == 1  # both sides send the same text
         assert memo["hits"] == 3
         assert memo["entries"] == 1
-        assert memo["chars"] == len(first.to_qasm())
+        text = first.to_qasm()
+        assert memo["chars"] == ParseMemo.charge(circuit_from_qasm(text), len(text))
+
+    def test_a_short_text_is_charged_for_the_circuit_it_builds(self, monkeypatch):
+        # A 30-character text builds 100,000 qubits: the
+        # memo charges it for those, so it is parsed every time and never
+        # held, however many such texts arrive under distinct names.
+        from repro.service.server import PARSE_MEMO_CHARS
+
+        parsed = self._count_parses(monkeypatch)
+        service = VerificationService(Configuration(seed=SEED, max_workers=1))
+        texts = [f"OPENQASM 2.0;\nqreg {name}[100000];\n" for name in ("a", "b", "c")]
+        small = ghz_ladder(2).to_qasm()
+        try:
+            for _ in range(2):
+                for text in texts:
+                    circuit = service._parse(text)
+                    assert circuit.num_qubits == 100000
+                    assert ParseMemo.charge(circuit, len(text)) > PARSE_MEMO_CHARS
+                    assert service.parse_memo.lookup(text)[1] is None
+            service._parse(small)
+            assert parsed.count(small) == 1
+            assert parsed == texts * 2 + [small]
+            assert len(service.parse_memo) == 1
+            assert service.parse_memo.chars <= PARSE_MEMO_CHARS
+        finally:
+            service.shutdown()
 
 
 class TestServeCli:
