@@ -8,7 +8,7 @@ Usage (after ``pip install -e .``)::
 
     repro-qcec verify static.qasm dynamic.qasm --method alternating --backend dense
     repro-qcec verify static.qasm dynamic.qasm --portfolio simulation,alternating
-    repro-qcec batch manifest.txt --max-workers 8 --json
+    repro-qcec batch manifest.txt --json
     repro-qcec batch manifest.txt --executor process --chunk-size 4 --max-workers 8
     repro-qcec batch manifest.txt --cache-path verdicts.jsonl      # warm re-runs
     repro-qcec serve --port 8111 --cache-path verdicts.jsonl       # job-queue server
@@ -198,15 +198,20 @@ def build_parser() -> argparse.ArgumentParser:
             "(fresh stimuli could still falsify them)"
         ),
     )
-    batch.add_argument("--max-workers", type=int, default=4)
+    batch.add_argument(
+        "--max-workers",
+        type=int,
+        default=4,
+        help="size of the process pool under --executor process",
+    )
     batch.add_argument(
         "--executor",
         default="thread",
         choices=["thread", "process"],
         help=(
-            "run pairs on a thread pool (default) or on a process pool; the DD "
-            "checkers are CPU-bound pure Python, so processes scale with cores "
-            "where threads are GIL-bound"
+            "run pairs one after another in the calling thread (default) or on "
+            "a process pool; the DD checkers are CPU-bound pure Python, so only "
+            "processes scale with cores"
         ),
     )
     batch.add_argument(

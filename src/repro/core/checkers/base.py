@@ -20,9 +20,10 @@ A checker receives the two circuits plus the active
 :class:`~repro.core.configuration.Configuration` and returns a
 :class:`CheckerOutcome`; wrapping into the public
 :class:`~repro.core.results.EquivalenceCheckResult` (timings, method name,
-backend) is done by the calling layer.  :meth:`Checker.steps` exposes the
-same work as a generator of cost-counted steps, which is how the portfolio
-manager interleaves several checkers in one thread.
+backend) is done by the calling layer.  A checker is a generator of
+cost-counted steps (:meth:`Checker.steps`): the portfolio manager
+interleaves several checkers in one thread by them and checks budgets
+between them, and :meth:`Checker.check` runs them to the end.
 """
 
 from __future__ import annotations
@@ -38,6 +39,7 @@ from repro.circuit.gates import Gate
 from repro.circuit.operations import Instruction
 from repro.core.results import EquivalenceCriterion
 from repro.exceptions import EquivalenceCheckingError
+from repro.utils.steps import drain
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (configuration
     # validates names against this registry, so it must not be imported here
@@ -48,7 +50,6 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard (configuration
 
 __all__ = [
     "Checker",
-    "CheckerInterrupted",
     "CheckerOutcome",
     "available_checkers",
     "criterion_from_matrix",
@@ -63,15 +64,6 @@ __all__ = [
 ]
 
 
-class CheckerInterrupted(Exception):
-    """Raised inside a checker when its cancellation probe fires.
-
-    Deliberately *not* a :class:`~repro.exceptions.ReproError`: interruption
-    is control flow between a budgeted caller and the checker, never a
-    user-facing library failure.
-    """
-
-
 @dataclass
 class CheckerOutcome:
     """What a checker found: a criterion plus free-form diagnostics."""
@@ -83,7 +75,7 @@ class CheckerOutcome:
 class Checker(ABC):
     """One equivalence-checking method.
 
-    Subclasses set the class attributes and implement :meth:`check`; calling
+    Subclasses set the class attributes and implement :meth:`steps`; calling
     :func:`register` on the subclass makes it resolvable by name everywhere a
     checker name is accepted (``Configuration.method``,
     ``Configuration.portfolio``, the CLI, the scheduler).
@@ -109,80 +101,52 @@ class Checker(ABC):
     scheme_two: ClassVar[bool] = False
 
     @abstractmethod
-    def check(
-        self,
-        first: "QuantumCircuit",
-        second: "QuantumCircuit",
-        configuration: "Configuration",
-        *,
-        interrupt: Callable[[], bool] | None = None,
-    ) -> CheckerOutcome:
-        """Decide equivalence of two circuits under ``configuration``.
-
-        ``interrupt`` is an optional cancellation probe: long-running loops
-        must call :meth:`check_interrupt` between steps so that a checker
-        whose budget expired stops doing work instead of running to
-        completion.
-        """
-
     def steps(
         self,
         first: "QuantumCircuit",
         second: "QuantumCircuit",
         configuration: "Configuration",
-        *,
-        interrupt: Callable[[], bool] | None = None,
     ) -> Generator[int, None, CheckerOutcome]:
         """The check as a generator of steps: yields costs, returns the outcome.
 
-        Each ``yield`` reports the cost of a step just finished that leaves
-        work to do; the step that reaches the verdict returns the
-        :class:`CheckerOutcome` instead, so a checker that decides in its
-        first step yields nothing.  Cost is counted in *DD work*, never in
-        time, so a schedule driven by it is deterministic: the DD checkers
-        take one gate application per step and charge it ``1 +`` the nodes
-        their package created during it
-        (:attr:`~repro.dd.package.DDPackage.nodes_created`), so a step that
-        grows a large diagram costs accordingly.  A step that applies no gate
-        (a matched pair the alternating checker cancels) costs 0: it still
-        gives the caller a point to poll budgets and interrupts, and keeps
-        the turn for its checker.  Dense backends charge 1 per gate, or
-        ``G1 + G2`` (the gate count of both circuits) per stimulus.  The
-        portfolio manager always gives the turn to the checker with the
-        least accumulated cost, so when the winner decides at cost ``C``
-        every other checker has spent at most ``C`` plus one of its own
-        steps: with ``k`` checkers, a run costs at most ``k * C`` plus one
-        step per checker, whatever the lineup order.
+        Each ``yield`` reports the cost of a step just finished; the step
+        that reaches the verdict returns the :class:`CheckerOutcome`
+        instead, so a checker that decides in its first step yields
+        nothing.  Callers poll budgets between steps, so a checker must
+        yield often enough for a budget to stop it: once per gate, stimulus
+        or instruction.  Cost is counted in *DD work*, never in time, so a
+        schedule driven by it is deterministic: on the DD backend every
+        step applies one gate (or one instruction to every live branch)
+        and costs ``1 +`` the nodes its package created during it
+        (:attr:`~repro.dd.package.DDPackage.nodes_created`, counted by
+        :func:`dd_work`), so a step that grows a large diagram costs
+        accordingly.  A step that applies no gate (a matched pair the
+        alternating checker cancels) costs 0: it still gives the caller a
+        point to poll budgets, and keeps the turn for its checker.
 
-        This default runs :meth:`check` as a single step that reports no
-        cost, forwarding ``interrupt`` so a budget can still stop it
-        mid-step.  Checkers with natural steps override it and make
-        :meth:`check` :meth:`drain` their steps; the caller polls budgets
-        between steps and they ignore ``interrupt``.
+        The built-in checkers step as follows.  ``alternating`` takes one
+        step per applied gate or cancelled pair; ``construction`` one per
+        gate while it builds ``U1`` and then ``U2'^dagger``; ``simulation``
+        one per matrix-vector product; ``distribution`` one per instruction
+        of either circuit, applied to every live branch.  The dense
+        backends charge 1 per gate (``alternating``, ``construction``),
+        ``G1 + G2`` (the gate count of both circuits) per stimulus
+        (``simulation``) and one per live branch per instruction
+        (``distribution``).  The portfolio manager always gives the turn to
+        the checker with the least accumulated cost, so when the winner
+        decides at cost ``C`` every other checker has spent at most ``C``
+        plus one of its own steps: with ``k`` checkers, a run costs at most
+        ``k * C`` plus one step per checker, whatever the lineup order.
         """
-        return self.check(first, second, configuration, interrupt=interrupt)
-        yield  # pragma: no cover - makes this a generator function
 
-    @staticmethod
-    def drain(
-        steps: Generator[int, None, CheckerOutcome],
-        interrupt: Callable[[], bool] | None = None,
+    def check(
+        self,
+        first: "QuantumCircuit",
+        second: "QuantumCircuit",
+        configuration: "Configuration",
     ) -> CheckerOutcome:
-        """Run ``steps`` to the end, polling ``interrupt`` before every step."""
-        while True:
-            if interrupt is not None and interrupt():
-                steps.close()
-                raise CheckerInterrupted
-            try:
-                next(steps)
-            except StopIteration as stop:
-                return stop.value
-
-    @staticmethod
-    def check_interrupt(interrupt: Callable[[], bool] | None) -> None:
-        """Raise :class:`CheckerInterrupted` when the cancellation flag is set."""
-        if interrupt is not None and interrupt():
-            raise CheckerInterrupted
+        """Decide equivalence of two circuits: run :meth:`steps` to the end."""
+        return drain(self.steps(first, second, configuration))
 
 
 # ----------------------------------------------------------------------

@@ -2,7 +2,7 @@
 
 Compares the complete measurement-outcome distributions of the two circuits
 for the all-zero input state via branching classical simulation
-(:func:`~repro.core.extraction.extract_distribution`).  This is the only
+(:func:`~repro.core.extraction.extraction_steps`).  This is the only
 checker that handles dynamic primitives *natively* — including the
 classically-conditioned resets Scheme 1 cannot reconstruct into a unitary
 circuit (a reset conditioned on its own qubit's measurement) — so the
@@ -18,23 +18,42 @@ itself, shared with
 
 from __future__ import annotations
 
-from collections.abc import Callable
+from collections.abc import Generator
 from typing import TYPE_CHECKING, ClassVar
 
 from repro.core.checkers.base import Checker, CheckerOutcome, register
 from repro.core.distributions import classical_fidelity, total_variation_distance
-from repro.core.extraction import extract_distribution
+from repro.core.extraction import extraction_steps
 from repro.core.results import EquivalenceCriterion
 from repro.exceptions import EquivalenceCheckingError
+from repro.utils.steps import drain
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.circuit.circuit import QuantumCircuit
     from repro.core.configuration import Configuration
 
-__all__ = ["DistributionChecker", "compare_distributions"]
+__all__ = ["DistributionChecker", "compare_distributions", "compare_distributions_steps"]
 
 
 def compare_distributions(
+    first: "QuantumCircuit",
+    second: "QuantumCircuit",
+    initial_state: "str | int | None" = None,
+    **options,
+) -> tuple[EquivalenceCriterion, dict, tuple[dict, dict]]:
+    """Scheme 2 on one input state: extract and compare both outcome distributions.
+
+    Returns the criterion (``PROBABLY_EQUIVALENT`` when the total-variation
+    distance is within ``tolerance``, else ``NOT_EQUIVALENT``), the details
+    both Scheme-2 entry points report, and the two distributions.
+    ``options`` are the keyword arguments of
+    :func:`compare_distributions_steps`: ``backend``, ``tolerance`` and
+    ``prune_threshold``.
+    """
+    return drain(compare_distributions_steps(first, second, initial_state, **options))
+
+
+def compare_distributions_steps(
     first: "QuantumCircuit",
     second: "QuantumCircuit",
     initial_state: "str | int | None" = None,
@@ -42,30 +61,23 @@ def compare_distributions(
     backend: str,
     tolerance: float,
     prune_threshold: float = 1e-12,
-    interrupt: Callable[[], bool] | None = None,
-) -> tuple[EquivalenceCriterion, dict, tuple[dict, dict]]:
-    """Scheme 2 on one input state: extract and compare both outcome distributions.
+) -> Generator[int, None, tuple[EquivalenceCriterion, dict, tuple[dict, dict]]]:
+    """:func:`compare_distributions` as a generator of steps.
 
-    Returns the criterion (``PROBABLY_EQUIVALENT`` when the total-variation
-    distance is within ``tolerance``, else ``NOT_EQUIVALENT``), the details
-    both Scheme-2 entry points report, and the two distributions.
+    The steps are those of :func:`~repro.core.extraction.extraction_steps`
+    on ``first`` and then on ``second``; the last one compares.
     """
     if first.num_clbits != second.num_clbits:
         raise EquivalenceCheckingError(
             "the circuits measure different numbers of classical bits "
             f"({first.num_clbits} vs {second.num_clbits})"
         )
-    first_result, second_result = (
-        extract_distribution(
-            circuit,
-            initial_state,
-            backend=backend,
-            prune_threshold=prune_threshold,
-            interrupt=interrupt,
-        )
-        for circuit in (first, second)
+    first_result = yield from extraction_steps(
+        first, initial_state, backend=backend, prune_threshold=prune_threshold
     )
-    Checker.check_interrupt(interrupt)
+    second_result = yield from extraction_steps(
+        second, initial_state, backend=backend, prune_threshold=prune_threshold
+    )
     distributions = (first_result.distribution, second_result.distribution)
     distance = total_variation_distance(*distributions)
     criterion = (
@@ -91,25 +103,28 @@ class DistributionChecker(Checker):
     role: ClassVar[str] = "falsifier"
     scheme_two: ClassVar[bool] = True
 
-    def check(
+    def steps(
         self,
         first: "QuantumCircuit",
         second: "QuantumCircuit",
         configuration: "Configuration",
-        *,
-        interrupt: Callable[[], bool] | None = None,
-    ) -> CheckerOutcome:
+    ) -> Generator[int, None, CheckerOutcome]:
+        """One step per instruction of ``first`` and then of ``second``.
+
+        A step applies the instruction to every live branch; it costs ``1 +``
+        the nodes it created on the DD backend and the number of live
+        branches on the dense one.  The last step compares the distributions.
+        """
         if first.num_clbits == second.num_clbits == 0:
             raise EquivalenceCheckingError(
                 "the distribution checker needs measured classical bits; "
                 "neither circuit measures anything"
             )
-        criterion, details, _ = compare_distributions(
+        criterion, details, _ = yield from compare_distributions_steps(
             first,
             second,
             backend="dd" if configuration.backend == "dd" else "statevector",
             tolerance=configuration.tolerance,
-            interrupt=interrupt,
         )
         return CheckerOutcome(criterion, details)
 

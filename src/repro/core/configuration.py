@@ -82,13 +82,15 @@ class Configuration:
         portfolio run, checked between its steps; ``None`` disables the
         limit.
     max_workers:
-        Number of concurrent workers used by
+        Size of the process pool of
         :meth:`~repro.core.manager.EquivalenceCheckingManager.verify_batch`
-        (threads or processes, depending on ``executor``).
+        under ``executor="process"`` and of the verification service's job
+        pool; nothing else.
     executor:
-        Execution backend of ``verify_batch``: ``thread`` (shared-memory
-        thread pool; GIL-bound for the CPU-heavy DD checkers) or ``process``
-        (a process pool fed with pickled circuit pairs; each worker process
+        Execution backend of ``verify_batch``: ``thread`` (the pairs run one
+        after another in the calling thread; a thread pool gained nothing,
+        since the DD checkers are GIL-bound pure Python) or ``process`` (a
+        process pool fed with pickled circuit pairs; each worker process
         rebuilds its own manager and DD packages, which never cross process
         boundaries).
     batch_chunk_size:

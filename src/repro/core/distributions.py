@@ -35,13 +35,13 @@ def total_variation_distance(
     first: Mapping[str, float], second: Mapping[str, float]
 ) -> float:
     """Total-variation distance ``0.5 * sum |p_i - q_i|`` (in [0, 1])."""
-    keys = set(first) | set(second)
+    keys = dict.fromkeys([*first, *second])  # deterministic summation order
     return 0.5 * sum(abs(first.get(key, 0.0) - second.get(key, 0.0)) for key in keys)
 
 
 def classical_fidelity(first: Mapping[str, float], second: Mapping[str, float]) -> float:
     """Bhattacharyya/classical fidelity ``(sum sqrt(p_i q_i))**2`` (1 iff equal)."""
-    keys = set(first) | set(second)
+    keys = dict.fromkeys([*first, *second])  # deterministic summation order
     overlap = sum(
         math.sqrt(max(0.0, first.get(key, 0.0)) * max(0.0, second.get(key, 0.0)))
         for key in keys
@@ -71,7 +71,7 @@ def jensen_shannon_divergence(
     first: Mapping[str, float], second: Mapping[str, float]
 ) -> float:
     """Symmetrized, bounded KL divergence (in [0, ln 2])."""
-    keys = set(first) | set(second)
+    keys = dict.fromkeys([*first, *second])  # deterministic summation order
     mixture = {key: 0.5 * (first.get(key, 0.0) + second.get(key, 0.0)) for key in keys}
     return 0.5 * kullback_leibler_divergence(first, mixture) + 0.5 * kullback_leibler_divergence(
         second, mixture

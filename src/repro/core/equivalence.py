@@ -28,7 +28,7 @@ classically-controlled operations) are handled exactly as the paper proposes:
 from __future__ import annotations
 
 import time
-from collections.abc import Callable, Generator
+from collections.abc import Generator
 
 from repro.circuit.circuit import QuantumCircuit
 from repro.core import checkers as checker_registry
@@ -71,25 +71,20 @@ class EquivalenceChecker:
         second: QuantumCircuit,
         *,
         qubit_permutation: dict[int, int] | None = None,
-        interrupt: Callable[[], bool] | None = None,
     ) -> EquivalenceCheckResult:
         """Check whether ``first`` and ``second`` realize the same unitary.
 
         ``qubit_permutation`` optionally relabels the qubits of ``second``
         before the comparison (``{old: new}``) — useful when a reconstructed
         dynamic circuit enumerates its fresh qubits in a different order than
-        the static reference.  ``interrupt`` is a cancellation probe polled
-        by the checker between expensive steps (see
-        :class:`~repro.core.checkers.base.Checker`).
+        the static reference.
         """
         checker_cls, first_prepared, second_prepared, time_transformation = (
             self._prepare(first, second, qubit_permutation)
         )
         start = time.perf_counter()
         try:
-            outcome = checker_cls().check(
-                first_prepared, second_prepared, self.configuration, interrupt=interrupt
-            )
+            outcome = checker_cls().check(first_prepared, second_prepared, self.configuration)
         except (RecursionError, MemoryError) as error:
             # The DD kernels recurse one frame per qubit level, so a wide
             # enough circuit exhausts the stack (or memory): no verdict is
@@ -106,7 +101,6 @@ class EquivalenceChecker:
         second: QuantumCircuit,
         *,
         qubit_permutation: dict[int, int] | None = None,
-        interrupt: Callable[[], bool] | None = None,
     ) -> Generator[int, None, EquivalenceCheckResult]:
         """:meth:`run` as a generator of the checker's cost-counted steps.
 
@@ -119,9 +113,7 @@ class EquivalenceChecker:
         checker_cls, first_prepared, second_prepared, time_transformation = (
             self._prepare(first, second, qubit_permutation)
         )
-        steps = checker_cls().steps(
-            first_prepared, second_prepared, self.configuration, interrupt=interrupt
-        )
+        steps = checker_cls().steps(first_prepared, second_prepared, self.configuration)
         time_check = 0.0
         while True:
             start = time.perf_counter()

@@ -26,7 +26,7 @@ the scheme; the DD backend is what makes the large sparse benchmark instances
 from __future__ import annotations
 
 import time
-from collections.abc import Callable
+from collections.abc import Generator
 from dataclasses import dataclass, field
 
 from repro.circuit.circuit import QuantumCircuit
@@ -34,8 +34,9 @@ from repro.exceptions import ExtractionError
 from repro.simulators.dd_simulator import DDState
 from repro.simulators.statevector import Statevector
 from repro.utils.bits import format_bitstring
+from repro.utils.steps import drain
 
-__all__ = ["ExtractionResult", "extract_distribution"]
+__all__ = ["ExtractionResult", "extract_distribution", "extraction_steps"]
 
 _BACKENDS = ("statevector", "dd")
 
@@ -110,7 +111,6 @@ def extract_distribution(
     backend: str = "statevector",
     prune_threshold: float = 1e-12,
     max_paths: int | None = None,
-    interrupt: "Callable[[], bool] | None" = None,
 ) -> ExtractionResult:
     """Extract the complete measurement-outcome distribution of ``circuit``.
 
@@ -133,16 +133,38 @@ def extract_distribution(
     max_paths:
         Optional safety limit on the number of live branches; exceeded limits
         raise :class:`~repro.exceptions.ExtractionError`.
-    interrupt:
-        Optional cancellation probe polled between instructions (see
-        :class:`repro.core.checkers.base.Checker`); when it fires the
-        extraction raises ``CheckerInterrupted`` instead of running past the
-        checker's budget.
 
     Returns
     -------
     ExtractionResult
         The exact outcome distribution plus bookkeeping about the extraction.
+    """
+    return drain(
+        extraction_steps(
+            circuit,
+            initial_state,
+            backend=backend,
+            prune_threshold=prune_threshold,
+            max_paths=max_paths,
+        )
+    )
+
+
+def extraction_steps(
+    circuit: QuantumCircuit,
+    initial_state: "str | int | None" = None,
+    *,
+    backend: str = "statevector",
+    prune_threshold: float = 1e-12,
+    max_paths: int | None = None,
+) -> Generator[int, None, ExtractionResult]:
+    """:func:`extract_distribution` as a generator of steps, one per instruction.
+
+    A step applies one instruction (barriers aside) to every live branch.  On the ``dd``
+    backend it yields ``1 +`` the nodes the circuit's package created
+    during it, on ``statevector`` the number of live branches after it.
+    The result's ``time_taken`` counts only the time spent inside the
+    steps.  Validation errors surface on the first step.
     """
     if backend not in _BACKENDS:
         raise ExtractionError(f"unknown backend {backend!r}; choose from {_BACKENDS}")
@@ -152,22 +174,17 @@ def extract_distribution(
             "distribution to extract"
         )
 
+    from repro.core.checkers.base import dd_work  # the checkers import this module
+
     start = time.perf_counter()
-    branches = [
-        _Branch(
-            state=_initial_state(backend, circuit.num_qubits, initial_state),
-            classical=[0] * circuit.num_clbits,
-            probability=1.0,
-        )
-    ]
+    elapsed = 0.0
+    state = _initial_state(backend, circuit.num_qubits, initial_state)
+    work = dd_work(state.package) if backend == "dd" else None
+    branches = [_Branch(state=state, classical=[0] * circuit.num_clbits, probability=1.0)]
     num_pruned = 0
     num_branch_points = 0
 
     for instruction in circuit:
-        if interrupt is not None and interrupt():
-            from repro.core.checkers.base import CheckerInterrupted
-
-            raise CheckerInterrupted
         if instruction.is_barrier:
             continue
 
@@ -229,6 +246,9 @@ def extract_distribution(
             raise ExtractionError(
                 "all simulation branches were pruned; the pruning threshold is too aggressive"
             )
+        elapsed += time.perf_counter() - start
+        yield len(branches) if work is None else work()
+        start = time.perf_counter()
 
     distribution: dict[str, float] = {}
     for branch in branches:
@@ -241,5 +261,5 @@ def extract_distribution(
         num_pruned=num_pruned,
         num_branch_points=num_branch_points,
         backend=backend,
-        time_taken=time.perf_counter() - start,
+        time_taken=elapsed + time.perf_counter() - start,
     )

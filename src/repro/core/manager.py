@@ -39,18 +39,18 @@ Because cost is not time, the schedule is deterministic: the verdict,
 (absent budgets).  Each ``checker.run`` span records the checker's cost so
 far as its ``cost`` attribute.  ``checker_timeout`` bounds each checker's
 own active time and the overall ``timeout`` the run's wall time; both are
-checked between steps, and single-step checkers get an ``interrupt`` probe
-bound to their deadline.
+checked between steps, so a checker overruns them by at most one step.
 
 The result records the schedule, what the scheduler found (which circuits
 are dynamic, which Scheme 1 cannot rebuild) and which checker decided in a
 :class:`~repro.core.results.PortfolioResult`.  For scale,
 :meth:`EquivalenceCheckingManager.verify_batch` verifies many circuit pairs
-concurrently — on a thread pool (``executor="thread"``) or, since the DD
-checkers are pure-Python CPU work and therefore GIL-bound, on a process pool
-(``executor="process"``) fed with pickled work units from
-:mod:`repro.core.workers` — isolating per-pair failures and aggregating
-statistics in a :class:`~repro.core.results.BatchResult` either way.
+— one after another in the calling thread (``executor="thread"``; the DD
+checkers are pure-Python CPU work, so a thread pool only contends for the
+GIL) or concurrently on a process pool (``executor="process"``) fed with
+pickled work units from :mod:`repro.core.workers` — isolating per-pair
+failures and aggregating statistics in a
+:class:`~repro.core.results.BatchResult` either way.
 
 Example
 -------
@@ -66,7 +66,6 @@ True
 from __future__ import annotations
 
 import concurrent.futures
-import contextvars
 import random
 import threading
 import time
@@ -76,7 +75,6 @@ from dataclasses import dataclass, replace
 
 from repro.circuit.circuit import QuantumCircuit
 from repro.core import checkers as checker_registry
-from repro.core.checkers.base import CheckerInterrupted
 from repro.core.configuration import Configuration
 from repro.core.equivalence import EquivalenceChecker
 from repro.core.results import (
@@ -165,8 +163,8 @@ class EquivalenceCheckingManager:
     ``portfolio`` selects the checkers (default :data:`DEFAULT_PORTFOLIO`),
     which :func:`~repro.core.scheduler.build_schedule` orders per pair,
     ``checker_timeout`` bounds each checker's active time, ``timeout``
-    bounds the whole run, and ``max_workers`` sizes the worker pool of
-    :meth:`verify_batch`.
+    bounds the whole run, and ``max_workers`` sizes the process pool of
+    :meth:`verify_batch` under ``executor="process"``.
     """
 
     def __init__(
@@ -212,9 +210,9 @@ class EquivalenceCheckingManager:
         self.metrics = None
         # Per-checker circuit breakers (repro.resilience.breaker): a checker
         # that keeps crashing or timing out is quarantined and the portfolio
-        # degrades to the remaining checkers.  Shared across the thread batch
-        # pool (the board is thread-safe); process workers rebuild their own
-        # managers and hence keep per-process boards.
+        # degrades to the remaining checkers.  Shared across the service's
+        # job threads (the board is thread-safe); process workers rebuild
+        # their own managers and hence keep per-process boards.
         self.breakers = (
             BreakerBoard(
                 configuration.breaker_threshold, configuration.breaker_cooldown
@@ -584,11 +582,7 @@ class EquivalenceCheckingManager:
                     pair = (original_first, original_second)
                 else:
                     pair = (unitary_first, unitary_second)
-                bounded = config.checker_timeout is not None or deadline is not None
-                interrupt = runner.past_deadline if bounded else None
-                runner.steps = self._checker_steps(
-                    runner.name, *pair, qubit_permutation, interrupt
-                )
+                runner.steps = self._checker_steps(runner.name, *pair, qubit_permutation)
             rivals = [other for other in pending if other is not runner]
             attempt = self._run_turn(
                 runner, min(rivals, key=_Runner.key) if rivals else None, deadline
@@ -681,7 +675,6 @@ class EquivalenceCheckingManager:
         first: QuantumCircuit,
         second: QuantumCircuit,
         qubit_permutation: dict[int, int] | None,
-        interrupt,
     ) -> Generator[int, None, EquivalenceCheckResult]:
         """One checker attempt as a generator of cost-counted steps.
 
@@ -689,9 +682,7 @@ class EquivalenceCheckingManager:
         checker's own preparation and DD package on ``next()``.
         """
         checker = EquivalenceChecker(self.configuration.updated(method=method))
-        return checker.steps(
-            first, second, qubit_permutation=qubit_permutation, interrupt=interrupt
-        )
+        return checker.steps(first, second, qubit_permutation=qubit_permutation)
 
     def _run_turn(
         self, runner: "_Runner", rival: "_Runner | None", deadline: float | None
@@ -733,8 +724,6 @@ class EquivalenceCheckingManager:
                         return None
             except StopIteration as stop:
                 status, result = "completed", stop.value
-            except CheckerInterrupted:
-                pass
             except (RecursionError, MemoryError) as error_:
                 runner.exhausted = True
                 status, error = "error", f"{type(error_).__name__}: {error_}"
@@ -779,11 +768,11 @@ class EquivalenceCheckingManager:
         self,
         pairs: Sequence[tuple[QuantumCircuit, QuantumCircuit]],
     ) -> BatchResult:
-        """Verify many circuit pairs concurrently.
+        """Verify many circuit pairs.
 
-        Each pair gets a full scheduled portfolio run on
-        ``configuration.max_workers`` concurrent workers — threads
-        (``executor="thread"``, the default) or worker processes
+        Each pair gets a full scheduled portfolio run — one pair after
+        another in the calling thread (``executor="thread"``, the default)
+        or on ``configuration.max_workers`` worker processes
         (``executor="process"``, sharded into picklable work units of
         ``batch_chunk_size`` pairs; see :mod:`repro.core.workers`).  Entries
         come back in input order either way, and a pair that raises is
@@ -820,10 +809,11 @@ class EquivalenceCheckingManager:
     ) -> dict[int, Schedule]:
         """Scheduling decisions for a batch, made once here in the parent.
 
-        Shared by both executors so a batch traces identically on threads
-        and processes: one ``scheduler.decide`` span per pair under the
-        batch span, and the per-pair runs replay the decision instead of
-        re-deriving it (which is how the process path always worked).
+        Shared by both executors so a batch traces identically in the
+        calling thread and on processes: one ``scheduler.decide`` span per
+        pair under the batch span, and the per-pair runs replay the decision
+        instead of re-deriving it (which is how the process path always
+        worked).
         """
         schedules: dict[int, Schedule] = {}
         for index, (first, second) in enumerate(pairs):
@@ -871,7 +861,7 @@ class EquivalenceCheckingManager:
         run_pairs = (
             self._batch_entries_processes
             if self.configuration.executor == "process"
-            else self._batch_entries_threads
+            else self._batch_entries_serial
         )
         for index, entry in zip(dispatch, run_pairs([pairs[i] for i in dispatch])):
             entry.index = index
@@ -902,28 +892,14 @@ class EquivalenceCheckingManager:
             entries[index] = entry
         return entries
 
-    def _batch_entries_threads(
+    def _batch_entries_serial(
         self, pairs: Sequence[tuple[QuantumCircuit, QuantumCircuit]]
     ) -> list[BatchEntry]:
         schedules = self._batch_schedules(pairs)
-        with concurrent.futures.ThreadPoolExecutor(
-            max_workers=self.configuration.max_workers, thread_name_prefix="verify-batch"
-        ) as executor:
-            # Each submission ships a copy of the caller's context so the
-            # ambient trace scope (a contextvar, not thread-inherited)
-            # reaches the pool threads and per-pair spans parent correctly.
-            futures = [
-                executor.submit(
-                    contextvars.copy_context().run,
-                    self._batch_entry,
-                    index,
-                    first,
-                    second,
-                    schedules[index],
-                )
-                for index, (first, second) in enumerate(pairs)
-            ]
-            return [future.result() for future in futures]
+        return [
+            self._batch_entry(index, first, second, schedules[index])
+            for index, (first, second) in enumerate(pairs)
+        ]
 
     def _batch_entries_processes(
         self, pairs: Sequence[tuple[QuantumCircuit, QuantumCircuit]]
@@ -1148,8 +1124,8 @@ class EquivalenceCheckingManager:
         """Run one dispatched batch pair with its parent-made schedule.
 
         Records nothing and skips the cache: the parent looked the pair up
-        and records the returned entry, so pool threads and worker processes
-        run the same code.
+        and records the returned entry, so the calling thread and worker
+        processes run the same code.
         """
         started = time.perf_counter()
         entry = _entry(index, first, second)
@@ -1204,5 +1180,5 @@ def verify_batch(
     configuration: Configuration | None = None,
     **overrides,
 ) -> BatchResult:
-    """Verify many circuit pairs concurrently (convenience wrapper)."""
+    """Verify many circuit pairs (convenience wrapper)."""
     return EquivalenceCheckingManager(configuration, **overrides).verify_batch(pairs)

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import math
 import random
-from collections.abc import Callable, Generator
+from collections.abc import Generator
 
 from repro.circuit.circuit import QuantumCircuit
 from repro.circuit.gates import RYGate, RZGate
@@ -33,6 +33,7 @@ from repro.dd.nodes import VEdge
 from repro.dd.package import DDPackage
 from repro.exceptions import EquivalenceCheckingError
 from repro.simulators.statevector import StatevectorSimulator
+from repro.utils.steps import drain
 
 __all__ = ["run_simulative_check", "simulative_check_steps"]
 
@@ -183,23 +184,12 @@ def simulative_check_steps(
 
 
 def run_simulative_check(
-    first: QuantumCircuit,
-    second: QuantumCircuit,
-    *,
-    interrupt: "Callable[[], bool] | None" = None,
-    **options,
+    first: QuantumCircuit, second: QuantumCircuit, **options
 ) -> tuple[bool, dict]:
     """Compare two unitary circuits on random stimuli.
 
     Returns ``(no_counterexample_found, details)``; ``details`` records the
     minimum fidelity observed and, for a failing run, the offending stimulus.
     ``options`` are the keyword arguments of :func:`simulative_check_steps`.
-    ``interrupt`` is an optional cancellation probe polled before every
-    step (every gate on the DD backend, every stimulus on the dense one) — a
-    cancelled check raises
-    :class:`~repro.core.checkers.base.CheckerInterrupted` instead of burning
-    through the remaining stimuli.
     """
-    from repro.core.checkers.base import Checker
-
-    return Checker.drain(simulative_check_steps(first, second, **options), interrupt)
+    return drain(simulative_check_steps(first, second, **options))

@@ -26,8 +26,9 @@ Each worker process rebuilds its own
 :class:`~repro.core.manager.EquivalenceCheckingManager` from the configuration;
 decision-diagram packages and their caches are created inside the checkers and
 stay strictly process-local (:class:`~repro.dd.package.DDPackage` refuses to be
-pickled).  Per-pair failure isolation is identical to the thread path: the
-entries of a failing pair record the error, the rest of the chunk proceeds.
+pickled).  Per-pair failure isolation is identical to the calling-thread
+path: the entries of a failing pair record the error, the rest of the chunk
+proceeds.
 """
 
 from __future__ import annotations

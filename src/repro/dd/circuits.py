@@ -9,7 +9,7 @@ through their gate definition.
 
 from __future__ import annotations
 
-from collections.abc import Sequence
+from collections.abc import Generator, Sequence
 
 from repro.circuit.circuit import QuantumCircuit
 from repro.circuit.gates import ControlledGate, Gate, GlobalPhaseGate
@@ -17,10 +17,12 @@ from repro.circuit.operations import Instruction
 from repro.dd.nodes import MEdge, VEdge
 from repro.dd.package import DDPackage
 from repro.exceptions import DDError
+from repro.utils.steps import drain
 
 __all__ = [
     "apply_instruction_to_vector",
     "circuit_to_unitary_dd",
+    "circuit_to_unitary_dd_steps",
     "gate_to_dd",
     "instruction_to_dd",
 ]
@@ -90,19 +92,21 @@ def instruction_to_dd(package: DDPackage, instruction: Instruction) -> MEdge:
     return result
 
 
-def circuit_to_unitary_dd(
-    package: DDPackage,
-    circuit: QuantumCircuit,
-    *,
-    interrupt: "Callable[[], bool] | None" = None,
-) -> MEdge:
+def circuit_to_unitary_dd(package: DDPackage, circuit: QuantumCircuit) -> MEdge:
     """Build the matrix DD of the whole (unitary) circuit.
 
     Trailing read-out measurements are ignored; dynamic primitives raise.
-    ``interrupt`` is an optional cancellation probe polled between gate
-    applications (see :class:`repro.core.checkers.base.Checker`); when it
-    fires the build raises ``CheckerInterrupted`` instead of running past
-    the checker's budget.
+    """
+    return drain(circuit_to_unitary_dd_steps(package, circuit))
+
+
+def circuit_to_unitary_dd_steps(
+    package: DDPackage, circuit: QuantumCircuit
+) -> Generator[None, None, MEdge]:
+    """:func:`circuit_to_unitary_dd` one gate at a time.
+
+    Yields after every gate multiplied into the product and returns the
+    circuit's matrix DD; validation errors surface on the first step.
     """
     if circuit.num_qubits != package.num_qubits:
         raise DDError(
@@ -111,11 +115,8 @@ def circuit_to_unitary_dd(
     unitary = package.identity()
     multiply = package.multiply_matrices
     for instruction in circuit.remove_final_measurements().gate_instructions():
-        if interrupt is not None and interrupt():
-            from repro.core.checkers.base import CheckerInterrupted
-
-            raise CheckerInterrupted
         unitary = multiply(instruction_to_dd(package, instruction), unitary)
+        yield
     return unitary
 
 

@@ -14,7 +14,7 @@ reads the ambient trace scope from a :class:`contextvars.ContextVar`:
 Because the scope lives in a contextvar, propagation follows Python's
 context rules: ``async`` tasks inherit it automatically, worker *threads* do
 not — thread-pool call sites must ship a ``contextvars.copy_context()``
-(see ``EquivalenceCheckingManager._batch_entries_threads``) — and worker
+— and worker
 *processes* cannot share objects at all, so the process-pool batch path
 serializes the parent's position as a W3C ``traceparent`` string
 (:func:`current_traceparent`), rebuilds a tracer from it on the far side

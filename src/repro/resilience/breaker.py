@@ -17,7 +17,7 @@ The :class:`BreakerBoard` keeps one :class:`CircuitBreaker` per checker name
 for an :class:`~repro.core.manager.EquivalenceCheckingManager`; state and
 lifetime counters are exported as gauges on ``GET /metrics`` and in
 ``/stats`` by the verification service.  All operations are thread-safe —
-the batch thread pool shares one board.  The clock is injectable so tests
+the service's job threads share one board.  The clock is injectable so tests
 can step through cooldowns without sleeping.
 """
 

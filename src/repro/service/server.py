@@ -165,7 +165,8 @@ class VerificationService:
 
     One :class:`~repro.core.manager.EquivalenceCheckingManager` (and hence
     one verdict cache) is shared across the worker pool; worker concurrency
-    is ``configuration.max_workers``, exactly like ``verify_batch``.  The
+    is ``configuration.max_workers``, which otherwise sizes only the process
+    pool of ``verify_batch``.  The
     service enables the verdict cache by default — a server that forgets
     repeat traffic between requests would miss the entire point; pass
     ``cache=False`` for a service whose every submission must run fresh

@@ -10,16 +10,18 @@ for small instances and in the test suite.
 
 from __future__ import annotations
 
-from collections.abc import Callable, Sequence
+from collections.abc import Generator, Sequence
 
 import numpy as np
 
 from repro.circuit.circuit import QuantumCircuit
 from repro.circuit.gates import Gate, GlobalPhaseGate
 from repro.exceptions import SimulationError
+from repro.utils.steps import drain
 
 __all__ = [
     "circuit_unitary",
+    "circuit_unitary_steps",
     "embed_gate_matrix",
     "matrices_equal_up_to_global_phase",
     "process_fidelity",
@@ -65,19 +67,20 @@ def embed_gate_matrix(
     return full
 
 
-def circuit_unitary(
-    circuit: QuantumCircuit,
-    *,
-    interrupt: "Callable[[], bool] | None" = None,
-) -> np.ndarray:
+def circuit_unitary(circuit: QuantumCircuit) -> np.ndarray:
     """Return the system matrix of a unitary circuit.
 
     Trailing read-out measurements are ignored (they do not change the
     functionality being compared); any other non-unitary primitive raises.
-    ``interrupt`` is an optional cancellation probe polled between gate
-    applications (see :class:`repro.core.checkers.base.Checker`); when it
-    fires the build raises ``CheckerInterrupted`` instead of running past
-    the checker's budget.
+    """
+    return drain(circuit_unitary_steps(circuit))
+
+
+def circuit_unitary_steps(circuit: QuantumCircuit) -> Generator[None, None, np.ndarray]:
+    """:func:`circuit_unitary` one gate at a time.
+
+    Yields after every gate multiplied into the matrix and returns the
+    system matrix; validation errors surface on the first step.
     """
     if circuit.is_dynamic:
         raise SimulationError(
@@ -87,10 +90,6 @@ def circuit_unitary(
     num_qubits = circuit.num_qubits
     unitary = np.eye(1 << num_qubits, dtype=complex)
     for instruction in circuit.remove_final_measurements():
-        if interrupt is not None and interrupt():
-            from repro.core.checkers.base import CheckerInterrupted
-
-            raise CheckerInterrupted
         if instruction.is_barrier or instruction.is_measurement:
             continue
         gate = instruction.operation
@@ -98,9 +97,10 @@ def circuit_unitary(
             raise SimulationError(f"unexpected non-gate instruction {instruction!r}")
         if isinstance(gate, GlobalPhaseGate):
             unitary = np.exp(1j * gate.phase) * unitary
-            continue
-        embedded = embed_gate_matrix(gate.matrix, instruction.qubits, num_qubits)
-        unitary = embedded @ unitary
+        else:
+            embedded = embed_gate_matrix(gate.matrix, instruction.qubits, num_qubits)
+            unitary = embedded @ unitary
+        yield
     return unitary
 
 

@@ -1,4 +1,4 @@
-"""Small shared utilities (bitstring manipulation, timing helpers)."""
+"""Small shared utilities (bitstring manipulation, timing helpers, step generators)."""
 
 from repro.utils.bits import (
     bits_to_int,
@@ -7,12 +7,14 @@ from repro.utils.bits import (
     int_to_bits,
     int_to_bitstring,
 )
+from repro.utils.steps import drain
 from repro.utils.timing import Stopwatch, timed
 
 __all__ = [
     "Stopwatch",
     "bits_to_int",
     "bitstring_to_int",
+    "drain",
     "format_bitstring",
     "int_to_bits",
     "int_to_bitstring",

@@ -34,7 +34,6 @@ from repro.core import (
 )
 from repro.core.checkers.alternating import AlternatingChecker
 from repro.compilation import canonical
-from repro.core.checkers.base import CheckerInterrupted
 from repro.dd.package import DDPackage
 
 
@@ -206,17 +205,15 @@ class TestCancelledPairSteps:
         assert "budget" in attempt.error
         assert result.decided_by is None
 
-    def test_interrupt_stops_a_long_identical_pair_between_steps(self):
+    def test_every_cancelled_pair_is_a_step_a_budget_can_stop_after(self):
+        # Budgets are checked between steps only, so a long run of cancelled
+        # pairs must still yield once per pair; a closed generator stops.
         first = qft_static_benchmark(64)
-        polls = []
-
-        def interrupt():
-            polls.append(None)
-            return len(polls) > 3
-
-        with pytest.raises(CheckerInterrupted):
-            AlternatingChecker().check(first, first.copy(), Configuration(), interrupt=interrupt)
-        assert len(polls) == 4
+        steps = AlternatingChecker().steps(first, first.copy(), Configuration())
+        assert [next(steps) for _ in range(4)] == [0, 0, 0, 0]
+        steps.close()
+        with pytest.raises(StopIteration):
+            next(steps)
 
 
 def _translated(circuit: QuantumCircuit) -> QuantumCircuit:

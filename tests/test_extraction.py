@@ -1,6 +1,7 @@
 """Tests for Scheme 2: measurement-outcome distribution extraction."""
 
 import math
+import time
 
 import pytest
 
@@ -13,7 +14,7 @@ from repro.algorithms import (
 )
 from repro.circuit import QuantumCircuit
 from repro.core.distributions import total_variation_distance
-from repro.core.extraction import extract_distribution
+from repro.core.extraction import extract_distribution, extraction_steps
 from repro.exceptions import ExtractionError
 from repro.simulators.density_matrix import DensityMatrixSimulator
 
@@ -83,6 +84,24 @@ class TestBasics:
         circuit.measure(0, 0)
         assert extract_distribution(circuit, "1").distribution == pytest.approx({"1": 1.0})
         assert extract_distribution(circuit, 1).distribution == pytest.approx({"1": 1.0})
+
+    @pytest.mark.parametrize("backend", ["statevector", "dd"])
+    def test_steps_yield_per_instruction_and_time_only_themselves(self, backend):
+        circuit = bernstein_vazirani_dynamic("110")
+        steps = extraction_steps(circuit, backend=backend)
+        taken = 0
+        while True:
+            try:
+                cost = next(steps)
+            except StopIteration as stop:
+                result = stop.value
+                break
+            assert cost >= 1
+            taken += 1
+            time.sleep(0.002)  # the caller's time between steps is not extraction time
+        assert taken == sum(1 for instruction in circuit if not instruction.is_barrier)
+        assert result.distribution == extract_distribution(circuit, backend=backend).distribution
+        assert result.time_taken < 0.002 * taken
 
     def test_probability_accessor(self):
         result = extract_distribution(bernstein_vazirani_dynamic("110"))

@@ -311,7 +311,8 @@ class TestLineupManager:
     ):
         # Scheme 1 rebuilds none of these circuits, so only the appended
         # Scheme-2 checker can answer: it refutes each mutant and finds no
-        # difference on each equivalent pair.
+        # difference on each equivalent pair.  The Scheme-1 checkers take
+        # their turn after its first step and fail at no cost.
         result = EquivalenceCheckingManager(seed=0).run(*make(equivalent))
         assert result.schedule == ["distribution", "simulation", "alternating"]
         assert result.features["needs_scheme_two"] is True
@@ -320,10 +321,8 @@ class TestLineupManager:
         attempts = {attempt.method: attempt for attempt in result.attempts}
         assert attempts["distribution"].result.criterion is criterion
         for method in ("simulation", "alternating"):
-            if equivalent:  # the Scheme-1 checkers run and fail
-                assert attempts[method].error.startswith("TransformationError: ")
-            else:  # the mutant is refuted before they start
-                assert attempts[method].status == "skipped"
+            assert attempts[method].status == "error"
+            assert attempts[method].error.startswith("TransformationError: ")
 
     @pytest.mark.parametrize(
         "make",
@@ -475,8 +474,9 @@ class _NeverDecides(Checker):
     name = "never-decides"
     role = "falsifier"
 
-    def check(self, first, second, configuration, *, interrupt=None):
+    def steps(self, first, second, configuration):
         return CheckerOutcome(EquivalenceCriterion.NO_INFORMATION, {"custom": True})
+        yield  # a step generator that decides in its first step
 
 
 class TestCheckerRegistry:
@@ -549,9 +549,8 @@ class TestTimeoutStopFlag:
         # stopped by a flag).  The interleaved portfolio steps every checker
         # on the calling thread and checks budgets between steps, so a
         # timed-out checker is simply not stepped again: no checker thread is
-        # ever started.  Both the per-gate steps of the alternating scheme
-        # and the single-step DD build of the construction scheme (which
-        # polls its interrupt probe) must honour the budget.
+        # ever started.  Both checkers take one step per gate, so both must
+        # honour the budget.
         started = []
         original = threading.Thread.start
 

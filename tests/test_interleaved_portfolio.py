@@ -2,8 +2,9 @@
 
 Covers verdict agreement with every single checker and every portfolio
 order, a deterministic schedule (repeat runs and both batch executors), the
-prover-first lineup on Table-1 pairs and mutants, budgets without checker
-threads, and third-party checkers that only implement ``check``.
+prover-first lineup on Table-1 pairs and mutants, budgets checked between
+the steps of every checker without checker threads, and third-party step
+generators.
 """
 
 import random
@@ -22,6 +23,7 @@ from repro.algorithms import (
     qft_static_benchmark,
     qpe_static,
 )
+from repro.circuit import QuantumCircuit
 from repro.circuit.random_circuits import random_static_circuit
 from repro.compilation.basis import decompose_to_cx_and_single_qubit, rewrite_single_qubit_to_u
 from repro.core import (
@@ -31,6 +33,8 @@ from repro.core import (
     check_equivalence,
 )
 from repro.core.checkers import Checker, CheckerOutcome, register, unregister
+from repro.core.equivalence import EquivalenceChecker
+from repro.core.transformation import to_unitary_circuit
 from repro.obs import trace
 
 SEED = 42
@@ -332,6 +336,23 @@ def _reversed_cx_qft_pair(n: int):
     return static, qft_dynamic(n)
 
 
+def _unreconstructible_branching_circuit(measurements: int) -> QuantumCircuit:
+    """Two qubits measured ``measurements`` times, each reset on its own outcome.
+
+    A reset conditioned on its own qubit's measurement has no Scheme-1
+    rebuild, and every measurement doubles the live branches of the
+    distribution extraction.
+    """
+    circuit = QuantumCircuit(2, measurements)
+    for clbit in range(measurements):
+        qubit = clbit % 2
+        circuit.h(qubit)
+        circuit.ry(0.3 * (clbit + 1), qubit)
+        circuit.measure(qubit, clbit)
+        circuit.reset(qubit, condition=(clbit, 1))
+    return circuit
+
+
 class TestTranslatedPair:
     @pytest.mark.parametrize("n", [8, 16])
     def test_prover_cancels_it_before_the_falsifier_starts(self, n):
@@ -354,6 +375,48 @@ class TestBudgetsWithoutThreads:
         assert result.attempts[0].status == "timeout"
         assert "budget" in result.attempts[0].error
         assert result.criterion is EquivalenceCriterion.NO_INFORMATION
+        assert threads.names == []
+
+    @pytest.mark.parametrize("backend", ["dd", "dense"])
+    @pytest.mark.parametrize("checker", ["alternating", "construction", "simulation", "distribution"])
+    def test_every_checker_stops_within_its_budget_plus_one_step(self, checker, backend):
+        # Budgets are checked only between steps, so every built-in checker
+        # must take many short steps on a pair it needs long for: a checker
+        # that ran as one step would end "completed", or time out only long
+        # after its budget.
+        budget = 0.05
+        if checker == "distribution":
+            first = _unreconstructible_branching_circuit(14)
+            pair = (first, first.copy())
+        else:
+            first, second = _reversed_cx_qft_pair(12 if backend == "dd" else 8)
+            pair = (first, to_unitary_circuit(second).circuit)
+        configuration = Configuration(
+            method=checker, backend=backend, seed=SEED, num_simulations=10_000
+        )
+        # The longest step taken in three budgets' worth of the same steps.
+        steps = EquivalenceChecker(configuration).steps(*pair)
+        longest = spent = 0.0
+        while spent < 3 * budget:
+            started = time.perf_counter()
+            next(steps)
+            took = time.perf_counter() - started
+            longest, spent = max(longest, took), spent + took
+        steps.close()
+        manager = EquivalenceCheckingManager(
+            configuration.updated(portfolio=(checker,), checker_timeout=budget)
+        )
+        (attempt,) = manager.run(*pair).attempts
+        assert attempt.status == "timeout"
+        assert budget <= attempt.time_taken < budget + 2 * longest + 0.02
+
+    def test_thread_executor_runs_a_batch_on_the_calling_thread(self, monkeypatch):
+        threads = _RecordingThreads(monkeypatch)
+        pairs = [_case_pair("qft", 4, True), _case_pair("bv", 4, False)]
+        batch = EquivalenceCheckingManager(
+            seed=SEED, executor="thread", max_workers=4
+        ).verify_batch(pairs)
+        assert [entry.result.equivalent for entry in batch.entries] == [True, False]
         assert threads.names == []
 
     def test_overall_timeout_times_out_started_and_skips_the_rest(
@@ -396,17 +459,12 @@ class TestBudgetsWithoutThreads:
 
 
 class _DeadlineStepper(Checker):
-    """A prover whose first step waits until its interrupt probe fires."""
+    """A prover whose first step sleeps past the run's overall deadline."""
 
     name = "deadline-test"
 
-    def check(self, first, second, configuration, *, interrupt=None):
-        return self.drain(self.steps(first, second, configuration, interrupt=interrupt))
-
-    def steps(self, first, second, configuration, *, interrupt=None):
-        cap = time.perf_counter() + 5.0
-        while interrupt is not None and not interrupt() and time.perf_counter() < cap:
-            time.sleep(0.001)
+    def steps(self, first, second, configuration):
+        time.sleep(configuration.timeout)
         yield 1
         return CheckerOutcome(EquivalenceCriterion.EQUIVALENT)
 
@@ -420,66 +478,13 @@ def deadline_stepper():
         unregister(_DeadlineStepper.name)
 
 
-class _PatientChecker(Checker):
-    """A check-only checker that waits until interrupted (or a cap passes)."""
-
-    name = "patient-test"
-    role = "prover"
-    calls = []
-
-    def check(self, first, second, configuration, *, interrupt=None):
-        type(self).calls.append(interrupt is not None)
-        deadline = time.perf_counter() + 2.0
-        while interrupt is not None and time.perf_counter() < deadline:
-            self.check_interrupt(interrupt)
-            time.sleep(0.001)
-        return CheckerOutcome(EquivalenceCriterion.EQUIVALENT, {"waited": True})
-
-
-@pytest.fixture
-def patient_checker():
-    _PatientChecker.calls = []
-    register(_PatientChecker)
-    try:
-        yield _PatientChecker
-    finally:
-        unregister(_PatientChecker.name)
-
-
-class TestCheckOnlyCheckers:
-    def test_runs_as_one_step(self, patient_checker):
-        manager = EquivalenceCheckingManager(
-            portfolio=(patient_checker.name, "alternating"), seed=SEED
-        )
-        result = manager.run(ghz_ladder(3), ghz_ladder(3))
-        assert result.decided_by == patient_checker.name
-        assert _statuses(result) == [
-            (patient_checker.name, "completed"),
-            ("alternating", "skipped"),
-        ]
-        assert patient_checker.calls == [False]
-
-    def test_honours_its_budget_through_interrupt(self, patient_checker):
-        manager = EquivalenceCheckingManager(
-            portfolio=(patient_checker.name,), checker_timeout=0.02, seed=SEED
-        )
-        result = manager.run(ghz_ladder(3), ghz_ladder(3))
-        (attempt,) = result.attempts
-        assert attempt.status == "timeout"
-        assert 0.02 <= attempt.time_taken < 1.0
-        assert patient_checker.calls == [True]
-
-
 class _Stepper(Checker):
     """Yields a fixed cost sequence, logging each step; never decides."""
 
     costs: tuple[int, ...] = ()
     log: list = []
 
-    def check(self, first, second, configuration, *, interrupt=None):
-        return self.drain(self.steps(first, second, configuration), interrupt)
-
-    def steps(self, first, second, configuration, *, interrupt=None):
+    def steps(self, first, second, configuration):
         for index, cost in enumerate(self.costs):
             _Stepper.log.append(self.name)
             if index < len(self.costs) - 1:

@@ -155,7 +155,7 @@ class TestEarlyTermination:
 class TestIndicativeFallback:
     def _stub_checker(self, manager, criteria_by_method):
         # Each attempt is a generator of steps; these stubs finish in one.
-        def checker_steps(method, first, second, qubit_permutation, interrupt):
+        def checker_steps(method, first, second, qubit_permutation):
             return EquivalenceCheckResult(
                 criterion=criteria_by_method[method], method=method
             )
@@ -362,8 +362,8 @@ class TestProcessExecutor:
             Configuration(batch_chunk_size=0)
 
     def test_process_batch_matches_thread_batch_on_mixed_pairs(self):
-        # Acceptance criterion: entry-for-entry identical criteria between the
-        # thread and process executors on a >=20-pair mixed batch.
+        # Entry-for-entry identical criteria between the calling-thread
+        # ("thread") and process executors on a >=20-pair mixed batch.
         pairs = _mixed_batch_pairs()
         thread_batch = EquivalenceCheckingManager(
             seed=SEED, executor="thread", max_workers=4

@@ -17,7 +17,6 @@ from repro.algorithms import (
     qpe_static,
 )
 from repro.core import EquivalenceCheckingManager, EquivalenceCriterion, simulative
-from repro.core.checkers.base import CheckerInterrupted
 from repro.core.simulative import (
     _product_state_dd,
     _random_basis_stimulus,
@@ -354,33 +353,32 @@ class TestPerCheckWork:
         )
         assert counter.calls == gate_count == 5 + len(costs)
 
-    def test_interrupt_is_polled_before_every_stimulus(self, monkeypatch):
+    def test_a_caller_can_stop_between_any_two_steps(self, monkeypatch):
         first, second = _table1_pair("qft", 4)
         starts = []
+        taken = []
         product_state = simulative._product_state_dd
 
         def recording(package, angles):
-            starts.append(len(polls))
+            starts.append(len(taken))
             return product_state(package, angles)
 
         monkeypatch.setattr(simulative, "_product_state_dd", recording)
-        polls = []
-        run_simulative_check(first, second, num_simulations=5, seed=4, interrupt=lambda: polls.append(1))
+        for _ in simulative_check_steps(first, second, num_simulations=5, seed=4):
+            taken.append(1)
         # A DD step is one gate application: 20 per stimulus on QFT-4 (10
-        # gates a side), so one poll before every gate and one before the
-        # last stimulus's fidelity.  Each stimulus starts right after a poll.
-        assert starts == [1, 21, 41, 61, 81]
-        assert len(polls) == 101
+        # gates a side), and the step after the last gate, which compares the
+        # last stimulus, returns.  Each stimulus starts in the step after the
+        # previous one's last gate.
+        assert starts == [0, 20, 40, 60, 80]
+        assert len(taken) == 100
 
-        # Firing at poll k stops the check before its k-th step.
-        for fire_at, started in ((1, 0), (2, 1), (21, 1), (22, 2), (81, 4)):
+        # Budgets are checked between steps: closing the generator after k
+        # steps starts no further stimulus.
+        for stop_after, started in ((0, 0), (1, 1), (20, 1), (21, 2), (80, 4)):
             starts.clear()
-            polls.clear()
-
-            def interrupt():
-                polls.append(1)
-                return len(polls) == fire_at
-
-            with pytest.raises(CheckerInterrupted):
-                run_simulative_check(first, second, num_simulations=5, seed=4, interrupt=interrupt)
+            steps = simulative_check_steps(first, second, num_simulations=5, seed=4)
+            for _ in range(stop_after):
+                next(steps)
+            steps.close()
             assert len(starts) == started
