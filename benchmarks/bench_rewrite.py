@@ -15,9 +15,14 @@ modes:
 
 Gates (``RuntimeError`` → exit 1) are **semantic only**: verdict agreement
 across both modes and all levels, at least one cross-level canonical cache
-hit, and every ``cold`` level decided by ``alternating`` with ``simulation``
-skipped.  Timings are recorded for trend tooling but never gated — CI
-machines are noisy.
+hit, every ``cold`` level decided by ``alternating`` with ``simulation``
+skipped, and a work gate: each ``canonical_hit`` repeat makes exactly the
+canonical walks (``canonical_forms`` calls) of :func:`canonical_walks` —
+both circuits at level 1, then only the new second circuit of each
+canonical hit, since a circuit keeps its canonical form (4 walks for QFT
+and QPE, 3 for BV, whose CX-basis level is a raw hit).  A run that loses
+kept forms or walks a circuit twice fails.  Timings are recorded for trend
+tooling but never gated — CI machines are noisy.
 
 Results are emitted as ``BENCH_rewrite.json`` (schema shared via
 ``bench_common.validate_bench_payload``).
@@ -31,6 +36,7 @@ Usage::
 from __future__ import annotations
 
 import argparse
+import contextlib
 import platform
 import sys
 import time
@@ -43,6 +49,7 @@ from repro.algorithms import (
     qpe_static,
 )
 from repro.compilation import (
+    canonical,
     decompose_to_cx_and_single_qubit,
     rewrite_single_qubit_to_u,
 )
@@ -68,6 +75,34 @@ def _time_ms(callable_) -> tuple[float, object]:
     start = time.perf_counter()
     value = callable_()
     return (time.perf_counter() - start) * 1000.0, value
+
+
+def canonical_walks(results) -> int:
+    """The canonical walks a canonical-hit repeat should make.
+
+    Level 1 misses both tiers and walks both of its circuits; a later level
+    that hits through the canonical key walks only its new second circuit
+    (the first keeps its form), and one that hits on the raw key (a
+    translation that changed nothing, as BV's CX-basis level) walks none.
+    """
+    return 2 + sum(result.cached_via == "canonical_fingerprint" for result in results[1:])
+
+
+@contextlib.contextmanager
+def counting_canonical_walks():
+    """Count the ``canonical_forms`` walks made inside the block."""
+    walks = []
+    original = canonical.canonical_forms
+
+    def counting(instructions, translate=None):
+        walks.append(translate)
+        return original(instructions, translate)
+
+    canonical.canonical_forms = counting
+    try:
+        yield walks
+    finally:
+        canonical.canonical_forms = original
 
 
 def translation_levels(circuit):
@@ -122,12 +157,23 @@ def bench_family(name: str, build, repeats: int) -> tuple[list[dict], dict]:
     for _ in range(repeats):
         levels = translation_levels(build())
         manager = EquivalenceCheckingManager(seed=SEED, verdict_cache=True)
+        results = []
         criteria = []
         canonical_hits = 0
         total = 0.0
-        for position, pair in enumerate(levels):
-            elapsed, result = _time_ms(lambda pair=pair: manager.run(*pair))
-            total += elapsed
+        with counting_canonical_walks() as walks:
+            for pair in levels:
+                elapsed, result = _time_ms(lambda pair=pair: manager.run(*pair))
+                total += elapsed
+                results.append(result)
+        expected_walks = canonical_walks(results)
+        if len(walks) != expected_walks:
+            raise RuntimeError(
+                f"{name}: a canonical-hit repeat made {len(walks)} canonical "
+                f"walks, expected {expected_walks} (both circuits at level 1, "
+                "then the new second circuit of each canonical hit)"
+            )
+        for position, result in enumerate(results):
             criteria.append(result.criterion.value)
             if position > 0:
                 if not result.cached:

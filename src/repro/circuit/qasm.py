@@ -59,12 +59,20 @@ def _format_param(value) -> str:
 
     Symbolic :class:`~repro.circuit.parameter.ParameterExpression` values are
     emitted as their evaluable text form (``1.0*theta + 0.5``), which
-    :func:`_eval_param` parses back into the identical expression.
+    :func:`_eval_param` parses back into the identical expression.  Floats
+    go through :func:`_memo_format_float`.
     """
+    if isinstance(value, float):
+        return _memo_format_float(value)
     from repro.circuit.parameter import ParameterExpression
 
     if isinstance(value, ParameterExpression):
         return str(value)
+    return _format_number(value)
+
+
+def _format_number(value) -> str:
+    """The text of a numeric angle: a multiple of pi when within 1e-12 of one."""
     if value == 0:
         return "0"
     for denominator in (1, 2, 3, 4, 6, 8, 16, 32):
@@ -77,6 +85,14 @@ def _format_param(value) -> str:
                 return f"pi/{denominator}"
             return f"{numerator}*pi/{denominator}"
     return repr(float(value))
+
+
+#: :func:`_format_number` for floats, memoized: a circuit, and every
+#: translation of it, repeats the same angles, and each distinct one pays the
+#: up to eight divisions once.  Equal floats format alike (``-0.0`` and
+#: ``0.0`` both read ``0``; a ``numpy.float64`` formats as its ``float``), so
+#: keying on the value is exact.
+_memo_format_float = functools.lru_cache(maxsize=1024)(_format_number)
 
 
 def circuit_to_qasm(circuit: QuantumCircuit) -> str:
@@ -272,6 +288,10 @@ def circuit_from_qasm(text: str) -> QuantumCircuit:
     circuit = QuantumCircuit(name="from_qasm")
     qregs: dict[str, QuantumRegister] = {}
     cregs: dict[str, ClassicalRegister] = {}
+    # One gate object per distinct (name, parameter text): equal texts
+    # evaluate to equal angles, and nothing mutates a gate, so its
+    # instructions share it.  Symbolic gates stay unshared.
+    gates: dict[tuple[str, str | None], Gate] = {}
 
     def qubit_index(name: str, offset: int) -> int:
         if name not in qregs:
@@ -365,10 +385,15 @@ def circuit_from_qasm(text: str) -> QuantumCircuit:
             circuit.barrier(*operands)
             continue
 
-        params = []
-        if param_text is not None and param_text.strip():
-            params = [_eval_param(p) for p in param_text.split(",")]
-        gate = get_gate(name, params)
+        key = (name, param_text)
+        gate = gates.get(key)
+        if gate is None:
+            params = []
+            if param_text is not None and param_text.strip():
+                params = [_eval_param(p) for p in param_text.split(",")]
+            gate = get_gate(name, params)
+            if not gate.free_parameters:
+                gates[key] = gate
         circuit.append(gate, operands, condition=condition)
 
     return circuit

@@ -22,16 +22,23 @@ enforces exactly that).  A value straddling a grid boundary merely causes a
 cache miss — never a wrong verdict.
 
 :func:`canonical_forms` produces the quantized form and an exact one (the
-merged runs unquantized) in one pass, optionally for a subset of the gates;
-the alternating checker matches translated gates on the quantized form and
-applies or cancels the exact one
-(:func:`repro.core.strategies.canonical_matching`).
+merged runs unquantized) in one pass, optionally for a subset of the gates.
+It is the one implementation behind all three users: the alternating
+checker matches translated gates on the quantized form and applies or
+cancels the exact one (:func:`repro.core.strategies.canonical_matching`),
+:func:`canonical_instructions` reads the canonical form off the same walk
+for the canonical fingerprint (:mod:`repro.service.fingerprint`), and
+:func:`canonicalize` appends those instructions to a circuit.  Each distinct
+gate is translated, and each distinct merged run decomposed, once per
+process (bounded LRU memos shared by every thread, whose entries are
+immutable).
 """
 
 from __future__ import annotations
 
+import functools
 import math
-from collections.abc import Iterable, Sequence
+from collections.abc import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -44,6 +51,7 @@ __all__ = [
     "CANONICAL_ANGLE_GRID",
     "canonical_angle",
     "canonical_forms",
+    "canonical_instructions",
     "canonicalize",
 ]
 
@@ -64,17 +72,29 @@ def canonical_angle(value: float) -> float:
     return quantized
 
 
-def _merged_gate(matrix: np.ndarray) -> tuple[UGate, Gate | None, float]:
+#: Entries each of the per-process memos :func:`_merged_gate` and
+#: :func:`_template` keep.  ``service-repeat``'s circuits and all their
+#: translations use a few dozen of each.
+_CACHE_SIZE = 256
+
+
+@functools.lru_cache(maxsize=_CACHE_SIZE)
+def _merged_gate(data: bytes) -> tuple[UGate, UGate | None, float]:
     """Collapse a merged 2x2 run into an exact and a quantized ``U`` gate.
+
+    ``data`` is the run's complex matrix as bytes: the translations of a
+    circuit repeat its runs, and equal bytes decompose alike, so each
+    distinct run pays the ZYZ decomposition once per process.
 
     Returns ``(exact, quantized, phase)`` with ``matrix == exp(i*phase) *
     exact.matrix``; ``quantized`` is None when the run is the identity up to
     a global phase on the grid.  The phase is the *unquantized* residue
     ``alpha - (phi+lam)/2`` (the caller accumulates and quantizes once at the
-    end, so per-run rounding cannot drift the total).
+    end, so per-run rounding cannot drift the total).  Every angle is a
+    finite float, so both gates skip the constructor's checks.
     """
-    alpha, theta, phi, lam = zyz_decomposition(matrix)
-    exact = UGate(theta, phi, lam)
+    alpha, theta, phi, lam = zyz_decomposition(np.frombuffer(data, dtype=complex).reshape(2, 2))
+    exact = UGate.prevalidated(theta, phi, lam)
     phase = alpha - (phi + lam) / 2.0
     q_theta = canonical_angle(theta)
     if q_theta == 0.0:
@@ -83,24 +103,35 @@ def _merged_gate(matrix: np.ndarray) -> tuple[UGate, Gate | None, float]:
         q_sum = canonical_angle(phi + lam)
         if q_sum == 0.0:
             return exact, None, phase
-        return exact, UGate(0.0, q_sum, 0.0), phase
-    return exact, UGate(q_theta, canonical_angle(phi), canonical_angle(lam)), phase
+        return exact, UGate.prevalidated(0.0, q_sum, 0.0), phase
+    return exact, UGate.prevalidated(q_theta, canonical_angle(phi), canonical_angle(lam)), phase
 
 
-def _template(operation: Operation) -> list[tuple[Gate, tuple[int, ...], np.ndarray | None]]:
+@functools.lru_cache(maxsize=_CACHE_SIZE)
+def _template(
+    operation: Operation,
+) -> tuple[tuple[Gate, tuple[int, ...], np.ndarray | None], ...]:
     """A gate's translation on local qubits ``0..k-1``: ``(piece, qubits, matrix)``.
 
-    ``matrix`` is the matrix of a single-qubit piece (to merge), else None.
+    ``matrix`` is the matrix of a single-qubit piece (to merge), else None; a
+    single-qubit gate is its own one piece.  Memoized per process and shared
+    by every job thread, so the entries are immutable: tuples, and read-only
+    matrices.
     """
     pieces = translate_instruction(Instruction(operation, range(operation.num_qubits)))
-    return [
-        (
-            piece.operation,
-            piece.qubits,
-            piece.operation.matrix if piece.operation.num_qubits == 1 else None,
-        )
+    return tuple(
+        (piece.operation, piece.qubits, _read_only(piece.operation.matrix))
+        if piece.operation.num_qubits == 1
+        else (piece.operation, piece.qubits, None)
         for piece in pieces
-    ]
+    )
+
+
+def _read_only(matrix: np.ndarray) -> np.ndarray:
+    """``matrix`` as a read-only complex array (runs are keyed on its bytes)."""
+    matrix = np.ascontiguousarray(matrix, dtype=complex)
+    matrix.flags.writeable = False
+    return matrix
 
 
 def canonical_forms(
@@ -123,22 +154,18 @@ def canonical_forms(
     result: list[tuple[Instruction, Operation | None]] = []
     pending: dict[int, np.ndarray] = {}
     accumulated_phase = 0.0
-    # Gates outside the base set repeat, so each distinct one is translated
-    # once.
-    templates: dict[Operation, list] = {}
+    # A walk looks each distinct gate up in the bounded memo once, so a
+    # circuit with more distinct gates than the bound cannot thrash it.
+    templates: dict[Operation, tuple] = {}
 
     def flush(qubit: int) -> None:
         nonlocal accumulated_phase
         matrix = pending.pop(qubit, None)
         if matrix is None:
             return
-        exact, quantized, phase = _merged_gate(matrix)
+        exact, quantized, phase = _merged_gate(matrix.tobytes())
         accumulated_phase += phase
-        result.append((Instruction(exact, (qubit,)), quantized))
-
-    def merge(qubit: int, matrix: np.ndarray) -> None:
-        previous = pending.get(qubit)
-        pending[qubit] = matrix if previous is None else matrix @ previous
+        result.append((Instruction.prevalidated(exact, (qubit,)), quantized))
 
     def emit(instruction: Instruction) -> None:
         for qubit in instruction.qubits:
@@ -158,23 +185,23 @@ def canonical_forms(
         if isinstance(operation, GlobalPhaseGate):
             accumulated_phase += operation.phase
             continue
-        if operation.num_qubits == 1:
-            merge(instruction.qubits[0], operation.matrix)
-            continue
         if isinstance(operation, CXGate) and operation.ctrl_state == 1:
             emit(instruction)
             continue
+        qubits = instruction.qubits
         template = templates.get(operation)
         if template is None:
             template = templates[operation] = _template(operation)
-        qubits = instruction.qubits
         for piece, local, matrix in template:
             if matrix is not None:
-                merge(qubits[local[0]], matrix)
+                qubit = qubits[local[0]]
+                previous = pending.get(qubit)
+                pending[qubit] = matrix if previous is None else matrix @ previous
             elif isinstance(piece, GlobalPhaseGate):
                 accumulated_phase += piece.phase
             else:
-                emit(Instruction(piece, tuple(qubits[position] for position in local)))
+                mapped = tuple(qubits[position] for position in local)
+                emit(Instruction.prevalidated(piece, mapped))
 
     for qubit in sorted(pending):
         flush(qubit)
@@ -188,12 +215,23 @@ def canonical_forms(
     return result
 
 
+def canonical_instructions(circuit: QuantumCircuit) -> Iterator[Instruction]:
+    """The instructions of the canonical form of ``circuit``, in order.
+
+    One :func:`canonical_forms` walk: where the canonical form keeps an
+    instruction as it is, that instruction itself; where it replaces one
+    (a merged run, the total phase), the quantized gate on the same qubits.
+    """
+    for exact, quantized in canonical_forms(circuit):
+        if quantized is exact.operation:
+            yield exact
+        elif quantized is not None:
+            yield Instruction.prevalidated(quantized, exact.qubits)
+
+
 def canonicalize(circuit: QuantumCircuit) -> QuantumCircuit:
     """The canonical form of ``circuit`` (see the module docstring)."""
     result = circuit.copy_empty(name=f"{circuit.name}_canonical")
-    for exact, quantized in canonical_forms(circuit):
-        if quantized is exact.operation:
-            result.append_instruction(exact)
-        elif quantized is not None:
-            result.append_instruction(Instruction(quantized, exact.qubits))
+    for instruction in canonical_instructions(circuit):
+        result.append_instruction(instruction)
     return result

@@ -20,7 +20,11 @@ its canonicalized circuit, once computed (``QuantumCircuit._forms``, cleared
 by every ``append``, ``append_instruction`` and ``add_register``).  A pair
 digest is assembled from those texts as exactly the ``repr`` of the form
 tuple, so a circuit fingerprinted twice is walked once and every digest is
-byte-identical to one hashed from the tuple itself.
+byte-identical to one hashed from the tuple itself.  The canonicalized form
+is built straight from one
+:func:`~repro.compilation.canonical.canonical_forms` walk, with no
+canonicalized circuit in between, and each distinct operation object of a
+walk is described once.
 
 Anything that *can* change a verdict is part of the key: gate names,
 parameters, operand order, control states, classical conditions, qubit/clbit
@@ -35,12 +39,15 @@ that differ only in those knobs share cache entries.
 from __future__ import annotations
 
 import hashlib
+from collections.abc import Iterable
 from typing import TYPE_CHECKING
 
 from repro.circuit.qasm import _format_param
+from repro.exceptions import ReproError
 
 if TYPE_CHECKING:  # pragma: no cover - type-only imports
     from repro.circuit.circuit import QuantumCircuit
+    from repro.circuit.operations import Instruction
     from repro.core.configuration import Configuration
 
 __all__ = [
@@ -137,14 +144,32 @@ def canonical_circuit_form(circuit: "QuantumCircuit") -> tuple:
     two circuits have equal canonical forms iff they are structurally
     identical up to register naming, bit identity and barriers.
     """
-    instructions = []
-    for instruction in circuit:
-        if instruction.is_barrier:
+    return _form(circuit, circuit)
+
+
+def _form(circuit: "QuantumCircuit", instructions: "Iterable[Instruction]") -> tuple:
+    """The form of ``instructions`` over the bits of ``circuit``.
+
+    Each distinct operation object is described once: circuits parsed from
+    QASM, and translation templates, share equal gates.
+    """
+    operations: dict[int, tuple] = {}
+    entries = []
+    for instruction in instructions:
+        operation = instruction.operation
+        known = operations.get(id(operation))
+        if known is None:
+            # The operation rides along, so its id stays unique while known.
+            known = operations[id(operation)] = (
+                operation,
+                None if instruction.is_barrier else _canonical_operation(operation),
+            )
+        if known[1] is None:
             continue
         condition = instruction.condition
-        instructions.append(
+        entries.append(
             (
-                _canonical_operation(instruction.operation),
+                known[1],
                 instruction.qubits,
                 instruction.clbits,
                 (condition.clbits, condition.value) if condition is not None else None,
@@ -154,7 +179,7 @@ def canonical_circuit_form(circuit: "QuantumCircuit") -> tuple:
         _FORM_VERSION,
         circuit.num_qubits,
         circuit.num_clbits,
-        tuple(instructions),
+        tuple(entries),
     )
 
 
@@ -194,17 +219,22 @@ def _form_text(circuit: "QuantumCircuit") -> str:
 def _canonicalized_form_text(circuit: "QuantumCircuit") -> str | None:
     """The form text of ``canonicalize(circuit)``, kept on the circuit.
 
-    None when the circuit cannot be canonicalized (remembered too).
+    Built in one :func:`~repro.compilation.canonical.canonical_forms` walk,
+    without the canonicalized circuit.  None, remembered too, for a circuit
+    with free parameters or one the library cannot translate; any other
+    error propagates.
     """
     forms = circuit._forms
     if "canonical" in forms:
         return forms["canonical"]
-    from repro.compilation.canonical import canonicalize
+    from repro.compilation.canonical import canonical_instructions
 
-    try:
-        text = repr(canonical_circuit_form(canonicalize(circuit)))
-    except Exception:  # noqa: BLE001 - canonical tier is best-effort
-        text = None
+    text = None
+    if not circuit.free_parameters:
+        try:
+            text = repr(_form(circuit, canonical_instructions(circuit)))
+        except ReproError:
+            pass
     forms["canonical"] = text
     return text
 

@@ -10,7 +10,11 @@ its text, so nothing the manager runs may change an input circuit.
 import hashlib
 import math
 import pickle
+import random
+import sys
+import threading
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -26,9 +30,15 @@ from repro.algorithms import (
     qpe_static,
 )
 from repro.circuit import ClassicalRegister, QuantumCircuit, QuantumRegister
-from repro.circuit.gates import HGate
+from repro.circuit.gates import CPhaseGate, HGate
 from repro.circuit.operations import Instruction
 from repro.circuit.parameter import Parameter
+from repro.circuit.qasm import _format_number, _format_param, _memo_format_float
+from repro.compilation import (
+    canonical,
+    decompose_to_cx_and_single_qubit,
+    rewrite_single_qubit_to_u,
+)
 from repro.compilation.canonical import canonicalize
 from repro.core import Configuration, EquivalenceCheckingManager
 from repro.core.checkers.base import available_checkers
@@ -108,6 +118,69 @@ PINNED = {
 }
 
 
+#: Canonical pair digests recorded before the canonical key was built in one
+#: walk.  Every translation of a circuit has the same canonical form, so one
+#: digest per circuit covers all of its translation levels and subsets.
+PINNED_CANONICAL = {
+    "bv-101101": "55f586272844e67c3c00af2d3bdeeadcc2a6f3a5c596043b5c2c6ce066fb1705",
+    "qft-5": "b80ad2af6b3cbf80e6533370ced085849315db0c07adbb26a66cdf8d4eea8360",
+    "qpe-4": "1c88b01d0b1402a0d4bea560cf850311c0cee277a430dbc26e3cf1afb622761a",
+    "qft-4": "fc36d34d9a002d0f31309eb30c0385483d787f6cc7b629b89cea18c3c9acda7a",
+    "qft-6": "e58ffdbf0355711aaa2a9ba428f2bc05f52c8f86f45b8dc0a5505c04015a14f3",
+    "bv-1011001": "ea4628263056d37cd0fed634153bf1a8c1baa61a8bb8242ad5d75b3db0703d2d",
+}
+
+#: ``benchmarks/bench_rewrite.py``'s full-mode families.
+REWRITE_FAMILIES = {
+    "bv-101101": lambda: bernstein_vazirani_static("101101"),
+    "qft-5": lambda: qft_static_benchmark(5),
+    "qpe-4": lambda: qpe_static(4),
+}
+
+#: The circuits whose gate subsets ``service-repeat`` translates.
+SUBSET_FAMILIES = {
+    "qft-4": lambda: qft_static_benchmark(4),
+    "qft-6": lambda: qft_static_benchmark(6),
+    "qpe-4": lambda: qpe_static(4),
+    "bv-1011001": lambda: bernstein_vazirani_static("1011001"),
+}
+
+
+def translate_subset(circuit: QuantumCircuit, mask: int) -> QuantumCircuit:
+    """The gates whose bit is set in ``mask`` translated to another level, as
+    perfbench's ``service-repeat`` builds its canonical-tier requests."""
+    result = circuit.copy_empty()
+    gate_index = 0
+    for instruction in circuit:
+        if not instruction.is_gate or instruction.is_barrier:
+            result.append_instruction(instruction)
+            continue
+        if mask >> gate_index & 1:
+            single = circuit.copy_empty()
+            single.append_instruction(instruction)
+            if instruction.operation.num_qubits > 1:
+                translated = decompose_to_cx_and_single_qubit(single)
+            else:
+                translated = rewrite_single_qubit_to_u(single)
+            for piece in translated:
+                result.append_instruction(piece)
+        else:
+            result.append_instruction(instruction)
+        gate_index += 1
+    return result
+
+
+def translated_subsets(name: str, count: int = 5) -> list[QuantumCircuit]:
+    """``count`` seeded subset translations of a circuit, parsed from QASM."""
+    circuit = SUBSET_FAMILIES[name]()
+    gates = sum(1 for instruction in circuit if instruction.is_gate)
+    rng = random.Random(f"pinned-subsets:{name}")
+    return [
+        circuit_from_qasm(translate_subset(circuit, rng.randrange(1, 1 << gates)).to_qasm())
+        for _ in range(count)
+    ]
+
+
 def _configuration(label):
     return None if label is None else Configuration()
 
@@ -161,6 +234,22 @@ class TestPinnedDigests:
         for _ in range(2):
             assert pair_fingerprint(first, second, configuration) == raw
             assert canonical_pair_fingerprint(first, second, configuration) == canonical
+
+
+class TestPinnedCanonicalDigests:
+    @pytest.mark.parametrize("level", [1, 2, 3])
+    @pytest.mark.parametrize("name", list(REWRITE_FAMILIES))
+    def test_every_translation_level(self, name, level):
+        circuit = REWRITE_FAMILIES[name]()
+        one = decompose_to_cx_and_single_qubit(circuit)
+        other = (circuit.copy(), one, rewrite_single_qubit_to_u(one))[level - 1]
+        assert canonical_pair_fingerprint(circuit, other) == PINNED_CANONICAL[name]
+
+    @pytest.mark.parametrize("name", list(SUBSET_FAMILIES))
+    def test_translated_gate_subsets(self, name):
+        original = circuit_from_qasm(SUBSET_FAMILIES[name]().to_qasm())
+        for translated in translated_subsets(name):
+            assert canonical_pair_fingerprint(translated, original) == PINNED_CANONICAL[name]
 
 
 class TestDigestsEqualTupleDigests:
@@ -235,6 +324,154 @@ class TestKeptFormsFollowChanges:
         assert circuit._forms["canonical"] is None
         assert canonical_pair_fingerprint(circuit, circuit) is None
         assert pair_fingerprint(circuit, circuit)
+
+    def test_an_untranslatable_circuit_keeps_its_none(self):
+        circuit = QuantumCircuit(3)
+        circuit.mcp(0.3, [0, 1], 2)  # no CX + single-qubit rule: CompilationError
+        assert canonical_pair_fingerprint(circuit, circuit) is None
+        assert circuit._forms["canonical"] is None
+        assert pair_fingerprint(circuit, circuit)
+
+    def test_a_fault_in_the_walk_reaches_the_caller(self, monkeypatch):
+        def broken(operation):
+            raise AttributeError("injected")
+
+        monkeypatch.setattr(canonical, "_template", broken)
+        circuit = qft_static_benchmark(3)
+        with pytest.raises(AttributeError, match="injected"):
+            canonical_pair_fingerprint(circuit, circuit)
+        assert "canonical" not in circuit._forms
+        manager = EquivalenceCheckingManager(seed=3, verdict_cache=True)
+        with pytest.raises(AttributeError, match="injected"):
+            manager.run(qft_static_benchmark(3), qft_static_benchmark(3))
+
+
+#: Angles at the edges of the pi-multiple snapping and of float range.
+_EDGE_ANGLES = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e300, -1.7e308]
+_EDGE_ANGLES += [
+    sign * numerator * math.pi / denominator + offset
+    for sign in (1, -1)
+    for numerator in (1, 3, 7)
+    for denominator in (1, 2, 3, 4, 6, 8, 16, 32)
+    for offset in (0.0, 1e-13, -1e-13, 2e-12)
+]
+
+
+class TestFormatMemo:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        value=st.one_of(
+            st.sampled_from(_EDGE_ANGLES),
+            st.floats(allow_nan=False, allow_infinity=False),
+            st.floats(min_value=-20.0, max_value=20.0),
+            st.integers(-64, 64).map(lambda k: k * math.pi / 32),
+            st.tuples(st.integers(-64, 64), st.sampled_from([1e-13, -1e-13])).map(
+                lambda pair: pair[0] * math.pi / 32 + pair[1]
+            ),
+        ),
+        numpy_first=st.booleans(),
+    )
+    def test_memoized_format_equals_the_unmemoized_one(self, value, numpy_first):
+        expected = _format_number(value)
+        kinds = [np.float64(value), value] if numpy_first else [value, np.float64(value)]
+        for kind in kinds + kinds:
+            assert _format_param(kind) == expected
+
+    def test_edge_angles_after_a_cleared_memo(self):
+        _memo_format_float.cache_clear()
+        for value in _EDGE_ANGLES + [-value for value in _EDGE_ANGLES]:
+            assert _format_param(value) == _format_number(value)
+            assert _format_param(np.float64(value)) == _format_number(value)
+        assert _format_param(Parameter("theta") * 2) == str(Parameter("theta") * 2)
+
+
+class TestProcessWideCanonicalMemos:
+    def test_the_template_memo_stays_at_its_bound(self):
+        for index in range(canonical._CACHE_SIZE + 50):
+            canonical._template(CPhaseGate(0.001 * (index + 1)))
+        info = canonical._template.cache_info()
+        assert info.maxsize == canonical._CACHE_SIZE
+        assert info.currsize == canonical._CACHE_SIZE
+
+    def test_template_entries_are_never_mutated(self):
+        circuits = [circuit for name in SUBSET_FAMILIES for circuit in translated_subsets(name, 2)]
+        operations = {
+            instruction.operation
+            for circuit in circuits
+            for instruction in circuit
+            if instruction.is_gate and instruction.operation.name != "cx"
+        }
+        templates = {operation: canonical._template(operation) for operation in operations}
+        before = {
+            operation: [
+                (piece, piece.params, local, None if matrix is None else matrix.copy())
+                for piece, local, matrix in template
+            ]
+            for operation, template in templates.items()
+        }
+        for template in templates.values():
+            assert isinstance(template, tuple)
+            for piece, local, matrix in template:
+                assert isinstance(local, tuple)
+                if matrix is not None:
+                    assert not matrix.flags.writeable
+                    with pytest.raises(ValueError):
+                        matrix[0, 0] = 0.0
+        manager = EquivalenceCheckingManager(seed=3, verdict_cache=True)
+        for circuit in circuits:
+            manager.run(circuit, circuit_from_qasm(circuit.to_qasm()))
+            canonicalize(circuit)
+        for operation, template in templates.items():
+            assert canonical._template(operation) is template
+            for (piece, params, local, matrix), (now, now_local, now_matrix) in zip(
+                before[operation], template
+            ):
+                assert now is piece and now.params == params and now_local == local
+                if matrix is not None:
+                    assert np.array_equal(now_matrix, matrix)
+
+    def test_four_threads_on_memo_shared_circuits_get_the_single_threaded_digests(self):
+        texts = [
+            circuit.to_qasm() for name in SUBSET_FAMILIES for circuit in translated_subsets(name)
+        ]
+        originals = [SUBSET_FAMILIES[name]().to_qasm() for name in SUBSET_FAMILIES]
+        expected = {}
+        for text in texts:
+            for original in originals:
+                expected[text, original] = canonical_pair_fingerprint(
+                    circuit_from_qasm(text), circuit_from_qasm(original)
+                )
+        memo = ParseMemo()
+        for text in texts + originals:
+            key, _ = memo.lookup(text)
+            memo.store(key, circuit_from_qasm(text), len(text))
+        canonical._template.cache_clear()
+        canonical._merged_gate.cache_clear()
+        _memo_format_float.cache_clear()
+        start = threading.Barrier(4)
+        results = [{} for _ in range(4)]
+
+        def work(index):
+            start.wait()
+            order = list(expected)
+            random.Random(index).shuffle(order)
+            for text, original in order:
+                results[index][text, original] = canonical_pair_fingerprint(
+                    memo.lookup(text)[1], memo.lookup(original)[1]
+                )
+
+        threads = [threading.Thread(target=work, args=(index,)) for index in range(4)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert all(result == expected for result in results)
 
 
 # ----------------------------------------------------------------------

@@ -9,6 +9,7 @@ from repro.algorithms import (
     bernstein_vazirani_dynamic,
     iterative_qpe,
     qft_dynamic,
+    qft_static_benchmark,
     qpe_static,
 )
 from repro.circuit import (
@@ -20,6 +21,7 @@ from repro.circuit import (
     random_static_circuit,
 )
 from repro.circuit.qasm import _MEMO_MAX_CHARS, _eval_param, _memo_numeric_param
+from repro.compilation import decompose_to_cx_and_single_qubit
 from repro.exceptions import QasmError
 from repro.simulators.unitary import circuit_unitary, matrices_equal_up_to_global_phase
 
@@ -147,9 +149,11 @@ class TestImport:
                 circuit_from_qasm(f"OPENQASM 2.0; qreg q[1]; rz({expression}) q[0];")
 
     def test_repeated_numeric_parameters_are_memoized(self):
+        # Two gate names, so the repeated text is evaluated twice (a
+        # repeated statement reuses its gate and evaluates nothing).
         _memo_numeric_param.cache_clear()
         circuit = circuit_from_qasm(
-            "OPENQASM 2.0; qreg q[1]; rz(3*pi/4) q[0]; rz(3*pi/4) q[0]; rz(0.5) q[0];"
+            "OPENQASM 2.0; qreg q[1]; rz(3*pi/4) q[0]; p(3*pi/4) q[0]; rz(0.5) q[0];"
         )
         assert [instruction.operation.params[0] for instruction in circuit.data] == [
             pytest.approx(3 * math.pi / 4),
@@ -167,6 +171,35 @@ class TestImport:
         )
         assert circuit.data[0].operation.params[0] == pytest.approx(0.1111111111111111)
         assert _memo_numeric_param.cache_info().currsize == 0
+
+    def test_equal_gates_share_one_object_within_a_parse(self):
+        text = decompose_to_cx_and_single_qubit(qft_static_benchmark(6)).to_qasm()
+        operations = [
+            instruction.operation
+            for instruction in circuit_from_qasm(text)
+            if instruction.is_gate
+        ]
+        distinct = []
+        for operation in operations:
+            if operation not in distinct:
+                distinct.append(operation)
+        assert (len(operations), len(distinct)) == (81, 12)
+        assert len({id(operation) for operation in operations}) == 12
+        # Each parse builds its own gates.
+        again = circuit_from_qasm(text)
+        assert all(
+            first.operation is not second.operation
+            for first, second in zip(circuit_from_qasm(text), again)
+        )
+
+    def test_symbolic_gates_are_not_shared(self):
+        circuit = circuit_from_qasm(
+            "OPENQASM 2.0; qreg q[1]; "
+            "rz(2*theta) q[0]; rz(2*theta) q[0]; rz(pi) q[0]; rz(pi) q[0];"
+        )
+        first, second, third, fourth = (instruction.operation for instruction in circuit)
+        assert first is not second and first == second
+        assert third is fourth
 
     def test_symbolic_parameters_are_built_afresh(self):
         first, second = _eval_param("2*theta + pi"), _eval_param("2*theta + pi")
