@@ -22,7 +22,9 @@ both circuits at level 1, then only the new second circuit of each
 canonical hit, since a circuit keeps its canonical form (4 walks for QFT
 and QPE, 3 for BV, whose CX-basis level is a raw hit).  A run that loses
 kept forms or walks a circuit twice fails.  Timings are recorded for trend
-tooling but never gated — CI machines are noisy.
+tooling but never gated — CI machines are noisy.  Every repeat of either
+mode builds fresh circuits and starts with the process-wide memos of the
+canonical walk empty, so it times gates the process has not seen.
 
 Results are emitted as ``BENCH_rewrite.json`` (schema shared via
 ``bench_common.validate_bench_payload``).
@@ -53,6 +55,7 @@ from repro.compilation import (
     decompose_to_cx_and_single_qubit,
     rewrite_single_qubit_to_u,
 )
+from repro.circuit import qasm
 from repro.core import EquivalenceCheckingManager
 
 SEED = 42
@@ -105,6 +108,18 @@ def counting_canonical_walks():
         canonical.canonical_forms = original
 
 
+def clear_memos() -> None:
+    """Empty the process-wide memos that the canonical walk fills.
+
+    Gate templates, merged runs and formatted angles outlive a circuit, so
+    fresh circuits alone do not make a repeat see its gates for the first
+    time; clearing them does.
+    """
+    canonical._template.cache_clear()
+    canonical._merged_gate.cache_clear()
+    qasm._memo_format_float.cache_clear()
+
+
 def translation_levels(circuit):
     """The same logical pair at three translation levels of its second half."""
     level_one = decompose_to_cx_and_single_qubit(circuit)
@@ -119,8 +134,10 @@ def translation_levels(circuit):
 def bench_family(name: str, build, repeats: int) -> tuple[list[dict], dict]:
     """Both modes over one Table-1 family; returns entries + speedups.
 
-    Every repeat builds its circuits afresh: circuits keep their fingerprint
-    forms, so reused ones would carry them into the next repeat.  Within a
+    Every repeat builds its circuits afresh and empties the process-wide
+    memos (:func:`clear_memos`): circuits keep their fingerprint forms and
+    the memos keep gates, runs and angles, so either would carry work into
+    the next repeat.  Within a
     canonical-hit walk, the levels share the first circuit, as a caller
     re-verifying one circuit against its translations does.
     """
@@ -133,6 +150,7 @@ def bench_family(name: str, build, repeats: int) -> tuple[list[dict], dict]:
     times = []
     for _ in range(repeats):
         levels = translation_levels(build())
+        clear_memos()
         criteria = []
         total = 0.0
         for position, pair in enumerate(levels):
@@ -156,6 +174,7 @@ def bench_family(name: str, build, repeats: int) -> tuple[list[dict], dict]:
     times = []
     for _ in range(repeats):
         levels = translation_levels(build())
+        clear_memos()
         manager = EquivalenceCheckingManager(seed=SEED, verdict_cache=True)
         results = []
         criteria = []

@@ -508,19 +508,6 @@ class UGate(Gate):
     def __init__(self, theta: float, phi: float, lam: float) -> None:
         super().__init__("u", 1, (theta, phi, lam))
 
-    @classmethod
-    def prevalidated(cls, theta: float, phi: float, lam: float) -> "UGate":
-        """A ``U`` gate built without the parameter checks of ``__init__``.
-
-        Only for finite ``float`` angles, such as a ZYZ decomposition's.
-        """
-        gate = object.__new__(cls)
-        gate.name = "u"
-        gate.num_qubits = 1
-        gate.num_clbits = 0
-        gate.params = (theta, phi, lam)
-        return gate
-
     @property
     def matrix(self) -> np.ndarray:
         theta, phi, lam = self.params

@@ -73,8 +73,11 @@ def canonical_angle(value: float) -> float:
 
 
 #: Entries each of the per-process memos :func:`_merged_gate` and
-#: :func:`_template` keep.  ``service-repeat``'s circuits and all their
-#: translations use a few dozen of each.
+#: :func:`_template` keep.  Replaying ``service-repeat`` (seed 1, 100 blocks
+#: after priming) both are full and hit on 99% of lookups (529 and 531
+#: misses); 1,000 pairs of distinct random-angle circuits still hit on
+#: 53% and 62% of them, as a pair's check walks the gates and runs of its
+#: key.
 _CACHE_SIZE = 256
 
 
@@ -90,11 +93,10 @@ def _merged_gate(data: bytes) -> tuple[UGate, UGate | None, float]:
     exact.matrix``; ``quantized`` is None when the run is the identity up to
     a global phase on the grid.  The phase is the *unquantized* residue
     ``alpha - (phi+lam)/2`` (the caller accumulates and quantizes once at the
-    end, so per-run rounding cannot drift the total).  Every angle is a
-    finite float, so both gates skip the constructor's checks.
+    end, so per-run rounding cannot drift the total).
     """
     alpha, theta, phi, lam = zyz_decomposition(np.frombuffer(data, dtype=complex).reshape(2, 2))
-    exact = UGate.prevalidated(theta, phi, lam)
+    exact = UGate(theta, phi, lam)
     phase = alpha - (phi + lam) / 2.0
     q_theta = canonical_angle(theta)
     if q_theta == 0.0:
@@ -103,8 +105,8 @@ def _merged_gate(data: bytes) -> tuple[UGate, UGate | None, float]:
         q_sum = canonical_angle(phi + lam)
         if q_sum == 0.0:
             return exact, None, phase
-        return exact, UGate.prevalidated(0.0, q_sum, 0.0), phase
-    return exact, UGate.prevalidated(q_theta, canonical_angle(phi), canonical_angle(lam)), phase
+        return exact, UGate(0.0, q_sum, 0.0), phase
+    return exact, UGate(q_theta, canonical_angle(phi), canonical_angle(lam)), phase
 
 
 @functools.lru_cache(maxsize=_CACHE_SIZE)
@@ -154,9 +156,6 @@ def canonical_forms(
     result: list[tuple[Instruction, Operation | None]] = []
     pending: dict[int, np.ndarray] = {}
     accumulated_phase = 0.0
-    # A walk looks each distinct gate up in the bounded memo once, so a
-    # circuit with more distinct gates than the bound cannot thrash it.
-    templates: dict[Operation, tuple] = {}
 
     def flush(qubit: int) -> None:
         nonlocal accumulated_phase
@@ -189,10 +188,7 @@ def canonical_forms(
             emit(instruction)
             continue
         qubits = instruction.qubits
-        template = templates.get(operation)
-        if template is None:
-            template = templates[operation] = _template(operation)
-        for piece, local, matrix in template:
+        for piece, local, matrix in _template(operation):
             if matrix is not None:
                 qubit = qubits[local[0]]
                 previous = pending.get(qubit)

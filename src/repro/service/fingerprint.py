@@ -23,8 +23,7 @@ tuple, so a circuit fingerprinted twice is walked once and every digest is
 byte-identical to one hashed from the tuple itself.  The canonicalized form
 is built straight from one
 :func:`~repro.compilation.canonical.canonical_forms` walk, with no
-canonicalized circuit in between, and each distinct operation object of a
-walk is described once.
+canonicalized circuit in between.
 
 Anything that *can* change a verdict is part of the key: gate names,
 parameters, operand order, control states, classical conditions, qubit/clbit
@@ -148,28 +147,15 @@ def canonical_circuit_form(circuit: "QuantumCircuit") -> tuple:
 
 
 def _form(circuit: "QuantumCircuit", instructions: "Iterable[Instruction]") -> tuple:
-    """The form of ``instructions`` over the bits of ``circuit``.
-
-    Each distinct operation object is described once: circuits parsed from
-    QASM, and translation templates, share equal gates.
-    """
-    operations: dict[int, tuple] = {}
+    """The form of ``instructions`` over the bits of ``circuit``."""
     entries = []
     for instruction in instructions:
-        operation = instruction.operation
-        known = operations.get(id(operation))
-        if known is None:
-            # The operation rides along, so its id stays unique while known.
-            known = operations[id(operation)] = (
-                operation,
-                None if instruction.is_barrier else _canonical_operation(operation),
-            )
-        if known[1] is None:
+        if instruction.is_barrier:
             continue
         condition = instruction.condition
         entries.append(
             (
-                known[1],
+                _canonical_operation(instruction.operation),
                 instruction.qubits,
                 instruction.clbits,
                 (condition.clbits, condition.value) if condition is not None else None,

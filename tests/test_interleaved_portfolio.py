@@ -7,7 +7,6 @@ the steps of every checker without checker threads, and third-party step
 generators.
 """
 
-import gc
 import random
 import threading
 import time
@@ -395,26 +394,19 @@ class TestBudgetsWithoutThreads:
         configuration = Configuration(
             method=checker, backend=backend, seed=SEED, num_simulations=10_000
         )
-        # A full collection of a whole test session's heap can outlast a
-        # step; it is no overrun of the checker's, so none runs meanwhile.
-        gc.collect()
-        gc.disable()
-        try:
-            # The longest step taken in three budgets' worth of the same steps.
-            steps = EquivalenceChecker(configuration).steps(*pair)
-            longest = spent = 0.0
-            while spent < 3 * budget:
-                started = time.perf_counter()
-                next(steps)
-                took = time.perf_counter() - started
-                longest, spent = max(longest, took), spent + took
-            steps.close()
-            manager = EquivalenceCheckingManager(
-                configuration.updated(portfolio=(checker,), checker_timeout=budget)
-            )
-            (attempt,) = manager.run(*pair).attempts
-        finally:
-            gc.enable()
+        # The longest step taken in three budgets' worth of the same steps.
+        steps = EquivalenceChecker(configuration).steps(*pair)
+        longest = spent = 0.0
+        while spent < 3 * budget:
+            started = time.perf_counter()
+            next(steps)
+            took = time.perf_counter() - started
+            longest, spent = max(longest, took), spent + took
+        steps.close()
+        manager = EquivalenceCheckingManager(
+            configuration.updated(portfolio=(checker,), checker_timeout=budget)
+        )
+        (attempt,) = manager.run(*pair).attempts
         assert attempt.status == "timeout"
         assert budget <= attempt.time_taken < budget + 2 * longest + 0.02
 
