@@ -495,18 +495,17 @@ def _command_verify(args: argparse.Namespace) -> int:
         return _verify_with_portfolio(first, second, configuration, args)
     result = check_equivalence(first, second, configuration)
     if args.json:
-        print(
-            json.dumps(
-                {
-                    "criterion": result.criterion.value,
-                    "equivalent": result.equivalent,
-                    "method": result.method,
-                    "backend": result.backend,
-                    "time_transformation": result.time_transformation,
-                    "time_check": result.time_check,
-                }
-            )
-        )
+        payload = {
+            "criterion": result.criterion.value,
+            "equivalent": result.equivalent,
+            "method": result.method,
+            "backend": result.backend,
+            "time_transformation": result.time_transformation,
+            "time_check": result.time_check,
+        }
+        if "settled_pairs" in result.details:
+            payload["settled_pairs"] = result.details["settled_pairs"]
+        print(json.dumps(payload))
     else:
         print(f"{first.name} vs {second.name}: {result.criterion.value}")
         print(

@@ -25,12 +25,34 @@ side: a translated gate walks as its canonical gates, so a translated pair
 may cancel more pairs than either circuit has gates.  An applied gate costs
 its DD work, ``1 +`` the nodes it created.  On the paper's static vs. reconstructed
 BV, QFT and QPE pairs every gate cancels, and so does a translation of
-either side.  The dense backend walks the raw gates and applies every one;
-the tests use it as ground truth.
+either side.
+
+The *settled suffix* is the schedule's trailing run of matched pairs whose
+two gates have bitwise-equal parameters: the condition under which a pair
+is one gate ``g`` on both sides, so it only conjugates the product, ``E ->
+g * E * g^-1``.  When the walk reaches that suffix holding a product whose
+root is not a scalar (an ``rz`` mutant, just after its ``rz``), it reads
+``tau = |tr E| / 2^n`` once and answers ``NOT_EQUIVALENT`` if ``1 - tau^2 >
+2^n * (2n * tolerance)^2``; otherwise it walks on.  The rule is sound:
+
+1. ``identity_scalar`` accepts a product only within ``n * tolerance`` of
+   ``c * I`` entry by entry (one tolerance per DD level), so an accepted
+   final product has ``min_w ||E - w * I||_F <= 2^n * n * tolerance``.
+2. For a unitary ``E`` that distance is ``sqrt(2^n - |tr E|^2 / 2^n)``, and
+   conjugation leaves ``|tr E|`` unchanged, so the final product of a walk
+   that would be accepted has ``1 - tau^2 <= 2^n * (n * tolerance)^2``.
+3. The factor 2 on ``n * tolerance`` absorbs the DD's rounding.
+
+``details["settled_pairs"]`` counts the pairs left unapplied (0 when the walk
+ran to the end).  Near-tolerance mutants, registers of 35 qubits or more at
+the default tolerance (where the bound reaches 1) and schedules ending in
+an unpaired gate walk in full.  The dense backend walks the raw gates and
+applies every one; the tests use it as ground truth.
 """
 
 from __future__ import annotations
 
+import math
 from collections.abc import Generator
 from typing import TYPE_CHECKING, ClassVar
 
@@ -112,12 +134,28 @@ class AlternatingChecker(Checker):
         max_nodes = count_nodes(product)
         cancelled = 0
         remaining = len(left) + len(right)
-        for gate, partner in matched_schedule(left, right, keys=keys):
+        schedule = list(matched_schedule(left, right, keys=keys))
+        # Found when the product first leaves the scalars: a product that
+        # enters the suffix as a scalar cancels every pair of it and stays one.
+        settle_at = None
+        settled = 0
+        for index, (gate, partner) in enumerate(schedule):
             node = product.node
+            scalar_root = node is None or node.identity
+            if not scalar_root:
+                if settle_at is None:
+                    settle_at = _settled_start(schedule)
+                if index == settle_at and _far_from_scalar(
+                    package, product, num_qubits, config.tolerance
+                ):
+                    # Only identical pairs remain: they conjugate the product,
+                    # which keeps its distance from every c * I.
+                    settled = len(schedule) - index
+                    break
             if (
                 gate is not None
                 and partner is not None
-                and (node is None or node.identity)
+                and scalar_root
                 and _agree(gate.operation, partner.operation, epsilon)
             ):
                 # g * (w * I) * g'^-1 == w * I within epsilon (a terminal root
@@ -150,6 +188,7 @@ class AlternatingChecker(Checker):
             "num_walked_first": len(left),
             "num_walked_second": len(right),
             "cancelled_pairs": cancelled,
+            "settled_pairs": settled,
             "dd_statistics": package.statistics(),
         }
         return CheckerOutcome(criterion_from_scalar(scalar, config.tolerance), details)
@@ -185,6 +224,36 @@ class AlternatingChecker(Checker):
             "cancelled_pairs": 0,
         }
         return CheckerOutcome(criterion_from_matrix(product, config.tolerance), details)
+
+
+def _settled_start(schedule) -> int:
+    """Index of the schedule's settled suffix: its trailing identical pairs.
+
+    A pair whose two gates share a match key and bitwise-equal parameters
+    is one gate ``g`` on both sides (the condition :func:`_agree` trusts to
+    cancel a pair exactly), so it maps the product ``E`` to ``g * E * g^-1``.
+    """
+    start = len(schedule)
+    while start:
+        gate, partner = schedule[start - 1]
+        if gate is None or partner is None or gate.operation.params != partner.operation.params:
+            break
+        start -= 1
+    return start
+
+
+def _far_from_scalar(package: DDPackage, product, num_qubits: int, tolerance: float) -> bool:
+    """Whether ``1 - |tr E / 2^n|^2 > 2^n * (2n * tolerance)^2`` (``n >= 1``).
+
+    Compared in logarithms, so no side forms ``2^n``: where the bound is at
+    least 1 (from 35 qubits at the default tolerance) no product exceeds
+    it, and the trace is not read.
+    """
+    log_bound = num_qubits * math.log(2) + 2 * math.log(2 * num_qubits * tolerance)
+    if log_bound >= 0:
+        return False
+    tau = math.ldexp(abs(package.trace(product)), -num_qubits)
+    return 1.0 - tau * tau > math.exp(log_bound)
 
 
 def _agree(gate, partner, epsilon: float) -> bool:

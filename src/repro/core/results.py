@@ -136,14 +136,21 @@ class CheckerAttempt:
     time_taken: float = 0.0
 
     def to_json(self) -> dict:
-        """Per-checker detail (status, verdict, wall-time) as a JSON-friendly dict."""
-        return {
+        """Per-checker detail (status, verdict, wall-time) as a JSON-friendly dict.
+
+        An alternating DD attempt also reports its ``settled_pairs``.
+        """
+        payload = {
             "method": self.method,
             "status": self.status,
             "criterion": self.result.criterion.value if self.result else None,
             "time": self.time_taken,
             "error": self.error,
         }
+        settled = self.result.details.get("settled_pairs") if self.result else None
+        if settled is not None:
+            payload["settled_pairs"] = settled
+        return payload
 
 
 @dataclass

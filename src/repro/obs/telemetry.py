@@ -16,6 +16,8 @@ One record per settled run (see :func:`run_record`)::
      "attempts": [{"checker": ..., "status": ..., "time": ..., "criterion": ...}],
      "breakers": {"alternating": "closed", ...}}
 
+An alternating DD attempt also carries its ``settled_pairs``.
+
 Recording is deliberately non-fatal: a full disk degrades telemetry to
 counted, logged errors — it never fails the verification that produced the
 record.  :func:`summarize_records` aggregates a replayed journal into the
@@ -75,14 +77,16 @@ def run_record(
         attempt_criterion = getattr(
             getattr(attempt, "result", None), "criterion", None
         )
-        attempts.append(
-            {
-                "checker": getattr(attempt, "method", None),
-                "status": getattr(attempt, "status", None),
-                "time": round(float(getattr(attempt, "time_taken", 0.0)), 9),
-                "criterion": getattr(attempt_criterion, "value", None),
-            }
-        )
+        entry = {
+            "checker": getattr(attempt, "method", None),
+            "status": getattr(attempt, "status", None),
+            "time": round(float(getattr(attempt, "time_taken", 0.0)), 9),
+            "criterion": getattr(attempt_criterion, "value", None),
+        }
+        details = getattr(getattr(attempt, "result", None), "details", None) or {}
+        if details.get("settled_pairs") is not None:
+            entry["settled_pairs"] = details["settled_pairs"]
+        attempts.append(entry)
     record["attempts"] = attempts
     if breakers:
         record["breakers"] = dict(breakers)

@@ -6,7 +6,10 @@ the ``identity`` flag), a matched pair ``(g, g)`` leaves it unchanged:
 gate DD, no multiplication, a step of cost 0 — and counts it in
 ``details["cancelled_pairs"]``.  Gates without an identical partner on the
 other side are matched on their canonical form and cancel only when their
-exact matrices agree.  The dense backend applies every gate.
+exact matrices agree.  Once every remaining item is an identical pair, a
+product far from every ``c * I`` is refuted on the spot and the pairs left
+unapplied are counted in ``details["settled_pairs"]``.  The dense backend
+applies every gate.
 """
 
 import math
@@ -386,3 +389,74 @@ class TestQuantizationNeverDecides:
         result = check_equivalence(first, second)
         assert result.criterion.value == "equivalent"
         assert result.details["cancelled_pairs"] == 2 * 20 + 1
+
+
+def _rz_first(circuit: QuantumCircuit, angle: float = 1.0) -> QuantumCircuit:
+    """``circuit`` with ``rz(angle)`` on qubit 0 before its first gate."""
+    mutant = circuit.copy_empty()
+    mutant.rz(angle, 0)
+    return mutant.compose(circuit)
+
+
+class TestSettledSuffix:
+    """Identical pairs only conjugate the product: ``E -> g * E * g^-1``."""
+
+    @pytest.mark.parametrize("family", ["bv-20", "qft-10", "qpe-8"])
+    def test_mutant_is_refuted_where_only_identical_pairs_remain(self, dd_work, family):
+        static, reconstructed = _table1_pair(family)
+        result = check_equivalence(_rz_first(static), reconstructed)
+        assert result.criterion.value == "not_equivalent"
+        # The pairs before the rz cancel; the rz is the one gate built.
+        assert dd_work == {"builds": 1, "multiplies": 1}
+        details = result.details
+        assert details["settled_pairs"] > 0
+        assert details["cancelled_pairs"] + details["settled_pairs"] == details["num_walked_second"]
+
+    @pytest.mark.parametrize("num_qubits, settles", [(34, True), (35, False)])
+    def test_wide_registers_walk_in_full_without_reading_the_trace(
+        self, monkeypatch, num_qubits, settles
+    ):
+        # 2^n * (2n * tolerance)^2 reaches 1 at 35 qubits under the default
+        # tolerance: no product exceeds it, so the trace is not even read.
+        # rz(pi) makes |tr E| = 0, the farthest a product can be.
+        traced = []
+        trace = DDPackage.trace
+
+        def recording(package, matrix):
+            traced.append(matrix)
+            return trace(package, matrix)
+
+        monkeypatch.setattr(DDPackage, "trace", recording)
+        first = _rz_first(ghz_ladder(num_qubits), math.pi)
+        result = check_equivalence(first, ghz_ladder(num_qubits))
+        assert result.criterion.value == "not_equivalent"
+        assert (result.details["settled_pairs"] > 0) is settles
+        assert bool(traced) is settles
+
+    def test_near_tolerance_mutant_walks_in_full(self):
+        # 1 - |tr E / 2^n|^2 = sin(5e-6)^2 is below 2^n * (2n * tolerance)^2,
+        # about 4e-9 on 10 qubits; the full walk still refutes it.
+        static, reconstructed = _table1_pair("qft-10")
+        result = check_equivalence(_rz_first(static, 1e-5), reconstructed)
+        assert result.criterion.value == "not_equivalent"
+        assert result.details["settled_pairs"] == 0
+
+    def test_unpaired_last_item_leaves_nothing_to_settle(self):
+        # Each side ends with its own phase residue, which has no partner.
+        result = check_equivalence(*_detour_pair(0.25))
+        assert result.criterion.value == "not_equivalent"
+        assert result.details["settled_pairs"] == 0
+
+    def test_refuting_mutant_steps_end_after_the_rz(self):
+        static, reconstructed = _table1_pair("qft-10")
+        steps = AlternatingChecker().steps(_rz_first(static), reconstructed, Configuration())
+        costs = []
+        while True:
+            try:
+                costs.append(next(steps))
+            except StopIteration as stop:
+                outcome = stop.value
+                break
+        # One applied gate, then the verdict: no pair of the suffix is a step.
+        assert len(costs) == 1 + outcome.details["cancelled_pairs"]
+        assert outcome.criterion.value == "not_equivalent"

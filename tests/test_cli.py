@@ -15,17 +15,26 @@ from repro.cli import build_parser, main
 
 
 def _scrambled_mutant():
-    """A deep random circuit vs the same circuit after a leading ``rz``.
+    """A deep random circuit vs the same circuit between ``rz(1)`` and ``rz(-1)``.
 
     The scrambled difference grows the prover's product DD, so the falsifier
-    needs less DD work and decides.
+    needs less DD work and decides.  The trailing ``rz`` is the walk's last
+    item and has no partner, so the prover has no settled suffix to stop at.
     """
     circuit = random_static_circuit(4, 20, seed=0)
     mutant = circuit.copy_empty()
     mutant.rz(1.0, 0)
     for instruction in circuit:
         mutant.append_instruction(instruction)
+    mutant.rz(-1.0, 0)
     return circuit, mutant
+
+
+def _rz_first(circuit):
+    """``circuit`` with an ``rz`` before its first gate (a mutant)."""
+    mutant = circuit.copy_empty()
+    mutant.rz(1.0, 0)
+    return mutant.compose(circuit)
 
 
 @pytest.fixture()
@@ -38,6 +47,7 @@ def qasm_files(tmp_path):
         "bv_wrong": bernstein_vazirani_dynamic("111"),
         "qpe_static": qpe_static(3),
         "iqpe": iterative_qpe(3),
+        "qpe_rz": _rz_first(qpe_static(3)),
     }
     circuits["scrambled"], circuits["scrambled_wrong"] = _scrambled_mutant()
     for name, circuit in circuits.items():
@@ -157,6 +167,18 @@ class TestPortfolioAndBatch:
             ("alternating", "preempted"),
             ("simulation", "completed"),
         ]
+
+    def test_verify_json_reports_the_settled_pairs(self, qasm_files, tmp_path, capsys):
+        # The rz comes first; every later item is an identical pair.
+        operands = [qasm_files["qpe_rz"], qasm_files["iqpe"], "--json"]
+        assert main(["verify", *operands]) == 1
+        assert json.loads(capsys.readouterr().out)["settled_pairs"] > 0
+        telemetry = tmp_path / "runs.telemetry.jsonl"
+        assert main(["verify", *operands, "--telemetry", str(telemetry)]) == 1
+        (attempt,) = json.loads(capsys.readouterr().out)["attempts"]
+        assert attempt["method"] == "alternating" and attempt["settled_pairs"] > 0
+        assert main(["verify", qasm_files["bv_static"], qasm_files["bv_dynamic"], "--json"]) == 0
+        assert json.loads(capsys.readouterr().out)["settled_pairs"] == 0
 
     def test_verify_timeout_without_portfolio_uses_manager(self, qasm_files, capsys):
         code = main(

@@ -5,6 +5,7 @@ and reference implementations."""
 
 import dataclasses
 import inspect
+import math
 from functools import reduce
 
 import numpy as np
@@ -383,6 +384,16 @@ def _assert_same_edge(fast, reference) -> None:
     assert abs(fast.weight - reference.weight) <= 1e-12 * max(1.0, abs(reference.weight))
 
 
+def _assert_matches_numpy(actual, expected) -> None:
+    """``actual`` within ``1e-9`` of ``expected``, scaled by its largest entry.
+
+    The DD zeroes a weight below its grid relative to its node's pivot, so an
+    entry far below the product's largest one may read 0.
+    """
+    scale = max(1.0, float(np.max(np.abs(expected), initial=0.0)))
+    assert np.allclose(actual, expected, atol=1e-9 * scale)
+
+
 class TestZeroBlockKernels:
     """The zero-block short-cuts give the full expansion's nodes and weights."""
 
@@ -394,7 +405,24 @@ class TestZeroBlockKernels:
         right = data.draw(_matrix_operand(package))
         product = package.multiply_matrices(left, right)
         expected = package.matrix_to_numpy(left) @ package.matrix_to_numpy(right)
-        assert np.allclose(package.matrix_to_numpy(product), expected, atol=1e-9)
+        _assert_matches_numpy(package.matrix_to_numpy(product), expected)
+        _assert_same_edge(product, _reference_multiply_matrices(package, left, right, {}))
+
+    def test_an_entry_below_the_pivots_grid_reads_zero(self):
+        # Operands scaled by 2 and 8 on 3 qubits: the product's entry
+        # 16 * small**2 = 1.4e-9 is below the weight grid relative to its
+        # pivot 16, so the DD stores 0 where numpy keeps 1.4e-9.
+        package = DDPackage(3)
+        small = math.sqrt(1.4e-9 / 16)
+        factor = package.operator_chain({0: np.diag([1.0, small]).astype(complex)})
+        left = package.scale_matrix(factor, 2)
+        right = package.scale_matrix(factor, 8)
+        product = package.multiply_matrices(left, right)
+        expected = package.matrix_to_numpy(left) @ package.matrix_to_numpy(right)
+        actual = package.matrix_to_numpy(product)
+        assert actual[1, 1] == 0 and math.isclose(abs(expected[1, 1]), 1.4e-9)
+        assert not np.allclose(actual, expected, atol=1e-9)
+        _assert_matches_numpy(actual, expected)
         _assert_same_edge(product, _reference_multiply_matrices(package, left, right, {}))
 
     @settings(max_examples=60, deadline=None)
@@ -405,7 +433,7 @@ class TestZeroBlockKernels:
         vector = data.draw(_vector_operand(package))
         product = package.multiply_matrix_vector(matrix, vector)
         expected = package.matrix_to_numpy(matrix) @ package.vector_to_numpy(vector)
-        assert np.allclose(package.vector_to_numpy(product), expected, atol=1e-9)
+        _assert_matches_numpy(package.vector_to_numpy(product), expected)
         _assert_same_edge(product, _reference_multiply_matrix_vector(package, matrix, vector, {}))
 
     def test_wrap_levels_multiply_into_a_wrap_level(self):
@@ -461,6 +489,96 @@ class TestZeroBlockKernels:
         assert result.criterion.value == "equivalent"
 
 
+def _full_walk(first, second, tolerance=Configuration().tolerance):
+    """The alternating DD walk with every gate multiplied: nothing cancelled or settled.
+
+    Returns the verdict of the final product and the walk's shape: peak and
+    final product nodes, then the package's matrix nodes and multiply / add
+    compute-table sizes.
+    """
+    from repro.core.checkers.base import criterion_from_scalar, gate_lists, inverse_instruction
+    from repro.core.strategies import canonical_matching, matched_schedule
+    from repro.dd.circuits import instruction_to_dd
+
+    package = DDPackage(first.num_qubits)
+    left, right, keys = canonical_matching(*gate_lists(first, second))
+    product = package.identity()
+    peak = package.count_nodes(product)
+    for gate, partner in matched_schedule(left, right, keys=keys):
+        if gate is not None:
+            product = package.multiply_matrices(instruction_to_dd(package, gate), product)
+            peak = max(peak, package.count_nodes(product))
+        if partner is not None:
+            gate_dd = instruction_to_dd(package, inverse_instruction(partner))
+            product = package.multiply_matrices(product, gate_dd)
+            peak = max(peak, package.count_nodes(product))
+    statistics = package.statistics()
+    scalar = package.identity_scalar(product, tolerance)
+    return criterion_from_scalar(scalar, tolerance).value, (
+        peak,
+        package.count_nodes(product),
+        statistics["matrix_nodes"],
+        statistics["multiply_mm_cache"],
+        statistics["add_matrix_cache"],
+    )
+
+
+TOLERANCE = Configuration().tolerance
+
+
+class TestSettledSuffixBound:
+    """The settled-suffix refutation changes no verdict.
+
+    Once only identical pairs remain, the checker refutes a product ``E``
+    with ``1 - |tr E / 2^n|^2 > 2^n * (2n * tolerance)^2``; every product
+    ``identity_scalar`` accepts lies well inside that bound.  Mutants with
+    one ``rz(theta)`` on either side, theta from far below the tolerance to
+    4 pi, compare the checker with the walk multiplied out and with the
+    dense backend.
+    """
+
+    @settings(max_examples=120, deadline=None)
+    @given(
+        num_qubits=st.integers(min_value=1, max_value=6),
+        depth=st.integers(min_value=1, max_value=6),
+        seed=st.integers(min_value=0, max_value=10_000),
+        theta=st.one_of(
+            st.floats(min_value=-8, max_value=math.log10(4 * math.pi)).map(lambda e: 10**e),
+            st.sampled_from([0.99 * TOLERANCE, 1.01 * TOLERANCE, 2 * math.pi, 4 * math.pi]),
+        ),
+        data=st.data(),
+    )
+    def test_verdict_equals_the_full_walk_and_the_dense_backend(
+        self, num_qubits, depth, seed, theta, data
+    ):
+        from repro.simulators.unitary import circuit_unitary
+
+        circuit = random_static_circuit(num_qubits, depth, seed=seed)
+        position = data.draw(st.integers(min_value=0, max_value=len(circuit)))
+        qubit = data.draw(st.integers(min_value=0, max_value=num_qubits - 1))
+        mutant = circuit.copy_empty()
+        for index, instruction in enumerate([*circuit, None]):
+            if index == position:
+                mutant.rz(theta, qubit)
+            if instruction is not None:
+                mutant.append_instruction(instruction)
+        pair = (mutant, circuit) if data.draw(st.booleans()) else (circuit, mutant)
+
+        result = check_equivalence(*pair)
+        verdict = result.criterion.value
+        assert verdict == _full_walk(*pair)[0]
+        # Between the tolerance and about 20 times it the backends' criteria
+        # part: the DD compares entries level by level against the tolerance,
+        # the dense backend allows 10 times it around a global phase.
+        distance = abs(math.remainder(theta, 2 * math.pi))
+        if not TOLERANCE <= distance <= 100 * TOLERANCE:
+            assert verdict == check_equivalence(*pair, backend="dense").criterion.value
+        if result.details["settled_pairs"]:
+            product = circuit_unitary(pair[0]) @ circuit_unitary(pair[1]).conj().T
+            tau = abs(np.trace(product)) / 2**num_qubits
+            assert 1 - tau**2 > 2**num_qubits * (2 * num_qubits * TOLERANCE) ** 2
+
+
 class TestSchemeOneShapes:
     """Verdict and DD shape of the seed-independent Table-1 Scheme-1 pairs.
 
@@ -470,12 +588,14 @@ class TestSchemeOneShapes:
     work (multiply and add compute-table sizes): the zero-block short-cuts
     skip only products and sums that were never memoized either.  The
     equivalent pairs cancel every matched pair, so their product stays the
-    initial identity and builds nothing; the mutants, with an ``rz`` before
-    the first gate, are the ones that still exercise the kernels.
+    initial identity and builds nothing.  The mutants, with an ``rz`` before
+    the first gate, are refuted by the checker right after the ``rz`` (every
+    later item is an identical pair), so the kernels' shapes are pinned on
+    the same walk multiplied out by :func:`_full_walk`.
     """
 
     @staticmethod
-    def _shape(family, n, mutant=False):
+    def _pair(family, n, mutant=False):
         from repro.algorithms import iterative_qpe, qft_dynamic, qft_static_benchmark, qpe_static
         from repro.core import transformation
 
@@ -487,7 +607,11 @@ class TestSchemeOneShapes:
             prefix = static.copy_empty()
             prefix.rz(1.0, 0)
             static = prefix.compose(static)
-        result = check_equivalence(static, transformation.to_unitary_circuit(dynamic).circuit)
+        return static, transformation.to_unitary_circuit(dynamic).circuit
+
+    @classmethod
+    def _shape(cls, family, n, mutant=False):
+        result = check_equivalence(*cls._pair(family, n, mutant))
         details = result.details
         return result.criterion.value, (
             details["max_nodes"],
@@ -514,11 +638,26 @@ class TestSchemeOneShapes:
         "family, n, shape",
         [
             ("qft", 6, (63, 63, 592, 310, 114)),
-            ("qpe", 8, (17, 9, 720, 498, 16)),
+            ("qpe", 8, (17, 9, 720, 534, 32)),
         ],
     )
     def test_mutant_verdict_and_node_counts(self, family, n, shape):
+        assert _full_walk(*self._pair(family, n, mutant=True)) == ("not_equivalent", shape)
+
+    @pytest.mark.parametrize(
+        "family, n, shape, settled",
+        [
+            ("qft", 6, (6, 6, 12, 0, 0), 21),
+            ("qpe", 8, (9, 9, 18, 0, 0), 45),
+        ],
+    )
+    def test_mutant_is_refuted_where_its_walk_settles(self, family, n, shape, settled):
         assert self._shape(family, n, mutant=True) == ("not_equivalent", shape)
+        details = check_equivalence(*self._pair(family, n, mutant=True)).details
+        # The pairs the schedule puts before the rz cancel; the checker
+        # builds the rz alone and leaves every later pair unapplied.
+        assert details["settled_pairs"] == settled
+        assert details["cancelled_pairs"] + settled == details["num_walked_second"]
 
     def test_each_root_is_counted_once_per_check(self, monkeypatch):
         from repro.algorithms import iterative_qpe, qpe_static

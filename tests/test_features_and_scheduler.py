@@ -19,6 +19,7 @@ from repro.algorithms import (
     teleportation_static,
 )
 from repro.circuit import QuantumCircuit
+from repro.circuit.random_circuits import random_static_circuit
 from repro.core import (
     Checker,
     CheckerOutcome,
@@ -535,13 +536,6 @@ class TestCheckerRegistry:
         assert result.method == "distribution"
 
 
-def _rz_first(circuit: QuantumCircuit) -> QuantumCircuit:
-    """``circuit`` with an ``rz`` before its first gate (a mutant)."""
-    mutant = circuit.copy_empty()
-    mutant.rz(1.0, 0)
-    return mutant.compose(circuit)
-
-
 class TestTimeoutStopFlag:
     @pytest.mark.parametrize("checker", ["alternating", "construction"])
     def test_timed_out_checker_leaves_no_checker_thread(self, checker, monkeypatch):
@@ -562,10 +556,11 @@ class TestTimeoutStopFlag:
         manager = EquivalenceCheckingManager(
             portfolio=(checker,), checker_timeout=0.005, seed=SEED
         )
-        # An rz before the first gate keeps the alternating product off the
-        # identity, so every gate is multiplied (the equivalent pair cancels
-        # all of them and is proved within the budget).
-        result = manager.run(_rz_first(qft_static_benchmark(12)), qft_dynamic(12))
+        # The QFT and an unrelated random circuit share no gate, so every gate
+        # is multiplied (an equivalent pair cancels all of them and an rz
+        # mutant stops where only identical pairs remain, both within the
+        # budget).
+        result = manager.run(qft_static_benchmark(8), random_static_circuit(8, 8, seed=15))
         assert result.attempts[0].status == "timeout"
         assert not [name for name in started if name.startswith("checker-")]
         assert not [t for t in threading.enumerate() if t.name.startswith("checker-")]

@@ -229,17 +229,20 @@ def _flatten(shapes):
 
 
 def _scrambled_mutant(num_qubits: int = 4, seed: int = 0):
-    """A deep random circuit vs the same circuit after a leading ``rz``.
+    """A deep random circuit vs the same circuit between ``rz(1)`` and ``rz(-1)``.
 
     The difference comes first and the circuit scrambles it, so the
     alternating product grows into a large matrix DD while a product
     stimulus only ever fills a vector: the falsifier needs less DD work.
+    The trailing ``rz`` is the walk's last item and has no partner, so the
+    prover has no settled suffix to stop at.
     """
     circuit = random_static_circuit(num_qubits, 20, seed=seed)
     mutant = circuit.copy_empty()
     mutant.rz(1.0, 0)
     for instruction in circuit:
         mutant.append_instruction(instruction)
+    mutant.rz(-1.0, 0)
     return circuit, mutant
 
 

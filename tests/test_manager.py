@@ -7,7 +7,6 @@ from repro.algorithms import (
     bernstein_vazirani_static,
     ghz_ladder,
     ghz_with_bug,
-    qft_dynamic,
     qft_static_benchmark,
     teleportation_dynamic,
     teleportation_static,
@@ -31,12 +30,17 @@ SEED = 1234
 
 
 def _scrambled_mutant():
-    """A deep random circuit vs the same circuit after a leading ``rz``."""
+    """A deep random circuit vs the same circuit between ``rz(1)`` and ``rz(-1)``.
+
+    The trailing ``rz`` is the alternating walk's last item and has no
+    partner, so the prover has no settled suffix to stop at.
+    """
     circuit = random_static_circuit(4, 20, seed=0)
     mutant = circuit.copy_empty()
     mutant.rz(1.0, 0)
     for instruction in circuit:
         mutant.append_instruction(instruction)
+    mutant.rz(-1.0, 0)
     return circuit, mutant
 
 
@@ -220,17 +224,15 @@ class TestPortfolioAgreement:
             assert not check_equivalence(first, second, method=method, seed=SEED).equivalent
 
 
-def _slow_pair(n: int = 12) -> tuple[QuantumCircuit, QuantumCircuit]:
-    """A QFT pair with an rz before the static circuit's first gate.
+def _slow_pair() -> tuple[QuantumCircuit, QuantumCircuit]:
+    """The static QFT-8 vs an unrelated random circuit.
 
-    The rz keeps the alternating product off the identity, so every gate is
-    built and multiplied; on the equivalent pair every matched pair cancels
-    and the check is too quick to outrun a budget.
+    The two share no gate, so the alternating check builds and multiplies
+    every gate into a product that grows dense (seconds alone); an
+    equivalent pair cancels every matched pair, and an ``rz`` mutant stops
+    where only identical pairs remain, both too quick to outrun a budget.
     """
-    static = qft_static_benchmark(n)
-    mutant = static.copy_empty()
-    mutant.rz(1.0, 0)
-    return mutant.compose(static), qft_dynamic(n)
+    return qft_static_benchmark(8), random_static_circuit(8, 8, seed=15)
 
 
 class TestTimeouts:

@@ -36,6 +36,19 @@ class TestRunRecording:
             assert set(attempt) >= {"checker", "status", "time"}
         assert "breakers" in record
 
+    def test_alternating_dd_attempts_carry_their_settled_pairs(self, tmp_path):
+        manager = _manager(tmp_path, portfolio=("alternating", "simulation"))
+        manager.run(ghz_ladder(3), ghz_ladder(3))
+        mutant = ghz_ladder(3).copy_empty()
+        mutant.rz(1.0, 0)
+        manager.run(mutant.compose(ghz_ladder(3)), ghz_ladder(3))
+        proved, refuted = manager.telemetry.replay()
+        for record, settled in ((proved, 0), (refuted, 3)):
+            alternating, simulation = record["attempts"]
+            assert alternating["checker"] == "alternating"
+            assert alternating["settled_pairs"] == settled
+            assert "settled_pairs" not in simulation
+
     def test_cache_hits_are_recorded_with_provenance(self, tmp_path):
         manager = _manager(tmp_path, verdict_cache=True, seed=11)
         first, second = ghz_ladder(3), ghz_ladder(3)

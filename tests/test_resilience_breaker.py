@@ -22,12 +22,17 @@ from repro.resilience import (
 
 
 def _scrambled_mutant():
-    """A deep random circuit vs the same circuit after a leading ``rz``."""
+    """A deep random circuit vs the same circuit between ``rz(1)`` and ``rz(-1)``.
+
+    The trailing ``rz`` is the alternating walk's last item and has no
+    partner, so the prover has no settled suffix to stop at.
+    """
     circuit = random_static_circuit(4, 20, seed=0)
     mutant = circuit.copy_empty()
     mutant.rz(1.0, 0)
     for instruction in circuit:
         mutant.append_instruction(instruction)
+    mutant.rz(-1.0, 0)
     return circuit, mutant
 
 
